@@ -40,6 +40,7 @@ class StageTables:
         self.y_aged = None
         self.u_aged = None
         self._step_arrays = None
+        self._consistency: dict[tuple, tuple] = {}
         if t + 1 <= spec.T:
             self._build_step(spec)
 
@@ -118,6 +119,30 @@ class StageTables:
                              np.array(w))
         return self._step_arrays
 
+    def consistency(self, spec: ProblemSpec, z: histories.CommonObs):
+        """Per controller, the private realizations whose aged-out
+        coordinates agree with the non-null shared symbol z emitted at t+1,
+        and the per-state mask of joint states made of such realizations.
+        Built on first use per symbol.
+
+        Under delay 1 the aged action is the current one, so only the
+        observation coordinate constrains the window.
+        """
+        hit = self._consistency.get((z.y, z.u))
+        if hit is None:
+            lams = []
+            mask = np.ones(self.state_count, dtype=bool)
+            for k in range(spec.K):
+                good = self.y_aged[k] == z.y[k]
+                if spec.n >= 2:
+                    good &= self.u_aged[k] == z.u[k]
+                lams.append(tuple(int(i) for i in np.nonzero(good)[0]))
+                mask &= good[self.lam_of_s[k]]
+            mask.flags.writeable = False
+            hit = (tuple(lams), mask)
+            self._consistency[(z.y, z.u)] = hit
+        return hit
+
     def z_rank(self, spec: ProblemSpec, lam_ranks, action: tuple[int, ...]) -> int:
         """Rank of the shared symbol emitted when stepping from (s, action).
 
@@ -166,18 +191,7 @@ def support_sets(spec: ProblemSpec, t: int, p: np.ndarray) -> tuple[tuple[int, .
 
 def consistent_lams(spec: ProblemSpec, t: int, z: histories.CommonObs) -> tuple[tuple[int, ...], ...]:
     """Per controller, every private realization at time t whose aged-out
-    coordinates agree with the shared symbol z emitted at time t+1.
-
-    Under delay 1 the aged action is the current one, so only the observation
-    coordinate constrains the window.
-    """
+    coordinates agree with the shared symbol z emitted at time t+1."""
     if z.is_null:
         raise DomainError("null shared symbols impose no consistency constraint")
-    st = tables(spec).stage[t]
-    out = []
-    for k in range(spec.K):
-        good = st.y_aged[k] == z.y[k]
-        if spec.n >= 2:
-            good = good & (st.u_aged[k] == z.u[k])
-        out.append(tuple(int(i) for i in np.nonzero(good)[0]))
-    return tuple(out)
+    return tables(spec).stage[t].consistency(spec, z)[0]

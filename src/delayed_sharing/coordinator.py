@@ -13,13 +13,13 @@ prescription profiles at every reachable belief.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import histories, minimize
-from ._tables import consistent_lams, support_sets, tables
+from ._tables import support_sets, tables
 from .errors import (BudgetError, DomainError, OffDesignHistoryError,
                      UnreachableObservationError)
 from .histories import (CommonObs, CoordinatorPolicy, GammaProfile,
@@ -231,9 +231,6 @@ class BeliefGraph:
         return sum(len(zt.entries) for per in self.expansions.values()
                    for zt in per.values())
 
-    def find(self, t: int, p: np.ndarray) -> int | None:
-        return self.index.get((t, quantize_key(p)))
-
     def subkey(self, node_id: int, profile: GammaProfile, z_rank: int) -> tuple[int, ...]:
         ztab = self.expansions[node_id].get(z_rank)
         if ztab is None:
@@ -259,13 +256,53 @@ class BeliefGraph:
         return child, pz
 
 
-def _live_mask(spec: ProblemSpec, t: int, p: np.ndarray,
-               cons: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    st = tables(spec).stage[t]
-    mask = p > 0.0
-    for k in range(spec.K):
-        mask &= np.isin(st.lam_of_s[k], cons[k])
-    return mask
+# Most entries one batched gather in expand_stage holds at a time (assignment
+# rows times gathered triples, or rows times next states); larger branch
+# tables are gathered in row chunks, so memory stays flat in the table size.
+_GATHER_ENTRIES = 1 << 16
+
+
+def _key_digits(key: int, radix: int, width: int) -> tuple[int, ...]:
+    """The width base-radix digits of a branch key, first most significant."""
+    out = []
+    for _ in range(width):
+        key, d = divmod(key, radix)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
+                   actions: np.ndarray, z_rank: int, next_count: int
+                   ) -> tuple[np.ndarray, list[float]]:
+    """Unnormalized next-belief mass and branch probability of a batch of
+    assignments: row i of `actions` is the joint action each candidate state
+    takes under assignment i.
+
+    Row by row this is _update_mass: the same triples, filtered on the same
+    symbol, multiplied and scattered in the same element order, and each
+    row's probability is .sum() over that row's own contiguous slice of
+    weights.  Results are therefore bit-identical to one _update_mass call
+    per assignment.
+    """
+    starts, lens, dst, zr, w = steps
+    rows = actions.shape[0]
+    m = np.zeros((rows, next_count))
+    s_start = starts[cand, actions].reshape(-1)
+    s_len = lens[cand, actions].reshape(-1)
+    total = int(s_len.sum())
+    if total == 0:
+        return m, [0.0] * rows
+    flat = np.repeat(s_start, s_len) + (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(np.cumsum(s_len) - s_len, s_len))
+    keep = zr[flat] == z_rank
+    flat = flat[keep]
+    weights = w[flat] * np.repeat(np.tile(mass, rows), s_len)[keep]
+    row_of = np.repeat(np.arange(rows), s_len.reshape(rows, -1).sum(axis=1))[keep]
+    np.add.at(m, (row_of, dst[flat]), weights)
+    bounds = np.searchsorted(row_of, np.arange(rows + 1)).tolist()
+    return m, [float(weights[bounds[i]:bounds[i + 1]].sum())
+               for i in range(rows)]
 
 
 def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
@@ -275,54 +312,82 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
 
     visible_for(z, consistent) -> per-controller realization sets whose
     assigned actions distinguish branches; child_fn(z, zr, digits, m, pz) ->
-    stored child payload.  Enumerates every per-controller assignment on the
-    visible sets with a zero-filled representative profile; branches with
-    zero probability are pruned (their value is irrelevant to the objective).
+    stored child payload.
+
+    Per shared symbol, the live candidates are the positive-mass states
+    consistent with it (a per-symbol mask cached on the stage tables).  All
+    per-controller assignments on the visible sets are expanded in one
+    batched gather: the joint action of each (assignment, candidate) pair is
+    read off the assignment ranks by place value (realizations outside the
+    visible sets take action 0, as in the zero-filled completion), the step
+    triples of all pairs are gathered and filtered on the symbol, and their
+    weights are scattered into an (assignments x next states) mass array.
+
+    Invariant: each branch probability is .sum() over that assignment's own
+    contiguous slice of weights, in the element order of a single-profile
+    update, so branch probabilities and child beliefs are bit-identical to
+    one _update_mass call per assignment with the zero-filled profile.  A
+    sequential reduction (np.bincount, np.add.reduceat) would break this.
+
+    Zero-probability branches are pruned (their value is irrelevant to the
+    objective).  child_fn is called in itertools.product order of the
+    assignments, controller 0 most significant, so node ids and table
+    entries follow that order.
     """
+    st = tables(spec).stage[t]
+    next_count = tables(spec).stage[t + 1].state_count
+    steps = st.step_arrays(spec)
+    lens = steps[1]
+    positive = p > 0.0
     out: dict[int, ZTable] = {}
-    full_support = np.nonzero(p > 0.0)[0]
     for z in common_obs_space(spec, t + 1):
         zr = common_obs_rank(spec, z)
         if z.is_null:
-            visible = visible_for(z, None)
-            cand = full_support
+            cons, live = None, positive
         else:
-            cons = consistent_lams(spec, t, z)
-            mask = _live_mask(spec, t, p, cons)
-            if not mask.any():
-                continue
-            visible = visible_for(z, cons)
-            cand = np.nonzero(mask)[0]
-        combos = 1
-        for k in range(spec.K):
-            combos *= spec.u_size[k] ** len(visible[k])
+            cons, consistent = st.consistency(spec, z)
+            live = positive & consistent
+        cand = np.nonzero(live)[0]
+        if cand.size == 0:
+            continue
+        visible = visible_for(z, cons)
+        counts = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
+        combos = math.prod(counts)
         if combos > max_joint:
             raise BudgetError(f"branch table at t={t} needs {combos} entries "
                               f"(budget {max_joint})")
+        # Controller k's assignment r gives the i-th visible realization the
+        # base-u digit r // u**(V-1-i) % u.  Realizations outside the visible
+        # set get place value u**V, whose digit is 0 for every r < u**V.
+        places = []
+        for k in range(spec.K):
+            u, v = spec.u_size[k], len(visible[k])
+            place = np.full(st.L[k], u ** v, dtype=np.int64)
+            place[list(visible[k])] = u ** np.arange(v - 1, -1, -1, dtype=np.int64)
+            places.append(place[st.lam_of_s[k][cand]])
+        mass = p[cand]
+        row_cost = max(next_count, cand.size * int(lens[cand].max()), 1)
+        chunk = max(1, _GATHER_ENTRIES // row_cost)
         entries: dict[tuple[int, ...], tuple[float, int]] = {}
-        digit_axes = [
-            itertools.product(range(spec.u_size[k]), repeat=len(visible[k]))
-            for k in range(spec.K)
-        ]
-        for digits in itertools.product(*digit_axes):
-            rep = minimize.embedded_profile(spec, t, visible, digits)
-            m, pz = _update_mass(spec, t, p, rep, zr, cand)
-            if pz <= 0.0:
-                continue
-            key = tuple(
-                _digit_key(digits[k], spec.u_size[k]) for k in range(spec.K)
-            )
-            entries[key] = (pz, child_fn(z, zr, digits, m, pz))
+        for lo in range(0, combos, chunk):
+            keys = np.unravel_index(np.arange(lo, min(lo + chunk, combos)),
+                                    counts)
+            actions = np.zeros((keys[0].size, cand.size), dtype=np.int64)
+            for k in range(spec.K):
+                u = spec.u_size[k]
+                actions = actions * u + keys[k][:, None] // places[k] % u
+            m, pzs = _branch_masses(steps, cand, mass, actions, zr, next_count)
+            for i, pz in enumerate(pzs):
+                if pz <= 0.0:
+                    continue
+                key = tuple(int(keys[k][i]) for k in range(spec.K))
+                digits = tuple(
+                    _key_digits(key[k], spec.u_size[k], len(visible[k]))
+                    for k in range(spec.K))
+                entries[key] = (pz, child_fn(z, zr, digits, m[i], pz))
         if entries:
             out[zr] = ZTable(zr, visible, entries)
     return out
-
-
-def _digit_key(digits: tuple[int, ...], radix: int) -> int:
-    r = 0
-    for d in digits:
-        r = r * radix + d
-    return r
 
 
 def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
@@ -543,7 +608,7 @@ def _last_stage_values(spec: ProblemSpec, P: np.ndarray,
         operands.append(bs.onehots[k])
         sub += "," + beh_l[k] + lam_l[k] + act_l[k]
     out = "z" + beh_l + lam_l[spec.K - 1] + act_l[spec.K - 1]
-    cur = np.einsum(sub + "->" + out, *operands, optimize=True)
+    cur = minimize.einsum(sub + "->" + out, *operands)
     cur = cur.min(axis=-1).sum(axis=-1)
     return cur.reshape(len(P), -1).min(axis=1)
 

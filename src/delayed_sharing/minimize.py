@@ -89,6 +89,23 @@ def _einsum_subscripts(K: int) -> str:
     return ",".join(operands) + "->" + beh
 
 
+# Greedy contraction paths, keyed on (subscripts, operand shapes).  The path
+# depends on nothing else, so reusing it reproduces optimize=True exactly
+# without searching again on every call.
+_EINSUM_PATHS: dict[tuple, list] = {}
+
+
+def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """np.einsum(subscripts, *operands, optimize=True) with the contraction
+    path looked up per operand shapes instead of searched per call."""
+    key = (subscripts, tuple(op.shape for op in operands))
+    path = _EINSUM_PATHS.get(key)
+    if path is None:
+        path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+        _EINSUM_PATHS[key] = path
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def stage_totals(spec: ProblemSpec, t: int, p: np.ndarray,
                  bs: BehaviorSpace) -> np.ndarray:
     """Expected stage cost of every behavior, shaped bs.shape.
@@ -101,7 +118,7 @@ def stage_totals(spec: ProblemSpec, t: int, p: np.ndarray,
     cube_r = cube[np.ix_(range(spec.x_size), *bs.restricted)]
     q_cube = st.q.reshape((spec.x_size, *spec.u_size))
     ct = np.tensordot(cube_r, q_cube, axes=([0], [0]))
-    return np.einsum(_einsum_subscripts(spec.K), ct, *bs.onehots, optimize=True)
+    return einsum(_einsum_subscripts(spec.K), ct, *bs.onehots)
 
 
 def subkey_vector(spec: ProblemSpec, bs: BehaviorSpace, k: int,
@@ -144,8 +161,3 @@ def completion_rank(spec: ProblemSpec, bs: BehaviorSpace,
             table_rank = table_rank * u + entry
         rank = rank * (u ** count) + table_rank
     return rank
-
-
-def behavior_digits(bs: BehaviorSpace, flat_index: int) -> tuple[tuple[int, ...], ...]:
-    per_k = np.unravel_index(flat_index, bs.shape)
-    return tuple(tuple(int(d) for d in bs.mats[k][per_k[k]]) for k in range(len(bs.shape)))

@@ -151,6 +151,12 @@ def _field(data: dict, name: str):
     return data[name]
 
 
+def _is_count(v) -> bool:
+    """A JSON integer >= 1.  JSON booleans load as bool, a subclass of int,
+    so they are rejected explicitly."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def load_problem(text: str) -> ProblemSpec:
     """Parse a problem file; fields mirror the file exactly (no renormalizing).
 
@@ -168,13 +174,13 @@ def load_problem(text: str) -> ProblemSpec:
     n = _field(data, "n")
     x_size = _field(data, "x_size")
     for name, v in (("K", K), ("T", T), ("n", n), ("x_size", x_size)):
-        _require(isinstance(v, int) and v >= 1, f"{name} must be an integer >= 1")
+        _require(_is_count(v), f"{name} must be an integer >= 1")
 
     y_size = _field(data, "y_size")
     u_size = _field(data, "u_size")
     for name, v in (("y_size", y_size), ("u_size", u_size)):
         _require(isinstance(v, list) and len(v) == K, f"{name} must be an array of length K={K}")
-        _require(all(isinstance(s, int) and s >= 1 for s in v), f"{name} entries must be integers >= 1")
+        _require(all(_is_count(s) for s in v), f"{name} entries must be integers >= 1")
     A = math.prod(u_size)
 
     def _array(name, shape):

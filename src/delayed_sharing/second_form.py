@@ -292,9 +292,6 @@ class ThetaRGraph:
         return sum(len(zt.entries) for per in self.expansions.values()
                    for zt in per.values())
 
-    def find(self, state: ThetaRState) -> int | None:
-        return self.index.get(state_key(state))
-
     def subkey(self, node_id: int, profile: GammaProfile, z_rank: int):
         ztab = self.expansions[node_id].get(z_rank)
         if ztab is None:

@@ -94,6 +94,16 @@ def test_input_error_exit_code(tmp_path):
     assert res2.returncode == 2
 
 
+def test_boolean_size_exit_code(tmp_path):
+    data = json.loads((INSTANCES / "io.json").read_text())
+    data["n"] = True
+    bad = tmp_path / "bool_n.json"
+    bad.write_text(json.dumps(data))
+    res = run_cli("solve", "--problem", str(bad))
+    assert res.returncode == 2
+    assert "n must be an integer" in res.stderr
+
+
 def test_unknown_command_exit_code():
     res = run_cli("frobnicate", "--problem", "x")
     assert res.returncode == 2

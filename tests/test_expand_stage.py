@@ -1,0 +1,193 @@
+"""The batched branch expansion against a per-assignment reference, and the
+cached einsum path against np.einsum(..., optimize=True).  Both must agree
+bit for bit: the batching and the path cache change how the work is
+scheduled, never the arithmetic."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from delayed_sharing import coordinator, minimize
+from delayed_sharing._tables import support_sets, tables
+from delayed_sharing.coordinator import _update_mass, expand_stage
+from delayed_sharing.generate import random_instance
+from delayed_sharing.histories import common_obs_rank, common_obs_space
+from delayed_sharing.model import normalize_problem
+
+
+def _consistent(spec, t, z):
+    """Realizations whose aged-out coordinates match z, straight from the
+    window tables (not through the solver's per-symbol cache)."""
+    stt = tables(spec).stage[t]
+    out = []
+    for k in range(spec.K):
+        good = stt.y_aged[k] == z.y[k]
+        if spec.n >= 2:
+            good = good & (stt.u_aged[k] == z.u[k])
+        out.append(tuple(int(i) for i in np.nonzero(good)[0]))
+    return tuple(out)
+
+
+def _reference_expand(spec, t, p, visible_for):
+    """One _update_mass call per assignment on the visible sets, with the
+    zero-filled representative profile: the loop expand_stage batches."""
+    stt = tables(spec).stage[t]
+    out = {}
+    for z in common_obs_space(spec, t + 1):
+        zr = common_obs_rank(spec, z)
+        if z.is_null:
+            visible = visible_for(z, None)
+            cand = np.nonzero(p > 0.0)[0]
+        else:
+            cons = _consistent(spec, t, z)
+            mask = p > 0.0
+            for k in range(spec.K):
+                mask &= np.isin(stt.lam_of_s[k], cons[k])
+            if not mask.any():
+                continue
+            visible = visible_for(z, cons)
+            cand = np.nonzero(mask)[0]
+        entries = {}
+        axes = [itertools.product(range(spec.u_size[k]), repeat=len(visible[k]))
+                for k in range(spec.K)]
+        for digits in itertools.product(*axes):
+            rep = minimize.embedded_profile(spec, t, visible, digits)
+            m, pz = _update_mass(spec, t, p, rep, zr, cand)
+            if pz <= 0.0:
+                continue
+            key = []
+            for k in range(spec.K):
+                r = 0
+                for d in digits[k]:
+                    r = r * spec.u_size[k] + d
+                key.append(r)
+            entries[tuple(key)] = (pz, m / pz, digits)
+        if entries:
+            out[zr] = (visible, entries)
+    return out
+
+
+def _visible_rule(spec, t, p, rule):
+    support = support_sets(spec, t, p)
+    L = tables(spec).stage[t].L
+
+    def visible_for(z, cons):
+        if rule == "support":        # belief form and value_at
+            if z.is_null:
+                return support
+            return tuple(tuple(l for l in cons[k] if l in support[k])
+                         for k in range(spec.K))
+        if rule == "consistent":     # (Theta, r) form at delay >= 2
+            if z.is_null:
+                return tuple(tuple(range(L[k])) for k in range(spec.K))
+            return cons
+        # "partial": visible sets miss some live realizations, which then
+        # take the zero-filled action
+        base = support if z.is_null else cons
+        return tuple(tuple(base[k][::2]) for k in range(spec.K))
+    return visible_for
+
+
+def _belief(spec, t, rng, sparsity):
+    stt = tables(spec).stage[t]
+    p = rng.uniform(0.0, 1.0, stt.state_count)
+    p[rng.uniform(size=stt.state_count) < sparsity] = 0.0
+    if not p.any():
+        p[int(rng.integers(stt.state_count))] = 1.0
+    return p / p.sum()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]),
+       n=st.sampled_from([1, 2]), deterministic=st.booleans(),
+       rule=st.sampled_from(["support", "consistent", "partial"]),
+       sparsity=st.sampled_from([0.0, 0.5, 0.9]))
+def test_batched_expansion_matches_per_assignment_loop(
+        seed, K, n, deterministic, rule, sparsity):
+    spec = normalize_problem(random_instance(
+        K, n + 1, n, 2, (2,) * K, (2,) * K, seed=seed,
+        deterministic=deterministic))
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(1, spec.T))
+    p = _belief(spec, t, rng, sparsity)
+    visible_for = _visible_rule(spec, t, p, rule)
+
+    calls = []
+
+    def child_fn(z, zr, digits, m, pz):
+        calls.append((zr, digits, m / pz, pz))
+        return len(calls) - 1
+
+    got = expand_stage(spec, t, p, visible_for, child_fn,
+                       minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
+    _assert_same_expansion(got, calls, _reference_expand(spec, t, p, visible_for))
+
+
+def _assert_same_expansion(got, calls, want):
+    assert list(got) == list(want)
+    order = []
+    for zr, ztab in got.items():
+        visible, entries = want[zr]
+        assert ztab.visible == visible
+        assert list(ztab.entries) == list(entries)
+        for key, (pz, idx) in ztab.entries.items():
+            ref_pz, ref_child, ref_digits = entries[key]
+            c_zr, c_digits, child, c_pz = calls[idx]
+            assert pz == ref_pz == c_pz
+            assert c_zr == zr and c_digits == ref_digits
+            assert np.array_equal(child, ref_child)
+            order.append(idx)
+    assert order == list(range(len(calls)))     # child_fn in table order
+
+
+@pytest.mark.parametrize("K,n", [(2, 2), (3, 1)])
+def test_row_chunks_match_one_gather(monkeypatch, K, n):
+    """With a one-entry gather budget every assignment is its own chunk;
+    the result must not depend on where the chunks split."""
+    spec = normalize_problem(random_instance(
+        K, n + 1, n, 2, (2,) * K, (2,) * K, seed=11))
+    rng = np.random.default_rng(11)
+    t = spec.T - 1
+    p = _belief(spec, t, rng, 0.5)
+    visible_for = _visible_rule(spec, t, p, "consistent")
+    monkeypatch.setattr(coordinator, "_GATHER_ENTRIES", 1)
+    calls = []
+
+    def child_fn(z, zr, digits, m, pz):
+        calls.append((zr, digits, m / pz, pz))
+        return len(calls) - 1
+
+    got = expand_stage(spec, t, p, visible_for, child_fn,
+                       minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
+    assert got
+    _assert_same_expansion(got, calls, _reference_expand(spec, t, p, visible_for))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]),
+       n=st.sampled_from([1, 2]), deterministic=st.booleans(),
+       sparsity=st.sampled_from([0.0, 0.5, 0.9]))
+def test_stage_totals_cached_path_is_bit_identical(
+        seed, K, n, deterministic, sparsity):
+    spec = normalize_problem(random_instance(
+        K, n + 1, n, 2, (2,) * K, (2,) * K, seed=seed,
+        deterministic=deterministic))
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(1, spec.T + 1))
+    p = _belief(spec, t, rng, sparsity)
+    # at most 3 realizations per controller keeps the behavior count small
+    restricted = tuple(lams[:3] for lams in support_sets(spec, t, p))
+    bs = minimize.behavior_space(spec, t, restricted)
+
+    stt = tables(spec).stage[t]
+    cube_r = p.reshape(stt.shape)[np.ix_(range(spec.x_size), *bs.restricted)]
+    q_cube = stt.q.reshape((spec.x_size, *spec.u_size))
+    ct = np.tensordot(cube_r, q_cube, axes=([0], [0]))
+    want = np.einsum(minimize._einsum_subscripts(spec.K), ct, *bs.onehots,
+                     optimize=True)
+    for _ in range(2):              # first call may search, second reuses
+        got = minimize.stage_totals(spec, t, p, bs)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from delayed_sharing.errors import DomainError, ParseError, SchemaError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.model import (load_problem, normalize_problem,
                                    serialize_problem, validate_problem, window)
+
+
+IO_FILE = Path(instances.__file__).parent / "io.json"
 
 
 def make_degenerate_text():
@@ -79,6 +83,20 @@ def test_negative_probability_names_entry():
     spec = load_problem(json.dumps(data))
     report = validate_problem(spec)
     assert any(v.path == "obs[0][0][0][0]" for v in report)
+
+
+@pytest.mark.parametrize("path", ["K", "T", "n", "x_size",
+                                  "y_size.0", "u_size.0"])
+def test_boolean_sizes_are_schema_errors(path):
+    # JSON true loads as a Python bool, which is an int subclass
+    data = json.loads(IO_FILE.read_text())
+    name, _, idx = path.partition(".")
+    if idx:
+        data[name][int(idx)] = True
+    else:
+        data[name] = True
+    with pytest.raises(SchemaError, match=f"^{name} "):
+        load_problem(json.dumps(data))
 
 
 def test_round_trip_is_field_identical():
