@@ -422,11 +422,12 @@ def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
     _insert(1, root.p)
     for t in range(1, spec.T):
         for node in list(graph.stages[t]):
-            def visible_for(z, cons, _node=node):
+            def visible_for(z, cons, _node=node,
+                            _sets=tuple(map(frozenset, node.support))):
                 if z.is_null:
                     return _node.support
                 return tuple(
-                    tuple(l for l in cons[k] if l in set(_node.support[k]))
+                    tuple(l for l in cons[k] if l in _sets[k])
                     for k in range(spec.K)
                 )
 
@@ -524,6 +525,11 @@ def solve_dp(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
 # Strategy extraction
 # ---------------------------------------------------------------------------
 
+# The _cache verdict of a shared history the policy's own branches never
+# produce; node ids are non-negative.
+_OFF_DESIGN = -1
+
+
 @dataclass
 class ExtractedDesign:
     """The per-controller strategy induced by a solved coordinator policy.
@@ -532,11 +538,29 @@ class ExtractedDesign:
     policy's own profiles, locates the current node, and evaluates its
     prescription at the private rank.  Deterministic, and defined exactly on
     histories consistent with the policy.
+
+    Caching: each located node's prescription profile is decoded once, on
+    first use, and kept per (t, node) for both acting and replay.  Every
+    shared history's verdict is kept in _cache: the located node id, or
+    _OFF_DESIGN for a history the policy rejects, which raises
+    OffDesignHistoryError again on every later call without another replay.
+    A history of the wrong length is rejected before the cache is read.
+    Nothing is stored per (history, private rank) entry.
     """
 
     spec: ProblemSpec
     policy: CoordinatorPolicy
     _cache: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
+    _profiles: dict[tuple[int, int], GammaProfile] = field(default_factory=dict)
+
+    def _profile(self, t: int, node: int) -> GammaProfile:
+        key = (t, node)
+        profile = self._profiles.get(key)
+        if profile is None:
+            profile = profile_unrank(self.spec, t,
+                                     self.policy.profile_rank(t, node))
+            self._profiles[key] = profile
+        return profile
 
     def _locate(self, t: int, delta: tuple[int, ...]) -> int:
         if len(delta) != histories.delta_length(self.spec, t):
@@ -548,22 +572,26 @@ class ExtractedDesign:
         key = (t, delta)
         hit = self._cache.get(key)
         if hit is not None:
+            if hit == _OFF_DESIGN:
+                raise OffDesignHistoryError(
+                    f"shared history {delta} at t={t} is off the design")
             return hit
         if t <= self.spec.n:
             parent_delta, z_rank = delta, 0
         else:
             parent_delta, z_rank = delta[:-1], delta[-1]
-        parent = self._locate(t - 1, parent_delta)
-        profile = profile_unrank(self.spec, t - 1,
-                                 self.policy.profile_rank(t - 1, parent))
-        child, _ = self.policy.graph.child(parent, profile, z_rank)
+        try:
+            parent = self._locate(t - 1, parent_delta)
+            child, _ = self.policy.graph.child(
+                parent, self._profile(t - 1, parent), z_rank)
+        except OffDesignHistoryError:
+            self._cache[key] = _OFF_DESIGN
+            raise
         self._cache[key] = child
         return child
 
     def act(self, k: int, t: int, lam_rank: int, delta: tuple[int, ...]) -> int:
-        node = self._locate(t, delta)
-        profile = profile_unrank(self.spec, t, self.policy.profile_rank(t, node))
-        return profile.gammas[k].table[lam_rank]
+        return self._profile(t, self._locate(t, delta)).gammas[k].table[lam_rank]
 
 
 def extract_design(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDesign:
@@ -639,12 +667,13 @@ def value_at(spec: ProblemSpec, t: int, pi: PiBelief, *,
         totals = minimize.stage_totals(spec, t, p, bs)
 
         children: list[np.ndarray] = []
+        in_support = tuple(map(frozenset, support))
 
         def visible_for(z, cons):
             if z.is_null:
                 return support
             return tuple(
-                tuple(l for l in cons[k] if l in set(support[k]))
+                tuple(l for l in cons[k] if l in in_support[k])
                 for k in range(spec.K)
             )
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import histories
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, OffDesignHistoryError
 from .histories import Design, ExtensionalDesign
 from .model import ProblemSpec, normalize_problem
 
@@ -291,7 +291,6 @@ def materialize_design(spec: ProblemSpec, design: Design, *,
     product domain.  Histories the design rejects (off-policy for a replayed
     strategy) get action 0; they never occur under the design itself, so the
     tabulated copy is cost-identical."""
-    from .errors import OffDesignHistoryError
     spec = normalize_problem(spec)
     total = sum(histories.delta_count(spec, t) * histories.private_count(spec, k, t)
                 for k in range(spec.K) for t in range(1, spec.T + 1))

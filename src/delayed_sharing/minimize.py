@@ -43,6 +43,31 @@ class BehaviorSpace:
     pos: tuple[dict[int, int], ...]           # per k: realization rank -> column
 
 
+# Digit matrix and one-hot tensor per (u, m): they depend on nothing else, so
+# every behavior space of that shape shares one read-only copy.  Entries are
+# made only after the joint-behavior budget check, one per shape in use.
+_DIGIT_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _digit_tables(u: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (u**m, m) base-u digits of every behavior, first column most
+    significant, and their (u**m, m, u) one-hot encoding; both read-only."""
+    hit = _DIGIT_TABLES.get((u, m))
+    if hit is not None:
+        return hit
+    count = u ** m
+    mat = np.zeros((count, m), dtype=np.int64)
+    idx = np.arange(count, dtype=np.int64)
+    for col in reversed(range(m)):
+        mat[:, col] = idx % u
+        idx //= u
+    onehot = np.eye(u, dtype=np.float64)[mat]
+    mat.flags.writeable = False
+    onehot.flags.writeable = False
+    _DIGIT_TABLES[(u, m)] = (mat, onehot)
+    return mat, onehot
+
+
 def behavior_space(spec: ProblemSpec, t: int,
                    restricted: tuple[tuple[int, ...], ...],
                    max_joint: int = DEFAULT_MAX_JOINT_BEHAVIORS) -> BehaviorSpace:
@@ -60,15 +85,9 @@ def behavior_space(spec: ProblemSpec, t: int,
     onehots = []
     pos = []
     for k in range(spec.K):
-        m = len(restricted[k])
-        u = spec.u_size[k]
-        mat = np.zeros((counts[k], m), dtype=np.int64)
-        idx = np.arange(counts[k], dtype=np.int64)
-        for col in reversed(range(m)):
-            mat[:, col] = idx % u
-            idx //= u
+        mat, onehot = _digit_tables(spec.u_size[k], len(restricted[k]))
         mats.append(mat)
-        onehots.append(np.eye(u, dtype=np.float64)[mat])
+        onehots.append(onehot)
         pos.append({lam: i for i, lam in enumerate(restricted[k])})
     return BehaviorSpace(
         t=t, restricted=tuple(tuple(r) for r in restricted),

@@ -353,12 +353,13 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
     for t in range(1, spec.T):
         L = st_tables.stage[t].L
         for node in list(graph.stages[t]):
-            def visible_for(z, cons, _node=node, _L=L):
+            def visible_for(z, cons, _L=L,
+                            _sets=tuple(map(frozenset, node.support))):
                 if z.is_null:
                     return tuple(tuple(range(_L[k])) for k in range(spec.K))
                 if spec.n == 1:
                     return tuple(
-                        tuple(l for l in cons[k] if l in set(_node.support[k]))
+                        tuple(l for l in cons[k] if l in _sets[k])
                         for k in range(spec.K)
                     )
                 return cons

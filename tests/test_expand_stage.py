@@ -3,6 +3,7 @@ cached einsum path against np.einsum(..., optimize=True).  Both must agree
 bit for bit: the batching and the path cache change how the work is
 scheduled, never the arithmetic."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -191,3 +192,29 @@ def test_stage_totals_cached_path_is_bit_identical(
         got = minimize.stage_totals(spec, t, p, bs)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_behavior_space_shares_read_only_digit_tables(K):
+    spec = normalize_problem(random_instance(K, 2, 1, 2, (2,) * K, (3,) + (2,) * (K - 1),
+                                             seed=5))
+    t = 2
+    p = _belief(spec, t, np.random.default_rng(5), 0.0)
+    restricted = tuple(lams[:3] for lams in support_sets(spec, t, p))
+    bs = minimize.behavior_space(spec, t, restricted)
+    again = minimize.behavior_space(spec, t, restricted)
+    fresh_onehots = []
+    for k in range(spec.K):
+        u, m = spec.u_size[k], len(restricted[k])
+        want = np.array(list(itertools.product(range(u), repeat=m)),
+                        dtype=np.int64).reshape(u ** m, m)
+        assert np.array_equal(bs.mats[k], want)
+        fresh_onehots.append(np.eye(u)[want])
+        assert np.array_equal(bs.onehots[k], fresh_onehots[k])
+        assert again.mats[k] is bs.mats[k] and again.onehots[k] is bs.onehots[k]
+        for arr in (bs.mats[k], bs.onehots[k]):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+    uncached = dataclasses.replace(bs, onehots=tuple(fresh_onehots))
+    assert (minimize.stage_totals(spec, t, p, bs).tobytes()
+            == minimize.stage_totals(spec, t, p, uncached).tobytes())
