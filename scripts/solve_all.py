@@ -9,7 +9,7 @@ import time
 
 from delayed_sharing import evaluate, instances
 from delayed_sharing.coordinator import extract_design, reachable_graph, solve_on_graph
-from delayed_sharing.second_form import extract_design2, reachable_graph2, solve_on_graph2
+from delayed_sharing.second_form import extract_design2, reachable_graph2
 from delayed_sharing.verify import DP_TOL
 
 
@@ -25,7 +25,7 @@ def main():
         graph = reachable_graph(spec)
         vt, pol = solve_on_graph(graph)
         graph2 = reachable_graph2(spec)
-        vt2, pol2 = solve_on_graph2(graph2)
+        vt2, pol2 = solve_on_graph(graph2)
         e1 = evaluate.exact_cost(spec, extract_design(spec, pol)).expected_cost
         e2 = evaluate.exact_cost(spec, extract_design2(spec, pol2)).expected_cost
         elapsed = time.monotonic() - t0

@@ -8,7 +8,7 @@ from .histories import (CommonObs, CoordinatorPolicy, Design,
                         ExtensionalDesign, GammaProfile, PartialFunction,
                         PrivateInfo, apply_profile, common_obs_space,
                         gamma_profiles, private_space, profile_count)
-from .coordinator import (AlphaSet, BeliefGraph, JointState, PiBelief,
+from .coordinator import (AlphaSet, InfoGraph, JointState, PiBelief,
                           ValueTable, alpha_backup, belief_update,
                           expected_stage_cost, extract_design, initial_belief,
                           joint_step_kernel, reachable_graph, solve_dp,

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluate, generate
-from .coordinator import PiBelief, belief_update, initial_belief, solve_dp, value_at
+from .coordinator import (PiBelief, belief_update, initial_belief, solve_dp,
+                          solve_on_graph, value_at)
 from .errors import PreconditionError
 from .histories import (Design, GammaProfile, PartialFunction,
                         common_obs_count, common_obs_space, private_count,
                         random_design)
 from .model import ProblemSpec, normalize_problem
-from .second_form import reachable_graph2, solve_dp2
+from .second_form import reachable_graph2
 
 PHI_MATCH_TOL = 1e-12     # equal-statistic bucketing
 PHI_GAP_TOL = 1e-6        # a violation must clear this, far above bucket noise
@@ -168,6 +169,34 @@ class AicardiReport:
     passed: bool
 
 
+def projection_violation(spec: ProblemSpec,
+                         factors: tuple[int, ...]) -> str | None:
+    """Why the instance is not a product state with these per-controller
+    factors, observed by every controller as an exact projection of its own
+    coordinate; None when it is."""
+    if len(factors) != spec.K:
+        return "one state factor per controller is required"
+    if int(np.prod(factors)) != spec.x_size:
+        return f"factors {factors} do not multiply to x_size={spec.x_size}"
+
+    def coord(x: int, k: int) -> int:
+        for j in range(spec.K - 1, k, -1):
+            x //= factors[j]
+        return x % factors[k]
+
+    for k in range(spec.K):
+        if spec.y_size[k] != factors[k]:
+            return (f"controller {k} observation alphabet {spec.y_size[k]} "
+                    f"does not match its factor {factors[k]}")
+        for t in range(spec.T):
+            for x in range(spec.x_size):
+                row = np.zeros(spec.y_size[k])
+                row[coord(x, k)] = 1.0
+                if not np.array_equal(spec.obs[k][t, x], row):
+                    return f"obs[{k}][{t}][{x}] is not the coordinate projection"
+    return None
+
+
 def check_aicardi_degenerate(spec: ProblemSpec,
                              factor_sizes: tuple[int, ...],
                              *, tol: float = 1e-12) -> AicardiReport:
@@ -177,29 +206,9 @@ def check_aicardi_degenerate(spec: ProblemSpec,
     set is indexed by (delayed state, suffixes), and both dynamic programs
     agree on the optimal cost."""
     spec = normalize_problem(spec)
-    if len(factor_sizes) != spec.K:
-        raise PreconditionError("one state factor per controller is required")
-    if int(np.prod(factor_sizes)) != spec.x_size:
-        raise PreconditionError(
-            f"factors {factor_sizes} do not multiply to x_size={spec.x_size}")
-
-    def coord(x: int, k: int) -> int:
-        for j in range(spec.K - 1, k, -1):
-            x //= factor_sizes[j]
-        return x % factor_sizes[k]
-
-    for k in range(spec.K):
-        if spec.y_size[k] != factor_sizes[k]:
-            raise PreconditionError(
-                f"controller {k} observation alphabet {spec.y_size[k]} does "
-                f"not match its factor {factor_sizes[k]}")
-        for t in range(spec.T):
-            for x in range(spec.x_size):
-                row = np.zeros(spec.y_size[k])
-                row[coord(x, k)] = 1.0
-                if not np.array_equal(spec.obs[k][t, x], row):
-                    raise PreconditionError(
-                        f"obs[{k}][{t}][{x}] is not the coordinate projection")
+    violation = projection_violation(spec, factor_sizes)
+    if violation is not None:
+        raise PreconditionError(violation)
 
     graph2 = reachable_graph2(spec)
     worst = 0.0
@@ -217,7 +226,7 @@ def check_aicardi_degenerate(spec: ProblemSpec,
                 structural = False
             seen[key] = node.node_id
     vt1, _ = solve_dp(spec)
-    vt2, _ = solve_dp2(spec)
+    vt2, _ = solve_on_graph(graph2)
     passed = (worst <= tol and structural
               and abs(vt1.optimal_cost - vt2.optimal_cost) <= 1e-9)
     return AicardiReport(nodes_checked, worst, structural,

@@ -15,13 +15,13 @@ from pathlib import Path
 
 from . import analysis, evaluate, verify
 from .coordinator import (DEFAULT_MAX_NODES, extract_design, reachable_graph,
-                          solve_on_graph)
+                          solve_dp, solve_on_graph)
 from .errors import (BudgetError, DelayedSharingError, DomainError,
                      InvalidProblemError, ParseError, PreconditionError,
                      SchemaError)
 from .histories import ExtensionalDesign, constant_design, random_design
 from .model import load_problem, normalize_problem, validate_problem
-from .second_form import extract_design2, reachable_graph2, solve_on_graph2
+from .second_form import extract_design2, reachable_graph2
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -48,8 +48,7 @@ def _load_spec(args):
 
 def _load_design(spec, args):
     if args.design is None:
-        graph = reachable_graph(spec, max_nodes=args.max_nodes)
-        _, policy = solve_on_graph(graph)
+        _, policy = solve_dp(spec, max_nodes=args.max_nodes)
         return extract_design(spec, policy)
     try:
         data = json.loads(Path(args.design).read_text("utf-8"))
@@ -63,15 +62,22 @@ def _write(args, obj):
         Path(args.out).write_text(json.dumps(obj, indent=1), encoding="utf-8")
 
 
-def _belief_solution(graph, vt, policy):
+def _node_json(node, vt) -> dict:
+    out = {"id": node.node_id}
+    if node.state is None:
+        out["belief"] = node.pi.p.tolist()
+    else:
+        out["theta"] = node.state.theta.p.tolist()
+        out["r"] = [[list(part) for part in rs.parts] for rs in node.state.r]
+    out["J"] = vt.J[node.t][node.node_id]
+    out["argmin_profile"] = vt.argmin[node.t][node.node_id]
+    return out
+
+
+def _solution(graph, vt) -> dict:
     stages = []
     for t in sorted(graph.stages):
-        nodes = [{
-            "id": node.node_id,
-            "belief": node.belief.p.tolist(),
-            "J": vt.J[t][node.node_id],
-            "argmin_profile": vt.argmin[t][node.node_id],
-        } for node in graph.stages[t]]
+        nodes = [_node_json(node, vt) for node in graph.stages[t]]
         edges = []
         for node in graph.stages[t]:
             for ztab in graph.expansions.get(node.node_id, {}).values():
@@ -82,7 +88,7 @@ def _belief_solution(graph, vt, policy):
                     })
         stages.append({"t": t, "nodes": nodes, "edges": edges})
     return {
-        "kind": "belief_dp",
+        "kind": f"{graph.kind}_dp",
         "optimal_cost": vt.optimal_cost,
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
@@ -90,57 +96,23 @@ def _belief_solution(graph, vt, policy):
     }
 
 
-def _theta_r_solution(graph, vt, policy):
-    stages = []
-    for t in sorted(graph.stages):
-        nodes = [{
-            "id": node.node_id,
-            "theta": node.state.theta.p.tolist(),
-            "r": [[list(part) for part in rs.parts] for rs in node.state.r],
-            "J": vt.J[t][node.node_id],
-            "argmin_profile": vt.argmin[t][node.node_id],
-        } for node in graph.stages[t]]
-        edges = []
-        for node in graph.stages[t]:
-            for ztab in graph.expansions.get(node.node_id, {}).values():
-                for key, (pz, child) in sorted(ztab.entries.items()):
-                    edges.append({
-                        "from": node.node_id, "z": ztab.z_rank,
-                        "assignment_key": list(key), "pz": pz, "to": child,
-                    })
-        stages.append({"t": t, "nodes": nodes, "edges": edges})
-    return {
-        "kind": "theta_r_dp",
-        "optimal_cost": vt.optimal_cost,
-        "node_count": graph.node_count,
-        "edge_count": graph.edge_count,
-        "stages": stages,
-    }
+# Per solve command: the graph builder and the strategy extraction of its form.
+_FORMS = {
+    "solve": (reachable_graph, extract_design),
+    "solve2": (reachable_graph2, extract_design2),
+}
 
 
 def _cmd_solve(args) -> int:
+    build, extract = _FORMS[args.command]
     spec = _load_spec(args)
-    graph = reachable_graph(spec, max_nodes=args.max_nodes)
+    graph = build(spec, max_nodes=args.max_nodes)
     vt, policy = solve_on_graph(graph)
     print(f"optimal_cost {_fmt(vt.optimal_cost)}")
     print(f"nodes {graph.node_count} edges {graph.edge_count}")
-    _write(args, _belief_solution(graph, vt, policy))
+    _write(args, _solution(graph, vt))
     if args.emit_design:
-        design = evaluate.materialize_design(spec, extract_design(spec, policy))
-        Path(args.emit_design).write_text(json.dumps(design.to_json(), indent=1),
-                                          encoding="utf-8")
-    return EXIT_OK
-
-
-def _cmd_solve2(args) -> int:
-    spec = _load_spec(args)
-    graph = reachable_graph2(spec, max_nodes=args.max_nodes)
-    vt, policy = solve_on_graph2(graph)
-    print(f"optimal_cost {_fmt(vt.optimal_cost)}")
-    print(f"nodes {graph.node_count} edges {graph.edge_count}")
-    _write(args, _theta_r_solution(graph, vt, policy))
-    if args.emit_design:
-        design = evaluate.materialize_design(spec, extract_design2(spec, policy))
+        design = evaluate.materialize_design(spec, extract(spec, policy))
         Path(args.emit_design).write_text(json.dumps(design.to_json(), indent=1),
                                           encoding="utf-8")
     return EXIT_OK
@@ -198,8 +170,7 @@ def _cmd_kurtaran(args) -> int:
     if args.design is not None:
         designs.append(("file", _load_design(spec, args)))
     else:
-        graph = reachable_graph(spec, max_nodes=args.max_nodes)
-        _, policy = solve_on_graph(graph)
+        _, policy = solve_dp(spec, max_nodes=args.max_nodes)
         designs.append(("dp_optimal", extract_design(spec, policy)))
         designs.append(("constant", constant_design(spec)))
         for i in range(3):
@@ -282,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "solve": _cmd_solve,
-    "solve2": _cmd_solve2,
+    "solve2": _cmd_solve,
     "evaluate": _cmd_evaluate,
     "simulate": _cmd_simulate,
     "oracle": _cmd_oracle,

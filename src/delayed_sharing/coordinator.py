@@ -1,8 +1,11 @@
 """Belief-form information state: the shared-data conditional over the joint
 state (previous plant state plus every controller's private window), its
-strategy-independent update, the collapsed stage cost, the reachable-belief
-graph, the finite-horizon dynamic program over it, strategy extraction, and
-the piecewise-linear value-function machinery.
+strategy-independent update, the collapsed stage cost, strategy extraction,
+and the piecewise-linear value-function machinery.  Also the information-graph
+core both dynamic programs run on: one graph type, one forward closure
+(build_graph), one backward sweep (solve_on_graph) and one continuation
+assembly (add_continuation); each form supplies only its information state,
+dedup key, belief-form image, visibility rule and successor.
 
 The joint state at time t is S_t = (X_{t-1}, private windows of all
 controllers); the coordinator's belief over it, conditioned on shared data
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -189,7 +193,7 @@ def expected_stage_cost(spec: ProblemSpec, pi: PiBelief,
 
 
 # ---------------------------------------------------------------------------
-# Reachable-belief graph
+# Information-state graph (shared by both dynamic programs)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -204,23 +208,36 @@ class ZTable:
 
 
 @dataclass
-class BeliefNode:
+class InfoNode:
+    """One node of an information-state graph.
+
+    pi is the node's belief-form image: the belief itself, or the h_map
+    reconstruction of a (Theta, r) state, which is then kept in state (None
+    in the belief form).  relevant holds, per controller, the realizations
+    whose assigned actions the backup must distinguish: the support plus
+    every visible set of the node's branches.
+    """
+
     node_id: int
     t: int
-    belief: PiBelief
+    pi: PiBelief
     support: tuple[tuple[int, ...], ...]
+    relevant: tuple[tuple[int, ...], ...]
+    state: Any
 
 
 @dataclass
-class BeliefGraph:
-    """Forward closure of the initial belief under every profile choice and
-    every positive-probability shared symbol, deduplicated per stage."""
+class InfoGraph:
+    """Forward closure of an information state under every profile choice and
+    every positive-probability shared symbol, deduplicated per stage on the
+    form's key.  kind is "belief" or "theta_r"."""
 
     spec: ProblemSpec
-    stages: dict[int, list[BeliefNode]]
+    kind: str
+    stages: dict[int, list[InfoNode]]
     expansions: dict[int, dict[int, ZTable]]
-    by_id: list[BeliefNode]
-    index: dict[tuple[int, bytes], int]
+    by_id: list[InfoNode]
+    index: dict[tuple, int]
 
     @property
     def node_count(self) -> int:
@@ -390,55 +407,93 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
     return out
 
 
-def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
-                    max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS) -> BeliefGraph:
-    """Breadth-first forward closure of the initial belief.
+def support_visibility(support: tuple[tuple[int, ...], ...]):
+    """The belief-form visible_for of expand_stage at a belief with this
+    support: under the null symbol the support, otherwise the support
+    realizations consistent with the symbol."""
+    sets = tuple(map(frozenset, support))
 
-    Nodes are deduplicated on the quantization grid; branch tables are keyed
-    by the action assignment on the realizations that can influence the
-    branch, which covers every profile choice exactly.
+    def visible_for(z, cons):
+        if z.is_null:
+            return support
+        return tuple(tuple(l for l in cons[k] if l in sets[k])
+                     for k in range(len(support)))
+    return visible_for
+
+
+_GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
+
+
+def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
+                visible_rule, child_state, *, max_nodes: int,
+                max_joint: int) -> InfoGraph:
+    """Breadth-first forward closure of an information state.
+
+    key_of(state) is the dedup key and pi_of(state) the belief-form image
+    (PiBelief) of an information state; visible_rule(node) is the node's
+    visible_for for expand_stage; child_state(node, z, visible, digits, m,
+    pz) is the successor state of one branch.  Branch tables are keyed by the
+    action assignment on the visible realizations, which covers every
+    profile choice exactly.
     """
-    spec = normalize_problem(spec)
-    root = initial_belief(spec)
-    graph = BeliefGraph(spec, {t: [] for t in range(1, spec.T + 1)}, {}, [], {})
+    graph = InfoGraph(spec, kind, {t: [] for t in range(1, spec.T + 1)}, {}, [], {})
 
-    def _insert(t: int, p: np.ndarray) -> int:
-        key = (t, quantize_key(p))
+    def insert(state) -> int:
+        key = key_of(state)
         hit = graph.index.get(key)
         if hit is not None:
             return hit
         node_id = len(graph.by_id)
         if node_id >= max_nodes:
             raise BudgetError(
-                f"reachable-belief graph exceeded {max_nodes} nodes "
+                f"{_GRAPH_NAMES[kind]} graph exceeded {max_nodes} nodes "
                 f"(edges so far: {graph.edge_count})")
-        node = BeliefNode(node_id, t, PiBelief(t, p),
-                          support_sets(spec, t, p))
+        pi = pi_of(state)
+        support = support_sets(spec, pi.t, pi.p)
+        node = InfoNode(node_id, pi.t, pi, support, support,
+                        None if kind == "belief" else state)
         graph.by_id.append(node)
-        graph.stages[t].append(node)
+        graph.stages[pi.t].append(node)
         graph.index[key] = node_id
         return node_id
 
-    _insert(1, root.p)
+    insert(root)
     for t in range(1, spec.T):
         for node in list(graph.stages[t]):
-            def visible_for(z, cons, _node=node,
-                            _sets=tuple(map(frozenset, node.support))):
-                if z.is_null:
-                    return _node.support
-                return tuple(
-                    tuple(l for l in cons[k] if l in _sets[k])
-                    for k in range(spec.K)
-                )
+            rule = visible_rule(node)
+            visible: dict[CommonObs, tuple] = {}
 
-            def child_fn(z, zr, digits, m, pz):
-                return _insert(t + 1, m / pz)
+            def visible_for(z, cons, _rule=rule, _visible=visible):
+                _visible[z] = _rule(z, cons)
+                return _visible[z]
 
-            graph.expansions[node.node_id] = expand_stage(
-                spec, t, node.belief.p, visible_for, child_fn, max_joint)
+            def child_fn(z, zr, digits, m, pz, _node=node, _visible=visible):
+                return insert(child_state(_node, z, _visible[z], digits, m, pz))
+
+            expansion = expand_stage(spec, t, node.pi.p, visible_for,
+                                     child_fn, max_joint)
+            graph.expansions[node.node_id] = expansion
+            node.relevant = tuple(
+                tuple(sorted(set(node.support[k]).union(
+                    *(ztab.visible[k] for ztab in expansion.values()))))
+                for k in range(spec.K))
     for node in graph.stages[spec.T]:
         graph.expansions.setdefault(node.node_id, {})
     return graph
+
+
+def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
+                    max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS) -> InfoGraph:
+    """Belief-form graph: nodes are beliefs, deduplicated on the
+    quantization grid."""
+    spec = normalize_problem(spec)
+    return build_graph(
+        spec, "belief", initial_belief(spec),
+        key_of=lambda pi: (pi.t, quantize_key(pi.p)),
+        pi_of=lambda pi: pi,
+        visible_rule=lambda node: support_visibility(node.support),
+        child_state=lambda node, z, visible, digits, m, pz: PiBelief(node.t + 1, m / pz),
+        max_nodes=max_nodes, max_joint=max_joint)
 
 
 # ---------------------------------------------------------------------------
@@ -458,38 +513,53 @@ class ValueTable:
         return self.J[1][0]
 
 
+def add_continuation(spec: ProblemSpec, bs: minimize.BehaviorSpace,
+                     totals: np.ndarray, expansion: dict[int, ZTable],
+                     values) -> np.ndarray:
+    """totals plus, per shared symbol, every behavior's branch probability
+    times values[child] of the branch it selects (0 off every branch).
+
+    The branch table of a symbol is assembled over its visible assignment
+    keys and read back per behavior through the behaviors' subkeys.  Symbols
+    are added in expansion order, one array addition each, so the summation
+    order is fixed by the expansion.
+    """
+    for ztab in expansion.values():
+        shape = tuple(spec.u_size[k] ** len(ztab.visible[k])
+                      for k in range(spec.K))
+        table = np.zeros(shape)
+        flat = table.reshape(-1)
+        strides = np.cumprod((1,) + shape[::-1][:-1])[::-1]
+        for key, (pz, child) in ztab.entries.items():
+            flat[int(np.dot(key, strides))] = pz * values[child]
+        sks = [minimize.subkey_vector(spec, bs, k, ztab.visible[k])
+               for k in range(spec.K)]
+        totals = totals + table[np.ix_(*sks)]
+    return totals
+
+
 def _backup_node(spec: ProblemSpec, t: int, p: np.ndarray,
                  support: tuple[tuple[int, ...], ...],
                  expansion: dict[int, ZTable] | None,
-                 j_next: dict[int, float] | None,
-                 max_joint: int) -> tuple[float, int]:
+                 j_next, max_joint: int) -> tuple[float, int]:
     bs = minimize.behavior_space(spec, t, support, max_joint)
     totals = minimize.stage_totals(spec, t, p, bs)
     if expansion:
-        for ztab in expansion.values():
-            shape = tuple(spec.u_size[k] ** len(ztab.visible[k])
-                          for k in range(spec.K))
-            table = np.zeros(shape)
-            flat = table.reshape(-1)
-            strides = np.cumprod((1,) + shape[::-1][:-1])[::-1]
-            for key, (pz, child) in ztab.entries.items():
-                idx = int(np.dot(key, strides))
-                flat[idx] = pz * j_next[child]
-            sks = [minimize.subkey_vector(spec, bs, k, ztab.visible[k])
-                   for k in range(spec.K)]
-            totals = totals + table[np.ix_(*sks)]
+        totals = add_continuation(spec, bs, totals, expansion, j_next)
     flat_idx = int(np.argmin(totals.reshape(-1)))
     value = float(totals.reshape(-1)[flat_idx])
     return value, minimize.completion_rank(spec, bs, flat_idx)
 
 
-def solve_on_graph(graph: BeliefGraph, *,
+def solve_on_graph(graph: InfoGraph, *,
                    max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS
                    ) -> tuple[ValueTable, CoordinatorPolicy]:
-    """Backward sweep over a built graph.  Backups within one stage read only
-    the next stage's values and write each their own slot, so a sweep could
-    run nodes concurrently; this implementation keeps the deterministic
-    sequential order."""
+    """Backward sweep over a built graph of either form: each node is backed
+    up on its belief-form image, minimizing over behaviors on its relevant
+    realizations.  Backups within one stage read only the next stage's
+    values and write each their own slot, so a sweep could run nodes
+    concurrently; this implementation keeps the deterministic sequential
+    order."""
     spec = graph.spec
     J: dict[int, dict[int, float]] = {}
     arg: dict[int, dict[int, int]] = {}
@@ -499,12 +569,12 @@ def solve_on_graph(graph: BeliefGraph, *,
         j_next = J.get(t + 1)
         for node in graph.stages[t]:
             expansion = graph.expansions.get(node.node_id) if t < spec.T else None
-            value, rank = _backup_node(spec, t, node.belief.p, node.support,
+            value, rank = _backup_node(spec, t, node.pi.p, node.relevant,
                                        expansion, j_next, max_joint)
             J[t][node.node_id] = value
             arg[t][node.node_id] = rank
     table = ValueTable(J, arg)
-    policy = CoordinatorPolicy("belief", arg, graph)
+    policy = CoordinatorPolicy(graph.kind, arg, graph)
     return table, policy
 
 
@@ -544,8 +614,9 @@ class ExtractedDesign:
     shared history's verdict is kept in _cache: the located node id, or
     _OFF_DESIGN for a history the policy rejects, which raises
     OffDesignHistoryError again on every later call without another replay.
-    A history of the wrong length is rejected before the cache is read.
-    Nothing is stored per (history, private rank) entry.
+    A time outside [1, T] (DomainError) or a history of the wrong length is
+    rejected before the cache is read.  Nothing is stored per (history,
+    private rank) entry.
     """
 
     spec: ProblemSpec
@@ -563,6 +634,8 @@ class ExtractedDesign:
         return profile
 
     def _locate(self, t: int, delta: tuple[int, ...]) -> int:
+        if not 1 <= t <= self.spec.T:
+            raise DomainError(f"t={t} outside horizon [1, {self.spec.T}]")
         if len(delta) != histories.delta_length(self.spec, t):
             raise OffDesignHistoryError(
                 f"shared history of length {len(delta)} at t={t}, expected "
@@ -663,25 +736,14 @@ def value_at(spec: ProblemSpec, t: int, pi: PiBelief, *,
             memo[key] = val
             return val
         support = support_sets(spec, t, p)
-        bs = minimize.behavior_space(spec, t, support, max_joint)
-        totals = minimize.stage_totals(spec, t, p, bs)
-
         children: list[np.ndarray] = []
-        in_support = tuple(map(frozenset, support))
-
-        def visible_for(z, cons):
-            if z.is_null:
-                return support
-            return tuple(
-                tuple(l for l in cons[k] if l in in_support[k])
-                for k in range(spec.K)
-            )
 
         def child_fn(z, zr, digits, m, pz):
             children.append(m / pz)
             return len(children) - 1
 
-        ztables = expand_stage(spec, t, p, visible_for, child_fn, max_joint)
+        expansion = expand_stage(spec, t, p, support_visibility(support),
+                                 child_fn, max_joint)
         if t + 1 == spec.T and children:
             vals = _last_stage_values(spec, np.stack(children), max_joint)
             for row, v in zip(children, vals):
@@ -689,18 +751,8 @@ def value_at(spec: ProblemSpec, t: int, pi: PiBelief, *,
             child_values = [float(v) for v in vals]
         else:
             child_values = [_value(t + 1, row) for row in children]
-        for ztab in ztables.values():
-            shape = tuple(spec.u_size[k] ** len(ztab.visible[k])
-                          for k in range(spec.K))
-            table = np.zeros(shape)
-            flat = table.reshape(-1)
-            strides = np.cumprod((1,) + shape[::-1][:-1])[::-1]
-            for key2, (pz, idx) in ztab.entries.items():
-                flat[int(np.dot(key2, strides))] = pz * child_values[idx]
-            sks = [minimize.subkey_vector(spec, bs, k, ztab.visible[k])
-                   for k in range(spec.K)]
-            totals = totals + table[np.ix_(*sks)]
-        val = float(totals.min())
+        val, _ = _backup_node(spec, t, p, support, expansion, child_values,
+                              max_joint)
         memo[key] = val
         return val
 

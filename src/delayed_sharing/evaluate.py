@@ -62,14 +62,13 @@ class PathRecord:
 ActionFn = Callable[[int, int, int, tuple[int, ...]], int]
 
 
-def _z_rank_of_stage(spec: ProblemSpec, y_stage: tuple[int, ...],
-                     u_stage: tuple[int, ...]) -> int:
-    r = 0
-    for k in range(spec.K):
-        r = r * spec.y_size[k] + y_stage[k]
-    for k in range(spec.K):
-        r = r * spec.u_size[k] + u_stage[k]
-    return r
+def _window_rank(spec: ProblemSpec, k: int, t: int, ys_k, us_k) -> int:
+    """Rank of controller k's private window at time t, cut from its full
+    observation and action sequences so far."""
+    lo = max(1, t - spec.n + 1)
+    info = histories.PrivateInfo(k, t, tuple(ys_k[lo - 1: t]),
+                                 tuple(us_k[lo - 1: t - 1]))
+    return histories.private_rank(spec, info)
 
 
 def iter_paths(spec: ProblemSpec, action_fn: ActionFn, *,
@@ -83,11 +82,6 @@ def iter_paths(spec: ProblemSpec, action_fn: ActionFn, *,
     if not 1 <= t_max <= spec.T:
         raise DomainError(f"t_max={t_max} outside [1, {spec.T}]")
     emitted = 0
-
-    def lam_rank(k: int, t: int, ys_k: tuple[int, ...], us_k: tuple[int, ...]) -> int:
-        lo = max(1, t - spec.n + 1)
-        info = histories.PrivateInfo(k, t, ys_k[lo - 1: t], us_k[lo - 1: t - 1])
-        return histories.private_rank(spec, info)
 
     def recurse(t, weight, xs, ys, us, zs):
         nonlocal emitted
@@ -107,14 +101,14 @@ def iter_paths(spec: ProblemSpec, action_fn: ActionFn, *,
                 continue
             delta = zs[: max(0, t - spec.n)]
             u_stage = tuple(
-                action_fn(k, t, lam_rank(k, t, ys2[k], us[k]), delta)
+                action_fn(k, t, _window_rank(spec, k, t, ys2[k], us[k]), delta)
                 for k in range(spec.K)
             )
             us2 = tuple(us[k] + (u_stage[k],) for k in range(spec.K))
             zs2 = zs
             if t + spec.n <= spec.T:
                 # this stage will be shared at time t+n, within horizon
-                zs2 = zs + (_z_rank_of_stage(
+                zs2 = zs + (histories.symbol_rank(
                     spec, tuple(ys2[k][t - 1] for k in range(spec.K)), u_stage),)
             a = spec.encode_action(u_stage)
             trow = spec.trans[t - 1][x, a]
@@ -170,11 +164,6 @@ def simulate(spec: ProblemSpec, design: Design, episodes: int, seed: int) -> Sim
         # clip guards the 1-ulp shortfall of a renormalized row's last entry
         return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
 
-    def lam_rank(k, t, ys_k, us_k):
-        lo = max(1, t - spec.n + 1)
-        info = histories.PrivateInfo(k, t, tuple(ys_k[lo - 1: t]), tuple(us_k[lo - 1: t - 1]))
-        return histories.private_rank(spec, info)
-
     for i in range(episodes):
         rng = np.random.default_rng([seed, i])
         draws = iter(rng.random(1 + spec.T * (spec.K + 1)))
@@ -191,13 +180,13 @@ def simulate(spec: ProblemSpec, design: Design, episodes: int, seed: int) -> Sim
                 y_stage.append(y)
             delta = tuple(zs[: max(0, t - spec.n)])
             u_stage = tuple(
-                design.act(k, t, lam_rank(k, t, ys[k], us[k]), delta)
+                design.act(k, t, _window_rank(spec, k, t, ys[k], us[k]), delta)
                 for k in range(spec.K)
             )
             for k in range(spec.K):
                 us[k].append(u_stage[k])
             if t + spec.n <= spec.T:
-                zs.append(_z_rank_of_stage(spec, tuple(y_stage), u_stage))
+                zs.append(histories.symbol_rank(spec, y_stage, u_stage))
             a = spec.encode_action(u_stage)
             x = draw(trans_cdf[t - 1, x, a], next(draws))
             total += float(spec.cost[t - 1][x, a])
@@ -338,12 +327,8 @@ def conditional_state_dists(spec: ProblemSpec, action_fn: ActionFn, t: int,
     for rec in iter_paths(spec, action_fn, t_max=t, include_final_step=False,
                           max_paths=max_paths):
         delta = rec.zs[: max(0, t - spec.n)]
-        lam = []
-        for k in range(spec.K):
-            lo = max(1, t - spec.n + 1)
-            info = histories.PrivateInfo(k, t, rec.ys[k][lo - 1: t],
-                                         rec.us[k][lo - 1: t - 1])
-            lam.append(histories.private_rank(spec, info))
+        lam = [_window_rank(spec, k, t, rec.ys[k], rec.us[k])
+               for k in range(spec.K)]
         s = st.state_rank(rec.xs[t - 1], lam)
         vec = acc.get(delta)
         if vec is None:

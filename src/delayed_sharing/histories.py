@@ -132,15 +132,19 @@ def common_obs_space(spec: ProblemSpec, t: int) -> list[CommonObs]:
     ]
 
 
-def common_obs_rank(spec: ProblemSpec, z: CommonObs) -> int:
-    if z.is_null:
-        return 0
+def symbol_rank(spec: ProblemSpec, y: tuple[int, ...], u: tuple[int, ...]) -> int:
+    """Rank of the non-null shared symbol carrying one stage's observations y
+    and actions u, in common_obs_space order."""
     r = 0
     for k in range(spec.K):
-        r = r * spec.y_size[k] + z.y[k]
+        r = r * spec.y_size[k] + y[k]
     for k in range(spec.K):
-        r = r * spec.u_size[k] + z.u[k]
+        r = r * spec.u_size[k] + u[k]
     return r
+
+
+def common_obs_rank(spec: ProblemSpec, z: CommonObs) -> int:
+    return 0 if z.is_null else symbol_rank(spec, z.y, z.u)
 
 
 # ---------------------------------------------------------------------------

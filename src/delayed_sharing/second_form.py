@@ -18,16 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import histories, minimize
-from ._tables import consistent_lams, support_sets, tables
-from .errors import (BudgetError, DomainError, OffDesignHistoryError,
-                     UnreachableObservationError)
-from .coordinator import (ExtractedDesign, PiBelief, ValueTable, ZTable,
-                          _backup_node, expand_stage, quantize_key)
-from .histories import (CommonObs, CoordinatorPolicy, GammaProfile,
-                        PartialFunction)
+from ._tables import tables
+from .errors import DomainError, UnreachableObservationError
+from .coordinator import (DEFAULT_MAX_NODES, ExtractedDesign, InfoGraph,
+                          PiBelief, ValueTable, build_graph, quantize_key,
+                          solve_on_graph, support_visibility)
+from .histories import CommonObs, CoordinatorPolicy, PartialFunction
 from .model import ProblemSpec, normalize_problem
-
-DEFAULT_MAX_NODES = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,156 +258,43 @@ def suffix_from_prescriptions(spec: ProblemSpec, k: int, t: int,
 # Reachable graph and dynamic program
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ThetaRNode:
-    node_id: int
-    t: int
-    state: ThetaRState
-    pi: PiBelief                              # h_map image, cached
-    support: tuple[tuple[int, ...], ...]
-    relevant: tuple[tuple[int, ...], ...]
-
-
-@dataclass
-class ThetaRGraph:
-    """Forward closure of the second information state under every profile
-    and positive-probability shared symbol.  Dedup is exact on the suffix
-    tables and grid-quantized on Theta."""
-
-    spec: ProblemSpec
-    stages: dict[int, list[ThetaRNode]]
-    expansions: dict[int, dict[int, ZTable]]
-    by_id: list[ThetaRNode]
-    index: dict[tuple, int]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.by_id)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(zt.entries) for per in self.expansions.values()
-                   for zt in per.values())
-
-    def subkey(self, node_id: int, profile: GammaProfile, z_rank: int):
-        ztab = self.expansions[node_id].get(z_rank)
-        if ztab is None:
-            raise OffDesignHistoryError(
-                f"symbol rank {z_rank} unreachable from node {node_id}")
-        key = []
-        for k in range(self.spec.K):
-            r = 0
-            for lam in ztab.visible[k]:
-                r = r * self.spec.u_size[k] + profile.gammas[k].table[lam]
-            key.append(r)
-        return tuple(key)
-
-    def child(self, node_id: int, profile: GammaProfile, z_rank: int) -> tuple[int, float]:
-        ztab = self.expansions[node_id].get(z_rank)
-        key = self.subkey(node_id, profile, z_rank)
-        hit = ztab.entries.get(key)
-        if hit is None:
-            raise OffDesignHistoryError(
-                f"profile/symbol pair off every positive-probability branch "
-                f"of node {node_id} (z rank {z_rank})")
-        pz, child = hit
-        return child, pz
-
-
 def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
-                     max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS) -> ThetaRGraph:
-    """Forward closure from (initial-state belief, empty suffixes).
+                     max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS) -> InfoGraph:
+    """Forward closure from (initial-state belief, empty suffixes).  Dedup is
+    exact on the suffix tables and grid-quantized on Theta; each node's
+    belief-form image is its h_map reconstruction.
 
     Branch identity per shared symbol covers everything a successor records:
     assignments on positive-mass realizations (they set the branch
     probability) and on every realization consistent with the symbol (their
     assignments survive inside the substituted suffix).  Under the null
     symbol the whole prescription survives, so every realization is visible.
+    Under delay 1 suffixes are empty and the belief-form rule applies.
     """
     spec = normalize_problem(spec)
-    graph = ThetaRGraph(spec, {t: [] for t in range(1, spec.T + 1)}, {}, [], {})
-
-    def _insert(state: ThetaRState) -> int:
-        key = state_key(state)
-        hit = graph.index.get(key)
-        if hit is not None:
-            return hit
-        node_id = len(graph.by_id)
-        if node_id >= max_nodes:
-            raise BudgetError(
-                f"reachable (Theta, r) graph exceeded {max_nodes} nodes "
-                f"(edges so far: {graph.edge_count})")
-        pi = h_map(spec, state)
-        node = ThetaRNode(node_id, state.t, state, pi,
-                          support_sets(spec, state.t, pi.p), ())
-        graph.by_id.append(node)
-        graph.stages[state.t].append(node)
-        graph.index[key] = node_id
-        return node_id
-
-    _insert(initial_state(spec))
     st_tables = tables(spec)
-    for t in range(1, spec.T):
-        L = st_tables.stage[t].L
-        for node in list(graph.stages[t]):
-            def visible_for(z, cons, _L=L,
-                            _sets=tuple(map(frozenset, node.support))):
-                if z.is_null:
-                    return tuple(tuple(range(_L[k])) for k in range(spec.K))
-                if spec.n == 1:
-                    return tuple(
-                        tuple(l for l in cons[k] if l in _sets[k])
-                        for k in range(spec.K)
-                    )
-                return cons
 
-            def child_fn(z, zr, digits, m, pz, _node=node, _t=t):
-                rep = minimize.embedded_profile(
-                    spec, _t,
-                    visible_for(z, None if z.is_null else consistent_lams(spec, _t, z)),
-                    digits)
-                theta2 = theta_update(spec, _node.state.theta, z)
-                r2 = tuple(
-                    r_update(spec, _node.state.r[k], rep.gammas[k], z)
-                    for k in range(spec.K)
-                )
-                return _insert(ThetaRState(theta2, r2))
+    def visible_rule(node):
+        if spec.n == 1:
+            return support_visibility(node.support)
+        full = tuple(tuple(range(L)) for L in st_tables.stage[node.t].L)
+        return lambda z, cons: full if z.is_null else cons
 
-            expansion = expand_stage(spec, t, node.pi.p, visible_for,
-                                     child_fn, max_joint)
-            graph.expansions[node.node_id] = expansion
-            relevant = []
-            for k in range(spec.K):
-                rel = set(node.support[k])
-                for ztab in expansion.values():
-                    rel.update(ztab.visible[k])
-                relevant.append(tuple(sorted(rel)))
-            node.relevant = tuple(relevant)
-    for node in graph.stages[spec.T]:
-        graph.expansions.setdefault(node.node_id, {})
-        node.relevant = node.support
-    return graph
+    def child_state(node, z, visible, digits, m, pz):
+        rep = minimize.embedded_profile(spec, node.t, visible, digits)
+        return ThetaRState(
+            theta_update(spec, node.state.theta, z),
+            tuple(r_update(spec, node.state.r[k], rep.gammas[k], z)
+                  for k in range(spec.K)))
+
+    return build_graph(spec, "theta_r", initial_state(spec), state_key,
+                       lambda state: h_map(spec, state), visible_rule,
+                       child_state, max_nodes=max_nodes, max_joint=max_joint)
 
 
-def solve_on_graph2(graph: ThetaRGraph, *,
-                    max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS
-                    ) -> tuple[ValueTable, CoordinatorPolicy]:
-    spec = graph.spec
-    J: dict[int, dict[int, float]] = {}
-    arg: dict[int, dict[int, int]] = {}
-    for t in range(spec.T, 0, -1):
-        J[t] = {}
-        arg[t] = {}
-        j_next = J.get(t + 1)
-        for node in graph.stages[t]:
-            expansion = graph.expansions.get(node.node_id) if t < spec.T else None
-            value, rank = _backup_node(spec, t, node.pi.p, node.relevant,
-                                       expansion, j_next, max_joint)
-            J[t][node.node_id] = value
-            arg[t][node.node_id] = rank
-    table = ValueTable(J, arg)
-    policy = CoordinatorPolicy("theta_r", arg, graph)
-    return table, policy
+# The backward sweep is shared with the belief form; the old name stays
+# importable for the benchmark harness.
+solve_on_graph2 = solve_on_graph
 
 
 def solve_dp2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
@@ -421,7 +305,7 @@ def solve_dp2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
     dynamic programs value the same objective."""
     spec = normalize_problem(spec)
     graph = reachable_graph2(spec, max_nodes=max_nodes, max_joint=max_joint)
-    return solve_on_graph2(graph, max_joint=max_joint)
+    return solve_on_graph(graph, max_joint=max_joint)
 
 
 def extract_design2(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDesign:

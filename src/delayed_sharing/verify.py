@@ -15,15 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, evaluate, minimize
-from .coordinator import (PiBelief, alpha_backup, initial_belief,
-                          extract_design, reachable_graph, solve_on_graph,
-                          state_count, value_at)
+from .coordinator import (PiBelief, add_continuation, alpha_backup,
+                          extract_design, initial_belief, reachable_graph,
+                          solve_on_graph, state_count, value_at)
 from .errors import BudgetError
 from .histories import common_obs_space, random_design
 from .model import ProblemSpec, normalize_problem
-from .second_form import (ThetaRState, initial_state, r_update,
-                          reachable_graph2, solve_on_graph2, theta_update,
-                          extract_design2)
+from .second_form import (ThetaRState, extract_design2, initial_state,
+                          r_update, reachable_graph2, theta_update)
 
 PI_TOL = 1e-12
 DP_TOL = 1e-9
@@ -45,23 +44,13 @@ class Verification:
 
 def _pz_gap(spec: ProblemSpec, graph) -> float:
     """Worst |sum of branch probabilities - 1| over nodes and behaviors."""
+    ones = np.ones(graph.node_count)
     worst = 0.0
     for t in range(1, spec.T):
         for node in graph.stages[t]:
-            restricted = getattr(node, "relevant", None) or node.support
-            bs = minimize.behavior_space(spec, t, restricted)
-            acc = np.zeros(bs.shape)
-            for ztab in graph.expansions[node.node_id].values():
-                shape = tuple(spec.u_size[k] ** len(ztab.visible[k])
-                              for k in range(spec.K))
-                table = np.zeros(shape)
-                flat = table.reshape(-1)
-                strides = np.cumprod((1,) + shape[::-1][:-1])[::-1]
-                for key, (pz, _child) in ztab.entries.items():
-                    flat[int(np.dot(key, strides))] = pz
-                sks = [minimize.subkey_vector(spec, bs, k, ztab.visible[k])
-                       for k in range(spec.K)]
-                acc = acc + table[np.ix_(*sks)]
+            bs = minimize.behavior_space(spec, t, node.relevant)
+            acc = add_continuation(spec, bs, np.zeros(bs.shape),
+                                   graph.expansions[node.node_id], ones)
             worst = max(worst, float(np.abs(acc - 1.0).max()))
     return worst
 
@@ -137,14 +126,14 @@ def verify_instance(spec: ProblemSpec, *, samples: int = 20,
     graph = reachable_graph(spec)
     vt1, pol1 = solve_on_graph(graph)
     graph2 = reachable_graph2(spec)
-    vt2, pol2 = solve_on_graph2(graph2)
+    vt2, pol2 = solve_on_graph(graph2)
     lines.append(f"instance: K={spec.K} T={spec.T} n={spec.n} |X|={spec.x_size} "
                  f"|Y|={','.join(map(str, spec.y_size))} |U|={','.join(map(str, spec.u_size))}")
     lines.append(f"graph: nodes={graph.node_count} edges={graph.edge_count}; "
                  f"graph2: nodes={graph2.node_count} edges={graph2.edge_count}")
 
     norm_gap = max(
-        float(np.abs(node.belief.p.sum() - 1.0).max())
+        float(np.abs(node.pi.p.sum() - 1.0).max())
         for nodes in graph.stages.values() for node in nodes)
     check("belief.normalization", norm_gap <= PI_TOL, f"max|sum-1|={_fmt(norm_gap)}")
 
@@ -216,8 +205,8 @@ def verify_instance(spec: ProblemSpec, *, samples: int = 20,
               f"independence_err={_fmt(rep.max_independence_error)} "
               f"histories={rep.histories_checked}")
 
-    factors = _detect_projection_factors(spec)
-    if factors is not None:
+    factors = tuple(spec.y_size)
+    if analysis.projection_violation(spec, factors) is None:
         rep = analysis.check_aicardi_degenerate(spec, factors)
         check("fully_observed.degeneracy", rep.passed,
               f"offpoint={_fmt(rep.max_offpoint_mass)} "
@@ -225,23 +214,3 @@ def verify_instance(spec: ProblemSpec, *, samples: int = 20,
 
     return Verification(lines, failures == 0)
 
-
-def _detect_projection_factors(spec: ProblemSpec) -> tuple[int, ...] | None:
-    """Infer per-controller state factors when observations are exact
-    coordinate projections of a product state; None when they are not."""
-    factors = tuple(spec.y_size)
-    if int(np.prod(factors)) != spec.x_size:
-        return None
-
-    def coord(x: int, k: int) -> int:
-        for j in range(spec.K - 1, k, -1):
-            x //= factors[j]
-        return x % factors[k]
-    for k in range(spec.K):
-        for t in range(spec.T):
-            for x in range(spec.x_size):
-                row = np.zeros(spec.y_size[k])
-                row[coord(x, k)] = 1.0
-                if not np.array_equal(spec.obs[k][t, x], row):
-                    return None
-    return factors

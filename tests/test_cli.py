@@ -141,3 +141,28 @@ def test_outputs_byte_stable(tmp_path):
     r2 = run_cli("solve", "--problem", str(INSTANCES / "io.json"), "--out", str(out2))
     assert r1.stdout == r2.stdout
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_solve2_writes_theta_r_solution(tmp_path):
+    from delayed_sharing import instances
+    from delayed_sharing.second_form import reachable_graph2
+    out = tmp_path / "sol2.json"
+    res = run_cli("solve2", "--problem", str(INSTANCES / "ia.json"),
+                  "--out", str(out))
+    assert res.returncode == 0
+    data = json.loads(out.read_text())
+    assert data["kind"] == "theta_r_dp"
+    assert data["node_count"] == reachable_graph2(instances.load("ia")).node_count
+    for stage in data["stages"]:
+        for node in stage["nodes"]:
+            assert list(node) == ["id", "theta", "r", "J", "argmin_profile"]
+
+
+def test_solve_node_keys(tmp_path):
+    out = tmp_path / "sol.json"
+    res = run_cli("solve", "--problem", str(INSTANCES / "i1.json"),
+                  "--out", str(out))
+    assert res.returncode == 0
+    for stage in json.loads(out.read_text())["stages"]:
+        for node in stage["nodes"]:
+            assert list(node) == ["id", "belief", "J", "argmin_profile"]

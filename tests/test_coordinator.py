@@ -340,7 +340,7 @@ def test_value_at_reachable_nodes_matches_table(solved):
         memo = {}
         for t, nodes in graph.stages.items():
             for node in nodes[:5]:
-                got = value_at(spec, t, node.belief, _memo=memo)
+                got = value_at(spec, t, node.pi, _memo=memo)
                 assert got == pytest.approx(vt.J[t][node.node_id], abs=1e-9)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from delayed_sharing import evaluate, histories
 from delayed_sharing.coordinator import extract_design
-from delayed_sharing.errors import OffDesignHistoryError
+from delayed_sharing.errors import DomainError, OffDesignHistoryError
 from delayed_sharing.histories import profile_unrank
 from delayed_sharing.second_form import extract_design2
 
@@ -132,3 +132,19 @@ def test_simulate_extracted_equals_materialized(solved, name, form):
     b = evaluate.simulate(spec, flat, 2_000, seed=11)
     assert a.mean == b.mean
     assert a.std_error == b.std_error
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_time_outside_horizon_is_a_domain_error(solved, form):
+    entry = solved["i1"]
+    spec = entry["spec"]
+    design = _cold(entry, form)
+    for t in (0, -1, spec.T + 1):
+        delta = (0,) * histories.delta_length(spec, max(t, 1))
+        # checked before the length check and the cache, on every call
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                design.act(0, t, 0, delta)
+            with pytest.raises(DomainError):
+                design.act(0, t, 0, ())
+    assert design._cache == {}
