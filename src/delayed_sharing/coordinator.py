@@ -425,14 +425,16 @@ _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
 
 
 def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
-                visible_rule, child_state, *, max_nodes: int,
+                visible_rule, child_rule, *, max_nodes: int,
                 max_joint: int) -> InfoGraph:
     """Breadth-first forward closure of an information state.
 
     key_of(state) is the dedup key and pi_of(state) the belief-form image
     (PiBelief) of an information state; visible_rule(node) is the node's
-    visible_for for expand_stage; child_state(node, z, visible, digits, m,
-    pz) is the successor state of one branch.  Branch tables are keyed by the
+    visible_for for expand_stage, and child_rule(node) its successor rule:
+    child(z, visible, digits, m, pz) -> the state one branch leads to.  Both
+    rules are made once per node expansion, so a form can share work across
+    the node's branches inside them.  Branch tables are keyed by the
     action assignment on the visible realizations, which covers every
     profile choice exactly.
     """
@@ -461,14 +463,15 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
     for t in range(1, spec.T):
         for node in list(graph.stages[t]):
             rule = visible_rule(node)
+            child = child_rule(node)
             visible: dict[CommonObs, tuple] = {}
 
             def visible_for(z, cons, _rule=rule, _visible=visible):
                 _visible[z] = _rule(z, cons)
                 return _visible[z]
 
-            def child_fn(z, zr, digits, m, pz, _node=node, _visible=visible):
-                return insert(child_state(_node, z, _visible[z], digits, m, pz))
+            def child_fn(z, zr, digits, m, pz, _child=child, _visible=visible):
+                return insert(_child(z, _visible[z], digits, m, pz))
 
             expansion = expand_stage(spec, t, node.pi.p, visible_for,
                                      child_fn, max_joint)
@@ -492,7 +495,8 @@ def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
         key_of=lambda pi: (pi.t, quantize_key(pi.p)),
         pi_of=lambda pi: pi,
         visible_rule=lambda node: support_visibility(node.support),
-        child_state=lambda node, z, visible, digits, m, pz: PiBelief(node.t + 1, m / pz),
+        child_rule=lambda node: (lambda z, visible, digits, m, pz:
+                                 PiBelief(node.t + 1, m / pz)),
         max_nodes=max_nodes, max_joint=max_joint)
 
 

@@ -279,7 +279,8 @@ def materialize_design(spec: ProblemSpec, design: Design, *,
     """Tabulate any design over the full (shared history, private rank)
     product domain.  Histories the design rejects (off-policy for a replayed
     strategy) get action 0; they never occur under the design itself, so the
-    tabulated copy is cost-identical."""
+    tabulated copy is cost-identical.  A rejection is a verdict on (t, delta)
+    alone, so the first one ends its row."""
     spec = normalize_problem(spec)
     total = sum(histories.delta_count(spec, t) * histories.private_count(spec, k, t)
                 for k in range(spec.K) for t in range(1, spec.T + 1))
@@ -305,7 +306,7 @@ def materialize_design(spec: ProblemSpec, design: Design, *,
                     try:
                         tab[row, lam] = design.act(k, t, lam, delta)
                     except OffDesignHistoryError:
-                        tab[row, lam] = 0
+                        break
             per_k.append(tab)
         tables.append(per_k)
     return ExtensionalDesign(spec, tables)

@@ -283,7 +283,11 @@ def delta_rank(spec: ProblemSpec, t: int, z_ranks: tuple[int, ...]) -> int:
 class Design(Protocol):
     """A complete control strategy: per controller and time, an action as a
     function of the private rank and the shared history (tuple of non-null
-    shared-symbol ranks)."""
+    shared-symbol ranks).
+
+    act may raise OffDesignHistoryError for a shared history the design never
+    produces.  That is a verdict on (t, delta) alone: if act raises it for
+    one (k, lam_rank) at (t, delta), it raises it for every other."""
 
     def act(self, k: int, t: int, lam_rank: int, delta: tuple[int, ...]) -> int: ...
 

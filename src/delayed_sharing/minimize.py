@@ -150,19 +150,6 @@ def subkey_vector(spec: ProblemSpec, bs: BehaviorSpace, k: int,
     return key
 
 
-def embedded_profile(spec: ProblemSpec, t: int,
-                     lam_sets: tuple[tuple[int, ...], ...],
-                     digit_sets: tuple[tuple[int, ...], ...]) -> histories.GammaProfile:
-    """The smallest-rank full profile carrying the given partial assignment."""
-    gammas = []
-    for k in range(spec.K):
-        table = [0] * histories.private_count(spec, k, t)
-        for lam, d in zip(lam_sets[k], digit_sets[k]):
-            table[lam] = d
-        gammas.append(histories.PartialFunction(k, t, tuple(table)))
-    return histories.GammaProfile(t, tuple(gammas))
-
-
 def completion_rank(spec: ProblemSpec, bs: BehaviorSpace,
                     flat_index: int) -> int:
     """Full profile rank of the zero-filled completion of one behavior."""

@@ -12,8 +12,8 @@ map back to the belief-form information state is a forward reconstruction
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +34,11 @@ class Theta:
 
     t: int
     p: np.ndarray
+    key: bytes = field(init=False, repr=False)   # quantize_key(p), made once
 
     def __post_init__(self):
         self.p.flags.writeable = False
+        object.__setattr__(self, "key", quantize_key(self.p))
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,7 @@ class ThetaRState:
 
 
 def state_key(state: ThetaRState) -> tuple:
-    return (state.t, quantize_key(state.theta.p),
-            tuple(rs.parts for rs in state.r))
+    return (state.t, state.theta.key, tuple(rs.parts for rs in state.r))
 
 
 def initial_state(spec: ProblemSpec) -> ThetaRState:
@@ -94,24 +95,32 @@ def part_domain_count(spec: ProblemSpec, k: int, t: int, m: int) -> int:
     return spec.y_size[k] ** ny * spec.u_size[k] ** nu
 
 
-def _domain_rank(spec: ProblemSpec, k: int, ys, us) -> int:
-    r = 0
-    for y in ys:
-        r = r * spec.y_size[k] + y
-    for u in us:
-        r = r * spec.u_size[k] + u
-    return r
+# Curry index maps per (y_size, u_size, ny, nu, y_fix, u_fix): they depend on
+# nothing else, so every controller and instance of that shape shares one.
+_CURRY_INDEX: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _curry_index(y_size: int, u_size: int, ny: int, nu: int,
+                 y_fix: int, u_fix: int) -> tuple[int, ...]:
+    """Positions, in a part table over ny observations and nu actions, of the
+    entries whose earliest observation is y_fix and earliest action u_fix,
+    in rank order of the remaining window (observations major)."""
+    key = (y_size, u_size, ny, nu, y_fix, u_fix)
+    hit = _CURRY_INDEX.get(key)
+    if hit is None:
+        y_rest, u_rest = y_size ** (ny - 1), u_size ** (nu - 1)
+        hit = tuple((y_fix * y_rest + a) * u_size ** nu + u_fix * u_rest + b
+                    for a in range(y_rest) for b in range(u_rest))
+        _CURRY_INDEX[key] = hit
+    return hit
 
 
 def _curry_table(spec: ProblemSpec, k: int, table: tuple[int, ...],
                  ny: int, nu: int, y_fix: int, u_fix: int) -> tuple[int, ...]:
     """Substitute the earliest observation and the earliest action of a part
     domain, leaving a table over the remaining window."""
-    out = []
-    for ys in itertools.product(range(spec.y_size[k]), repeat=ny - 1):
-        for us in itertools.product(range(spec.u_size[k]), repeat=nu - 1):
-            out.append(table[_domain_rank(spec, k, (y_fix,) + ys, (u_fix,) + us)])
-    return tuple(out)
+    index = _curry_index(spec.y_size[k], spec.u_size[k], ny, nu, y_fix, u_fix)
+    return tuple(map(table.__getitem__, index))
 
 
 # ---------------------------------------------------------------------------
@@ -181,54 +190,109 @@ def r_update(spec: ProblemSpec, rs: RSuffix, gamma: PartialFunction,
     return RSuffix(k, t + 1, tuple(new_parts))
 
 
+class _HMapTables:
+    """Index maps h_map reads, made on first use and kept per spec.
+
+    combos lists every joint observation (controller 0 most significant).
+    Per stage m, ok says whether state x emits combo c, and fac[k][x, c] is
+    controller k's observation weight.  extend_index(k, L)[j, c] is the rank
+    of controller k's window j (L observations, then L actions) with combo
+    c's observation appended: the part-table entry it reads, and, times u_k
+    plus the action taken, the window one stage later.
+    """
+
+    def __init__(self, spec: ProblemSpec):
+        self.spec = spec
+        self.combos = np.array(np.unravel_index(
+            np.arange(int(np.prod(spec.y_size))), spec.y_size)).T
+        self._stages: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
+        self._extend: dict[tuple[int, int], np.ndarray] = {}
+
+    def observe(self, m: int, x: np.ndarray, w: np.ndarray):
+        """Spread cells (states x, masses w) over the joint observations of
+        stage m, cell-major: (source cell, combo, state, mass) per pair, the
+        mass multiplied by the observation weights in controller order."""
+        hit = self._stages.get(m)
+        if hit is None:
+            spec = self.spec
+            fac = [spec.obs[k][m - 1][:, self.combos[:, k]] for k in range(spec.K)]
+            hit = self._stages[m] = (np.logical_and.reduce([f > 0.0 for f in fac]),
+                                     fac)
+        ok, fac = hit
+        src, c = np.nonzero(ok[x])
+        xs = x[src]
+        w = w[src]
+        for f in fac:
+            w = w * f[xs, c]
+        return src, c, xs, w
+
+    def extend_index(self, k: int, L: int) -> np.ndarray:
+        hit = self._extend.get((k, L))
+        if hit is None:
+            y, u = self.spec.y_size[k], self.spec.u_size[k]
+            j = np.arange((y * u) ** L, dtype=np.int64)[:, None]
+            hit = self._extend[(k, L)] = (
+                (j // u ** L * y + self.combos[None, :, k]) * u ** L + j % u ** L)
+        return hit
+
+
+_HMAP_CACHE: "weakref.WeakKeyDictionary[ProblemSpec, _HMapTables]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _hmap_tables(spec: ProblemSpec) -> _HMapTables:
+    tab = _HMAP_CACHE.get(spec)
+    if tab is None:
+        tab = _HMAP_CACHE[spec] = _HMapTables(spec)
+    return tab
+
+
 def h_map(spec: ProblemSpec, state: ThetaRState) -> PiBelief:
     """Reconstruct the belief-form information state from (Theta, r) by
     exhaustive forward summation: roll the plant from the delayed state
     through the substituted prescriptions, then attach the current
-    observations and marginalize onto (previous state, private windows)."""
+    observations and marginalize onto (previous state, private windows).
+
+    The rolled mass is a list of (x, per-controller window) cells in the
+    order their first contribution arrives, each source spreading over its
+    joint observations (controller 0 most significant) and then its next
+    states in ascending order.  A cell's mass sums its contributions in that
+    order too, so every entry is the same floating-point sum as a loop over
+    a dict of (x, observation history, action history) keys.
+    """
     spec = normalize_problem(spec)
     t = state.t
     st = tables(spec).stage[t]
+    ht = _hmap_tables(spec)
     lo = max(1, t - spec.n + 1)
-    empty = tuple(() for _ in range(spec.K))
-    items: dict[tuple, float] = {}
-    for x, w in enumerate(state.theta.p):
-        if w > 0.0:
-            items[(x, empty, empty)] = items.get((x, empty, empty), 0.0) + float(w)
+    x = np.nonzero(state.theta.p > 0.0)[0]
+    w = state.theta.p[x]
+    wins = [np.zeros(x.size, dtype=np.int64) for _ in range(spec.K)]
     for m in range(lo, t):
-        parts = [state.r[k].parts[m - lo] for k in range(spec.K)]
-        nxt: dict[tuple, float] = {}
-        for (x, yh, uh), w in items.items():
-            y_supports = [np.nonzero(spec.obs[k][m - 1][x] > 0.0)[0]
-                          for k in range(spec.K)]
-            for ys in itertools.product(*y_supports):
-                w2 = w
-                u = []
-                yh2 = []
-                for k in range(spec.K):
-                    w2 *= spec.obs[k][m - 1][x, ys[k]]
-                    yk = yh[k] + (int(ys[k]),)
-                    yh2.append(yk)
-                    u.append(parts[k][_domain_rank(spec, k, yk, uh[k])])
-                a = spec.encode_action(u)
-                trow = spec.trans[m - 1][x, a]
-                for x2 in np.nonzero(trow > 0.0)[0]:
-                    key = (int(x2), tuple(yh2),
-                           tuple(uh[k] + (u[k],) for k in range(spec.K)))
-                    nxt[key] = nxt.get(key, 0.0) + w2 * float(trow[x2])
-        items = nxt
+        src, c, xs, w2 = ht.observe(m, x, w)
+        a = np.zeros(src.size, dtype=np.int64)
+        nxt_wins = []
+        for k in range(spec.K):
+            u_size = spec.u_size[k]
+            entry = ht.extend_index(k, m - lo)[wins[k][src], c]
+            u = np.array(state.r[k].parts[m - lo], dtype=np.int64)[entry]
+            a = a * u_size + u
+            nxt_wins.append(entry * u_size + u)
+        trow = spec.trans[m - 1][xs, a]
+        e, x2 = np.nonzero(trow > 0.0)
+        dims = (spec.x_size, *((spec.y_size[k] * spec.u_size[k]) ** (m - lo + 1)
+                               for k in range(spec.K)))
+        cell = np.ravel_multi_index((x2, *(nw[e] for nw in nxt_wins)), dims)
+        uniq, first, inv = np.unique(cell, return_index=True, return_inverse=True)
+        mass = np.zeros(uniq.size)
+        np.add.at(mass, inv, w2[e] * trow[e, x2])
+        order = np.argsort(first)
+        x, *wins = np.unravel_index(uniq[order], dims)
+        w = mass[order]
+    src, c, xs, w2 = ht.observe(t, x, w)
+    lam = [ht.extend_index(k, t - lo)[wins[k][src], c] for k in range(spec.K)]
     p = np.zeros(st.state_count)
-    for (x, yh, uh), w in items.items():
-        y_supports = [np.nonzero(spec.obs[k][t - 1][x] > 0.0)[0]
-                      for k in range(spec.K)]
-        for ys in itertools.product(*y_supports):
-            w2 = w
-            lam = []
-            for k in range(spec.K):
-                w2 *= spec.obs[k][t - 1][x, ys[k]]
-                info = histories.PrivateInfo(k, t, yh[k] + (int(ys[k]),), uh[k])
-                lam.append(histories.private_rank(spec, info))
-            p[st.state_rank(x, lam)] += w2
+    p[np.ravel_multi_index((xs, *lam), st.shape)] = w2
     return PiBelief(t, p)
 
 
@@ -280,16 +344,37 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
         full = tuple(tuple(range(L)) for L in st_tables.stage[node.t].L)
         return lambda z, cons: full if z.is_null else cons
 
-    def child_state(node, z, visible, digits, m, pz):
-        rep = minimize.embedded_profile(spec, node.t, visible, digits)
-        return ThetaRState(
-            theta_update(spec, node.state.theta, z),
-            tuple(r_update(spec, node.state.r[k], rep.gammas[k], z)
-                  for k in range(spec.K)))
+    def child_rule(node):
+        # The child Theta depends only on the symbol, and controller k's
+        # suffix only on the symbol and k's digits on its visible set, so each
+        # is computed once per node expansion; the memos go with it.
+        t, state = node.t, node.state
+        per_symbol: dict[CommonObs, tuple[Theta, list[dict]]] = {}
+        counts = [histories.private_count(spec, k, t) for k in range(spec.K)]
+
+        def child(z, visible, digits, m, pz):
+            hit = per_symbol.get(z)
+            if hit is None:
+                hit = per_symbol[z] = (theta_update(spec, state.theta, z),
+                                       [{} for _ in range(spec.K)])
+            theta, suffixes = hit
+            r = []
+            for k in range(spec.K):
+                rs = suffixes[k].get(digits[k])
+                if rs is None:
+                    table = [0] * counts[k]
+                    for lam, d in zip(visible[k], digits[k]):
+                        table[lam] = d
+                    gamma = PartialFunction(k, t, tuple(table))
+                    rs = suffixes[k][digits[k]] = r_update(
+                        spec, state.r[k], gamma, z)
+                r.append(rs)
+            return ThetaRState(theta, tuple(r))
+        return child
 
     return build_graph(spec, "theta_r", initial_state(spec), state_key,
                        lambda state: h_map(spec, state), visible_rule,
-                       child_state, max_nodes=max_nodes, max_joint=max_joint)
+                       child_rule, max_nodes=max_nodes, max_joint=max_joint)
 
 
 # The backward sweep is shared with the belief form; the old name stays

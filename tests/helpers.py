@@ -1,11 +1,16 @@
 """Reference implementations used only as test oracles: plain loops, no
 grouping or vectorization, independent of the solver internals they check."""
 
+import itertools
+
 import numpy as np
 
-from delayed_sharing.coordinator import belief_update, expected_stage_cost
+from delayed_sharing.coordinator import (PiBelief, belief_update,
+                                         expected_stage_cost)
 from delayed_sharing.errors import UnreachableObservationError
-from delayed_sharing.histories import common_obs_space, gamma_profiles
+from delayed_sharing.histories import (GammaProfile, PartialFunction,
+                                       common_obs_space, gamma_profiles,
+                                       private_count)
 
 
 def naive_value(spec, t, pi):
@@ -45,3 +50,73 @@ def primitive_joint(spec, t):
                     rec(k + 1, ys + (y,), w * p)
         rec(0, (), float(base))
     return out
+
+
+def embedded_profile(spec, t, lam_sets, digit_sets):
+    """The smallest-rank full profile carrying the given partial assignment:
+    digit_sets[k][i] is controller k's action at realization lam_sets[k][i],
+    every other realization takes action 0."""
+    gammas = []
+    for k in range(spec.K):
+        table = [0] * private_count(spec, k, t)
+        for lam, d in zip(lam_sets[k], digit_sets[k]):
+            table[lam] = d
+        gammas.append(PartialFunction(k, t, tuple(table)))
+    return GammaProfile(t, tuple(gammas))
+
+
+def _window_rank(spec, k, ys, us):
+    r = 0
+    for y in ys:
+        r = r * spec.y_size[k] + y
+    for u in us:
+        r = r * spec.u_size[k] + u
+    return r
+
+
+def h_map_reference(spec, state):
+    """(Theta, r) -> belief-form image by a plain forward loop over a dict of
+    (state, per-controller observation history, action history) keys; each
+    key sums its contributions in arrival order."""
+    t = state.t
+    shape = (spec.x_size, *(private_count(spec, k, t) for k in range(spec.K)))
+    lo = max(1, t - spec.n + 1)
+    empty = tuple(() for _ in range(spec.K))
+    items = {}
+    for x, w in enumerate(state.theta.p):
+        if w > 0.0:
+            items[(x, empty, empty)] = items.get((x, empty, empty), 0.0) + float(w)
+    for m in range(lo, t):
+        parts = [state.r[k].parts[m - lo] for k in range(spec.K)]
+        nxt = {}
+        for (x, yh, uh), w in items.items():
+            y_supports = [np.nonzero(spec.obs[k][m - 1][x] > 0.0)[0]
+                          for k in range(spec.K)]
+            for ys in itertools.product(*y_supports):
+                w2 = w
+                u = []
+                yh2 = []
+                for k in range(spec.K):
+                    w2 *= spec.obs[k][m - 1][x, ys[k]]
+                    yk = yh[k] + (int(ys[k]),)
+                    yh2.append(yk)
+                    u.append(parts[k][_window_rank(spec, k, yk, uh[k])])
+                a = spec.encode_action(u)
+                trow = spec.trans[m - 1][x, a]
+                for x2 in np.nonzero(trow > 0.0)[0]:
+                    key = (int(x2), tuple(yh2),
+                           tuple(uh[k] + (u[k],) for k in range(spec.K)))
+                    nxt[key] = nxt.get(key, 0.0) + w2 * float(trow[x2])
+        items = nxt
+    p = np.zeros(int(np.prod(shape)))
+    for (x, yh, uh), w in items.items():
+        y_supports = [np.nonzero(spec.obs[k][t - 1][x] > 0.0)[0]
+                      for k in range(spec.K)]
+        for ys in itertools.product(*y_supports):
+            w2 = w
+            lam = []
+            for k in range(spec.K):
+                w2 *= spec.obs[k][t - 1][x, ys[k]]
+                lam.append(_window_rank(spec, k, yh[k] + (int(ys[k]),), uh[k]))
+            p[np.ravel_multi_index((x, *lam), shape)] += w2
+    return PiBelief(t, p)

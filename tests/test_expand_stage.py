@@ -16,6 +16,7 @@ from delayed_sharing.coordinator import _update_mass, expand_stage
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import common_obs_rank, common_obs_space
 from delayed_sharing.model import normalize_problem
+from helpers import embedded_profile
 
 
 def _consistent(spec, t, z):
@@ -54,7 +55,7 @@ def _reference_expand(spec, t, p, visible_for):
         axes = [itertools.product(range(spec.u_size[k]), repeat=len(visible[k]))
                 for k in range(spec.K)]
         for digits in itertools.product(*axes):
-            rep = minimize.embedded_profile(spec, t, visible, digits)
+            rep = embedded_profile(spec, t, visible, digits)
             m, pz = _update_mass(spec, t, p, rep, zr, cand)
             if pz <= 0.0:
                 continue

@@ -1,6 +1,7 @@
 """Extracted designs decode each node's profile once and remember rejected
 shared histories; acting must stay equal to an uncached replay."""
 
+import collections
 import random
 
 import numpy as np
@@ -120,6 +121,55 @@ def test_materialized_tables_match_uncached_replay(solved, name, form):
         except OffDesignHistoryError:
             got = 0
         assert got == want[k][t - 1][row, lam]
+
+
+class _CountingDesign:
+    """Forwards act to a design, counting calls and rejections per
+    (k, t, shared history)."""
+
+    def __init__(self, design):
+        self.design = design
+        self.calls = collections.Counter()
+        self.raised = collections.Counter()
+
+    def act(self, k, t, lam, delta):
+        self.calls[(k, t, delta)] += 1
+        try:
+            return self.design.act(k, t, lam, delta)
+        except OffDesignHistoryError:
+            self.raised[(k, t, delta)] += 1
+            raise
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_materialize_asks_a_rejected_row_once(solved, form):
+    """A rejection ends its row: materialize_design calls act once per
+    rejected (k, t, shared history) and once per entry of every other row,
+    and the table equals one filled entry by entry."""
+    entry = solved["i2"]
+    spec = entry["spec"]
+    want = [[np.zeros((histories.delta_count(spec, t),
+                       histories.private_count(spec, k, t)), dtype=np.int64)
+             for t in range(1, spec.T + 1)] for k in range(spec.K)]
+    rejected = set()
+    design = _cold(entry, form)
+    for k, t, row, delta, lam in _entries(spec):
+        try:
+            want[k][t - 1][row, lam] = design.act(k, t, lam, delta)
+        except OffDesignHistoryError:
+            rejected.add((k, t, delta))
+    assert rejected
+
+    counting = _CountingDesign(_cold(entry, form))
+    flat = evaluate.materialize_design(spec, counting)
+    assert set(counting.raised) == rejected
+    assert set(counting.raised.values()) == {1}
+    for (k, t, delta), calls in counting.calls.items():
+        expect = 1 if (k, t, delta) in rejected else histories.private_count(spec, k, t)
+        assert calls == expect
+    for k in range(spec.K):
+        for t in range(1, spec.T + 1):
+            assert np.array_equal(flat.tables[k][t - 1], want[k][t - 1])
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))

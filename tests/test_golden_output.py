@@ -1,0 +1,60 @@
+"""Byte-identity of the solver CLI output on the shipped instances.
+
+golden_output.json holds the SHA-256 digest of the stdout, the --out
+solution and the --emit-design table of `solve` and `solve2` on every shipped
+instance.  Speed work must leave all of them unchanged.  When a change is
+meant to alter this output, regenerate the digests with
+
+    PYTHONPATH=src python tests/test_golden_output.py
+
+and say in the change description why the output moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from delayed_sharing import cli, instances
+
+INSTANCES = Path(__file__).resolve().parents[1] / "src" / "delayed_sharing" / "instances"
+GOLDEN = Path(__file__).with_name("golden_output.json")
+COMMANDS = ("solve", "solve2")
+
+
+def digests(command: str, name: str) -> dict[str, str]:
+    """Digests of one CLI run's stdout, --out file and --emit-design file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, design = Path(tmp) / "out.json", Path(tmp) / "design.json"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([command, "--problem", str(INSTANCES / f"{name}.json"),
+                             "--out", str(out), "--emit-design", str(design)])
+        assert code == cli.EXIT_OK
+        blobs = {"stdout": buf.getvalue().encode("utf-8"),
+                 "out": out.read_bytes(), "design": design.read_bytes()}
+    return {f"{command}/{name}/{kind}": hashlib.sha256(blob).hexdigest()
+            for kind, blob in blobs.items()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", instances.NAMES)
+def test_cli_output_matches_golden_digests(command, name):
+    golden = json.loads(GOLDEN.read_text("utf-8"))
+    for key, digest in digests(command, name).items():
+        assert golden[key] == digest, key
+
+
+if __name__ == "__main__":
+    table = {}
+    for command in COMMANDS:
+        for name in instances.NAMES:
+            table.update(digests(command, name))
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)

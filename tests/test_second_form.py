@@ -1,20 +1,28 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from delayed_sharing import evaluate
 from delayed_sharing.analysis import design_profile
-from delayed_sharing.coordinator import extract_design
+from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, build_graph,
+                                         extract_design, support_visibility)
 from delayed_sharing.errors import DomainError, UnreachableObservationError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (PartialFunction, common_obs_space,
-                                       profile_unrank, random_design)
+                                       private_count, profile_unrank,
+                                       random_design)
 from delayed_sharing.model import ProblemSpec, normalize_problem
+from delayed_sharing.minimize import DEFAULT_MAX_JOINT_BEHAVIORS
 from delayed_sharing.second_form import (RSuffix, Theta, ThetaRState,
                                          extract_design2, h_map, initial_state,
-                                         r_update, reachable_graph2, solve_dp2,
-                                         suffix_from_prescriptions,
+                                         part_domain_count, r_update,
+                                         reachable_graph2, solve_dp2,
+                                         state_key, suffix_from_prescriptions,
                                          theta_update)
 from delayed_sharing.verify import replay_theta_r
+from helpers import embedded_profile, h_map_reference
 
 
 def uniform_identity_spec():
@@ -189,6 +197,52 @@ def test_h_map_single_state():
     assert pi.p.reshape(1, 8, 8).shape == (1, 8, 8)
 
 
+def _random_theta_r(K, n, X, t, seed, zero_share):
+    """A (Theta, r) state at time t of a K-controller, delay-n instance over X
+    states, drawn directly: kernels with about zero_share of their entries
+    zeroed (every row kept a distribution), a random Theta and random part
+    tables of the right arity."""
+    rng = np.random.default_rng(seed)
+    base = random_instance(K, n + 1, n, X, (2,) * K, (2,) * K, seed)
+
+    def sparsify(a):
+        a = np.array(a)
+        a[rng.random(a.shape) < zero_share] = 0.0
+        a[..., 0] += a.sum(axis=-1) == 0.0
+        return a / a.sum(axis=-1, keepdims=True)
+
+    spec = normalize_problem(dataclasses.replace(
+        base, trans=sparsify(base.trans),
+        obs=tuple(sparsify(o) for o in base.obs)))
+    theta = sparsify(rng.random(X))
+    lo = max(1, t - n + 1)
+    r = tuple(RSuffix(k, t, tuple(
+        tuple(int(v) for v in rng.integers(0, 2, part_domain_count(spec, k, t, m)))
+        for m in range(lo, t))) for k in range(K))
+    return spec, ThetaRState(Theta(t, theta), r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.sampled_from((2, 3)), n=st.sampled_from((1, 2, 3)),
+       X=st.sampled_from((2, 3)), t_back=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 16), zero_share=st.sampled_from((0.0, 0.3, 0.6)))
+@example(K=2, n=3, X=3, t_back=1, seed=3, zero_share=0.3)
+def test_h_map_equals_dict_loop_reference(K, n, X, t_back, seed, zero_share):
+    """The array h_map is the same floating-point sum as the dict loop,
+    including at delay 3 over three states, where cells reached in an order
+    other than ascending state must still sum in the loop's order."""
+    t = max(1, n + 1 - t_back)
+    spec, state = _random_theta_r(K, n, X, t, seed, zero_share)
+    assert np.array_equal(h_map(spec, state).p, h_map_reference(spec, state).p)
+
+
+def test_h_map_equals_dict_loop_reference_on_graph_nodes(solved):
+    for name, entry in solved.items():
+        spec = entry["spec"]
+        for node in entry["graph2"].by_id:
+            assert np.array_equal(node.pi.p, h_map_reference(spec, node.state).p), name
+
+
 def test_h_map_equals_recursive_belief_everywhere(i2_spec, solved):
     spec = i2_spec
     from delayed_sharing.analysis import replay_beliefs
@@ -214,6 +268,54 @@ def test_graph2_horizon_one_single_node():
     spec = random_instance(2, 1, 2, 2, (2, 2), (2, 2), seed=4)
     graph2 = reachable_graph2(spec)
     assert graph2.node_count == 1
+
+
+def _per_edge_graph2(spec):
+    """The (Theta, r) graph with every edge's successor built from scratch:
+    the zero-filled profile, theta_update and one r_update per controller."""
+    def visible_rule(node):
+        if spec.n == 1:
+            return support_visibility(node.support)
+        full = tuple(tuple(range(private_count(spec, k, node.t)))
+                     for k in range(spec.K))
+        return lambda z, cons: full if z.is_null else cons
+
+    def child_rule(node):
+        def child(z, visible, digits, m, pz):
+            rep = embedded_profile(spec, node.t, visible, digits)
+            return ThetaRState(
+                theta_update(spec, node.state.theta, z),
+                tuple(r_update(spec, node.state.r[k], rep.gammas[k], z)
+                      for k in range(spec.K)))
+        return child
+
+    return build_graph(spec, "theta_r", initial_state(spec), state_key,
+                       lambda state: h_map(spec, state), visible_rule,
+                       child_rule, max_nodes=DEFAULT_MAX_NODES,
+                       max_joint=DEFAULT_MAX_JOINT_BEHAVIORS)
+
+
+@pytest.mark.parametrize("name", ["i2", "ia", "det_n2"])
+def test_per_node_successor_gives_the_per_edge_graph(name, solved):
+    if name == "det_n2":
+        spec = normalize_problem(random_instance(2, 4, 2, 2, (2, 2), (2, 2), 5,
+                                                 deterministic=True))
+    else:
+        spec = solved[name]["spec"]
+    got, want = reachable_graph2(spec), _per_edge_graph2(spec)
+    assert got.node_count == want.node_count
+    for a, b in zip(got.by_id, want.by_id):
+        assert (a.node_id, a.t) == (b.node_id, b.t)
+        assert state_key(a.state) == state_key(b.state)
+        assert np.array_equal(a.pi.p, b.pi.p)
+        ga, gb = got.expansions[a.node_id], want.expansions[b.node_id]
+        assert list(ga) == list(gb)
+        for zr, ztab in ga.items():
+            other = gb[zr]
+            assert ztab.visible == other.visible
+            assert list(ztab.entries) == list(other.entries)
+            for key, (pz, child) in ztab.entries.items():
+                assert (pz, child) == other.entries[key]
 
 
 def test_graph2_golden_counts(solved):
