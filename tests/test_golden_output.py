@@ -1,9 +1,12 @@
 """Byte-identity of the solver CLI output on the shipped instances.
 
 golden_output.json holds the SHA-256 digest of the stdout, the --out
-solution and the --emit-design table of `solve` and `solve2` on every shipped
-instance.  Speed work must leave all of them unchanged.  When a change is
-meant to alter this output, regenerate the digests with
+solution and the --emit-design table of `solve` and `solve2`, and of the
+stdout and --out report of `probe-concavity --samples 5 --seed 7`, on every
+shipped instance.  The probe report carries every sampled minimum slack as a
+full-precision float, so it pins `value_at` to the last bit.  Speed work must
+leave all of them unchanged.  When a change is meant to alter this output,
+regenerate the digests with
 
     PYTHONPATH=src python tests/test_golden_output.py
 
@@ -24,20 +27,28 @@ from delayed_sharing import cli, instances
 
 INSTANCES = Path(__file__).resolve().parents[1] / "src" / "delayed_sharing" / "instances"
 GOLDEN = Path(__file__).with_name("golden_output.json")
-COMMANDS = ("solve", "solve2")
+# Extra arguments per command.
+COMMANDS = {"solve": (), "solve2": (),
+            "probe-concavity": ("--samples", "5", "--seed", "7")}
+EMITS_DESIGN = ("solve", "solve2")
 
 
 def digests(command: str, name: str) -> dict[str, str]:
-    """Digests of one CLI run's stdout, --out file and --emit-design file."""
+    """Digests of one CLI run's stdout, --out file and, for the solvers, the
+    --emit-design file."""
     with tempfile.TemporaryDirectory() as tmp:
         out, design = Path(tmp) / "out.json", Path(tmp) / "design.json"
+        argv = [command, "--problem", str(INSTANCES / f"{name}.json"),
+                "--out", str(out), *COMMANDS[command]]
+        if command in EMITS_DESIGN:
+            argv += ["--emit-design", str(design)]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.main([command, "--problem", str(INSTANCES / f"{name}.json"),
-                             "--out", str(out), "--emit-design", str(design)])
+            code = cli.main(argv)
         assert code == cli.EXIT_OK
-        blobs = {"stdout": buf.getvalue().encode("utf-8"),
-                 "out": out.read_bytes(), "design": design.read_bytes()}
+        blobs = {"stdout": buf.getvalue().encode("utf-8"), "out": out.read_bytes()}
+        if command in EMITS_DESIGN:
+            blobs["design"] = design.read_bytes()
     return {f"{command}/{name}/{kind}": hashlib.sha256(blob).hexdigest()
             for kind, blob in blobs.items()}
 
