@@ -48,7 +48,6 @@ def concavity_probe(spec: ProblemSpec, samples: int, seed: int,
     is never below the mixture of values (minus tolerance)."""
     spec = normalize_problem(spec)
     from ._tables import tables
-    memo: dict = {}
     min_slack: dict[int, float] = {}
     for t in range(1, spec.T + 1):
         dim = tables(spec).stage[t].state_count
@@ -59,9 +58,9 @@ def concavity_probe(spec: ProblemSpec, samples: int, seed: int,
             p2 = rng.dirichlet(np.ones(dim))
             lam = float(rng.random())
             mix = lam * p1 + (1.0 - lam) * p2
-            v1 = value_at(spec, t, PiBelief(t, p1), _memo=memo)
-            v2 = value_at(spec, t, PiBelief(t, p2), _memo=memo)
-            vm = value_at(spec, t, PiBelief(t, mix), _memo=memo)
+            v1 = value_at(spec, t, PiBelief(t, p1))
+            v2 = value_at(spec, t, PiBelief(t, p2))
+            vm = value_at(spec, t, PiBelief(t, mix))
             worst = min(worst, vm - (lam * v1 + (1.0 - lam) * v2))
         min_slack[t] = float(worst)
     return ConcavityReport(seed, samples,

@@ -3,9 +3,10 @@ state (previous plant state plus every controller's private window), its
 strategy-independent update, the collapsed stage cost, strategy extraction,
 and the piecewise-linear value-function machinery.  Also the information-graph
 core both dynamic programs run on: one graph type, one forward closure
-(build_graph), one backward sweep (solve_on_graph) and one continuation
+(build_graph), one stage backup (behind solve_on_graph) and one continuation
 assembly (add_continuation); each form supplies only its information state,
-dedup key, belief-form image, visibility rule and successor.
+dedup key, belief-form image, visibility rule and successor.  value_at runs
+on the same core: a solve on the belief graph rooted at the probed belief.
 
 The joint state at time t is S_t = (X_{t-1}, private windows of all
 controllers); the coordinator's belief over it, conditioned on shared data
@@ -16,6 +17,7 @@ prescription profiles at every reachable belief.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -99,45 +101,26 @@ def initial_belief(spec: ProblemSpec) -> PiBelief:
     return PiBelief(1, p)
 
 
-def _update_mass(spec: ProblemSpec, t: int, p: np.ndarray,
-                 profile: GammaProfile, z_rank: int,
-                 candidates: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unnormalized next-belief mass and total branch probability.
-
-    Gathers, over candidate support states, the precomputed one-step triples
-    under each state's assigned action, keeps those emitting the requested
-    symbol, and scatter-adds into the next state space.  Candidates merely
-    prune the scan; the emitted-symbol filter is what selects the branch.
-    """
-    st = tables(spec).stage[t]
-    nxt = tables(spec).stage[t + 1]
-    starts, lens, dst, zr, w = st.step_arrays(spec)
-    m = np.zeros(nxt.state_count)
-    cand = np.asarray(candidates, dtype=np.int64)
-    if cand.size == 0:
-        return m, 0.0
-    mass = p[cand]
-    live = mass > 0.0
-    cand, mass = cand[live], mass[live]
-    if cand.size == 0:
-        return m, 0.0
-    a_vec = np.zeros(cand.size, dtype=np.int64)
+def _joint_actions(spec: ProblemSpec, st, profile: GammaProfile) -> np.ndarray:
+    """The joint action rank every joint state of stage table st takes under
+    a profile."""
+    a_vec = np.zeros(st.state_count, dtype=np.int64)
     for k in range(spec.K):
         table = np.asarray(profile.gammas[k].table, dtype=np.int64)
-        a_vec = a_vec * spec.u_size[k] + table[st.lam_of_s[k][cand]]
-    s_start = starts[cand, a_vec]
-    s_len = lens[cand, a_vec]
-    total = int(s_len.sum())
-    if total == 0:
-        return m, 0.0
-    flat = np.repeat(s_start, s_len) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(s_len) - s_len, s_len))
-    keep = zr[flat] == z_rank
-    flat = flat[keep]
-    weights = w[flat] * np.repeat(mass, s_len)[keep]
-    np.add.at(m, dst[flat], weights)
-    return m, float(weights.sum())
+        a_vec = a_vec * spec.u_size[k] + table[st.lam_of_s[k]]
+    return a_vec
+
+
+def _profile_masses(spec: ProblemSpec, t: int, p: np.ndarray,
+                    profile: GammaProfile, z_rank: int,
+                    cand: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unnormalized next-belief mass and branch probability of one profile
+    from the positive-mass candidate states: one row of _branch_masses."""
+    st = tables(spec).stage[t]
+    actions = _joint_actions(spec, st, profile)[cand][None, :]
+    m, (pz,) = _branch_masses(st.step_arrays(spec), cand, p[cand], actions,
+                              z_rank, tables(spec).stage[t + 1].state_count)
+    return m[0], pz
 
 
 def joint_step_kernel(spec: ProblemSpec, t: int, s: JointState,
@@ -154,7 +137,7 @@ def joint_step_kernel(spec: ProblemSpec, t: int, s: JointState,
     out: dict[tuple[int, int], float] = {}
     for z in common_obs_space(spec, t + 1):
         zr = common_obs_rank(spec, z)
-        m, pz = _update_mass(spec, t, p, profile, zr, np.array([rank]))
+        m, pz = _profile_masses(spec, t, p, profile, zr, np.array([rank]))
         if pz > 0.0:
             for s2 in np.nonzero(m > 0.0)[0]:
                 out[(int(s2), zr)] = float(m[s2])
@@ -172,7 +155,7 @@ def belief_update(spec: ProblemSpec, pi: PiBelief, profile: GammaProfile,
         raise DomainError(f"no update past the horizon (t={t}, T={spec.T})")
     zr = common_obs_rank(spec, z)
     cand = np.nonzero(pi.p > 0.0)[0]
-    m, pz = _update_mass(spec, t, pi.p, profile, zr, cand)
+    m, pz = _profile_masses(spec, t, pi.p, profile, zr, cand)
     if pz <= 0.0:
         raise UnreachableObservationError(
             f"shared symbol rank {zr} has probability zero at t={t}")
@@ -185,11 +168,7 @@ def expected_stage_cost(spec: ProblemSpec, pi: PiBelief,
     belief, with the post-transition state already summed out."""
     spec = normalize_problem(spec)
     st = tables(spec).stage[pi.t]
-    a_vec = np.zeros(st.state_count, dtype=np.int64)
-    for k in range(spec.K):
-        table = np.asarray(profile.gammas[k].table, dtype=np.int64)
-        a_vec = a_vec * spec.u_size[k] + table[st.lam_of_s[k]]
-    return float(np.dot(pi.p, st.q[st.x_of_s, a_vec]))
+    return float(np.dot(pi.p, st.q[st.x_of_s, _joint_actions(spec, st, profile)]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +258,13 @@ class InfoGraph:
 _GATHER_ENTRIES = 1 << 16
 
 
-def _key_digits(key: int, radix: int, width: int) -> tuple[int, ...]:
-    """The width base-radix digits of a branch key, first most significant."""
-    out = []
-    for _ in range(width):
-        key, d = divmod(key, radix)
-        out.append(d)
-    return tuple(reversed(out))
+def _block_triples(s_start: np.ndarray, s_len: np.ndarray) -> np.ndarray:
+    """Flat positions in the step arrays of every triple of the given
+    (state, action) blocks, block after block."""
+    total = int(s_len.sum())
+    return np.repeat(s_start, s_len) + (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(np.cumsum(s_len) - s_len, s_len))
 
 
 def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
@@ -295,23 +274,20 @@ def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
     assignments: row i of `actions` is the joint action each candidate state
     takes under assignment i.
 
-    Row by row this is _update_mass: the same triples, filtered on the same
-    symbol, multiplied and scattered in the same element order, and each
-    row's probability is .sum() over that row's own contiguous slice of
-    weights.  Results are therefore bit-identical to one _update_mass call
-    per assignment.
+    Row by row this is the single-profile update (update_mass in
+    tests/helpers.py, the reference it is tested against): the same triples,
+    filtered on the same symbol, multiplied and scattered in the same element
+    order, and each row's probability is .sum() over that row's own
+    contiguous slice of weights.  Results are therefore bit-identical to one
+    single-profile update per assignment, and a one-row call is that update.
     """
     starts, lens, dst, zr, w = steps
     rows = actions.shape[0]
     m = np.zeros((rows, next_count))
-    s_start = starts[cand, actions].reshape(-1)
     s_len = lens[cand, actions].reshape(-1)
-    total = int(s_len.sum())
-    if total == 0:
+    flat = _block_triples(starts[cand, actions].reshape(-1), s_len)
+    if flat.size == 0:
         return m, [0.0] * rows
-    flat = np.repeat(s_start, s_len) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(s_len) - s_len, s_len))
     keep = zr[flat] == z_rank
     flat = flat[keep]
     weights = w[flat] * np.repeat(np.tile(mass, rows), s_len)[keep]
@@ -343,8 +319,9 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
     Invariant: each branch probability is .sum() over that assignment's own
     contiguous slice of weights, in the element order of a single-profile
     update, so branch probabilities and child beliefs are bit-identical to
-    one _update_mass call per assignment with the zero-filled profile.  A
-    sequential reduction (np.bincount, np.add.reduceat) would break this.
+    one single-profile update per assignment with the zero-filled profile
+    (update_mass in tests/helpers.py).  A sequential reduction (np.bincount,
+    np.add.reduceat) would break this.
 
     Zero-probability branches are pruned (their value is irrelevant to the
     objective).  child_fn is called in itertools.product order of the
@@ -382,6 +359,12 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
             place = np.full(st.L[k], u ** v, dtype=np.int64)
             place[list(visible[k])] = u ** np.arange(v - 1, -1, -1, dtype=np.int64)
             places.append(place[st.lam_of_s[k][cand]])
+        # Row r of controller k's table holds the digits of assignment r as
+        # Python ints, first most significant; an empty visible set gives ().
+        # Each table has u**V rows, which the budget above bounds.
+        digit_tables = [list(itertools.product(range(spec.u_size[k]),
+                                               repeat=len(visible[k])))
+                        for k in range(spec.K)]
         mass = p[cand]
         row_cost = max(next_count, cand.size * int(lens[cand].max()), 1)
         chunk = max(1, _GATHER_ENTRIES // row_cost)
@@ -394,13 +377,12 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
                 u = spec.u_size[k]
                 actions = actions * u + keys[k][:, None] // places[k] % u
             m, pzs = _branch_masses(steps, cand, mass, actions, zr, next_count)
+            key_rows = list(zip(*(keys[k].tolist() for k in range(spec.K))))
             for i, pz in enumerate(pzs):
                 if pz <= 0.0:
                     continue
-                key = tuple(int(keys[k][i]) for k in range(spec.K))
-                digits = tuple(
-                    _key_digits(key[k], spec.u_size[k], len(visible[k]))
-                    for k in range(spec.K))
+                key = key_rows[i]
+                digits = tuple(digit_tables[k][key[k]] for k in range(spec.K))
                 entries[key] = (pz, child_fn(z, zr, digits, m[i], pz))
         if entries:
             out[zr] = ZTable(zr, visible, entries)
@@ -485,19 +467,27 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
     return graph
 
 
-def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
-                    max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS) -> InfoGraph:
-    """Belief-form graph: nodes are beliefs, deduplicated on the
-    quantization grid."""
-    spec = normalize_problem(spec)
+def _belief_graph(spec: ProblemSpec, root: PiBelief, key_bytes, *,
+                  max_nodes: int, max_joint: int) -> InfoGraph:
+    """Belief-form graph from root: nodes are beliefs, deduplicated per
+    stage on key_bytes(p)."""
     return build_graph(
-        spec, "belief", initial_belief(spec),
-        key_of=lambda pi: (pi.t, quantize_key(pi.p)),
+        spec, "belief", root,
+        key_of=lambda pi: (pi.t, key_bytes(pi.p)),
         pi_of=lambda pi: pi,
         visible_rule=lambda node: support_visibility(node.support),
         child_rule=lambda node: (lambda z, visible, digits, m, pz:
                                  PiBelief(node.t + 1, m / pz)),
         max_nodes=max_nodes, max_joint=max_joint)
+
+
+def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
+                    max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS) -> InfoGraph:
+    """Belief-form graph of the initial belief, deduplicated on the
+    quantization grid."""
+    spec = normalize_problem(spec)
+    return _belief_graph(spec, initial_belief(spec), quantize_key,
+                         max_nodes=max_nodes, max_joint=max_joint)
 
 
 # ---------------------------------------------------------------------------
@@ -555,28 +545,31 @@ def _backup_node(spec: ProblemSpec, t: int, p: np.ndarray,
     return value, minimize.completion_rank(spec, bs, flat_idx)
 
 
+def _backup_stage(graph: InfoGraph, t: int, j_next, max_joint: int
+                  ) -> tuple[dict[int, float], dict[int, int]]:
+    """Values and minimizing profile ranks of every stage-t node, each backed
+    up on its belief-form image over its relevant realizations, reading the
+    next stage's values from j_next (stage-T nodes have no branches)."""
+    values: dict[int, float] = {}
+    ranks: dict[int, int] = {}
+    for node in graph.stages[t]:
+        values[node.node_id], ranks[node.node_id] = _backup_node(
+            graph.spec, t, node.pi.p, node.relevant,
+            graph.expansions.get(node.node_id), j_next, max_joint)
+    return values, ranks
+
+
 def solve_on_graph(graph: InfoGraph, *,
                    max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS
                    ) -> tuple[ValueTable, CoordinatorPolicy]:
-    """Backward sweep over a built graph of either form: each node is backed
-    up on its belief-form image, minimizing over behaviors on its relevant
-    realizations.  Backups within one stage read only the next stage's
-    values and write each their own slot, so a sweep could run nodes
-    concurrently; this implementation keeps the deterministic sequential
-    order."""
-    spec = graph.spec
+    """Backward sweep over a built graph of either form, stage T first.
+    Backups within one stage read only the next stage's values and write
+    each their own slot, so a sweep could run nodes concurrently; this
+    implementation keeps the deterministic sequential order."""
     J: dict[int, dict[int, float]] = {}
     arg: dict[int, dict[int, int]] = {}
-    for t in range(spec.T, 0, -1):
-        J[t] = {}
-        arg[t] = {}
-        j_next = J.get(t + 1)
-        for node in graph.stages[t]:
-            expansion = graph.expansions.get(node.node_id) if t < spec.T else None
-            value, rank = _backup_node(spec, t, node.pi.p, node.relevant,
-                                       expansion, j_next, max_joint)
-            J[t][node.node_id] = value
-            arg[t][node.node_id] = rank
+    for t in range(graph.spec.T, 0, -1):
+        J[t], arg[t] = _backup_stage(graph, t, J.get(t + 1), max_joint)
     table = ValueTable(J, arg)
     policy = CoordinatorPolicy(graph.kind, arg, graph)
     return table, policy
@@ -714,53 +707,43 @@ def _last_stage_values(spec: ProblemSpec, P: np.ndarray,
         sub += "," + beh_l[k] + lam_l[k] + act_l[k]
     out = "z" + beh_l + lam_l[spec.K - 1] + act_l[spec.K - 1]
     cur = minimize.einsum(sub + "->" + out, *operands)
-    cur = cur.min(axis=-1).sum(axis=-1)
-    return cur.reshape(len(P), -1).min(axis=1)
+    # Minimize over the last controller's action by an elementwise fold over
+    # its slices.  The einsum output is stored behaviors-major, so that axis
+    # is strided, and numpy's reduction along it is ~30x slower than the
+    # fold; a minimum is exact, so both give the same bits.
+    low = cur[..., 0]
+    for a in range(1, cur.shape[-1]):
+        low = np.minimum(low, cur[..., a])
+    return low.sum(axis=-1).reshape(len(P), -1).min(axis=1)
 
 
 def value_at(spec: ProblemSpec, t: int, pi: PiBelief, *,
-             max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS,
-             _memo: dict | None = None) -> float:
-    """The dynamic-program value at an arbitrary belief, by direct recursion:
-    minimum over profiles of stage cost plus expected continuation, memoized
-    on exact belief bytes.  Exponential in the remaining horizon; meant for
-    desk-scale probing, not solving."""
+             max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS) -> float:
+    """The dynamic-program value at an arbitrary stage-t belief: the root
+    value of a solve on the belief-form graph rooted at pi, deduplicated on
+    exact belief bytes so no two distinct beliefs merge.  Every stage-T leaf
+    is valued in one batched terminal minimization, then stages T-1..t are
+    backed up as in solve_on_graph.  The graph has the default node budget
+    (BudgetError beyond it); meant for desk-scale probing, not solving."""
     spec = normalize_problem(spec)
     if not 1 <= t <= spec.T:
         raise DomainError(f"t={t} outside horizon [1, {spec.T}]")
-    memo = {} if _memo is None else _memo
-
-    def _value(t: int, p: np.ndarray) -> float:
-        key = (t, p.tobytes())
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if t == spec.T:
-            val = float(_last_stage_values(spec, p[None, :], max_joint)[0])
-            memo[key] = val
-            return val
-        support = support_sets(spec, t, p)
-        children: list[np.ndarray] = []
-
-        def child_fn(z, zr, digits, m, pz):
-            children.append(m / pz)
-            return len(children) - 1
-
-        expansion = expand_stage(spec, t, p, support_visibility(support),
-                                 child_fn, max_joint)
-        if t + 1 == spec.T and children:
-            vals = _last_stage_values(spec, np.stack(children), max_joint)
-            for row, v in zip(children, vals):
-                memo.setdefault((spec.T, row.tobytes()), float(v))
-            child_values = [float(v) for v in vals]
-        else:
-            child_values = [_value(t + 1, row) for row in children]
-        val, _ = _backup_node(spec, t, p, support, expansion, child_values,
+    if pi.t != t:
+        raise DomainError(f"belief of stage {pi.t} evaluated at t={t}")
+    if len(pi.p) != state_count(spec, t):
+        raise DomainError(f"belief of length {len(pi.p)} at t={t}, expected "
+                          f"{state_count(spec, t)}")
+    if not (pi.p > 0.0).any():
+        raise DomainError(f"belief at t={t} has no positive mass")
+    graph = _belief_graph(spec, pi, np.ndarray.tobytes,
+                          max_nodes=DEFAULT_MAX_NODES, max_joint=max_joint)
+    leaves = graph.stages[spec.T]
+    vals = _last_stage_values(spec, np.stack([node.pi.p for node in leaves]),
                               max_joint)
-        memo[key] = val
-        return val
-
-    return _value(t, pi.p)
+    j = {node.node_id: float(v) for node, v in zip(leaves, vals)}
+    for stage in range(spec.T - 1, t - 1, -1):
+        j, _ = _backup_stage(graph, stage, j, max_joint)
+    return j[0]
 
 
 # ---------------------------------------------------------------------------
@@ -799,14 +782,31 @@ def _stage_alpha_vectors(spec: ProblemSpec, t: int) -> np.ndarray:
     """One terminal-style piece per profile: the expected stage cost of every
     joint state under that profile."""
     st = tables(spec).stage[t]
-    rows = []
-    for profile in histories.gamma_profiles(spec, t):
-        a_vec = np.zeros(st.state_count, dtype=np.int64)
-        for k in range(spec.K):
-            table = np.asarray(profile.gammas[k].table, dtype=np.int64)
-            a_vec = a_vec * spec.u_size[k] + table[st.lam_of_s[k]]
-        rows.append(st.q[st.x_of_s, a_vec])
-    return np.array(rows)
+    return np.array([st.q[st.x_of_s, _joint_actions(spec, st, profile)]
+                     for profile in histories.gamma_profiles(spec, t)])
+
+
+def _symbol_maps(spec: ProblemSpec, t: int,
+                 profile: GammaProfile) -> dict[int, np.ndarray]:
+    """Dense one-step map per shared symbol under a profile: entry (s, s2)
+    is the probability of stepping from joint state s to s2 while emitting
+    the symbol.  Row s adds s's step triples in triple order, as the
+    single-profile update from a point mass on s does (1.0 * w is exact)."""
+    st = tables(spec).stage[t]
+    starts, lens, dst, zr, w = st.step_arrays(spec)
+    states = np.arange(st.state_count)
+    actions = _joint_actions(spec, st, profile)
+    s_len = lens[states, actions]
+    flat = _block_triples(starts[states, actions], s_len)
+    src = np.repeat(states, s_len)
+    out: dict[int, np.ndarray] = {}
+    for z in common_obs_space(spec, t + 1):
+        r = common_obs_rank(spec, z)
+        keep = zr[flat] == r
+        M = np.zeros((st.state_count, state_count(spec, t + 1)))
+        np.add.at(M, (src[keep], dst[flat[keep]]), w[flat[keep]])
+        out[r] = M
+    return out
 
 
 def alpha_backup(spec: ProblemSpec, *, prune: bool = True,
@@ -836,21 +836,8 @@ def alpha_backup(spec: ProblemSpec, *, prune: bool = True,
         stage_rows = _stage_alpha_vectors(spec, t)
         new_rows: list[np.ndarray] = []
         for g_idx, profile in enumerate(histories.gamma_profiles(spec, t)):
-            # Dense one-step maps per shared symbol under this profile.
-            per_z: dict[int, np.ndarray] = {}
-            for z in common_obs_space(spec, t + 1):
-                zr = common_obs_rank(spec, z)
-                M = np.zeros((st.state_count, state_count(spec, t + 1)))
-                for s in range(st.state_count):
-                    e = np.zeros(st.state_count)
-                    e[s] = 1.0
-                    m, pz = _update_mass(spec, t, e, profile, zr,
-                                         np.array([s]))
-                    if pz > 0.0:
-                        M[s] = m
-                per_z[zr] = M
             S = stage_rows[g_idx][None, :]
-            for zr, M in per_z.items():
+            for M in _symbol_maps(spec, t, profile).values():
                 G = sets[t + 1] @ M.T
                 if prune:
                     G = _prune_pointwise(G)

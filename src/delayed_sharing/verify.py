@@ -181,13 +181,12 @@ def verify_instance(spec: ProblemSpec, *, samples: int = 20,
     try:
         aset = alpha_backup(spec, max_vectors=alpha_budget)
         rng = np.random.default_rng([seed, 991])
-        memo: dict = {}
         worst = 0.0
         for t in range(1, spec.T + 1):
             for _ in range(samples):
                 p = rng.dirichlet(np.ones(state_count(spec, t)))
                 worst = max(worst, abs(
-                    aset.value(t, p) - value_at(spec, t, PiBelief(t, p), _memo=memo)))
+                    aset.value(t, p) - value_at(spec, t, PiBelief(t, p))))
         check("value.alpha_envelope", worst <= DP_TOL, f"max_err={_fmt(worst)}")
     except BudgetError as exc:
         lines.append(f"[ok] value.alpha_envelope: skipped ({exc})")

@@ -5,26 +5,66 @@ import itertools
 
 import numpy as np
 
-from delayed_sharing.coordinator import (PiBelief, belief_update,
-                                         expected_stage_cost)
-from delayed_sharing.errors import UnreachableObservationError
+from delayed_sharing._tables import tables
+from delayed_sharing.coordinator import PiBelief, expected_stage_cost
 from delayed_sharing.histories import (GammaProfile, PartialFunction,
-                                       common_obs_space, gamma_profiles,
-                                       private_count)
+                                       common_obs_rank, common_obs_space,
+                                       gamma_profiles, private_count)
+
+
+def update_mass(spec, t, p, profile, z_rank, candidates):
+    """Unnormalized next-belief mass and total branch probability of one
+    profile.
+
+    Gathers, over candidate support states, the precomputed one-step triples
+    under each state's assigned action, keeps those emitting the requested
+    symbol, and scatter-adds into the next state space.  Candidates merely
+    prune the scan; the emitted-symbol filter is what selects the branch.
+    """
+    st = tables(spec).stage[t]
+    nxt = tables(spec).stage[t + 1]
+    starts, lens, dst, zr, w = st.step_arrays(spec)
+    m = np.zeros(nxt.state_count)
+    cand = np.asarray(candidates, dtype=np.int64)
+    if cand.size == 0:
+        return m, 0.0
+    mass = p[cand]
+    live = mass > 0.0
+    cand, mass = cand[live], mass[live]
+    if cand.size == 0:
+        return m, 0.0
+    a_vec = np.zeros(cand.size, dtype=np.int64)
+    for k in range(spec.K):
+        table = np.asarray(profile.gammas[k].table, dtype=np.int64)
+        a_vec = a_vec * spec.u_size[k] + table[st.lam_of_s[k][cand]]
+    s_start = starts[cand, a_vec]
+    s_len = lens[cand, a_vec]
+    total = int(s_len.sum())
+    if total == 0:
+        return m, 0.0
+    flat = np.repeat(s_start, s_len) + (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(np.cumsum(s_len) - s_len, s_len))
+    keep = zr[flat] == z_rank
+    flat = flat[keep]
+    weights = w[flat] * np.repeat(mass, s_len)[keep]
+    np.add.at(m, dst[flat], weights)
+    return m, float(weights.sum())
 
 
 def naive_value(spec, t, pi):
-    """Direct recursion over every profile and shared symbol."""
+    """Direct recursion over every profile and shared symbol, stepping the
+    belief with update_mass."""
     best = np.inf
+    cand = np.nonzero(pi.p > 0.0)[0]
     for profile in gamma_profiles(spec, t):
         v = expected_stage_cost(spec, pi, profile)
         if t < spec.T:
             for z in common_obs_space(spec, t + 1):
-                try:
-                    pi2, pz = belief_update(spec, pi, profile, z)
-                except UnreachableObservationError:
-                    continue
-                v += pz * naive_value(spec, t + 1, pi2)
+                m, pz = update_mass(spec, t, pi.p, profile,
+                                    common_obs_rank(spec, z), cand)
+                if pz > 0.0:
+                    v += pz * naive_value(spec, t + 1, PiBelief(t + 1, m / pz))
         if v < best:
             best = v
     return best

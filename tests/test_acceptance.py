@@ -132,13 +132,12 @@ def test_criterion_7_pwlc(solved):
     for name in ("io", "i1"):
         spec = solved[name]["spec"]
         aset = alpha_backup(spec)
-        memo = {}
         for t in range(1, spec.T + 1):
             for _ in range(100):
                 p = rng.dirichlet(np.ones(state_count(spec, t)))
                 worst_alpha = max(worst_alpha, abs(
                     aset.value(t, p)
-                    - value_at(spec, t, PiBelief(t, p), _memo=memo)))
+                    - value_at(spec, t, PiBelief(t, p))))
     ok = all(s >= -1e-9 for s in slacks.values()) and worst_alpha <= 1e-9
     _report(7, "piecewise-linear concavity", ok,
             f"min slack={min(slacks.values()):.2e} alpha err={worst_alpha:.2e}")

@@ -160,19 +160,18 @@ def test_kurtaran_random_search_protocol():
 def test_concavity_edge_cases(i1_spec):
     spec = i1_spec
     rng = np.random.default_rng(2)
-    memo = {}
     for t in (1, 2):
         dim = state_count(spec, t)
         p1 = rng.dirichlet(np.ones(dim))
         p2 = rng.dirichlet(np.ones(dim))
-        v1 = value_at(spec, t, PiBelief(t, p1), _memo=memo)
-        v2 = value_at(spec, t, PiBelief(t, p2), _memo=memo)
+        v1 = value_at(spec, t, PiBelief(t, p1))
+        v2 = value_at(spec, t, PiBelief(t, p2))
         # lambda in {0, 1} and equal endpoints give exact equality
-        assert value_at(spec, t, PiBelief(t, p1.copy()), _memo=memo) == v1
-        mix_same = value_at(spec, t, PiBelief(t, 0.5 * p1 + 0.5 * p1), _memo=memo)
+        assert value_at(spec, t, PiBelief(t, p1.copy())) == v1
+        mix_same = value_at(spec, t, PiBelief(t, 0.5 * p1 + 0.5 * p1))
         assert mix_same == pytest.approx(v1, abs=1e-12)
         assert v2 == pytest.approx(
-            value_at(spec, t, PiBelief(t, 0.0 * p1 + 1.0 * p2), _memo=memo), abs=1e-12)
+            value_at(spec, t, PiBelief(t, 0.0 * p1 + 1.0 * p2)), abs=1e-12)
 
 
 def test_concavity_probe_reports(i1_spec):

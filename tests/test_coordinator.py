@@ -3,7 +3,7 @@ import pytest
 
 from helpers import naive_value, primitive_joint
 
-from delayed_sharing import evaluate
+from delayed_sharing import coordinator, evaluate
 from delayed_sharing.coordinator import (PiBelief, alpha_backup, belief_update,
                                          expected_stage_cost, extract_design,
                                          initial_belief, joint_step_kernel,
@@ -337,10 +337,9 @@ def test_value_at_reachable_nodes_matches_table(solved):
     for name in ("io", "i1", "i2"):
         entry = solved[name]
         spec, graph, vt = entry["spec"], entry["graph"], entry["vt"]
-        memo = {}
         for t, nodes in graph.stages.items():
             for node in nodes[:5]:
-                got = value_at(spec, t, node.pi, _memo=memo)
+                got = value_at(spec, t, node.pi)
                 assert got == pytest.approx(vt.J[t][node.node_id], abs=1e-9)
 
 
@@ -361,6 +360,22 @@ def test_value_at_matches_naive_on_random_beliefs(i1_spec):
             pi = PiBelief(t, p)
             assert value_at(i1_spec, t, pi) == pytest.approx(
                 naive_value(i1_spec, t, pi), abs=1e-12)
+
+
+def test_value_at_rejects_a_belief_of_another_stage_or_length(i1_spec):
+    p = np.full(state_count(i1_spec, 2), 1.0 / state_count(i1_spec, 2))
+    with pytest.raises(DomainError):
+        value_at(i1_spec, 1, PiBelief(2, p))
+    with pytest.raises(DomainError):
+        value_at(i1_spec, 2, PiBelief(2, p[:-1]))
+    with pytest.raises(DomainError):
+        value_at(i1_spec, 2, PiBelief(2, np.zeros_like(p)))
+
+
+def test_value_at_has_the_graph_node_budget(monkeypatch, i2_spec):
+    monkeypatch.setattr(coordinator, "DEFAULT_MAX_NODES", 3)
+    with pytest.raises(BudgetError):
+        value_at(i2_spec, 1, initial_belief(i2_spec))
 
 
 # -- linear pieces ------------------------------------------------------------
@@ -386,12 +401,11 @@ def test_alpha_zero_cost_gives_zero_vectors():
 def test_alpha_envelope_matches_value(i1_spec):
     aset = alpha_backup(i1_spec)
     rng = np.random.default_rng(3)
-    memo = {}
     for t in (1, 2):
         for _ in range(25):
             p = rng.dirichlet(np.ones(state_count(i1_spec, t)))
             assert aset.value(t, p) == pytest.approx(
-                value_at(i1_spec, t, PiBelief(t, p), _memo=memo), abs=1e-9)
+                value_at(i1_spec, t, PiBelief(t, p)), abs=1e-9)
 
 
 def test_alpha_budget_error(i2_spec):

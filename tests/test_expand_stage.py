@@ -1,7 +1,9 @@
-"""The batched branch expansion against a per-assignment reference, and the
-cached einsum path against np.einsum(..., optimize=True).  Both must agree
-bit for bit: the batching and the path cache change how the work is
-scheduled, never the arithmetic."""
+"""The batched branch expansion and the single-profile routes (belief
+update, joint step kernel, the dense symbol maps of alpha_backup) against a
+per-profile reference, the cached einsum path against
+np.einsum(..., optimize=True), and the terminal minimization fold against a
+reduction along the action axis.  All must agree bit for bit: batching, path
+caches and folds change how the work is scheduled, never the arithmetic."""
 
 import dataclasses
 import itertools
@@ -10,13 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delayed_sharing import coordinator, minimize
+from delayed_sharing import coordinator, instances, minimize
 from delayed_sharing._tables import support_sets, tables
-from delayed_sharing.coordinator import _update_mass, expand_stage
+from delayed_sharing.coordinator import (PiBelief, belief_update, expand_stage,
+                                         joint_step_kernel, state_unrank)
+from delayed_sharing.errors import UnreachableObservationError
 from delayed_sharing.generate import random_instance
-from delayed_sharing.histories import common_obs_rank, common_obs_space
+from delayed_sharing.histories import (GammaProfile, PartialFunction,
+                                       common_obs_rank, common_obs_space)
 from delayed_sharing.model import normalize_problem
-from helpers import embedded_profile
+from helpers import embedded_profile, update_mass
 
 
 def _consistent(spec, t, z):
@@ -33,7 +38,7 @@ def _consistent(spec, t, z):
 
 
 def _reference_expand(spec, t, p, visible_for):
-    """One _update_mass call per assignment on the visible sets, with the
+    """One update_mass call per assignment on the visible sets, with the
     zero-filled representative profile: the loop expand_stage batches."""
     stt = tables(spec).stage[t]
     out = {}
@@ -56,7 +61,7 @@ def _reference_expand(spec, t, p, visible_for):
                 for k in range(spec.K)]
         for digits in itertools.product(*axes):
             rep = embedded_profile(spec, t, visible, digits)
-            m, pz = _update_mass(spec, t, p, rep, zr, cand)
+            m, pz = update_mass(spec, t, p, rep, zr, cand)
             if pz <= 0.0:
                 continue
             key = []
@@ -219,3 +224,86 @@ def test_behavior_space_shares_read_only_digit_tables(K):
     uncached = dataclasses.replace(bs, onehots=tuple(fresh_onehots))
     assert (minimize.stage_totals(spec, t, p, bs).tobytes()
             == minimize.stage_totals(spec, t, p, uncached).tobytes())
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]),
+       n=st.sampled_from([1, 2]), deterministic=st.booleans(),
+       sparsity=st.sampled_from([0.0, 0.5, 0.9]))
+def test_single_profile_routes_match_reference(seed, K, n, deterministic, sparsity):
+    """belief_update, joint_step_kernel and the dense per-symbol maps of
+    alpha_backup against update_mass, with ==.  A third controller observes
+    a single symbol, which keeps the per-state reference maps small."""
+    spec = normalize_problem(random_instance(
+        K, n + 1, n, 2, (2, 2, 1)[:K], (2,) * K, seed=seed,
+        deterministic=deterministic))
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(1, spec.T))
+    stt = tables(spec).stage[t]
+    count = stt.state_count
+    profile = GammaProfile(t, tuple(
+        PartialFunction(k, t, tuple(int(a) for a in
+                                    rng.integers(0, spec.u_size[k], stt.L[k])))
+        for k in range(spec.K)))
+    p = _belief(spec, t, rng, sparsity)
+    cand = np.nonzero(p > 0.0)[0]
+    symbols = [common_obs_rank(spec, z) for z in common_obs_space(spec, t + 1)]
+    maps = coordinator._symbol_maps(spec, t, profile)
+    assert list(maps) == symbols
+    for z, zr in zip(common_obs_space(spec, t + 1), symbols):
+        m, pz = update_mass(spec, t, p, profile, zr, cand)
+        if pz > 0.0:
+            got, got_pz = belief_update(spec, PiBelief(t, p), profile, z)
+            assert got_pz == pz
+            assert got.p.tobytes() == (m / pz).tobytes()
+        else:
+            with pytest.raises(UnreachableObservationError):
+                belief_update(spec, PiBelief(t, p), profile, z)
+        want = np.zeros((count, tables(spec).stage[t + 1].state_count))
+        for s in range(count):
+            e = np.zeros(count)
+            e[s] = 1.0
+            row, row_pz = update_mass(spec, t, e, profile, zr, np.array([s]))
+            if row_pz > 0.0:
+                want[s] = row
+        assert maps[zr].tobytes() == want.tobytes()
+    for s in rng.choice(count, size=min(count, 8), replace=False):
+        e = np.zeros(count)
+        e[s] = 1.0
+        want = {}
+        for zr in symbols:
+            row, row_pz = update_mass(spec, t, e, profile, zr, np.array([s]))
+            if row_pz > 0.0:
+                for s2 in np.nonzero(row > 0.0)[0]:
+                    want[(int(s2), zr)] = float(row[s2])
+        assert joint_step_kernel(spec, t, state_unrank(spec, t, int(s)),
+                                 profile) == want
+
+
+def _terminal_spec(name):
+    if name == "k3":       # three controllers, the last with three actions
+        return normalize_problem(random_instance(3, 2, 1, 2, (2, 2, 2), (2, 2, 3),
+                                                 seed=4))
+    return normalize_problem(instances.load(name))
+
+
+@pytest.mark.parametrize("name", ["i2", "ia", "k3"])
+def test_terminal_fold_matches_axis_min(monkeypatch, name):
+    """_last_stage_values folds np.minimum over the last action axis; the
+    result must be the bytes of .min(axis=-1) on the same einsum output."""
+    spec = _terminal_spec(name)
+    rng = np.random.default_rng(9)
+    P = np.stack([_belief(spec, spec.T, rng, sparsity)
+                  for sparsity in (0.0, 0.0, 0.5, 0.5, 0.9, 0.9)])
+    outputs = []
+    real = minimize.einsum
+
+    def spy(*args):
+        outputs.append(real(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(minimize, "einsum", spy)
+    got = coordinator._last_stage_values(spec, P, minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
+    (cur,) = outputs
+    want = cur.min(axis=-1).sum(axis=-1).reshape(len(P), -1).min(axis=1)
+    assert got.tobytes() == want.tobytes()
