@@ -674,6 +674,12 @@ def extract_design(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDes
 # Value function on the whole simplex
 # ---------------------------------------------------------------------------
 
+# Most einsum output entries _last_stage_values holds at a time; larger
+# batches are minimized in row blocks, so its temporaries stay under a
+# megabyte however many beliefs one call values.
+_TERMINAL_ENTRIES = 1 << 16
+
+
 def _last_stage_values(spec: ProblemSpec, P: np.ndarray,
                        max_joint: int) -> np.ndarray:
     """Terminal values of a batch of beliefs (rows of P).
@@ -682,14 +688,15 @@ def _last_stage_values(spec: ProblemSpec, P: np.ndarray,
     first K-1 controllers are enumerated, the last controller's prescription
     is then optimized entry by entry, which is exact because for fixed other
     prescriptions the objective is additive over its private realizations.
+    Rows are independent, so the row blocks give the bits of one call.
     """
     T = spec.T
     st = tables(spec).stage[T]
     full = tuple(tuple(range(st.L[k])) for k in range(spec.K))
-    lead = 1
+    row_entries = st.L[spec.K - 1] * spec.u_size[spec.K - 1]
     for k in range(spec.K - 1):
-        lead *= spec.u_size[k] ** st.L[k]
-    if lead * st.L[spec.K - 1] * spec.u_size[spec.K - 1] * len(P) > max_joint * 64:
+        row_entries *= spec.u_size[k] ** st.L[k]
+    if row_entries * len(P) > max_joint * 64:
         raise BudgetError(f"terminal minimization batch too large at T={T}")
     bs = minimize.behavior_space(spec, T, full[: spec.K - 1] + ((),), max_joint)
     cube = P.reshape((len(P), *st.shape))
@@ -701,20 +708,22 @@ def _last_stage_values(spec: ProblemSpec, P: np.ndarray,
     act_l = letters[spec.K: 2 * spec.K]
     beh_l = letters[2 * spec.K: 3 * spec.K - 1]
     sub = "z" + lam_l + act_l
-    operands = [ct]
     for k in range(spec.K - 1):
-        operands.append(bs.onehots[k])
         sub += "," + beh_l[k] + lam_l[k] + act_l[k]
-    out = "z" + beh_l + lam_l[spec.K - 1] + act_l[spec.K - 1]
-    cur = minimize.einsum(sub + "->" + out, *operands)
-    # Minimize over the last controller's action by an elementwise fold over
-    # its slices.  The einsum output is stored behaviors-major, so that axis
-    # is strided, and numpy's reduction along it is ~30x slower than the
-    # fold; a minimum is exact, so both give the same bits.
-    low = cur[..., 0]
-    for a in range(1, cur.shape[-1]):
-        low = np.minimum(low, cur[..., a])
-    return low.sum(axis=-1).reshape(len(P), -1).min(axis=1)
+    sub += "->z" + beh_l + lam_l[spec.K - 1] + act_l[spec.K - 1]
+    rows = max(1, _TERMINAL_ENTRIES // row_entries)
+    values = np.empty(len(P))
+    for lo in range(0, len(P), rows):
+        cur = minimize.einsum(sub, ct[lo:lo + rows], *bs.onehots[: spec.K - 1])
+        # Minimize over the last controller's action by an elementwise fold
+        # over its slices.  The einsum output is stored behaviors-major, so
+        # that axis is strided, and numpy's reduction along it is ~30x slower
+        # than the fold; a minimum is exact, so both give the same bits.
+        low = cur[..., 0]
+        for a in range(1, cur.shape[-1]):
+            low = np.minimum(low, cur[..., a])
+        values[lo:lo + len(cur)] = low.sum(axis=-1).reshape(len(cur), -1).min(axis=1)
+    return values
 
 
 def value_at(spec: ProblemSpec, t: int, pi: PiBelief, *,

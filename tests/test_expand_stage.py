@@ -307,3 +307,19 @@ def test_terminal_fold_matches_axis_min(monkeypatch, name):
     (cur,) = outputs
     want = cur.min(axis=-1).sum(axis=-1).reshape(len(P), -1).min(axis=1)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["i2", "k3"])
+def test_terminal_row_blocks_match_one_block(monkeypatch, name):
+    """_last_stage_values minimizes a large batch in row blocks; every block
+    size gives the bytes of the whole batch in one einsum."""
+    spec = _terminal_spec(name)
+    rng = np.random.default_rng(11)
+    P = np.stack([_belief(spec, spec.T, rng, sparsity)
+                  for sparsity in (0.0, 0.5, 0.9) * 7])
+    monkeypatch.setattr(coordinator, "_TERMINAL_ENTRIES", 1 << 40)
+    whole = coordinator._last_stage_values(spec, P, minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
+    for entries in (1, 3 * 4096, 5 * 96):
+        monkeypatch.setattr(coordinator, "_TERMINAL_ENTRIES", entries)
+        got = coordinator._last_stage_values(spec, P, minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
+        assert got.tobytes() == whole.tobytes()
