@@ -210,6 +210,17 @@ def _cmd_probe_concavity(args) -> int:
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its streams from non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delayed-sharing",
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, design_flag=False, emit=False):
         p.add_argument("--problem", required=True, help="problem JSON file")
         p.add_argument("--out", default=None, help="write machine-readable output here")
-        p.add_argument("--seed", type=int, default=7, help="seed for randomized steps (default 7)")
+        p.add_argument("--seed", type=_seed, default=7, help="seed for randomized steps (default 7)")
         p.add_argument("--episodes", type=int, default=100_000,
                        help="Monte Carlo episodes (default 100000)")
         p.add_argument("--samples", type=int, default=20,

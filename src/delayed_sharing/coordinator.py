@@ -17,6 +17,7 @@ prescription profiles at every reachable belief.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -192,17 +193,28 @@ class InfoNode:
 
     pi is the node's belief-form image: the belief itself, or the h_map
     reconstruction of a (Theta, r) state, which is then kept in state (None
-    in the belief form).  relevant holds, per controller, the realizations
-    whose assigned actions the backup must distinguish: the support plus
-    every visible set of the node's branches.
+    in the belief form).  support holds, per controller, the realizations
+    with positive marginal mass under pi; it is computed on first read, so
+    the leaves of a graph that values them without a backup (value_at) never
+    pay for it.  relevant holds, per controller, the realizations whose
+    assigned actions the backup must distinguish: the support plus every
+    visible set of the node's branches, assigned when the node is expanded
+    (until then, the support).
     """
 
     node_id: int
     t: int
     pi: PiBelief
-    support: tuple[tuple[int, ...], ...]
-    relevant: tuple[tuple[int, ...], ...]
     state: Any
+    spec: ProblemSpec = field(repr=False)
+
+    @functools.cached_property
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        return support_sets(self.spec, self.t, self.pi.p)
+
+    @functools.cached_property
+    def relevant(self) -> tuple[tuple[int, ...], ...]:
+        return self.support
 
 
 @dataclass
@@ -433,9 +445,8 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
                 f"{_GRAPH_NAMES[kind]} graph exceeded {max_nodes} nodes "
                 f"(edges so far: {graph.edge_count})")
         pi = pi_of(state)
-        support = support_sets(spec, pi.t, pi.p)
-        node = InfoNode(node_id, pi.t, pi, support, support,
-                        None if kind == "belief" else state)
+        node = InfoNode(node_id, pi.t, pi,
+                        None if kind == "belief" else state, spec)
         graph.by_id.append(node)
         graph.stages[pi.t].append(node)
         graph.index[key] = node_id

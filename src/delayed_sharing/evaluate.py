@@ -4,7 +4,10 @@ Nothing here goes through beliefs or information states: trajectories over
 (initial state, observations, transitions) are enumerated directly with
 their kernel probabilities, actions are read off the strategy under test,
 and expectations or conditionals are exact sums.  This is the oracle the
-solvers are checked against.
+solvers are checked against.  The seeded Monte Carlo estimate (simulate)
+samples the same primitive randomness, one PCG64 stream per episode, and
+runs the episodes stage by stage as arrays over blocks; it too reads the
+strategy only through Design.act, never through solver tables.
 """
 
 from __future__ import annotations
@@ -64,11 +67,15 @@ ActionFn = Callable[[int, int, int, tuple[int, ...]], int]
 
 def _window_rank(spec: ProblemSpec, k: int, t: int, ys_k, us_k) -> int:
     """Rank of controller k's private window at time t, cut from its full
-    observation and action sequences so far."""
+    observation and action sequences so far: histories.private_rank's mixed
+    radix (observations major, then actions), without building the window."""
     lo = max(1, t - spec.n + 1)
-    info = histories.PrivateInfo(k, t, tuple(ys_k[lo - 1: t]),
-                                 tuple(us_k[lo - 1: t - 1]))
-    return histories.private_rank(spec, info)
+    r = 0
+    for y in ys_k[lo - 1: t]:
+        r = r * spec.y_size[k] + y
+    for u in us_k[lo - 1: t - 1]:
+        r = r * spec.u_size[k] + u
+    return r
 
 
 def iter_paths(spec: ProblemSpec, action_fn: ActionFn, *,
@@ -149,54 +156,102 @@ def exact_cost(spec: ProblemSpec, design: Design, *,
 def simulate(spec: ProblemSpec, design: Design, episodes: int, seed: int) -> SimResult:
     """Seeded Monte Carlo estimate of the expected cost.
 
-    Episode i draws from the PCG64 stream seeded with (seed, i), so results
-    are reproducible and independent of evaluation order.
+    Episode i draws its uniforms from the PCG64 stream seeded with (seed, i):
+    the initial state, then per stage each controller's observation and the
+    transition.  Results are therefore reproducible and independent of how
+    episodes are grouped: episodes run in blocks of at most _SIM_BLOCK, each
+    stage as array operations over the block, and the design is asked once
+    per distinct (controller, time, shared history, private rank) of a block
+    through its act method, so any Design works.
     """
     spec = normalize_problem(spec)
     if episodes < 1:
         raise DomainError("episodes must be >= 1")
-    x0_cdf = np.cumsum(spec.x0_dist)
-    trans_cdf = np.cumsum(spec.trans, axis=-1)
-    obs_cdf = [np.cumsum(spec.obs[k], axis=-1) for k in range(spec.K)]
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    cdfs = (np.cumsum(spec.x0_dist), np.cumsum(spec.trans, axis=-1),
+            [np.cumsum(spec.obs[k], axis=-1) for k in range(spec.K)])
     totals = np.zeros(episodes)
-
-    def draw(cdf, u):
-        # clip guards the 1-ulp shortfall of a renormalized row's last entry
-        return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
-
-    for i in range(episodes):
-        rng = np.random.default_rng([seed, i])
-        draws = iter(rng.random(1 + spec.T * (spec.K + 1)))
-        x = draw(x0_cdf, next(draws))
-        ys = [[] for _ in range(spec.K)]
-        us = [[] for _ in range(spec.K)]
-        zs: list[int] = []
-        total = 0.0
-        for t in range(1, spec.T + 1):
-            y_stage = []
-            for k in range(spec.K):
-                y = draw(obs_cdf[k][t - 1, x], next(draws))
-                ys[k].append(y)
-                y_stage.append(y)
-            delta = tuple(zs[: max(0, t - spec.n)])
-            u_stage = tuple(
-                design.act(k, t, _window_rank(spec, k, t, ys[k], us[k]), delta)
-                for k in range(spec.K)
-            )
-            for k in range(spec.K):
-                us[k].append(u_stage[k])
-            if t + spec.n <= spec.T:
-                zs.append(histories.symbol_rank(spec, y_stage, u_stage))
-            a = spec.encode_action(u_stage)
-            x = draw(trans_cdf[t - 1, x, a], next(draws))
-            total += float(spec.cost[t - 1][x, a])
-        totals[i] = total
+    for lo in range(0, episodes, _SIM_BLOCK):
+        hi = min(lo + _SIM_BLOCK, episodes)
+        totals[lo:hi] = _simulate_block(spec, design, seed, range(lo, hi), *cdfs)
     mean = float(totals.mean())
     if episodes > 1:
         std_error = float(totals.std(ddof=1) / math.sqrt(episodes))
     else:
         std_error = 0.0
     return SimResult(episodes, mean, std_error, seed)
+
+
+# Most episodes simulate holds at a time; its per-stage arrays are a few
+# rows of this length, so memory stays flat in the episode count.
+_SIM_BLOCK = 4096
+
+
+def _draw(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the count of cdf entries <= u: searchsorted(side="right") on
+    a nondecreasing row.  The clip guards the 1-ulp shortfall of a
+    renormalized row's last entry."""
+    return np.minimum((cdf_rows <= u[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)
+
+
+def _simulate_block(spec: ProblemSpec, design: Design, seed: int,
+                    block: range, x0_cdf: np.ndarray, trans_cdf: np.ndarray,
+                    obs_cdf: list[np.ndarray]) -> np.ndarray:
+    """Total cost of each episode of the block.  Stage costs are added in
+    stage order from 0.0, as a per-episode loop adds them."""
+    K, T, n = spec.K, spec.T, spec.n
+    size = len(block)
+    draws = np.empty((size, 1 + T * (K + 1)))
+    for row, i in enumerate(block):
+        np.random.default_rng([seed, i]).random(out=draws[row])
+    x = _draw(np.broadcast_to(x0_cdf, (size, len(x0_cdf))), draws[:, 0])
+    ys = np.zeros((K, size, T), dtype=np.int64)
+    us = np.zeros((K, size, T), dtype=np.int64)
+    zs = np.zeros((size, max(0, T - n)), dtype=np.int64)
+    radix = histories.common_obs_count(spec, n + 1) if T > n else 1
+    # Dense id per episode of its shared history among the block's: equal
+    # ids, equal histories.
+    delta_id = np.zeros(size, dtype=np.int64)
+    totals = np.zeros(size)
+    for t in range(1, T + 1):
+        col = 1 + (t - 1) * (K + 1)
+        for k in range(K):
+            ys[k, :, t - 1] = _draw(obs_cdf[k][t - 1, x], draws[:, col + k])
+        length = max(0, t - n)
+        if length:
+            delta_id = np.unique(delta_id * radix + zs[:, length - 1],
+                                 return_inverse=True)[1]
+        lo = max(1, t - n + 1)
+        a = np.zeros(size, dtype=np.int64)
+        for k in range(K):
+            lam = np.zeros(size, dtype=np.int64)
+            for m in range(lo, t + 1):
+                lam = lam * spec.y_size[k] + ys[k, :, m - 1]
+            for m in range(lo, t):
+                lam = lam * spec.u_size[k] + us[k, :, m - 1]
+            count = histories.private_count(spec, k, t)
+            _, first, inverse = np.unique(delta_id * count + lam,
+                                          return_index=True, return_inverse=True)
+            acted = np.array([
+                design.act(k, t, int(lam[e]), tuple(int(z) for z in zs[e, :length]))
+                for e in first.tolist()], dtype=np.int64)
+            bad = (acted < 0) | (acted >= spec.u_size[k])
+            if bad.any():
+                raise DomainError(f"action {acted[bad][0]} out of range "
+                                  f"for controller {k}")
+            us[k, :, t - 1] = acted[inverse]
+            a = a * spec.u_size[k] + us[k, :, t - 1]
+        if t + n <= T:
+            # symbol_rank: the observations' mixed radix, then the actions',
+            # which is the joint action index
+            z = np.zeros(size, dtype=np.int64)
+            for k in range(K):
+                z = z * spec.y_size[k] + ys[k, :, t - 1]
+            zs[:, t - 1] = z * spec.action_count + a
+        x = _draw(trans_cdf[t - 1, x, a], draws[:, col + K])
+        totals += spec.cost[t - 1][x, a]
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,20 @@
 grouping or vectorization, independent of the solver internals they check."""
 
 import itertools
+import math
 
 import numpy as np
 
 from delayed_sharing._tables import tables
 from delayed_sharing.coordinator import PiBelief, expected_stage_cost
+from delayed_sharing.errors import DomainError
+from delayed_sharing.evaluate import SimResult
 from delayed_sharing.histories import (GammaProfile, PartialFunction,
-                                       common_obs_rank, common_obs_space,
-                                       gamma_profiles, private_count)
+                                       PrivateInfo, common_obs_rank,
+                                       common_obs_space, gamma_profiles,
+                                       private_count, private_rank,
+                                       symbol_rank)
+from delayed_sharing.model import normalize_problem
 
 
 def update_mass(spec, t, p, profile, z_rank, candidates):
@@ -160,3 +166,60 @@ def h_map_reference(spec, state):
                 lam.append(_window_rank(spec, k, yh[k] + (int(ys[k]),), uh[k]))
             p[np.ravel_multi_index((x, *lam), shape)] += w2
     return PiBelief(t, p)
+
+
+def simulate_reference(spec, design, episodes, seed):
+    """Monte Carlo estimate by a plain loop over episodes, stages and
+    controllers: episode i draws from default_rng([seed, i]) in the order
+    x0, then per stage each controller's observation and the transition, and
+    each draw is one searchsorted on a cdf row."""
+    spec = normalize_problem(spec)
+    if episodes < 1:
+        raise DomainError("episodes must be >= 1")
+    x0_cdf = np.cumsum(spec.x0_dist)
+    trans_cdf = np.cumsum(spec.trans, axis=-1)
+    obs_cdf = [np.cumsum(spec.obs[k], axis=-1) for k in range(spec.K)]
+    totals = np.zeros(episodes)
+
+    def draw(cdf, u):
+        # clip guards the 1-ulp shortfall of a renormalized row's last entry
+        return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+
+    def window_rank(k, t, ys_k, us_k):
+        lo = max(1, t - spec.n + 1)
+        return private_rank(spec, PrivateInfo(k, t, tuple(ys_k[lo - 1: t]),
+                                              tuple(us_k[lo - 1: t - 1])))
+
+    for i in range(episodes):
+        rng = np.random.default_rng([seed, i])
+        draws = iter(rng.random(1 + spec.T * (spec.K + 1)))
+        x = draw(x0_cdf, next(draws))
+        ys = [[] for _ in range(spec.K)]
+        us = [[] for _ in range(spec.K)]
+        zs = []
+        total = 0.0
+        for t in range(1, spec.T + 1):
+            y_stage = []
+            for k in range(spec.K):
+                y = draw(obs_cdf[k][t - 1, x], next(draws))
+                ys[k].append(y)
+                y_stage.append(y)
+            delta = tuple(zs[: max(0, t - spec.n)])
+            u_stage = tuple(
+                design.act(k, t, window_rank(k, t, ys[k], us[k]), delta)
+                for k in range(spec.K)
+            )
+            for k in range(spec.K):
+                us[k].append(u_stage[k])
+            if t + spec.n <= spec.T:
+                zs.append(symbol_rank(spec, y_stage, u_stage))
+            a = spec.encode_action(u_stage)
+            x = draw(trans_cdf[t - 1, x, a], next(draws))
+            total += float(spec.cost[t - 1][x, a])
+        totals[i] = total
+    mean = float(totals.mean())
+    if episodes > 1:
+        std_error = float(totals.std(ddof=1) / math.sqrt(episodes))
+    else:
+        std_error = 0.0
+    return SimResult(episodes, mean, std_error, seed)

@@ -70,6 +70,14 @@ def test_simulate_deterministic_given_seed():
     assert a.stdout == b.stdout
 
 
+def test_negative_seed_is_an_input_error():
+    res = run_cli("simulate", "--problem", str(INSTANCES / "io.json"),
+                  "--seed", "-1")
+    assert res.returncode == 2
+    assert "seed must be an integer >= 0" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_oracle_on_io(tmp_path):
     out = tmp_path / "oracle.json"
     res = run_cli("oracle", "--problem", str(INSTANCES / "io.json"),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from delayed_sharing import evaluate
 from delayed_sharing.coordinator import expected_stage_cost, initial_belief
 from delayed_sharing.errors import BudgetError
 from delayed_sharing.generate import random_instance
-from delayed_sharing.histories import (ExtensionalDesign, constant_design,
-                                       gamma_profiles, random_design)
+from delayed_sharing.histories import (ExtensionalDesign, PrivateInfo,
+                                       constant_design, gamma_profiles,
+                                       private_rank, random_design)
 from delayed_sharing.model import ProblemSpec, normalize_problem
 
 
@@ -145,3 +148,20 @@ def test_materialize_design_round_trip(solved):
     assert all(np.array_equal(x, y)
                for px, py in zip(flat.tables, again.tables)
                for x, y in zip(px, py))
+
+
+# -- private-window ranks of the path sums ------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_window_rank_matches_private_rank(n):
+    """Every observation and action sequence through t <= 4, with y and u
+    radices that differ within and across controllers."""
+    spec = normalize_problem(random_instance(2, 4, n, 2, (2, 3), (3, 2), seed=n))
+    for k in range(spec.K):
+        for t in range(1, spec.T + 1):
+            lo = max(1, t - n + 1)
+            for ys in itertools.product(range(spec.y_size[k]), repeat=t):
+                for us in itertools.product(range(spec.u_size[k]), repeat=t - 1):
+                    info = PrivateInfo(k, t, ys[lo - 1:], us[lo - 1:])
+                    assert (evaluate._window_rank(spec, k, t, ys, us)
+                            == private_rank(spec, info))

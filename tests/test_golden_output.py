@@ -2,10 +2,12 @@
 
 golden_output.json holds the SHA-256 digest of the stdout, the --out
 solution and the --emit-design table of `solve` and `solve2`, and of the
-stdout and --out report of `probe-concavity --samples 5 --seed 7`, on every
-shipped instance.  The probe report carries every sampled minimum slack as a
-full-precision float, so it pins `value_at` to the last bit.  Speed work must
-leave all of them unchanged.  When a change is meant to alter this output,
+stdout and --out report of `probe-concavity --samples 5 --seed 7` and of
+`simulate --episodes 5000 --seed 7`, on every shipped instance.  The probe
+report carries every sampled minimum slack as a full-precision float, so it
+pins `value_at` to the last bit; the simulate report does the same for the
+Monte Carlo mean and standard error.  Speed work must leave all of them
+unchanged.  When a change is meant to alter this output,
 regenerate the digests with
 
     PYTHONPATH=src python tests/test_golden_output.py
@@ -29,7 +31,8 @@ INSTANCES = Path(__file__).resolve().parents[1] / "src" / "delayed_sharing" / "i
 GOLDEN = Path(__file__).with_name("golden_output.json")
 # Extra arguments per command.
 COMMANDS = {"solve": (), "solve2": (),
-            "probe-concavity": ("--samples", "5", "--seed", "7")}
+            "probe-concavity": ("--samples", "5", "--seed", "7"),
+            "simulate": ("--episodes", "5000", "--seed", "7")}
 EMITS_DESIGN = ("solve", "solve2")
 
 
