@@ -161,8 +161,9 @@ class StageTables:
 
 
 class SpecTables:
+    """Every stage's tables; holds no reference back to the spec."""
+
     def __init__(self, spec: ProblemSpec):
-        self.spec = spec
         self.stage = {t: StageTables(spec, t) for t in range(1, spec.T + 1)}
 
 

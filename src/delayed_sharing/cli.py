@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, evaluate, verify
 from .coordinator import (DEFAULT_MAX_NODES, extract_design, reachable_graph,
                           solve_dp, solve_on_graph)
@@ -81,10 +83,12 @@ def _solution(graph, vt) -> dict:
         edges = []
         for node in graph.stages[t]:
             for ztab in graph.expansions.get(node.node_id, {}).values():
-                for key, (pz, child) in sorted(ztab.entries.items()):
+                for rank, pz, child in zip(ztab.rank, ztab.pz, ztab.child):
                     edges.append({
                         "from": node.node_id, "z": ztab.z_rank,
-                        "assignment_key": list(key), "pz": pz, "to": child,
+                        "assignment_key": [int(i) for i in
+                                           np.unravel_index(rank, ztab.shape)],
+                        "pz": float(pz), "to": int(child),
                     })
         stages.append({"t": t, "nodes": nodes, "edges": edges})
     return {
@@ -221,57 +225,55 @@ def _seed(text: str) -> int:
     return value
 
 
+# Every option a subcommand may take besides --problem and --out.
+_OPTIONS = {
+    "--seed": dict(type=_seed, default=7, help="seed for randomized steps (default 7)"),
+    "--episodes": dict(type=int, default=100_000,
+                       help="Monte Carlo episodes (default 100000)"),
+    "--samples": dict(type=int, default=20, help="probe samples per stage (default 20)"),
+    "--max-nodes": dict(type=int, default=DEFAULT_MAX_NODES,
+                        help="reachable-graph node budget"),
+    "--max-designs": dict(type=int, default=evaluate.DEFAULT_ORACLE_BUDGET,
+                          help="brute-force design budget"),
+    "--max-paths": dict(type=int, default=evaluate.DEFAULT_MAX_PATHS,
+                        help="trajectory enumeration budget"),
+    "--design": dict(help="stored design JSON (default: solve and extract)"),
+    "--emit-design": dict(help="also write the extracted design as a table"),
+}
+
+# Per subcommand: handler, help and the options it reads.  Without --design,
+# evaluate, simulate and kurtaran solve first, within --max-nodes.
+_COMMANDS = {
+    "solve": (_cmd_solve, "belief-form dynamic program", ("--max-nodes", "--emit-design")),
+    "solve2": (_cmd_solve, "(Theta, r)-form dynamic program",
+               ("--max-nodes", "--emit-design")),
+    "evaluate": (_cmd_evaluate, "exact cost of a stored design",
+                 ("--design", "--max-nodes", "--max-paths")),
+    "simulate": (_cmd_simulate, "Monte Carlo estimate of a design",
+                 ("--design", "--max-nodes", "--episodes", "--seed")),
+    "oracle": (_cmd_oracle, "brute-force optimal design", ("--max-designs",)),
+    "verify": (_cmd_verify, "full invariant suite", ("--samples", "--episodes", "--seed")),
+    "kurtaran": (_cmd_kurtaran,
+                 "search for update-consistency violations of the two-step-back statistic",
+                 ("--design", "--max-nodes", "--seed")),
+    "probe-concavity": (_cmd_probe_concavity, "sampled concavity check",
+                        ("--samples", "--seed")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delayed-sharing",
         description="Exact solvers and probes for finite delayed-sharing "
                     "decentralized control problems.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, design_flag=False, emit=False):
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--problem", required=True, help="problem JSON file")
-        p.add_argument("--out", default=None, help="write machine-readable output here")
-        p.add_argument("--seed", type=_seed, default=7, help="seed for randomized steps (default 7)")
-        p.add_argument("--episodes", type=int, default=100_000,
-                       help="Monte Carlo episodes (default 100000)")
-        p.add_argument("--samples", type=int, default=20,
-                       help="probe samples per stage (default 20)")
-        p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
-                       help="reachable-graph node budget")
-        p.add_argument("--max-designs", type=int, default=evaluate.DEFAULT_ORACLE_BUDGET,
-                       help="brute-force design budget")
-        p.add_argument("--max-paths", type=int, default=evaluate.DEFAULT_MAX_PATHS,
-                       help="trajectory enumeration budget")
-        if design_flag:
-            p.add_argument("--design", default=None,
-                           help="stored design JSON (default: solve and extract)")
-        if emit:
-            p.add_argument("--emit-design", default=None,
-                           help="also write the extracted design as a table")
-
-    common(sub.add_parser("solve", help="belief-form dynamic program"), emit=True)
-    common(sub.add_parser("solve2", help="(Theta, r)-form dynamic program"), emit=True)
-    common(sub.add_parser("evaluate", help="exact cost of a stored design"), design_flag=True)
-    common(sub.add_parser("simulate", help="Monte Carlo estimate of a design"), design_flag=True)
-    common(sub.add_parser("oracle", help="brute-force optimal design"))
-    common(sub.add_parser("verify", help="full invariant suite"))
-    common(sub.add_parser("kurtaran", help="search for update-consistency "
-                                           "violations of the two-step-back statistic"),
-           design_flag=True)
-    common(sub.add_parser("probe-concavity", help="sampled concavity check"))
+        p.add_argument("--out", help="write machine-readable output here")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
-
-
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "solve2": _cmd_solve,
-    "evaluate": _cmd_evaluate,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
-    "verify": _cmd_verify,
-    "kurtaran": _cmd_kurtaran,
-    "probe-concavity": _cmd_probe_concavity,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -281,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

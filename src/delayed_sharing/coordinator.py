@@ -18,7 +18,6 @@ prescription profiles at every reachable belief.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -178,13 +177,22 @@ def expected_stage_cost(spec: ProblemSpec, pi: PiBelief,
 
 @dataclass
 class ZTable:
-    """Branches for one shared symbol out of one node: the private
-    realizations whose assigned actions identify the branch, and a table
-    mapping each per-controller assignment key to (pz, child)."""
+    """Branches for one shared symbol out of one node.
+
+    Controller k's assignment of actions to its visible realizations
+    visible[k] is ranked base u_k, first realization most significant, so it
+    has shape[k] = u_k ** len(visible[k]) ranks; a branch is keyed by the flat
+    rank of the per-controller ranks in shape, controller 0 most significant.
+    rank, pz and child list the positive-probability branches in ascending
+    rank, which is itertools.product order of the assignments.
+    """
 
     z_rank: int
     visible: tuple[tuple[int, ...], ...]
-    entries: dict[tuple[int, ...], tuple[float, int]]
+    shape: tuple[int, ...]
+    rank: np.ndarray          # int64
+    pz: np.ndarray            # float64
+    child: np.ndarray         # int64
 
 
 @dataclass
@@ -236,32 +244,27 @@ class InfoGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(zt.entries) for per in self.expansions.values()
+        return sum(zt.rank.size for per in self.expansions.values()
                    for zt in per.values())
 
-    def subkey(self, node_id: int, profile: GammaProfile, z_rank: int) -> tuple[int, ...]:
+    def child(self, node_id: int, profile: GammaProfile, z_rank: int) -> tuple[int, float]:
+        """(child id, branch probability) of the branch a profile selects
+        under a shared symbol."""
         ztab = self.expansions[node_id].get(z_rank)
         if ztab is None:
             raise OffDesignHistoryError(
                 f"symbol rank {z_rank} unreachable from node {node_id}")
-        key = []
+        r = 0
         for k in range(self.spec.K):
-            r = 0
+            table = profile.gammas[k].table
             for lam in ztab.visible[k]:
-                r = r * self.spec.u_size[k] + profile.gammas[k].table[lam]
-            key.append(r)
-        return tuple(key)
-
-    def child(self, node_id: int, profile: GammaProfile, z_rank: int) -> tuple[int, float]:
-        ztab = self.expansions[node_id].get(z_rank)
-        key = self.subkey(node_id, profile, z_rank)
-        hit = ztab.entries.get(key)
-        if hit is None:
+                r = r * self.spec.u_size[k] + table[lam]
+        i = int(np.searchsorted(ztab.rank, r))
+        if i == ztab.rank.size or ztab.rank[i] != r:
             raise OffDesignHistoryError(
                 f"profile/symbol pair off every positive-probability branch "
                 f"of node {node_id} (z rank {z_rank})")
-        pz, child = hit
-        return child, pz
+        return int(ztab.child[i]), float(ztab.pz[i])
 
 
 # Most entries one batched gather in expand_stage holds at a time (assignment
@@ -316,8 +319,10 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
     """Shared expansion of one information state over all shared symbols.
 
     visible_for(z, consistent) -> per-controller realization sets whose
-    assigned actions distinguish branches; child_fn(z, zr, digits, m, pz) ->
-    stored child payload.
+    assigned actions distinguish branches; child_fn(z, visible, key, m, pz)
+    -> child id of one branch, where key holds the per-controller assignment
+    ranks (ZTable's ranking), m the branch's unnormalized next-belief mass and
+    pz its probability.
 
     Per shared symbol, the live candidates are the positive-mass states
     consistent with it (a per-symbol mask cached on the stage tables).  All
@@ -336,9 +341,8 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
     np.add.reduceat) would break this.
 
     Zero-probability branches are pruned (their value is irrelevant to the
-    objective).  child_fn is called in itertools.product order of the
-    assignments, controller 0 most significant, so node ids and table
-    entries follow that order.
+    objective).  child_fn is called in ascending flat rank, so node ids and
+    table rows follow that order.
     """
     st = tables(spec).stage[t]
     next_count = tables(spec).stage[t + 1].state_count
@@ -357,8 +361,8 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
         if cand.size == 0:
             continue
         visible = visible_for(z, cons)
-        counts = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
-        combos = math.prod(counts)
+        shape = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
+        combos = math.prod(shape)
         if combos > max_joint:
             raise BudgetError(f"branch table at t={t} needs {combos} entries "
                               f"(budget {max_joint})")
@@ -371,33 +375,30 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
             place = np.full(st.L[k], u ** v, dtype=np.int64)
             place[list(visible[k])] = u ** np.arange(v - 1, -1, -1, dtype=np.int64)
             places.append(place[st.lam_of_s[k][cand]])
-        # Row r of controller k's table holds the digits of assignment r as
-        # Python ints, first most significant; an empty visible set gives ().
-        # Each table has u**V rows, which the budget above bounds.
-        digit_tables = [list(itertools.product(range(spec.u_size[k]),
-                                               repeat=len(visible[k])))
-                        for k in range(spec.K)]
         mass = p[cand]
         row_cost = max(next_count, cand.size * int(lens[cand].max()), 1)
         chunk = max(1, _GATHER_ENTRIES // row_cost)
-        entries: dict[tuple[int, ...], tuple[float, int]] = {}
+        ranks: list[int] = []
+        pzs: list[float] = []
+        children: list[int] = []
         for lo in range(0, combos, chunk):
-            keys = np.unravel_index(np.arange(lo, min(lo + chunk, combos)),
-                                    counts)
+            keys = np.unravel_index(np.arange(lo, min(lo + chunk, combos)), shape)
             actions = np.zeros((keys[0].size, cand.size), dtype=np.int64)
             for k in range(spec.K):
                 u = spec.u_size[k]
                 actions = actions * u + keys[k][:, None] // places[k] % u
-            m, pzs = _branch_masses(steps, cand, mass, actions, zr, next_count)
-            key_rows = list(zip(*(keys[k].tolist() for k in range(spec.K))))
-            for i, pz in enumerate(pzs):
-                if pz <= 0.0:
-                    continue
-                key = key_rows[i]
-                digits = tuple(digit_tables[k][key[k]] for k in range(spec.K))
-                entries[key] = (pz, child_fn(z, zr, digits, m[i], pz))
-        if entries:
-            out[zr] = ZTable(zr, visible, entries)
+            m, row_pz = _branch_masses(steps, cand, mass, actions, zr, next_count)
+            rows = [i for i, pz in enumerate(row_pz) if pz > 0.0]
+            if not rows:
+                continue
+            key_rows = zip(*(keys[k][rows].tolist() for k in range(spec.K)))
+            for i, key in zip(rows, key_rows):
+                ranks.append(lo + i)
+                pzs.append(row_pz[i])
+                children.append(child_fn(z, visible, key, m[i], row_pz[i]))
+        if ranks:
+            out[zr] = ZTable(zr, visible, shape, np.array(ranks, dtype=np.int64),
+                             np.array(pzs), np.array(children, dtype=np.int64))
     return out
 
 
@@ -426,11 +427,11 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
     key_of(state) is the dedup key and pi_of(state) the belief-form image
     (PiBelief) of an information state; visible_rule(node) is the node's
     visible_for for expand_stage, and child_rule(node) its successor rule:
-    child(z, visible, digits, m, pz) -> the state one branch leads to.  Both
-    rules are made once per node expansion, so a form can share work across
-    the node's branches inside them.  Branch tables are keyed by the
-    action assignment on the visible realizations, which covers every
-    profile choice exactly.
+    child(z, visible, key, m, pz) -> the state one branch leads to (the
+    arguments of expand_stage's child_fn).  Both rules are made once per node
+    expansion, so a form can share work across the node's branches inside
+    them.  Branch tables are keyed by the action assignment on the visible
+    realizations, which covers every profile choice exactly.
     """
     graph = InfoGraph(spec, kind, {t: [] for t in range(1, spec.T + 1)}, {}, [], {})
 
@@ -455,19 +456,10 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
     insert(root)
     for t in range(1, spec.T):
         for node in list(graph.stages[t]):
-            rule = visible_rule(node)
             child = child_rule(node)
-            visible: dict[CommonObs, tuple] = {}
-
-            def visible_for(z, cons, _rule=rule, _visible=visible):
-                _visible[z] = _rule(z, cons)
-                return _visible[z]
-
-            def child_fn(z, zr, digits, m, pz, _child=child, _visible=visible):
-                return insert(_child(z, _visible[z], digits, m, pz))
-
-            expansion = expand_stage(spec, t, node.pi.p, visible_for,
-                                     child_fn, max_joint)
+            expansion = expand_stage(spec, t, node.pi.p, visible_rule(node),
+                                     lambda *branch: insert(child(*branch)),
+                                     max_joint)
             graph.expansions[node.node_id] = expansion
             node.relevant = tuple(
                 tuple(sorted(set(node.support[k]).union(
@@ -487,7 +479,7 @@ def _belief_graph(spec: ProblemSpec, root: PiBelief, key_bytes, *,
         key_of=lambda pi: (pi.t, key_bytes(pi.p)),
         pi_of=lambda pi: pi,
         visible_rule=lambda node: support_visibility(node.support),
-        child_rule=lambda node: (lambda z, visible, digits, m, pz:
+        child_rule=lambda node: (lambda z, visible, key, m, pz:
                                  PiBelief(node.t + 1, m / pz)),
         max_nodes=max_nodes, max_joint=max_joint)
 
@@ -520,23 +512,19 @@ class ValueTable:
 
 def add_continuation(spec: ProblemSpec, bs: minimize.BehaviorSpace,
                      totals: np.ndarray, expansion: dict[int, ZTable],
-                     values) -> np.ndarray:
+                     values: np.ndarray) -> np.ndarray:
     """totals plus, per shared symbol, every behavior's branch probability
-    times values[child] of the branch it selects (0 off every branch).
+    times values[child] of the branch it selects (0 off every branch);
+    values is indexed by node id.
 
     The branch table of a symbol is assembled over its visible assignment
-    keys and read back per behavior through the behaviors' subkeys.  Symbols
+    ranks and read back per behavior through the behaviors' subkeys.  Symbols
     are added in expansion order, one array addition each, so the summation
     order is fixed by the expansion.
     """
     for ztab in expansion.values():
-        shape = tuple(spec.u_size[k] ** len(ztab.visible[k])
-                      for k in range(spec.K))
-        table = np.zeros(shape)
-        flat = table.reshape(-1)
-        strides = np.cumprod((1,) + shape[::-1][:-1])[::-1]
-        for key, (pz, child) in ztab.entries.items():
-            flat[int(np.dot(key, strides))] = pz * values[child]
+        table = np.zeros(ztab.shape)
+        table.reshape(-1)[ztab.rank] = ztab.pz * values[ztab.child]
         sks = [minimize.subkey_vector(spec, bs, k, ztab.visible[k])
                for k in range(spec.K)]
         totals = totals + table[np.ix_(*sks)]
@@ -546,28 +534,30 @@ def add_continuation(spec: ProblemSpec, bs: minimize.BehaviorSpace,
 def _backup_node(spec: ProblemSpec, t: int, p: np.ndarray,
                  support: tuple[tuple[int, ...], ...],
                  expansion: dict[int, ZTable] | None,
-                 j_next, max_joint: int) -> tuple[float, int]:
+                 values: np.ndarray, max_joint: int) -> tuple[float, int]:
     bs = minimize.behavior_space(spec, t, support, max_joint)
     totals = minimize.stage_totals(spec, t, p, bs)
     if expansion:
-        totals = add_continuation(spec, bs, totals, expansion, j_next)
+        totals = add_continuation(spec, bs, totals, expansion, values)
     flat_idx = int(np.argmin(totals.reshape(-1)))
     value = float(totals.reshape(-1)[flat_idx])
     return value, minimize.completion_rank(spec, bs, flat_idx)
 
 
-def _backup_stage(graph: InfoGraph, t: int, j_next, max_joint: int
+def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray, max_joint: int
                   ) -> tuple[dict[int, float], dict[int, int]]:
     """Values and minimizing profile ranks of every stage-t node, each backed
-    up on its belief-form image over its relevant realizations, reading the
-    next stage's values from j_next (stage-T nodes have no branches)."""
-    values: dict[int, float] = {}
+    up on its belief-form image over its relevant realizations.  values is
+    indexed by node id: the next stage's values are read from it (stage-T
+    nodes have no branches) and each stage-t value is written into it."""
+    J: dict[int, float] = {}
     ranks: dict[int, int] = {}
     for node in graph.stages[t]:
-        values[node.node_id], ranks[node.node_id] = _backup_node(
+        J[node.node_id], ranks[node.node_id] = _backup_node(
             graph.spec, t, node.pi.p, node.relevant,
-            graph.expansions.get(node.node_id), j_next, max_joint)
-    return values, ranks
+            graph.expansions.get(node.node_id), values, max_joint)
+        values[node.node_id] = J[node.node_id]
+    return J, ranks
 
 
 def solve_on_graph(graph: InfoGraph, *,
@@ -577,10 +567,11 @@ def solve_on_graph(graph: InfoGraph, *,
     Backups within one stage read only the next stage's values and write
     each their own slot, so a sweep could run nodes concurrently; this
     implementation keeps the deterministic sequential order."""
+    values = np.zeros(graph.node_count)
     J: dict[int, dict[int, float]] = {}
     arg: dict[int, dict[int, int]] = {}
     for t in range(graph.spec.T, 0, -1):
-        J[t], arg[t] = _backup_stage(graph, t, J.get(t + 1), max_joint)
+        J[t], arg[t] = _backup_stage(graph, t, values, max_joint)
     table = ValueTable(J, arg)
     policy = CoordinatorPolicy(graph.kind, arg, graph)
     return table, policy
@@ -758,12 +749,12 @@ def value_at(spec: ProblemSpec, t: int, pi: PiBelief, *,
     graph = _belief_graph(spec, pi, np.ndarray.tobytes,
                           max_nodes=DEFAULT_MAX_NODES, max_joint=max_joint)
     leaves = graph.stages[spec.T]
-    vals = _last_stage_values(spec, np.stack([node.pi.p for node in leaves]),
-                              max_joint)
-    j = {node.node_id: float(v) for node, v in zip(leaves, vals)}
+    values = np.zeros(graph.node_count)
+    values[[node.node_id for node in leaves]] = _last_stage_values(
+        spec, np.stack([node.pi.p for node in leaves]), max_joint)
     for stage in range(spec.T - 1, t - 1, -1):
-        j, _ = _backup_stage(graph, stage, j, max_joint)
-    return j[0]
+        _backup_stage(graph, stage, values, max_joint)
+    return float(values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -377,18 +377,19 @@ def conditional_state_dists(spec: ProblemSpec, action_fn: ActionFn, t: int,
     """Per positive-probability shared history at time t: its probability and
     the exact conditional over joint-state ranks, straight from path sums."""
     spec = normalize_problem(spec)
-    from ._tables import tables as _tables
-    st = _tables(spec).stage[t]
+    counts = [histories.private_count(spec, k, t) for k in range(spec.K)]
+    size = spec.x_size * math.prod(counts)
     acc: dict[tuple[int, ...], np.ndarray] = {}
     for rec in iter_paths(spec, action_fn, t_max=t, include_final_step=False,
                           max_paths=max_paths):
         delta = rec.zs[: max(0, t - spec.n)]
-        lam = [_window_rank(spec, k, t, rec.ys[k], rec.us[k])
-               for k in range(spec.K)]
-        s = st.state_rank(rec.xs[t - 1], lam)
+        # joint-state rank: mixed radix over (x, private windows), x major
+        s = rec.xs[t - 1]
+        for k in range(spec.K):
+            s = s * counts[k] + _window_rank(spec, k, t, rec.ys[k], rec.us[k])
         vec = acc.get(delta)
         if vec is None:
-            vec = acc[delta] = np.zeros(st.state_count)
+            vec = acc[delta] = np.zeros(size)
         vec[s] += rec.weight
     return {
         delta: (float(vec.sum()), vec / vec.sum())

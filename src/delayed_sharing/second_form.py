@@ -195,26 +195,26 @@ class _HMapTables:
 
     combos lists every joint observation (controller 0 most significant).
     Per stage m, ok says whether state x emits combo c, and fac[k][x, c] is
-    controller k's observation weight.  extend_index(k, L)[j, c] is the rank
-    of controller k's window j (L observations, then L actions) with combo
-    c's observation appended: the part-table entry it reads, and, times u_k
-    plus the action taken, the window one stage later.
+    controller k's observation weight.  extend_index(spec, k, L)[j, c] is the
+    rank of controller k's window j (L observations, then L actions) with
+    combo c's observation appended: the part-table entry it reads, and, times
+    u_k plus the action taken, the window one stage later.  Nothing here
+    refers back to the spec (the methods take it), so the cache entry dies
+    with it.
     """
 
     def __init__(self, spec: ProblemSpec):
-        self.spec = spec
         self.combos = np.array(np.unravel_index(
             np.arange(int(np.prod(spec.y_size))), spec.y_size)).T
         self._stages: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
         self._extend: dict[tuple[int, int], np.ndarray] = {}
 
-    def observe(self, m: int, x: np.ndarray, w: np.ndarray):
+    def observe(self, spec: ProblemSpec, m: int, x: np.ndarray, w: np.ndarray):
         """Spread cells (states x, masses w) over the joint observations of
         stage m, cell-major: (source cell, combo, state, mass) per pair, the
         mass multiplied by the observation weights in controller order."""
         hit = self._stages.get(m)
         if hit is None:
-            spec = self.spec
             fac = [spec.obs[k][m - 1][:, self.combos[:, k]] for k in range(spec.K)]
             hit = self._stages[m] = (np.logical_and.reduce([f > 0.0 for f in fac]),
                                      fac)
@@ -226,10 +226,10 @@ class _HMapTables:
             w = w * f[xs, c]
         return src, c, xs, w
 
-    def extend_index(self, k: int, L: int) -> np.ndarray:
+    def extend_index(self, spec: ProblemSpec, k: int, L: int) -> np.ndarray:
         hit = self._extend.get((k, L))
         if hit is None:
-            y, u = self.spec.y_size[k], self.spec.u_size[k]
+            y, u = spec.y_size[k], spec.u_size[k]
             j = np.arange((y * u) ** L, dtype=np.int64)[:, None]
             hit = self._extend[(k, L)] = (
                 (j // u ** L * y + self.combos[None, :, k]) * u ** L + j % u ** L)
@@ -269,12 +269,12 @@ def h_map(spec: ProblemSpec, state: ThetaRState) -> PiBelief:
     w = state.theta.p[x]
     wins = [np.zeros(x.size, dtype=np.int64) for _ in range(spec.K)]
     for m in range(lo, t):
-        src, c, xs, w2 = ht.observe(m, x, w)
+        src, c, xs, w2 = ht.observe(spec, m, x, w)
         a = np.zeros(src.size, dtype=np.int64)
         nxt_wins = []
         for k in range(spec.K):
             u_size = spec.u_size[k]
-            entry = ht.extend_index(k, m - lo)[wins[k][src], c]
+            entry = ht.extend_index(spec, k, m - lo)[wins[k][src], c]
             u = np.array(state.r[k].parts[m - lo], dtype=np.int64)[entry]
             a = a * u_size + u
             nxt_wins.append(entry * u_size + u)
@@ -289,8 +289,8 @@ def h_map(spec: ProblemSpec, state: ThetaRState) -> PiBelief:
         order = np.argsort(first)
         x, *wins = np.unravel_index(uniq[order], dims)
         w = mass[order]
-    src, c, xs, w2 = ht.observe(t, x, w)
-    lam = [ht.extend_index(k, t - lo)[wins[k][src], c] for k in range(spec.K)]
+    src, c, xs, w2 = ht.observe(spec, t, x, w)
+    lam = [ht.extend_index(spec, k, t - lo)[wins[k][src], c] for k in range(spec.K)]
     p = np.zeros(st.state_count)
     p[np.ravel_multi_index((xs, *lam), st.shape)] = w2
     return PiBelief(t, p)
@@ -346,13 +346,14 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
 
     def child_rule(node):
         # The child Theta depends only on the symbol, and controller k's
-        # suffix only on the symbol and k's digits on its visible set, so each
-        # is computed once per node expansion; the memos go with it.
+        # suffix only on the symbol and k's assignment rank on its visible
+        # set, so each is computed once per node expansion; the memos go with
+        # it.  Row r of _digit_tables(u, V) holds the digits of rank r.
         t, state = node.t, node.state
         per_symbol: dict[CommonObs, tuple[Theta, list[dict]]] = {}
         counts = [histories.private_count(spec, k, t) for k in range(spec.K)]
 
-        def child(z, visible, digits, m, pz):
+        def child(z, visible, key, m, pz):
             hit = per_symbol.get(z)
             if hit is None:
                 hit = per_symbol[z] = (theta_update(spec, state.theta, z),
@@ -360,13 +361,15 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
             theta, suffixes = hit
             r = []
             for k in range(spec.K):
-                rs = suffixes[k].get(digits[k])
+                rs = suffixes[k].get(key[k])
                 if rs is None:
+                    digits = minimize._digit_tables(
+                        spec.u_size[k], len(visible[k]))[0][key[k]]
                     table = [0] * counts[k]
-                    for lam, d in zip(visible[k], digits[k]):
+                    for lam, d in zip(visible[k], digits.tolist()):
                         table[lam] = d
                     gamma = PartialFunction(k, t, tuple(table))
-                    rs = suffixes[k][digits[k]] = r_update(
+                    rs = suffixes[k][key[k]] = r_update(
                         spec, state.r[k], gamma, z)
                 r.append(rs)
             return ThetaRState(theta, tuple(r))

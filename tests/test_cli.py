@@ -3,6 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from delayed_sharing import cli
+
 INSTANCES = Path(__file__).resolve().parents[1] / "src" / "delayed_sharing" / "instances"
 
 
@@ -174,3 +178,38 @@ def test_solve_node_keys(tmp_path):
     for stage in json.loads(out.read_text())["stages"]:
         for node in stage["nodes"]:
             assert list(node) == ["id", "belief", "J", "argmin_profile"]
+
+
+# The options each subcommand reads besides --problem and --out; every other
+# option is refused as an input error rather than silently ignored.
+READS = {
+    "solve": ("--max-nodes", "--emit-design"),
+    "solve2": ("--max-nodes", "--emit-design"),
+    "evaluate": ("--design", "--max-nodes", "--max-paths"),
+    "simulate": ("--design", "--max-nodes", "--episodes", "--seed"),
+    "oracle": ("--max-designs",),
+    "verify": ("--samples", "--episodes", "--seed"),
+    "kurtaran": ("--design", "--max-nodes", "--seed"),
+    "probe-concavity": ("--samples", "--seed"),
+}
+OPTIONS = ("--seed", "--episodes", "--samples", "--max-nodes", "--max-designs",
+           "--max-paths", "--design", "--emit-design")
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command, reads in READS.items()
+    for option in OPTIONS if option not in reads])
+def test_subcommand_refuses_options_it_does_not_read(command, option, capsys):
+    code = cli.main([command, "--problem", str(INSTANCES / "io.json"), option, "1"])
+    assert code == cli.EXIT_INPUT
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", READS)
+def test_subcommand_parses_the_options_it_reads(command):
+    argv = [command, "--problem", "p.json", "--out", "o"]
+    for option in READS[command]:
+        argv += [option, "1"]
+    args = cli.build_parser().parse_args(argv)
+    for option in READS[command]:
+        assert getattr(args, option[2:].replace("-", "_")) in (1, "1")

@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from helpers import naive_value, primitive_joint
 
-from delayed_sharing import coordinator, evaluate
+from delayed_sharing import (_tables, analysis, coordinator, evaluate,
+                             instances, second_form)
 from delayed_sharing.coordinator import (PiBelief, alpha_backup, belief_update,
                                          expected_stage_cost, extract_design,
                                          initial_belief, joint_step_kernel,
@@ -420,3 +424,24 @@ def test_state_rank_bijection(i2_spec):
         for rank in range(state_count(i2_spec, t)):
             s = state_unrank(i2_spec, t, rank)
             assert state_rank(i2_spec, s) == rank
+
+
+# -- per-spec caches ----------------------------------------------------------
+
+def test_per_spec_tables_die_with_their_spec():
+    """The stage tables and the h_map index maps are cached weakly on the
+    spec; nothing in them may refer back to it, or no spec would ever die."""
+    refs = []
+    for name in ("io", "i2"):
+        spec = instances.load(name)
+        _, policy = solve_dp(spec)
+        _, policy2 = second_form.solve_dp2(spec)
+        design = extract_design(spec, policy)
+        evaluate.materialize_design(spec, second_form.extract_design2(spec, policy2))
+        evaluate.simulate(spec, design, 20, 7)
+        analysis.concavity_probe(spec, 1, 7)
+        refs += [weakref.ref(spec), weakref.ref(_tables.tables(spec)),
+                 weakref.ref(second_form._hmap_tables(spec))]
+        del spec, policy, policy2, design
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)

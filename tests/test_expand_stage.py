@@ -121,31 +121,44 @@ def test_batched_expansion_matches_per_assignment_loop(
     p = _belief(spec, t, rng, sparsity)
     visible_for = _visible_rule(spec, t, p, rule)
 
-    calls = []
-
-    def child_fn(z, zr, digits, m, pz):
-        calls.append((zr, digits, m / pz, pz))
-        return len(calls) - 1
-
+    calls, child_fn = _recorder(spec)
     got = expand_stage(spec, t, p, visible_for, child_fn,
                        minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
-    _assert_same_expansion(got, calls, _reference_expand(spec, t, p, visible_for))
+    _assert_same_expansion(spec, got, calls,
+                           _reference_expand(spec, t, p, visible_for))
 
 
-def _assert_same_expansion(got, calls, want):
+def _recorder(spec):
+    """A child_fn that records its arguments and returns the call index."""
+    calls = []
+
+    def child_fn(z, visible, key, m, pz):
+        calls.append((common_obs_rank(spec, z), visible, key, m / pz, pz))
+        return len(calls) - 1
+    return calls, child_fn
+
+
+def _assert_same_expansion(spec, got, calls, want):
     assert list(got) == list(want)
     order = []
     for zr, ztab in got.items():
         visible, entries = want[zr]
         assert ztab.visible == visible
-        assert list(ztab.entries) == list(entries)
-        for key, (pz, idx) in ztab.entries.items():
+        assert ztab.shape == tuple(spec.u_size[k] ** len(visible[k])
+                                   for k in range(spec.K))
+        assert ztab.rank.dtype == ztab.child.dtype == np.int64
+        assert ztab.pz.dtype == np.float64
+        assert ztab.rank.size == ztab.pz.size == ztab.child.size
+        keys = [tuple(int(i) for i in np.unravel_index(r, ztab.shape))
+                for r in ztab.rank]
+        assert keys == list(entries)            # ascending rank, no repeats
+        for key, pz, idx in zip(keys, ztab.pz, ztab.child):
             ref_pz, ref_child, ref_digits = entries[key]
-            c_zr, c_digits, child, c_pz = calls[idx]
+            c_zr, c_visible, c_key, child, c_pz = calls[idx]
             assert pz == ref_pz == c_pz
-            assert c_zr == zr and c_digits == ref_digits
+            assert c_zr == zr and c_visible == visible and c_key == key
             assert np.array_equal(child, ref_child)
-            order.append(idx)
+            order.append(int(idx))
     assert order == list(range(len(calls)))     # child_fn in table order
 
 
@@ -160,16 +173,12 @@ def test_row_chunks_match_one_gather(monkeypatch, K, n):
     p = _belief(spec, t, rng, 0.5)
     visible_for = _visible_rule(spec, t, p, "consistent")
     monkeypatch.setattr(coordinator, "_GATHER_ENTRIES", 1)
-    calls = []
-
-    def child_fn(z, zr, digits, m, pz):
-        calls.append((zr, digits, m / pz, pz))
-        return len(calls) - 1
-
+    calls, child_fn = _recorder(spec)
     got = expand_stage(spec, t, p, visible_for, child_fn,
                        minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
     assert got
-    _assert_same_expansion(got, calls, _reference_expand(spec, t, p, visible_for))
+    _assert_same_expansion(spec, got, calls,
+                           _reference_expand(spec, t, p, visible_for))
 
 
 @settings(max_examples=30, deadline=None)

@@ -281,8 +281,11 @@ def _per_edge_graph2(spec):
         return lambda z, cons: full if z.is_null else cons
 
     def child_rule(node):
-        def child(z, visible, digits, m, pz):
-            rep = embedded_profile(spec, node.t, visible, digits)
+        def child(z, visible, key, m, pz):
+            digits = [np.unravel_index(key[k], (spec.u_size[k],) * len(visible[k]))
+                      for k in range(spec.K)]
+            rep = embedded_profile(spec, node.t, visible,
+                                   [[int(d) for d in ds] for ds in digits])
             return ThetaRState(
                 theta_update(spec, node.state.theta, z),
                 tuple(r_update(spec, node.state.r[k], rep.gammas[k], z)
@@ -313,9 +316,9 @@ def test_per_node_successor_gives_the_per_edge_graph(name, solved):
         for zr, ztab in ga.items():
             other = gb[zr]
             assert ztab.visible == other.visible
-            assert list(ztab.entries) == list(other.entries)
-            for key, (pz, child) in ztab.entries.items():
-                assert (pz, child) == other.entries[key]
+            assert ztab.shape == other.shape
+            for name in ("rank", "pz", "child"):
+                assert getattr(ztab, name).tobytes() == getattr(other, name).tobytes()
 
 
 def test_graph2_golden_counts(solved):
