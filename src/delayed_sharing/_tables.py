@@ -9,7 +9,6 @@ Cached per ProblemSpec object identity.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 
 import numpy as np
@@ -19,13 +18,22 @@ from .errors import DomainError
 from .model import ProblemSpec
 
 
+# Dense (state, action, next state, observation tuple) entries that
+# step_arrays holds at once: it walks the states in blocks of this size.
+_BLOCK_ENTRIES = 1 << 16
+
+
 class StageTables:
-    """Index tables for one decision time t."""
+    """Index tables for one decision time t.
+
+    A window rank is mixed radix over the window's observations, oldest
+    first, then its actions, oldest first (``histories.private_rank``), so
+    every table here is integer arithmetic on ranks.
+    """
 
     def __init__(self, spec: ProblemSpec, t: int):
         self.t = t
-        self.lam_spaces = [histories.private_space(spec, k, t) for k in range(spec.K)]
-        self.L = tuple(len(sp) for sp in self.lam_spaces)
+        self.L = tuple(histories.private_count(spec, k, t) for k in range(spec.K))
         self.shape = (spec.x_size, *self.L)
         self.state_count = int(np.prod(self.shape, dtype=np.int64))
         unr = np.unravel_index(np.arange(self.state_count), self.shape)
@@ -35,7 +43,6 @@ class StageTables:
         # post-transition state summed out.
         self.q = np.einsum("xay,ya->xa", spec.trans[t - 1], spec.cost[t - 1])
 
-        self.z_null = (t + 1) <= spec.n
         self.shift = None
         self.y_aged = None
         self.u_aged = None
@@ -45,78 +52,78 @@ class StageTables:
             self._build_step(spec)
 
     def _build_step(self, spec: ProblemSpec):
+        """Per controller: ``shift[lam, y, u]``, the rank at t+1 of window
+        lam after appending (y, u) and dropping what ages out, and the
+        aged-out coordinates ``y_aged[lam]``, ``u_aged[lam]`` (-1 when the
+        window holds no action)."""
         t = self.t
         self.shift = []
         self.y_aged = []
         self.u_aged = []
         for k in range(spec.K):
+            Y, U = spec.y_size[k], spec.u_size[k]
+            ny, nu = histories.private_sizes(spec, k, t)
             ny1, nu1 = histories.private_sizes(spec, k, t + 1)
-            tab = np.zeros((self.L[k], spec.y_size[k], spec.u_size[k]), dtype=np.int64)
-            y0 = np.zeros(self.L[k], dtype=np.int64)
-            u0 = np.zeros(self.L[k], dtype=np.int64)
-            for i, info in enumerate(self.lam_spaces[k]):
-                y0[i] = info.y_seq[0]
-                u0[i] = info.u_seq[0] if info.u_seq else -1
-                for y in range(spec.y_size[k]):
-                    for u in range(spec.u_size[k]):
-                        ys = (info.y_seq + (y,))[-ny1:]
-                        us = (info.u_seq + (u,))[-nu1:] if nu1 else ()
-                        nxt = histories.PrivateInfo(k, t + 1, ys, us)
-                        tab[i, y, u] = histories.private_rank(spec, nxt)
-            self.shift.append(tab)
-            self.y_aged.append(y0)
-            self.u_aged.append(u0)
+            y_part, u_part = np.divmod(np.arange(self.L[k], dtype=np.int64), U ** nu)
+            ys = (y_part[:, None] * Y + np.arange(Y)) % Y ** ny1
+            us = (u_part[:, None] * U + np.arange(U)) % U ** nu1
+            self.shift.append(ys[:, :, None] * U ** nu1 + us[:, None, :])
+            self.y_aged.append(y_part // Y ** (ny - 1))
+            self.u_aged.append(u_part // U ** (nu - 1) if nu
+                               else np.full(self.L[k], -1, dtype=np.int64))
 
     def state_rank(self, x: int, lam_ranks) -> int:
         return int(np.ravel_multi_index((x, *lam_ranks), self.shape))
 
     def step_arrays(self, spec: ProblemSpec):
         """Flattened one-step law: per (state, joint action), a contiguous
-        block of (next state, emitted symbol, weight) triples.  Built lazily,
-        zero-weight branches pruned."""
+        block of (next state, emitted symbol, weight) triples, ordered by
+        next state, then observation tuple with controller 0 most
+        significant.  The weight is the transition probability times each
+        controller's observation probability, multiplied in controller
+        order.  A triple is pruned when one of these factors is zero; a
+        weight that underflows to 0.0 is kept.  Built lazily, over blocks
+        of states."""
         if self._step_arrays is not None:
             return self._step_arrays
         if self.shift is None:
             raise DomainError(f"no step past the horizon from t={self.t}")
-        t = self.t
+        t, K = self.t, spec.K
         A = spec.action_count
-        obs_next = [spec.obs[k][t] for k in range(spec.K)]
-        nxt_shape = tuple(
-            len(histories.private_space(spec, k, t + 1)) for k in range(spec.K))
-        starts = np.zeros((self.state_count, A), dtype=np.int64)
+        # Weight and kept mask over (x, a, x2, y_0, ..., y_{K-1}).
+        w = spec.trans[t - 1]
+        keep = w > 0.0
+        for k in range(K):
+            obs = spec.obs[k][t].reshape((1, 1, spec.x_size) + (1,) * k + (spec.y_size[k],))
+            w = w[..., None] * obs
+            keep = keep[..., None] & (obs > 0.0)
+        act = np.unravel_index(np.arange(A, dtype=np.int64), spec.u_size)
+        nxt_count = tuple(histories.private_count(spec, k, t + 1) for k in range(K))
+
         lens = np.zeros((self.state_count, A), dtype=np.int64)
-        dst: list[int] = []
-        zr: list[int] = []
-        w: list[float] = []
-        for s in range(self.state_count):
-            x = int(self.x_of_s[s])
-            lam = tuple(int(self.lam_of_s[k][s]) for k in range(spec.K))
-            for a in range(A):
-                action = spec.decode_action(a)
-                starts[s, a] = len(dst)
-                za = self.z_rank(spec, lam, action)
-                trow = spec.trans[t - 1][x, a]
-                for x2 in np.nonzero(trow > 0.0)[0]:
-                    base = float(trow[x2])
-                    supports = [np.nonzero(obs_next[k][x2] > 0.0)[0]
-                                for k in range(spec.K)]
-                    for ys in itertools.product(*supports):
-                        weight = base
-                        lam2 = []
-                        for k in range(spec.K):
-                            weight *= float(obs_next[k][x2, ys[k]])
-                            lam2.append(int(self.shift[k][lam[k], ys[k], action[k]]))
-                        rank = int(x2)
-                        for k in range(spec.K):
-                            rank = rank * nxt_shape[k] + lam2[k]
-                        dst.append(rank)
-                        zr.append(za)
-                        w.append(weight)
-                lens[s, a] = len(dst) - starts[s, a]
-        self._step_arrays = (starts, lens,
-                             np.array(dst, dtype=np.int64),
-                             np.array(zr, dtype=np.int64),
-                             np.array(w))
+        dst, zr, wt = [], [], []
+        block = max(1, _BLOCK_ENTRIES // keep[0].size)
+        for s0 in range(0, self.state_count, block):
+            kb = keep[self.x_of_s[s0:s0 + block]]
+            lens[s0:s0 + block] = kb.reshape(len(kb), A, -1).sum(axis=2, dtype=np.int64)
+            b, a, x2, *ys = np.nonzero(kb)
+            s = s0 + b
+            lam = [self.lam_of_s[k][s] for k in range(K)]
+            wt.append(w[(self.x_of_s[s], a, x2, *ys)])
+            # The shared symbol carries the oldest window entries; under
+            # delay 1 the aged action is the one being taken.
+            rank = x2
+            z_y = z_u = np.zeros(s.size, dtype=np.int64)
+            for k in range(K):
+                rank = rank * nxt_count[k] + self.shift[k][lam[k], ys[k], act[k][a]]
+                z_y = z_y * spec.y_size[k] + self.y_aged[k][lam[k]]
+                aged = self.u_aged[k][lam[k]] if spec.n >= 2 else act[k][a]
+                z_u = z_u * spec.u_size[k] + aged
+            dst.append(rank)
+            zr.append(z_y * A + z_u if t + 1 > spec.n else np.zeros(s.size, dtype=np.int64))
+        starts = (np.cumsum(lens) - lens.ravel()).reshape(lens.shape)
+        self._step_arrays = (starts, lens, np.concatenate(dst),
+                             np.concatenate(zr), np.concatenate(wt))
         return self._step_arrays
 
     def consistency(self, spec: ProblemSpec, z: histories.CommonObs):
@@ -142,22 +149,6 @@ class StageTables:
             hit = (tuple(lams), mask)
             self._consistency[(z.y, z.u)] = hit
         return hit
-
-    def z_rank(self, spec: ProblemSpec, lam_ranks, action: tuple[int, ...]) -> int:
-        """Rank of the shared symbol emitted when stepping from (s, action).
-
-        The symbol carries the oldest window entries; under delay 1 the aged
-        action is the one being taken right now.
-        """
-        if self.z_null:
-            return 0
-        r = 0
-        for k in range(spec.K):
-            r = r * spec.y_size[k] + int(self.y_aged[k][lam_ranks[k]])
-        for k in range(spec.K):
-            aged = self.u_aged[k][lam_ranks[k]] if spec.n >= 2 else action[k]
-            r = r * spec.u_size[k] + int(aged)
-        return r
 
 
 class SpecTables:

@@ -314,8 +314,7 @@ def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
 
 
 def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
-                 visible_for, child_fn,
-                 max_joint: int) -> dict[int, ZTable]:
+                 visible_for, child_fn) -> dict[int, ZTable]:
     """Shared expansion of one information state over all shared symbols.
 
     visible_for(z, consistent) -> per-controller realization sets whose
@@ -363,9 +362,9 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
         visible = visible_for(z, cons)
         shape = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
         combos = math.prod(shape)
-        if combos > max_joint:
+        if combos > minimize.DEFAULT_MAX_JOINT_BEHAVIORS:
             raise BudgetError(f"branch table at t={t} needs {combos} entries "
-                              f"(budget {max_joint})")
+                              f"(budget {minimize.DEFAULT_MAX_JOINT_BEHAVIORS})")
         # Controller k's assignment r gives the i-th visible realization the
         # base-u digit r // u**(V-1-i) % u.  Realizations outside the visible
         # set get place value u**V, whose digit is 0 for every r < u**V.
@@ -420,8 +419,7 @@ _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
 
 
 def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
-                visible_rule, child_rule, *, max_nodes: int,
-                max_joint: int) -> InfoGraph:
+                visible_rule, child_rule, *, max_nodes: int) -> InfoGraph:
     """Breadth-first forward closure of an information state.
 
     key_of(state) is the dedup key and pi_of(state) the belief-form image
@@ -458,8 +456,7 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
         for node in list(graph.stages[t]):
             child = child_rule(node)
             expansion = expand_stage(spec, t, node.pi.p, visible_rule(node),
-                                     lambda *branch: insert(child(*branch)),
-                                     max_joint)
+                                     lambda *branch: insert(child(*branch)))
             graph.expansions[node.node_id] = expansion
             node.relevant = tuple(
                 tuple(sorted(set(node.support[k]).union(
@@ -471,7 +468,7 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
 
 
 def _belief_graph(spec: ProblemSpec, root: PiBelief, key_bytes, *,
-                  max_nodes: int, max_joint: int) -> InfoGraph:
+                  max_nodes: int) -> InfoGraph:
     """Belief-form graph from root: nodes are beliefs, deduplicated per
     stage on key_bytes(p)."""
     return build_graph(
@@ -481,16 +478,15 @@ def _belief_graph(spec: ProblemSpec, root: PiBelief, key_bytes, *,
         visible_rule=lambda node: support_visibility(node.support),
         child_rule=lambda node: (lambda z, visible, key, m, pz:
                                  PiBelief(node.t + 1, m / pz)),
-        max_nodes=max_nodes, max_joint=max_joint)
+        max_nodes=max_nodes)
 
 
-def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
-                    max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS) -> InfoGraph:
+def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -> InfoGraph:
     """Belief-form graph of the initial belief, deduplicated on the
     quantization grid."""
     spec = normalize_problem(spec)
     return _belief_graph(spec, initial_belief(spec), quantize_key,
-                         max_nodes=max_nodes, max_joint=max_joint)
+                         max_nodes=max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +530,8 @@ def add_continuation(spec: ProblemSpec, bs: minimize.BehaviorSpace,
 def _backup_node(spec: ProblemSpec, t: int, p: np.ndarray,
                  support: tuple[tuple[int, ...], ...],
                  expansion: dict[int, ZTable] | None,
-                 values: np.ndarray, max_joint: int) -> tuple[float, int]:
-    bs = minimize.behavior_space(spec, t, support, max_joint)
+                 values: np.ndarray) -> tuple[float, int]:
+    bs = minimize.behavior_space(spec, t, support)
     totals = minimize.stage_totals(spec, t, p, bs)
     if expansion:
         totals = add_continuation(spec, bs, totals, expansion, values)
@@ -544,7 +540,7 @@ def _backup_node(spec: ProblemSpec, t: int, p: np.ndarray,
     return value, minimize.completion_rank(spec, bs, flat_idx)
 
 
-def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray, max_joint: int
+def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
                   ) -> tuple[dict[int, float], dict[int, int]]:
     """Values and minimizing profile ranks of every stage-t node, each backed
     up on its belief-form image over its relevant realizations.  values is
@@ -555,14 +551,12 @@ def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray, max_joint: int
     for node in graph.stages[t]:
         J[node.node_id], ranks[node.node_id] = _backup_node(
             graph.spec, t, node.pi.p, node.relevant,
-            graph.expansions.get(node.node_id), values, max_joint)
+            graph.expansions.get(node.node_id), values)
         values[node.node_id] = J[node.node_id]
     return J, ranks
 
 
-def solve_on_graph(graph: InfoGraph, *,
-                   max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS
-                   ) -> tuple[ValueTable, CoordinatorPolicy]:
+def solve_on_graph(graph: InfoGraph) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward sweep over a built graph of either form, stage T first.
     Backups within one stage read only the next stage's values and write
     each their own slot, so a sweep could run nodes concurrently; this
@@ -571,14 +565,13 @@ def solve_on_graph(graph: InfoGraph, *,
     J: dict[int, dict[int, float]] = {}
     arg: dict[int, dict[int, int]] = {}
     for t in range(graph.spec.T, 0, -1):
-        J[t], arg[t] = _backup_stage(graph, t, values, max_joint)
+        J[t], arg[t] = _backup_stage(graph, t, values)
     table = ValueTable(J, arg)
     policy = CoordinatorPolicy(graph.kind, arg, graph)
     return table, policy
 
 
-def solve_dp(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
-             max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS
+def solve_dp(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES
              ) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward induction over the reachable-belief graph.
 
@@ -586,8 +579,8 @@ def solve_dp(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
     two runs on the same instance produce identical tables and policies.
     """
     spec = normalize_problem(spec)
-    graph = reachable_graph(spec, max_nodes=max_nodes, max_joint=max_joint)
-    return solve_on_graph(graph, max_joint=max_joint)
+    graph = reachable_graph(spec, max_nodes=max_nodes)
+    return solve_on_graph(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +675,7 @@ def extract_design(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDes
 _TERMINAL_ENTRIES = 1 << 16
 
 
-def _last_stage_values(spec: ProblemSpec, P: np.ndarray,
-                       max_joint: int) -> np.ndarray:
+def _last_stage_values(spec: ProblemSpec, P: np.ndarray) -> np.ndarray:
     """Terminal values of a batch of beliefs (rows of P).
 
     Minimizes the expected terminal cost over all profiles: behaviors of the
@@ -698,9 +690,9 @@ def _last_stage_values(spec: ProblemSpec, P: np.ndarray,
     row_entries = st.L[spec.K - 1] * spec.u_size[spec.K - 1]
     for k in range(spec.K - 1):
         row_entries *= spec.u_size[k] ** st.L[k]
-    if row_entries * len(P) > max_joint * 64:
+    if row_entries * len(P) > minimize.DEFAULT_MAX_JOINT_BEHAVIORS * 64:
         raise BudgetError(f"terminal minimization batch too large at T={T}")
-    bs = minimize.behavior_space(spec, T, full[: spec.K - 1] + ((),), max_joint)
+    bs = minimize.behavior_space(spec, T, full[: spec.K - 1] + ((),))
     cube = P.reshape((len(P), *st.shape))
     q_cube = st.q.reshape((spec.x_size, *spec.u_size))
     ct = np.tensordot(cube, q_cube, axes=([1], [0]))
@@ -728,8 +720,7 @@ def _last_stage_values(spec: ProblemSpec, P: np.ndarray,
     return values
 
 
-def value_at(spec: ProblemSpec, t: int, pi: PiBelief, *,
-             max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS) -> float:
+def value_at(spec: ProblemSpec, t: int, pi: PiBelief) -> float:
     """The dynamic-program value at an arbitrary stage-t belief: the root
     value of a solve on the belief-form graph rooted at pi, deduplicated on
     exact belief bytes so no two distinct beliefs merge.  Every stage-T leaf
@@ -747,13 +738,13 @@ def value_at(spec: ProblemSpec, t: int, pi: PiBelief, *,
     if not (pi.p > 0.0).any():
         raise DomainError(f"belief at t={t} has no positive mass")
     graph = _belief_graph(spec, pi, np.ndarray.tobytes,
-                          max_nodes=DEFAULT_MAX_NODES, max_joint=max_joint)
+                          max_nodes=DEFAULT_MAX_NODES)
     leaves = graph.stages[spec.T]
     values = np.zeros(graph.node_count)
     values[[node.node_id for node in leaves]] = _last_stage_values(
-        spec, np.stack([node.pi.p for node in leaves]), max_joint)
+        spec, np.stack([node.pi.p for node in leaves]))
     for stage in range(spec.T - 1, t - 1, -1):
-        _backup_stage(graph, stage, values, max_joint)
+        _backup_stage(graph, stage, values)
     return float(values[0])
 
 

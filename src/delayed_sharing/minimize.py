@@ -18,6 +18,7 @@ array therefore lands on the smallest-rank minimizer directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from ._tables import tables
 from .errors import BudgetError
 from .model import ProblemSpec
 
+# Budget of every behavior enumeration: branch tables, behavior spaces and
+# terminal batches each read it when they run.
 DEFAULT_MAX_JOINT_BEHAVIORS = 1 << 22
 
 
@@ -36,8 +39,7 @@ class BehaviorSpace:
 
     t: int
     restricted: tuple[tuple[int, ...], ...]   # per k: realization ranks, ascending
-    counts: tuple[int, ...]                   # per k: number of behaviors
-    shape: tuple[int, ...]
+    shape: tuple[int, ...]                    # per k: number of behaviors
     mats: tuple[np.ndarray, ...]              # per k: (N_k, |restricted_k|) digits
     onehots: tuple[np.ndarray, ...]           # per k: (N_k, |restricted_k|, u_k)
     pos: tuple[dict[int, int], ...]           # per k: realization rank -> column
@@ -69,18 +71,13 @@ def _digit_tables(u: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def behavior_space(spec: ProblemSpec, t: int,
-                   restricted: tuple[tuple[int, ...], ...],
-                   max_joint: int = DEFAULT_MAX_JOINT_BEHAVIORS) -> BehaviorSpace:
-    counts = []
-    joint = 1
-    for k in range(spec.K):
-        n_k = spec.u_size[k] ** len(restricted[k])
-        counts.append(n_k)
-        joint *= n_k
-    if joint > max_joint:
+                   restricted: tuple[tuple[int, ...], ...]) -> BehaviorSpace:
+    shape = tuple(spec.u_size[k] ** len(restricted[k]) for k in range(spec.K))
+    joint = math.prod(shape)
+    if joint > DEFAULT_MAX_JOINT_BEHAVIORS:
         raise BudgetError(
             f"profile minimization at t={t} needs {joint} joint behaviors "
-            f"(budget {max_joint})")
+            f"(budget {DEFAULT_MAX_JOINT_BEHAVIORS})")
     mats = []
     onehots = []
     pos = []
@@ -91,7 +88,7 @@ def behavior_space(spec: ProblemSpec, t: int,
         pos.append({lam: i for i, lam in enumerate(restricted[k])})
     return BehaviorSpace(
         t=t, restricted=tuple(tuple(r) for r in restricted),
-        counts=tuple(counts), shape=tuple(counts),
+        shape=shape,
         mats=tuple(mats), onehots=tuple(onehots), pos=tuple(pos),
     )
 
@@ -144,7 +141,7 @@ def subkey_vector(spec: ProblemSpec, bs: BehaviorSpace, k: int,
                   lam_subset: tuple[int, ...]) -> np.ndarray:
     """Per behavior, the mixed-radix key of its digits on lam_subset."""
     u = spec.u_size[k]
-    key = np.zeros(bs.counts[k], dtype=np.int64)
+    key = np.zeros(bs.shape[k], dtype=np.int64)
     for lam in lam_subset:
         key = key * u + bs.mats[k][:, bs.pos[k][lam]]
     return key

@@ -322,8 +322,7 @@ def suffix_from_prescriptions(spec: ProblemSpec, k: int, t: int,
 # Reachable graph and dynamic program
 # ---------------------------------------------------------------------------
 
-def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
-                     max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS) -> InfoGraph:
+def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -> InfoGraph:
     """Forward closure from (initial-state belief, empty suffixes).  Dedup is
     exact on the suffix tables and grid-quantized on Theta; each node's
     belief-form image is its h_map reconstruction.
@@ -377,7 +376,7 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
 
     return build_graph(spec, "theta_r", initial_state(spec), state_key,
                        lambda state: h_map(spec, state), visible_rule,
-                       child_rule, max_nodes=max_nodes, max_joint=max_joint)
+                       child_rule, max_nodes=max_nodes)
 
 
 # The backward sweep is shared with the belief form; the old name stays
@@ -385,15 +384,14 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
 solve_on_graph2 = solve_on_graph
 
 
-def solve_dp2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES,
-              max_joint: int = minimize.DEFAULT_MAX_JOINT_BEHAVIORS
+def solve_dp2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES
               ) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward induction over the reachable (Theta, r) graph; the stage cost
     of a node is the collapsed cost of its reconstructed belief, so the two
     dynamic programs value the same objective."""
     spec = normalize_problem(spec)
-    graph = reachable_graph2(spec, max_nodes=max_nodes, max_joint=max_joint)
-    return solve_on_graph(graph, max_joint=max_joint)
+    graph = reachable_graph2(spec, max_nodes=max_nodes)
+    return solve_on_graph(graph)
 
 
 def extract_design2(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDesign:

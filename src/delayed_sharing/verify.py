@@ -110,8 +110,7 @@ def theta_independence_error(spec: ProblemSpec, designs) -> float:
 
 
 def verify_instance(spec: ProblemSpec, *, samples: int = 20,
-                    episodes: int = 20_000, seed: int = 7,
-                    alpha_budget: int = 50_000) -> Verification:
+                    episodes: int = 20_000, seed: int = 7) -> Verification:
     spec = normalize_problem(spec)
     lines: list[str] = []
     failures = 0
@@ -179,7 +178,7 @@ def verify_instance(spec: ProblemSpec, *, samples: int = 20,
           f"min_slack={_fmt(worst_slack)} samples={samples} seed={seed}")
 
     try:
-        aset = alpha_backup(spec, max_vectors=alpha_budget)
+        aset = alpha_backup(spec)
         rng = np.random.default_rng([seed, 991])
         worst = 0.0
         for t in range(1, spec.T + 1):

@@ -14,6 +14,7 @@ from delayed_sharing.histories import (GammaProfile, PartialFunction,
                                        PrivateInfo, common_obs_rank,
                                        common_obs_space, gamma_profiles,
                                        private_count, private_rank,
+                                       private_sizes, private_space,
                                        symbol_rank)
 from delayed_sharing.model import normalize_problem
 
@@ -56,6 +57,74 @@ def update_mass(spec, t, p, profile, z_rank, candidates):
     weights = w[flat] * np.repeat(mass, s_len)[keep]
     np.add.at(m, dst[flat], weights)
     return m, float(weights.sum())
+
+
+def window_tables_reference(spec, t):
+    """Per controller, the shift map and aged-out coordinates of the stage-t
+    windows, by a loop over PrivateInfo windows that appends (y, u), trims
+    to the t+1 window and ranks the result."""
+    shift, y_aged, u_aged = [], [], []
+    for k in range(spec.K):
+        space = private_space(spec, k, t)
+        ny1, nu1 = private_sizes(spec, k, t + 1)
+        tab = np.zeros((len(space), spec.y_size[k], spec.u_size[k]), dtype=np.int64)
+        y0 = np.zeros(len(space), dtype=np.int64)
+        u0 = np.zeros(len(space), dtype=np.int64)
+        for i, info in enumerate(space):
+            y0[i] = info.y_seq[0]
+            u0[i] = info.u_seq[0] if info.u_seq else -1
+            for y in range(spec.y_size[k]):
+                for u in range(spec.u_size[k]):
+                    ys = (info.y_seq + (y,))[-ny1:]
+                    us = (info.u_seq + (u,))[-nu1:] if nu1 else ()
+                    tab[i, y, u] = private_rank(spec, PrivateInfo(k, t + 1, ys, us))
+        shift.append(tab)
+        y_aged.append(y0)
+        u_aged.append(u0)
+    return shift, y_aged, u_aged
+
+
+def step_arrays_reference(spec, t):
+    """The one-step law of stage t by a loop over joint states, joint
+    actions, positive-probability next states and positive-probability
+    observation tuples, multiplying the weight one factor at a time.
+    Returns (starts, lens, dst, zr, w) as StageTables.step_arrays does."""
+    shift, y_aged, u_aged = window_tables_reference(spec, t)
+    L = [len(tab) for tab in shift]
+    nxt = [private_count(spec, k, t + 1) for k in range(spec.K)]
+    obs_next = [spec.obs[k][t] for k in range(spec.K)]
+    A = spec.action_count
+    states = list(itertools.product(range(spec.x_size), *(range(n) for n in L)))
+    starts = np.zeros((len(states), A), dtype=np.int64)
+    lens = np.zeros((len(states), A), dtype=np.int64)
+    dst, zr, w = [], [], []
+    for s, (x, *lam) in enumerate(states):
+        for a in range(A):
+            action = spec.decode_action(a)
+            starts[s, a] = len(dst)
+            za = 0
+            if t + 1 > spec.n:
+                for k in range(spec.K):
+                    za = za * spec.y_size[k] + int(y_aged[k][lam[k]])
+                for k in range(spec.K):
+                    aged = u_aged[k][lam[k]] if spec.n >= 2 else action[k]
+                    za = za * spec.u_size[k] + int(aged)
+            trow = spec.trans[t - 1][x, a]
+            for x2 in np.nonzero(trow > 0.0)[0]:
+                supports = [np.nonzero(obs_next[k][x2] > 0.0)[0]
+                            for k in range(spec.K)]
+                for ys in itertools.product(*supports):
+                    weight = float(trow[x2])
+                    rank = int(x2)
+                    for k in range(spec.K):
+                        weight *= float(obs_next[k][x2, ys[k]])
+                        rank = rank * nxt[k] + int(shift[k][lam[k], ys[k], action[k]])
+                    dst.append(rank)
+                    zr.append(za)
+                    w.append(weight)
+            lens[s, a] = len(dst) - starts[s, a]
+    return (starts, lens, np.array(dst, dtype=np.int64),
+            np.array(zr, dtype=np.int64), np.array(w))
 
 
 def naive_value(spec, t, pi):

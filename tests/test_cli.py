@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from delayed_sharing import cli
+from delayed_sharing import cli, minimize
 
 INSTANCES = Path(__file__).resolve().parents[1] / "src" / "delayed_sharing" / "instances"
 
@@ -95,6 +95,12 @@ def test_oracle_on_io(tmp_path):
 def test_oracle_budget_exit_code():
     res = run_cli("oracle", "--problem", str(INSTANCES / "i1.json"))
     assert res.returncode == 3
+
+
+def test_behavior_budget_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(minimize, "DEFAULT_MAX_JOINT_BEHAVIORS", 1)
+    assert cli.main(["solve", "--problem", str(INSTANCES / "io.json")]) == cli.EXIT_BUDGET
+    assert "budget exceeded: branch table" in capsys.readouterr().err
 
 
 def test_input_error_exit_code(tmp_path):

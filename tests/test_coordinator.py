@@ -7,12 +7,12 @@ import pytest
 from helpers import naive_value, primitive_joint
 
 from delayed_sharing import (_tables, analysis, coordinator, evaluate,
-                             instances, second_form)
+                             instances, minimize, second_form)
 from delayed_sharing.coordinator import (PiBelief, alpha_backup, belief_update,
                                          expected_stage_cost, extract_design,
                                          initial_belief, joint_step_kernel,
                                          reachable_graph, solve_dp,
-                                         state_count,
+                                         solve_on_graph, state_count,
                                          state_rank, state_unrank, JointState,
                                          value_at)
 from delayed_sharing.errors import (BudgetError, DomainError,
@@ -380,6 +380,38 @@ def test_value_at_has_the_graph_node_budget(monkeypatch, i2_spec):
     monkeypatch.setattr(coordinator, "DEFAULT_MAX_NODES", 3)
     with pytest.raises(BudgetError):
         value_at(i2_spec, 1, initial_belief(i2_spec))
+
+
+# -- behavior budget ----------------------------------------------------------
+# Each check reads minimize.DEFAULT_MAX_JOINT_BEHAVIORS when it runs.
+
+@pytest.mark.parametrize("build", [reachable_graph, second_form.reachable_graph2])
+def test_branch_table_has_the_behavior_budget(monkeypatch, i2_spec, build):
+    monkeypatch.setattr(minimize, "DEFAULT_MAX_JOINT_BEHAVIORS", 1)
+    with pytest.raises(BudgetError, match="branch table at t=1"):
+        build(i2_spec)
+
+
+def test_behavior_space_has_the_behavior_budget(monkeypatch, i2_spec):
+    graph = reachable_graph(i2_spec)
+    monkeypatch.setattr(minimize, "DEFAULT_MAX_JOINT_BEHAVIORS", 1)
+    with pytest.raises(BudgetError, match="profile minimization at t=3"):
+        solve_on_graph(graph)
+
+
+def test_terminal_batch_has_the_behavior_budget(monkeypatch, i2_spec):
+    # A stage-3 i2 row spans 2**8 behaviors of controller 0 times 8 windows
+    # times 2 actions of controller 1: 4,096 entries, over 64 * 63.  At 64 the
+    # batch fits and the 256 behaviors of controller 0 do not.
+    p = np.full(state_count(i2_spec, 3), 1.0 / state_count(i2_spec, 3))
+    monkeypatch.setattr(minimize, "DEFAULT_MAX_JOINT_BEHAVIORS", 63)
+    with pytest.raises(BudgetError, match="terminal minimization batch"):
+        value_at(i2_spec, 3, PiBelief(3, p))
+    monkeypatch.setattr(minimize, "DEFAULT_MAX_JOINT_BEHAVIORS", 64)
+    with pytest.raises(BudgetError, match="needs 256 joint behaviors"):
+        value_at(i2_spec, 3, PiBelief(3, p))
+    monkeypatch.setattr(minimize, "DEFAULT_MAX_JOINT_BEHAVIORS", 256)
+    assert np.isfinite(value_at(i2_spec, 3, PiBelief(3, p)))
 
 
 # -- linear pieces ------------------------------------------------------------

@@ -122,8 +122,7 @@ def test_batched_expansion_matches_per_assignment_loop(
     visible_for = _visible_rule(spec, t, p, rule)
 
     calls, child_fn = _recorder(spec)
-    got = expand_stage(spec, t, p, visible_for, child_fn,
-                       minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
+    got = expand_stage(spec, t, p, visible_for, child_fn)
     _assert_same_expansion(spec, got, calls,
                            _reference_expand(spec, t, p, visible_for))
 
@@ -174,8 +173,7 @@ def test_row_chunks_match_one_gather(monkeypatch, K, n):
     visible_for = _visible_rule(spec, t, p, "consistent")
     monkeypatch.setattr(coordinator, "_GATHER_ENTRIES", 1)
     calls, child_fn = _recorder(spec)
-    got = expand_stage(spec, t, p, visible_for, child_fn,
-                       minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
+    got = expand_stage(spec, t, p, visible_for, child_fn)
     assert got
     _assert_same_expansion(spec, got, calls,
                            _reference_expand(spec, t, p, visible_for))
@@ -312,7 +310,7 @@ def test_terminal_fold_matches_axis_min(monkeypatch, name):
         return outputs[-1]
 
     monkeypatch.setattr(minimize, "einsum", spy)
-    got = coordinator._last_stage_values(spec, P, minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
+    got = coordinator._last_stage_values(spec, P)
     (cur,) = outputs
     want = cur.min(axis=-1).sum(axis=-1).reshape(len(P), -1).min(axis=1)
     assert got.tobytes() == want.tobytes()
@@ -327,8 +325,8 @@ def test_terminal_row_blocks_match_one_block(monkeypatch, name):
     P = np.stack([_belief(spec, spec.T, rng, sparsity)
                   for sparsity in (0.0, 0.5, 0.9) * 7])
     monkeypatch.setattr(coordinator, "_TERMINAL_ENTRIES", 1 << 40)
-    whole = coordinator._last_stage_values(spec, P, minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
+    whole = coordinator._last_stage_values(spec, P)
     for entries in (1, 3 * 4096, 5 * 96):
         monkeypatch.setattr(coordinator, "_TERMINAL_ENTRIES", entries)
-        got = coordinator._last_stage_values(spec, P, minimize.DEFAULT_MAX_JOINT_BEHAVIORS)
+        got = coordinator._last_stage_values(spec, P)
         assert got.tobytes() == whole.tobytes()

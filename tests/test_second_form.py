@@ -14,7 +14,6 @@ from delayed_sharing.histories import (PartialFunction, common_obs_space,
                                        private_count, profile_unrank,
                                        random_design)
 from delayed_sharing.model import ProblemSpec, normalize_problem
-from delayed_sharing.minimize import DEFAULT_MAX_JOINT_BEHAVIORS
 from delayed_sharing.second_form import (RSuffix, Theta, ThetaRState,
                                          extract_design2, h_map, initial_state,
                                          part_domain_count, r_update,
@@ -294,8 +293,7 @@ def _per_edge_graph2(spec):
 
     return build_graph(spec, "theta_r", initial_state(spec), state_key,
                        lambda state: h_map(spec, state), visible_rule,
-                       child_rule, max_nodes=DEFAULT_MAX_NODES,
-                       max_joint=DEFAULT_MAX_JOINT_BEHAVIORS)
+                       child_rule, max_nodes=DEFAULT_MAX_NODES)
 
 
 @pytest.mark.parametrize("name", ["i2", "ia", "det_n2"])
