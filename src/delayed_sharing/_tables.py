@@ -169,16 +169,34 @@ def tables(spec: ProblemSpec) -> SpecTables:
     return tab
 
 
+def stacked_support_sets(spec: ProblemSpec, t: int, P: np.ndarray
+                         ) -> list[tuple[tuple[int, ...], ...]]:
+    """support_sets of every belief in a stack P of shape (rows,
+    state_count), in row order.
+
+    A realization's marginal mass is a sum of non-negative terms, so it is
+    positive exactly when one of its joint states has positive mass; the
+    test reads that off one boolean reduction per controller.  Rows with
+    equal positivity patterns share one tuple.
+    """
+    st = tables(spec).stage[t]
+    live = P.reshape((len(P), *st.shape)) > 0.0
+    masks = []
+    for k in range(spec.K):
+        axes = tuple(i for i in range(1, spec.K + 2) if i != k + 2)
+        masks.append(live.any(axis=axes))
+    patterns, inverse = np.unique(np.concatenate(masks, axis=1), axis=0,
+                                  return_inverse=True)
+    bounds = np.cumsum([0, *st.L])
+    sets = [tuple(tuple(int(i) for i in np.nonzero(row[bounds[k]:bounds[k + 1]])[0])
+                  for k in range(spec.K))
+            for row in patterns]
+    return [sets[i] for i in inverse.reshape(-1).tolist()]
+
+
 def support_sets(spec: ProblemSpec, t: int, p: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Per-controller private realizations carrying positive marginal mass."""
-    st = tables(spec).stage[t]
-    cube = p.reshape(st.shape)
-    out = []
-    for k in range(spec.K):
-        axes = tuple(i for i in range(spec.K + 1) if i != k + 1)
-        marg = cube.sum(axis=axes)
-        out.append(tuple(int(i) for i in np.nonzero(marg > 0.0)[0]))
-    return tuple(out)
+    return stacked_support_sets(spec, t, p[None])[0]
 
 
 def consistent_lams(spec: ProblemSpec, t: int, z: histories.CommonObs) -> tuple[tuple[int, ...], ...]:

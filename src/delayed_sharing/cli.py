@@ -148,7 +148,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec = _load_spec(args)
-    best, design = evaluate.brute_force_optimum(spec, max_designs=args.max_designs)
+    if args.max_designs is None:
+        best, design = evaluate.brute_force_optimum(spec)
+    else:
+        # N designs allowed means N times the path bound in evaluations.
+        best, design = evaluate.brute_force_optimum(
+            spec, max_designs=args.max_designs,
+            budget=args.max_designs * evaluate.path_count_bound(spec))
     print(f"optimal_cost {_fmt(best)}")
     _write(args, {"optimal_cost": best, "design": design.to_json()})
     return EXIT_OK
@@ -230,8 +236,10 @@ _OPTIONS = {
     "--samples": dict(type=int, default=20, help="probe samples per stage (default 20)"),
     "--max-nodes": dict(type=int, default=DEFAULT_MAX_NODES,
                         help="reachable-graph node budget"),
-    "--max-designs": dict(type=int, default=evaluate.DEFAULT_ORACLE_BUDGET,
-                          help="brute-force design budget"),
+    "--max-designs": dict(type=int,
+                          help="brute-force design budget; its evaluation "
+                               "budget is this times the path bound (default: "
+                               f"{evaluate.DEFAULT_ORACLE_BUDGET} evaluations)"),
     "--max-paths": dict(type=int, default=evaluate.DEFAULT_MAX_PATHS,
                         help="trajectory enumeration budget"),
     "--design": dict(help="stored design JSON (default: solve and extract)"),

@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import histories, minimize
-from ._tables import support_sets, tables
+from ._tables import stacked_support_sets, support_sets, tables
 from .errors import (BudgetError, DomainError, OffDesignHistoryError,
                      UnreachableObservationError)
 from .histories import (CommonObs, CoordinatorPolicy, GammaProfile,
@@ -202,7 +202,8 @@ class InfoNode:
     pi is the node's belief-form image: the belief itself, or the h_map
     reconstruction of a (Theta, r) state, which is then kept in state (None
     in the belief form).  support holds, per controller, the realizations
-    with positive marginal mass under pi; it is computed on first read, so
+    with positive marginal mass under pi; it is computed on first read, or
+    for all unread nodes of a stage at once when the stage is backed up, so
     the leaves of a graph that values them without a backup (value_at) never
     pay for it.  relevant holds, per controller, the realizations whose
     assigned actions the backup must distinguish: the support plus every
@@ -267,10 +268,13 @@ class InfoGraph:
         return int(ztab.child[i]), float(ztab.pz[i])
 
 
-# Most entries one batched gather in expand_stage holds at a time (assignment
-# rows times gathered triples, or rows times next states); larger branch
-# tables are gathered in row chunks, so memory stays flat in the table size.
-_GATHER_ENTRIES = 1 << 16
+# Most entries one batched array step holds at a time: a gather in
+# expand_stage (assignment rows times gathered triples, or rows times next
+# states), a row block of the stage backup (nodes times the entries of a
+# belief, its cost tensor and its totals) and a row block of the terminal
+# minimization (beliefs times einsum outputs).  Larger batches run in row
+# blocks, so memory stays flat in the batch size.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _block_triples(s_start: np.ndarray, s_len: np.ndarray) -> np.ndarray:
@@ -376,7 +380,7 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
             places.append(place[st.lam_of_s[k][cand]])
         mass = p[cand]
         row_cost = max(next_count, cand.size * int(lens[cand].max()), 1)
-        chunk = max(1, _GATHER_ENTRIES // row_cost)
+        chunk = max(1, _BLOCK_ENTRIES // row_cost)
         ranks: list[int] = []
         pzs: list[float] = []
         children: list[int] = []
@@ -508,36 +512,40 @@ class ValueTable:
 
 def add_continuation(spec: ProblemSpec, bs: minimize.BehaviorSpace,
                      totals: np.ndarray, expansion: dict[int, ZTable],
-                     values: np.ndarray) -> np.ndarray:
+                     values: np.ndarray, subkeys: dict) -> np.ndarray:
     """totals plus, per shared symbol, every behavior's branch probability
     times values[child] of the branch it selects (0 off every branch);
     values is indexed by node id.
 
     The branch table of a symbol is assembled over its visible assignment
-    ranks and read back per behavior through the behaviors' subkeys.  Symbols
-    are added in expansion order, one array addition each, so the summation
-    order is fixed by the expansion.
+    ranks and read back per behavior through the behaviors' subkeys, an
+    open mesh of one vector per controller.  The mesh depends only on bs and
+    the visible sets, so subkeys keeps it per visible sets; share it only
+    across calls on the same bs.  Symbols are added in expansion order, one
+    array addition each, so the summation order is fixed by the expansion.
     """
     for ztab in expansion.values():
         table = np.zeros(ztab.shape)
         table.reshape(-1)[ztab.rank] = ztab.pz * values[ztab.child]
-        sks = [minimize.subkey_vector(spec, bs, k, ztab.visible[k])
-               for k in range(spec.K)]
-        totals = totals + table[np.ix_(*sks)]
+        mesh = subkeys.get(ztab.visible)
+        if mesh is None:
+            mesh = subkeys[ztab.visible] = np.ix_(*(
+                minimize.subkey_vector(spec, bs, k, ztab.visible[k])
+                for k in range(spec.K)))
+        totals = totals + table[mesh]
     return totals
 
 
-def _backup_node(spec: ProblemSpec, t: int, p: np.ndarray,
-                 support: tuple[tuple[int, ...], ...],
-                 expansion: dict[int, ZTable] | None,
-                 values: np.ndarray) -> tuple[float, int]:
-    bs = minimize.behavior_space(spec, t, support)
-    totals = minimize.stage_totals(spec, t, p, bs)
-    if expansion:
-        totals = add_continuation(spec, bs, totals, expansion, values)
-    flat_idx = int(np.argmin(totals.reshape(-1)))
-    value = float(totals.reshape(-1)[flat_idx])
-    return value, minimize.completion_rank(spec, bs, flat_idx)
+def _read_supports(spec: ProblemSpec, t: int, nodes: list[InfoNode]):
+    """Give every node that has not read its support yet (the leaves of a
+    graph) its support, computed for a row block of beliefs at a time."""
+    unread = [node for node in nodes if "support" not in vars(node)]
+    rows = max(1, _BLOCK_ENTRIES // state_count(spec, t))
+    for lo in range(0, len(unread), rows):
+        block = unread[lo:lo + rows]
+        sets = stacked_support_sets(spec, t, np.stack([n.pi.p for n in block]))
+        for node, support in zip(block, sets):
+            node.support = support
 
 
 def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
@@ -545,22 +553,62 @@ def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
     """Values and minimizing profile ranks of every stage-t node, each backed
     up on its belief-form image over its relevant realizations.  values is
     indexed by node id: the next stage's values are read from it (stage-T
-    nodes have no branches) and each stage-t value is written into it."""
-    J: dict[int, float] = {}
-    ranks: dict[int, int] = {}
-    for node in graph.stages[t]:
-        J[node.node_id], ranks[node.node_id] = _backup_node(
-            graph.spec, t, node.pi.p, node.relevant,
-            graph.expansions.get(node.node_id), values)
-        values[node.node_id] = J[node.node_id]
+    nodes have no branches) and each stage-t value is written into it.
+
+    Nodes are grouped by relevant sets (first-seen order), each group shares
+    one behavior space and runs in row blocks of at most _BLOCK_ENTRIES
+    entries, so memory stays flat in stage size.  Per block: one stage-total
+    contraction over the stacked beliefs, each expanded node's continuation
+    added to its own row, one argmin over the rows; each distinct minimizer's
+    completion rank is computed once per group.  Rows are independent (see
+    minimize.stage_totals for the bit-level scope), so values and ranks are
+    those of one backup per node.  J and ranks list the nodes in stage order.
+    """
+    spec = graph.spec
+    nodes = graph.stages[t]
+    _read_supports(spec, t, nodes)
+    groups: dict[tuple, list[InfoNode]] = {}
+    for node in nodes:
+        groups.setdefault(node.relevant, []).append(node)
+    J: dict[int, float] = dict.fromkeys(node.node_id for node in nodes)
+    ranks: dict[int, int] = dict.fromkeys(J)
+    for relevant, members in groups.items():
+        bs = minimize.behavior_space(spec, t, relevant)
+        subkeys: dict = {}
+        completions: dict[int, int] = {}
+        # a row holds a belief, its cost tensor over the relevant
+        # realizations and actions, and its behaviors' totals
+        row_entries = (state_count(spec, t) + math.prod(bs.shape)
+                       + math.prod(map(len, relevant)) * spec.action_count)
+        rows = max(1, _BLOCK_ENTRIES // row_entries)
+        for lo in range(0, len(members), rows):
+            block = members[lo:lo + rows]
+            totals = minimize.stage_totals(
+                spec, t, np.stack([node.pi.p for node in block]), bs)
+            for i, node in enumerate(block):
+                expansion = graph.expansions.get(node.node_id)
+                if expansion:
+                    totals[i] = add_continuation(spec, bs, totals[i],
+                                                 expansion, values, subkeys)
+            flat = totals.reshape(len(block), -1)
+            best = np.argmin(flat, axis=1)
+            low = flat[np.arange(len(block)), best]
+            ids = [node.node_id for node in block]
+            values[ids] = low
+            for node_id, idx, value in zip(ids, best.tolist(), low.tolist()):
+                rank = completions.get(idx)
+                if rank is None:
+                    rank = completions[idx] = minimize.completion_rank(spec, bs, idx)
+                J[node_id], ranks[node_id] = value, rank
     return J, ranks
 
 
 def solve_on_graph(graph: InfoGraph) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward sweep over a built graph of either form, stage T first.
     Backups within one stage read only the next stage's values and write
-    each their own slot, so a sweep could run nodes concurrently; this
-    implementation keeps the deterministic sequential order."""
+    each their own slot, so each stage is backed up as one batch
+    (_backup_stage: groups of nodes with equal relevant sets, in row blocks
+    of bounded size)."""
     values = np.zeros(graph.node_count)
     J: dict[int, dict[int, float]] = {}
     arg: dict[int, dict[int, int]] = {}
@@ -669,12 +717,6 @@ def extract_design(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDes
 # Value function on the whole simplex
 # ---------------------------------------------------------------------------
 
-# Most einsum output entries _last_stage_values holds at a time; larger
-# batches are minimized in row blocks, so its temporaries stay under a
-# megabyte however many beliefs one call values.
-_TERMINAL_ENTRIES = 1 << 16
-
-
 def _last_stage_values(spec: ProblemSpec, P: np.ndarray) -> np.ndarray:
     """Terminal values of a batch of beliefs (rows of P).
 
@@ -705,7 +747,7 @@ def _last_stage_values(spec: ProblemSpec, P: np.ndarray) -> np.ndarray:
     for k in range(spec.K - 1):
         sub += "," + beh_l[k] + lam_l[k] + act_l[k]
     sub += "->z" + beh_l + lam_l[spec.K - 1] + act_l[spec.K - 1]
-    rows = max(1, _TERMINAL_ENTRIES // row_entries)
+    rows = max(1, _BLOCK_ENTRIES // row_entries)
     values = np.empty(len(P))
     for lo in range(0, len(P), rows):
         cur = minimize.einsum(sub, ct[lo:lo + rows], *bs.onehots[: spec.K - 1])

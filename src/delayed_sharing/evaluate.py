@@ -311,9 +311,14 @@ def brute_force_optimum(spec: ProblemSpec, *,
                         budget: int = DEFAULT_ORACLE_BUDGET
                         ) -> tuple[float, ExtensionalDesign]:
     """Exhaustive minimum of exact_cost over every design; ties go to the
-    earlier design in enumeration order."""
+    earlier design in enumeration order.  Refused (BudgetError) before any
+    design is evaluated when the designs exceed max_designs or designs x
+    path_count_bound exceeds budget, the number of path evaluations."""
     spec = normalize_problem(spec)
     n_designs = design_count(spec)
+    if n_designs > max_designs:
+        raise BudgetError(
+            f"design space holds {n_designs} designs (budget {max_designs})")
     work = n_designs * path_count_bound(spec)
     if work > budget:
         raise BudgetError(

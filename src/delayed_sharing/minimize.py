@@ -96,13 +96,16 @@ def behavior_space(spec: ProblemSpec, t: int,
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _einsum_subscripts(K: int) -> str:
+def _einsum_subscripts(K: int, batch: str = "") -> str:
+    """Subscripts contracting the cost tensor (lam_1..lam_K, u_1..u_K) with
+    each controller's one-hot behaviors; batch, when given, is the letter of
+    a leading row axis carried through to the output."""
     lam = _LETTERS[:K]
     act = _LETTERS[K:2 * K]
     beh = _LETTERS[2 * K:3 * K]
-    operands = [lam + act]
+    operands = [batch + lam + act]
     operands += [beh[k] + lam[k] + act[k] for k in range(K)]
-    return ",".join(operands) + "->" + beh
+    return ",".join(operands) + "->" + batch + beh
 
 
 # Greedy contraction paths, keyed on (subscripts, operand shapes).  The path
@@ -111,30 +114,52 @@ def _einsum_subscripts(K: int) -> str:
 _EINSUM_PATHS: dict[tuple, list] = {}
 
 
-def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """np.einsum(subscripts, *operands, optimize=True) with the contraction
-    path looked up per operand shapes instead of searched per call."""
+def einsum_path(subscripts: str, *operands: np.ndarray) -> list:
+    """The contraction path np.einsum(subscripts, *operands, optimize=True)
+    takes, searched once per operand shapes."""
     key = (subscripts, tuple(op.shape for op in operands))
     path = _EINSUM_PATHS.get(key)
     if path is None:
         path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
         _EINSUM_PATHS[key] = path
-    return np.einsum(subscripts, *operands, optimize=path)
+    return path
 
 
-def stage_totals(spec: ProblemSpec, t: int, p: np.ndarray,
+def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """np.einsum(subscripts, *operands, optimize=True) with the contraction
+    path looked up per operand shapes instead of searched per call."""
+    return np.einsum(subscripts, *operands,
+                     optimize=einsum_path(subscripts, *operands))
+
+
+def stage_totals(spec: ProblemSpec, t: int, P: np.ndarray,
                  bs: BehaviorSpace) -> np.ndarray:
-    """Expected stage cost of every behavior, shaped bs.shape.
+    """Expected stage cost of every behavior at each belief of a stack P of
+    shape (rows, state_count), shaped (rows, *bs.shape); one belief is the
+    stack p[None].  Zero-mass realizations outside the restricted sets
+    contribute nothing, so restricting the cost tensor to them is exact.
 
-    Zero-mass realizations outside the restricted sets contribute nothing,
-    so restricting the cost tensor to them is exact.
+    Each row is computed as for one belief: its cost tensor is its own
+    (realizations x states) @ (states x actions) product, as np.tensordot
+    forms it (one stacked product would let BLAS fuse multiply-adds
+    differently), and the behaviors are contracted along the one-belief
+    optimize=True path with the row axis carried along.  With two or more
+    controllers of two or more actions each, every step is a matrix-matrix
+    product and each row is the bytes of the one-belief einsum (tested).
+    With one controller, or a one-action controller, the one-belief step is
+    a matrix-vector product, which BLAS may sum in another order: rows then
+    agree with it to rounding only.
     """
     st = tables(spec).stage[t]
-    cube = p.reshape(st.shape)
-    cube_r = cube[np.ix_(range(spec.x_size), *bs.restricted)]
-    q_cube = st.q.reshape((spec.x_size, *spec.u_size))
-    ct = np.tensordot(cube_r, q_cube, axes=([0], [0]))
-    return einsum(_einsum_subscripts(spec.K), ct, *bs.onehots)
+    rows = len(P)
+    cube = P.reshape((rows, *st.shape))
+    cube_r = cube[np.ix_(range(rows), range(spec.x_size), *bs.restricted)]
+    lam_shape = cube_r.shape[2:]
+    ct = np.matmul(np.moveaxis(cube_r, 1, -1).reshape(rows, -1, spec.x_size),
+                   st.q).reshape((rows, *lam_shape, *spec.u_size))
+    path = einsum_path(_einsum_subscripts(spec.K), ct[0], *bs.onehots)
+    return np.einsum(_einsum_subscripts(spec.K, _LETTERS[3 * spec.K]),
+                     ct, *bs.onehots, optimize=path)
 
 
 def subkey_vector(spec: ProblemSpec, bs: BehaviorSpace, k: int,

@@ -50,7 +50,7 @@ def _pz_gap(spec: ProblemSpec, graph) -> float:
         for node in graph.stages[t]:
             bs = minimize.behavior_space(spec, t, node.relevant)
             acc = add_continuation(spec, bs, np.zeros(bs.shape),
-                                   graph.expansions[node.node_id], ones)
+                                   graph.expansions[node.node_id], ones, {})
             worst = max(worst, float(np.abs(acc - 1.0).max()))
     return worst
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from delayed_sharing import minimize
 from delayed_sharing._tables import tables
 from delayed_sharing.coordinator import PiBelief, expected_stage_cost
 from delayed_sharing.errors import DomainError
@@ -57,6 +58,25 @@ def update_mass(spec, t, p, profile, z_rank, candidates):
     weights = w[flat] * np.repeat(mass, s_len)[keep]
     np.add.at(m, dst[flat], weights)
     return m, float(weights.sum())
+
+
+def backup_node_reference(spec, t, p, relevant, expansion, values):
+    """(value, minimizing profile rank) of one node backed up on its own:
+    one behavior space, the stage totals of the one-row stack p[None], the
+    node's continuation read per symbol through the behaviors' subkeys, and
+    one argmin.  The per-node loop the stage backup batches; values is
+    indexed by node id."""
+    bs = minimize.behavior_space(spec, t, relevant)
+    totals = minimize.stage_totals(spec, t, p[None], bs)[0]
+    for ztab in (expansion or {}).values():
+        table = np.zeros(ztab.shape)
+        table.reshape(-1)[ztab.rank] = ztab.pz * values[ztab.child]
+        sks = [minimize.subkey_vector(spec, bs, k, ztab.visible[k])
+               for k in range(spec.K)]
+        totals = totals + table[np.ix_(*sks)]
+    flat_idx = int(np.argmin(totals.reshape(-1)))
+    value = float(totals.reshape(-1)[flat_idx])
+    return value, minimize.completion_rank(spec, bs, flat_idx)
 
 
 def window_tables_reference(spec, t):

@@ -1,0 +1,95 @@
+"""The stage-batched backup against one backup per node.  Grouping nodes by
+relevant sets, stacking their beliefs in row blocks and taking one argmin
+per block change how the work is scheduled, never the arithmetic: values
+must agree bit for bit and minimizing profile ranks exactly, for every row
+block size."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from delayed_sharing import coordinator
+from delayed_sharing._tables import stacked_support_sets, support_sets, tables
+from delayed_sharing.coordinator import reachable_graph, solve_on_graph
+from delayed_sharing.generate import random_instance
+from delayed_sharing.model import normalize_problem
+from delayed_sharing.second_form import reachable_graph2
+from helpers import backup_node_reference
+
+BUILD = {"belief": reachable_graph, "theta_r": reachable_graph2}
+# One row per block; an odd cap that leaves partial last blocks; the default.
+BLOCK_ENTRIES = (1, 999, coordinator._BLOCK_ENTRIES)
+
+
+def _reference_sweep(graph):
+    """Per stage, node id -> (value, rank) from one backup per node."""
+    spec = graph.spec
+    values = np.zeros(graph.node_count)
+    out = {}
+    for t in range(spec.T, 0, -1):
+        out[t] = {}
+        for node in graph.stages[t]:
+            out[t][node.node_id] = backup_node_reference(
+                spec, t, node.pi.p, node.relevant,
+                graph.expansions.get(node.node_id), values)
+            values[node.node_id] = out[t][node.node_id][0]
+    return out
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]),
+       n=st.sampled_from([1, 2]), deterministic=st.booleans(),
+       form=st.sampled_from(["belief", "theta_r"]))
+def test_stage_backup_matches_per_node_reference(seed, K, n, deterministic, form):
+    """Three stages, so the middle stage both reads and feeds continuations;
+    a third controller observes a single symbol, which keeps K=3 graphs near
+    a thousand nodes."""
+    spec = normalize_problem(random_instance(
+        K, 3, n, 2, (2, 2, 1)[:K] if K == 3 else (2, 2), (2,) * K, seed=seed,
+        deterministic=deterministic))
+    graph = BUILD[form](spec)
+    leaves = graph.stages[spec.T]
+    assert not any("support" in vars(node) for node in leaves)
+    sweeps = []
+    for entries in (BLOCK_ENTRIES[-1], *BLOCK_ENTRIES[:-1]):
+        with mock.patch.object(coordinator, "_BLOCK_ENTRIES", entries):
+            sweeps.append(solve_on_graph(graph)[0])
+    # the first sweep read every leaf's support from stacked rows
+    for node in leaves:
+        assert node.support == support_sets(spec, spec.T, node.pi.p)
+    want = _reference_sweep(graph)
+    for vt in sweeps:
+        assert list(vt.J) == list(vt.argmin) == list(want)
+        for t, per_node in want.items():
+            assert list(vt.J[t]) == list(vt.argmin[t]) == list(per_node)
+            assert (np.array(list(vt.J[t].values())).tobytes()
+                    == np.array([v for v, _ in per_node.values()]).tobytes())
+            assert list(vt.argmin[t].values()) == [r for _, r in per_node.values()]
+
+
+def test_stacked_supports_match_marginal_mass():
+    """Stacked supports are, row by row, the realizations whose marginal
+    mass (a sum over the other coordinates) is positive; support_sets is
+    the one-row stack."""
+    spec = normalize_problem(random_instance(3, 2, 1, 3, (2, 3, 1), (2, 2, 2),
+                                             seed=3))
+    t = spec.T
+    stt = tables(spec).stage[t]
+    rng = np.random.default_rng(3)
+    P = rng.uniform(size=(40, stt.state_count))
+    for i, sparsity in enumerate(np.linspace(0.0, 0.98, len(P))):
+        P[i, rng.uniform(size=stt.state_count) < sparsity] = 0.0
+    P[-1] = 0.0
+    P[-1, 5] = 1e-300
+    got = stacked_support_sets(spec, t, P)
+    assert len(got) == len(P)
+    for row, sets in zip(P, got):
+        cube = row.reshape(stt.shape)
+        want = []
+        for k in range(spec.K):
+            axes = tuple(i for i in range(spec.K + 1) if i != k + 1)
+            want.append(tuple(int(i) for i in
+                              np.nonzero(cube.sum(axis=axes) > 0.0)[0]))
+        assert sets == tuple(want)
+        assert support_sets(spec, t, row) == sets

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from delayed_sharing import cli, minimize
+from delayed_sharing.generate import random_instance
+from delayed_sharing.model import serialize_problem
 
 INSTANCES = Path(__file__).resolve().parents[1] / "src" / "delayed_sharing" / "instances"
 
@@ -95,6 +97,28 @@ def test_oracle_on_io(tmp_path):
 def test_oracle_budget_exit_code():
     res = run_cli("oracle", "--problem", str(INSTANCES / "i1.json"))
     assert res.returncode == 3
+
+
+def test_oracle_max_designs_limits_designs(tmp_path):
+    # 2,097,152 designs, 243 paths each
+    path = tmp_path / "prob.json"
+    path.write_text(serialize_problem(random_instance(1, 2, 2, 3, (3,), (2,),
+                                                      seed=1)))
+    res = run_cli("oracle", "--problem", str(path), "--max-designs", "1000")
+    assert res.returncode == 3
+    assert "design space holds 2097152 designs (budget 1000)" in res.stderr
+
+
+def test_oracle_raised_max_designs_keeps_the_optimum():
+    """io's 1,024 designs fit the default budget; a design limit far above
+    it (its evaluation budget 32 paths times that) must not change the
+    answer."""
+    io = str(INSTANCES / "io.json")
+    default = run_cli("oracle", "--problem", io)
+    raised = run_cli("oracle", "--problem", io, "--max-designs", "1000000000")
+    assert default.returncode == raised.returncode == 0
+    assert raised.stdout == default.stdout
+    assert raised.stdout.startswith("optimal_cost -0.594236377773")
 
 
 def test_behavior_budget_exit_code(monkeypatch, capsys):

@@ -171,7 +171,7 @@ def test_row_chunks_match_one_gather(monkeypatch, K, n):
     t = spec.T - 1
     p = _belief(spec, t, rng, 0.5)
     visible_for = _visible_rule(spec, t, p, "consistent")
-    monkeypatch.setattr(coordinator, "_GATHER_ENTRIES", 1)
+    monkeypatch.setattr(coordinator, "_BLOCK_ENTRIES", 1)
     calls, child_fn = _recorder(spec)
     got = expand_stage(spec, t, p, visible_for, child_fn)
     assert got
@@ -179,32 +179,50 @@ def test_row_chunks_match_one_gather(monkeypatch, K, n):
                            _reference_expand(spec, t, p, visible_for))
 
 
-@settings(max_examples=30, deadline=None)
+def _row_totals_reference(spec, t, p, bs):
+    """Stage totals of one belief by np.einsum(..., optimize=True), without
+    a row axis."""
+    stt = tables(spec).stage[t]
+    cube_r = p.reshape(stt.shape)[np.ix_(range(spec.x_size), *bs.restricted)]
+    q_cube = stt.q.reshape((spec.x_size, *spec.u_size))
+    ct = np.tensordot(cube_r, q_cube, axes=([0], [0]))
+    return np.einsum(minimize._einsum_subscripts(spec.K), ct, *bs.onehots,
+                     optimize=True)
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]),
        n=st.sampled_from([1, 2]), deterministic=st.booleans(),
        sparsity=st.sampled_from([0.0, 0.5, 0.9]))
 def test_stage_totals_cached_path_is_bit_identical(
         seed, K, n, deterministic, sparsity):
+    """The cached path on one belief, and on stacks of 1, 2 and 7 beliefs,
+    gives row by row the bytes of np.einsum(..., optimize=True) on that
+    row alone."""
     spec = normalize_problem(random_instance(
         K, n + 1, n, 2, (2,) * K, (2,) * K, seed=seed,
         deterministic=deterministic))
     rng = np.random.default_rng(seed)
     t = int(rng.integers(1, spec.T + 1))
     p = _belief(spec, t, rng, sparsity)
-    # at most 3 realizations per controller keeps the behavior count small
-    restricted = tuple(lams[:3] for lams in support_sets(spec, t, p))
+    # at most 3 realizations per controller keeps the behavior count small;
+    # uneven counts make the one-belief and many-row contraction paths differ
+    restricted = tuple(lams[:int(rng.integers(1, 4))]
+                       for lams in support_sets(spec, t, p))
     bs = minimize.behavior_space(spec, t, restricted)
 
-    stt = tables(spec).stage[t]
-    cube_r = p.reshape(stt.shape)[np.ix_(range(spec.x_size), *bs.restricted)]
-    q_cube = stt.q.reshape((spec.x_size, *spec.u_size))
-    ct = np.tensordot(cube_r, q_cube, axes=([0], [0]))
-    want = np.einsum(minimize._einsum_subscripts(spec.K), ct, *bs.onehots,
-                     optimize=True)
+    want = _row_totals_reference(spec, t, p, bs)
     for _ in range(2):              # first call may search, second reuses
-        got = minimize.stage_totals(spec, t, p, bs)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        got = minimize.stage_totals(spec, t, p[None], bs)
+        assert got.shape == (1, *want.shape)
+        assert got[0].tobytes() == want.tobytes()
+    for rows in (1, 2, 7):
+        P = np.stack([p] + [_belief(spec, t, rng, sparsity)
+                            for _ in range(rows - 1)])
+        got = minimize.stage_totals(spec, t, P, bs)
+        assert got.shape == (rows, *bs.shape)
+        for row, q in zip(got, P):
+            assert row.tobytes() == _row_totals_reference(spec, t, q, bs).tobytes()
 
 
 @pytest.mark.parametrize("K", [2, 3])
@@ -229,8 +247,8 @@ def test_behavior_space_shares_read_only_digit_tables(K):
             with pytest.raises(ValueError):
                 arr[...] = 0
     uncached = dataclasses.replace(bs, onehots=tuple(fresh_onehots))
-    assert (minimize.stage_totals(spec, t, p, bs).tobytes()
-            == minimize.stage_totals(spec, t, p, uncached).tobytes())
+    assert (minimize.stage_totals(spec, t, p[None], bs).tobytes()
+            == minimize.stage_totals(spec, t, p[None], uncached).tobytes())
 
 
 @settings(max_examples=25, deadline=None)
@@ -324,9 +342,9 @@ def test_terminal_row_blocks_match_one_block(monkeypatch, name):
     rng = np.random.default_rng(11)
     P = np.stack([_belief(spec, spec.T, rng, sparsity)
                   for sparsity in (0.0, 0.5, 0.9) * 7])
-    monkeypatch.setattr(coordinator, "_TERMINAL_ENTRIES", 1 << 40)
+    monkeypatch.setattr(coordinator, "_BLOCK_ENTRIES", 1 << 40)
     whole = coordinator._last_stage_values(spec, P)
     for entries in (1, 3 * 4096, 5 * 96):
-        monkeypatch.setattr(coordinator, "_TERMINAL_ENTRIES", entries)
+        monkeypatch.setattr(coordinator, "_BLOCK_ENTRIES", entries)
         got = coordinator._last_stage_values(spec, P)
         assert got.tobytes() == whole.tobytes()
