@@ -3,11 +3,14 @@
 golden_output.json holds the SHA-256 digest of the stdout, the --out
 solution and the --emit-design table of `solve` and `solve2`, and of the
 stdout and --out report of `probe-concavity --samples 5 --seed 7` and of
-`simulate --episodes 5000 --seed 7`, on every shipped instance.  The probe
-report carries every sampled minimum slack as a full-precision float, so it
-pins `value_at` to the last bit; the simulate report does the same for the
-Monte Carlo mean and standard error.  Speed work must leave all of them
-unchanged.  When a change is meant to alter this output,
+`simulate --episodes 5000 --seed 7`, of the stdout and --out of `evaluate`
+and of `verify --samples 2 --episodes 2000` on every shipped instance, and of
+`oracle` on io.  The probe report carries every sampled minimum slack as a
+full-precision float, so it pins `value_at` to the last bit; the simulate
+report does the same for the Monte Carlo mean and standard error, the
+evaluate and oracle reports for the exact path sums, and the verify report
+prints the conditional oracles' errors to 12 digits.  Speed work must leave
+all of them unchanged.  When a change is meant to alter this output,
 regenerate the digests with
 
     PYTHONPATH=src python tests/test_golden_output.py
@@ -29,10 +32,15 @@ from delayed_sharing import cli, instances
 
 INSTANCES = Path(__file__).resolve().parents[1] / "src" / "delayed_sharing" / "instances"
 GOLDEN = Path(__file__).with_name("golden_output.json")
-# Extra arguments per command.
-COMMANDS = {"solve": (), "solve2": (),
-            "probe-concavity": ("--samples", "5", "--seed", "7"),
-            "simulate": ("--episodes", "5000", "--seed", "7")}
+# Extra arguments per command, and the instances it runs on.
+COMMANDS = {"solve": ((), instances.NAMES), "solve2": ((), instances.NAMES),
+            "probe-concavity": (("--samples", "5", "--seed", "7"), instances.NAMES),
+            "simulate": (("--episodes", "5000", "--seed", "7"), instances.NAMES),
+            "evaluate": ((), instances.NAMES),
+            "oracle": ((), ("io",)),
+            "verify": (("--samples", "2", "--episodes", "2000"), instances.NAMES)}
+RUNS = [(name, command) for command, (_, names) in COMMANDS.items()
+        for name in names]
 EMITS_DESIGN = ("solve", "solve2")
 
 
@@ -42,7 +50,7 @@ def digests(command: str, name: str) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         out, design = Path(tmp) / "out.json", Path(tmp) / "design.json"
         argv = [command, "--problem", str(INSTANCES / f"{name}.json"),
-                "--out", str(out), *COMMANDS[command]]
+                "--out", str(out), *COMMANDS[command][0]]
         if command in EMITS_DESIGN:
             argv += ["--emit-design", str(design)]
         buf = io.StringIO()
@@ -56,9 +64,8 @@ def digests(command: str, name: str) -> dict[str, str]:
             for kind, blob in blobs.items()}
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("name", instances.NAMES)
-def test_cli_output_matches_golden_digests(command, name):
+@pytest.mark.parametrize("name, command", RUNS)
+def test_cli_output_matches_golden_digests(name, command):
     golden = json.loads(GOLDEN.read_text("utf-8"))
     for key, digest in digests(command, name).items():
         assert golden[key] == digest, key
@@ -66,9 +73,8 @@ def test_cli_output_matches_golden_digests(command, name):
 
 if __name__ == "__main__":
     table = {}
-    for command in COMMANDS:
-        for name in instances.NAMES:
-            table.update(digests(command, name))
+    for name, command in RUNS:
+        table.update(digests(command, name))
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)
