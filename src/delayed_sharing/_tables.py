@@ -18,8 +18,14 @@ from .errors import DomainError
 from .model import ProblemSpec
 
 
-# Dense (state, action, next state, observation tuple) entries that
-# step_arrays holds at once: it walks the states in blocks of this size.
+# Most entries one batched array step holds at a time: step_arrays' dense
+# (state, action, next state, observation tuple) block, a gather in
+# coordinator.expand_stage (assignment rows times gathered triples, or rows
+# times next states), a row block of the stage backup (nodes times the
+# entries of a belief, its cost tensor and its totals) and a row block of the
+# terminal minimization (beliefs times einsum outputs).  Larger batches run
+# in row blocks, so memory stays flat in the batch size.  The coordinator
+# reads it at call time, so one patch reaches every reader.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -198,10 +204,3 @@ def support_sets(spec: ProblemSpec, t: int, p: np.ndarray) -> tuple[tuple[int, .
     """Per-controller private realizations carrying positive marginal mass."""
     return stacked_support_sets(spec, t, p[None])[0]
 
-
-def consistent_lams(spec: ProblemSpec, t: int, z: histories.CommonObs) -> tuple[tuple[int, ...], ...]:
-    """Per controller, every private realization at time t whose aged-out
-    coordinates agree with the shared symbol z emitted at time t+1."""
-    if z.is_null:
-        raise DomainError("null shared symbols impose no consistency constraint")
-    return tables(spec).stage[t].consistency(spec, z)[0]

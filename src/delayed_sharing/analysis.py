@@ -18,7 +18,7 @@ import numpy as np
 from . import evaluate, generate
 from .coordinator import (PiBelief, belief_update, initial_belief, solve_dp,
                           solve_on_graph, value_at)
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .histories import (Design, GammaProfile, PartialFunction,
                         common_obs_count, common_obs_space, private_count,
                         random_design)
@@ -46,6 +46,8 @@ def concavity_probe(spec: ProblemSpec, samples: int, seed: int,
                     *, tol: float = CONCAVITY_TOL) -> ConcavityReport:
     """Sample mixture triples per stage and check the value of the mixture
     is never below the mixture of values (minus tolerance)."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     spec = normalize_problem(spec)
     from ._tables import tables
     min_slack: dict[int, float] = {}

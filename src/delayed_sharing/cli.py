@@ -217,23 +217,29 @@ def _cmd_probe_concavity(args) -> int:
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy seeds its streams from non-negative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
-    return value
+def _at_least(low: int, name: str):
+    """An option parser for integers >= low: numpy seeds its streams from
+    non-negative integers, and a probe needs at least one sample."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 # Every option a subcommand may take besides --problem and --out.
 _OPTIONS = {
-    "--seed": dict(type=_seed, default=7, help="seed for randomized steps (default 7)"),
+    "--seed": dict(type=_at_least(0, "seed"), default=7,
+                   help="seed for randomized steps (default 7)"),
     "--episodes": dict(type=int, default=100_000,
                        help="Monte Carlo episodes (default 100000)"),
-    "--samples": dict(type=int, default=20, help="probe samples per stage (default 20)"),
+    "--samples": dict(type=_at_least(1, "samples"), default=20,
+                      help="probe samples per stage (default 20)"),
     "--max-nodes": dict(type=int, default=DEFAULT_MAX_NODES,
                         help="reachable-graph node budget"),
     "--max-designs": dict(type=int,

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from . import histories, minimize
+from . import _tables, histories, minimize
 from ._tables import stacked_support_sets, support_sets, tables
 from .errors import (BudgetError, DomainError, OffDesignHistoryError,
                      UnreachableObservationError)
@@ -56,14 +56,6 @@ def state_count(spec: ProblemSpec, t: int) -> int:
 
 def state_rank(spec: ProblemSpec, s: JointState) -> int:
     return tables(spec).stage[s.t].state_rank(s.x_prev, s.lam)
-
-
-def state_unrank(spec: ProblemSpec, t: int, rank: int) -> JointState:
-    st = tables(spec).stage[t]
-    if not 0 <= rank < st.state_count:
-        raise DomainError(f"state rank {rank} out of range at t={t}")
-    return JointState(t, int(st.x_of_s[rank]),
-                      tuple(int(st.lam_of_s[k][rank]) for k in range(spec.K)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,15 +260,6 @@ class InfoGraph:
         return int(ztab.child[i]), float(ztab.pz[i])
 
 
-# Most entries one batched array step holds at a time: a gather in
-# expand_stage (assignment rows times gathered triples, or rows times next
-# states), a row block of the stage backup (nodes times the entries of a
-# belief, its cost tensor and its totals) and a row block of the terminal
-# minimization (beliefs times einsum outputs).  Larger batches run in row
-# blocks, so memory stays flat in the batch size.
-_BLOCK_ENTRIES = 1 << 16
-
-
 def _block_triples(s_start: np.ndarray, s_len: np.ndarray) -> np.ndarray:
     """Flat positions in the step arrays of every triple of the given
     (state, action) blocks, block after block."""
@@ -380,7 +363,7 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
             places.append(place[st.lam_of_s[k][cand]])
         mass = p[cand]
         row_cost = max(next_count, cand.size * int(lens[cand].max()), 1)
-        chunk = max(1, _BLOCK_ENTRIES // row_cost)
+        chunk = max(1, _tables._BLOCK_ENTRIES // row_cost)
         ranks: list[int] = []
         pzs: list[float] = []
         children: list[int] = []
@@ -540,7 +523,7 @@ def _read_supports(spec: ProblemSpec, t: int, nodes: list[InfoNode]):
     """Give every node that has not read its support yet (the leaves of a
     graph) its support, computed for a row block of beliefs at a time."""
     unread = [node for node in nodes if "support" not in vars(node)]
-    rows = max(1, _BLOCK_ENTRIES // state_count(spec, t))
+    rows = max(1, _tables._BLOCK_ENTRIES // state_count(spec, t))
     for lo in range(0, len(unread), rows):
         block = unread[lo:lo + rows]
         sets = stacked_support_sets(spec, t, np.stack([n.pi.p for n in block]))
@@ -556,7 +539,7 @@ def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
     nodes have no branches) and each stage-t value is written into it.
 
     Nodes are grouped by relevant sets (first-seen order), each group shares
-    one behavior space and runs in row blocks of at most _BLOCK_ENTRIES
+    one behavior space and runs in row blocks of at most _tables._BLOCK_ENTRIES
     entries, so memory stays flat in stage size.  Per block: one stage-total
     contraction over the stacked beliefs, each expanded node's continuation
     added to its own row, one argmin over the rows; each distinct minimizer's
@@ -580,7 +563,7 @@ def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
         # realizations and actions, and its behaviors' totals
         row_entries = (state_count(spec, t) + math.prod(bs.shape)
                        + math.prod(map(len, relevant)) * spec.action_count)
-        rows = max(1, _BLOCK_ENTRIES // row_entries)
+        rows = max(1, _tables._BLOCK_ENTRIES // row_entries)
         for lo in range(0, len(members), rows):
             block = members[lo:lo + rows]
             totals = minimize.stage_totals(
@@ -747,7 +730,7 @@ def _last_stage_values(spec: ProblemSpec, P: np.ndarray) -> np.ndarray:
     for k in range(spec.K - 1):
         sub += "," + beh_l[k] + lam_l[k] + act_l[k]
     sub += "->z" + beh_l + lam_l[spec.K - 1] + act_l[spec.K - 1]
-    rows = max(1, _BLOCK_ENTRIES // row_entries)
+    rows = max(1, _tables._BLOCK_ENTRIES // row_entries)
     values = np.empty(len(P))
     for lo in range(0, len(P), rows):
         cur = minimize.einsum(sub, ct[lo:lo + rows], *bs.onehots[: spec.K - 1])

@@ -4,10 +4,13 @@ Nothing here goes through beliefs or information states: trajectories over
 (initial state, observations, transitions) are enumerated directly with
 their kernel probabilities, actions are read off the strategy under test,
 and expectations or conditionals are exact sums.  This is the oracle the
-solvers are checked against.  The seeded Monte Carlo estimate (simulate)
-samples the same primitive randomness, one PCG64 stream per episode, and
-runs the episodes stage by stage as arrays over blocks; it too reads the
-strategy only through Design.act, never through solver tables.
+solvers are checked against.  The trajectories are the rows of one forward
+path table, built stage by stage; exact_cost and the conditional oracles
+are sums over its rows.  The seeded Monte Carlo estimate (simulate) samples
+the same primitive randomness, one PCG64 stream per episode, and runs the
+episodes stage by stage as arrays over blocks.  Both act through one stage
+step, _act, which reads the strategy only through its act method, never
+through solver tables.
 """
 
 from __future__ import annotations
@@ -65,75 +68,148 @@ class PathRecord:
 ActionFn = Callable[[int, int, int, tuple[int, ...]], int]
 
 
-def _window_rank(spec: ProblemSpec, k: int, t: int, ys_k, us_k) -> int:
-    """Rank of controller k's private window at time t, cut from its full
-    observation and action sequences so far: histories.private_rank's mixed
-    radix (observations major, then actions), without building the window."""
+# ---------------------------------------------------------------------------
+# The forward path table and the stage step it shares with simulate
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Paths:
+    """Every positive-probability trajectory prefix up to some t_max, one
+    row each, in depth-first order.  Column m-1 of ys holds stage m's joint
+    observation rank (controller 0 major) and of us its joint action index;
+    xs[:, i] is the state at time i; zs holds the shared symbol ranks
+    recorded.  Integer columns are int32, so a path takes 4 bytes per
+    column and 8 for its weight."""
+
+    weight: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    us: np.ndarray
+    zs: np.ndarray
+
+
+def _expand(mask: np.ndarray, max_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, value) of each true entry of a (rows, values) mask in C order,
+    refused before anything is allocated when there are over max_paths."""
+    if np.count_nonzero(mask) > max_paths:
+        raise BudgetError(f"path enumeration exceeded {max_paths} paths")
+    return np.nonzero(mask)
+
+
+def _path_table(spec: ProblemSpec, action_fn: ActionFn, t_max: int,
+                include_final_step: bool, max_paths: int) -> _Paths:
+    """The paths up to t_max (observations only at the last stage when
+    include_final_step is false), built stage by stage: each row expands
+    over its positive observations, controller 0 first, then, having acted,
+    over its positive next states.  C order keeps the rows depth-first, and
+    weights are multiplied factor by factor in trajectory order.  Kernel
+    rows are stochastic, so no expansion has more rows than the last, and
+    checking each one against max_paths checks the path count."""
+    if not 1 <= t_max <= spec.T:
+        raise DomainError(f"t_max={t_max} outside [1, {spec.T}]")
+    acted = t_max if include_final_step else t_max - 1
+    _, x0 = _expand(spec.x0_dist[None] > 0.0, max_paths)
+    weight = spec.x0_dist[x0]
+    xs = np.zeros((len(x0), acted + 1), dtype=np.int32)
+    xs[:, 0] = x0
+    ys = np.zeros((len(x0), t_max), dtype=np.int32)
+    us = np.zeros((len(x0), acted), dtype=np.int32)
+    for t in range(1, t_max + 1):
+        for k in range(spec.K):
+            kernel = spec.obs[k][t - 1][xs[:, t - 1]]
+            rows, y = _expand(kernel > 0.0, max_paths)
+            weight = weight[rows] * kernel[rows, y]
+            xs, ys, us = xs[rows], ys[rows], us[rows]
+            ys[:, t - 1] = ys[:, t - 1] * spec.y_size[k] + y
+        if t > acted:
+            break
+        us[:, t - 1] = _act(spec, action_fn, t, ys, us)
+        kernel = spec.trans[t - 1][xs[:, t - 1], us[:, t - 1]]
+        rows, x = _expand(kernel > 0.0, max_paths)
+        weight = weight[rows] * kernel[rows, x]
+        xs, ys, us = xs[rows], ys[rows], us[rows]
+        xs[:, t] = x
+    return _Paths(weight, xs, ys, us, _symbols(spec, ys, us, spec.T - spec.n))
+
+
+def _symbols(spec: ProblemSpec, ys: np.ndarray, us: np.ndarray,
+             length: int) -> np.ndarray:
+    """Shared symbol ranks (histories.symbol_rank: the joint observation's
+    rank, then the joint action's) of stages 1..length, or of every stage
+    acted if fewer."""
+    length = max(0, min(length, us.shape[1]))
+    return ys[:, :length] * spec.action_count + us[:, :length]
+
+
+def _history_ids(spec: ProblemSpec, zs: np.ndarray) -> np.ndarray:
+    """Dense id per row of its shared history, the row of zs: equal ids,
+    equal histories."""
+    radix = spec.action_count * math.prod(spec.y_size)
+    ids = np.zeros(len(zs), dtype=np.int64)
+    for z in zs.T:
+        ids = np.unique(ids * radix + z, return_inverse=True)[1]
+    return ids
+
+
+def _window_ranks(spec: ProblemSpec, t: int, ys: np.ndarray,
+                  us: np.ndarray) -> list[np.ndarray]:
+    """Per controller, each row's private window rank at time t
+    (histories.private_rank's mixed radix: observations major, then
+    actions), cut from joint ranks ys and us laid out as in _Paths."""
     lo = max(1, t - spec.n + 1)
-    r = 0
-    for y in ys_k[lo - 1: t]:
-        r = r * spec.y_size[k] + y
-    for u in us_k[lo - 1: t - 1]:
-        r = r * spec.u_size[k] + u
-    return r
+    y_parts = np.unravel_index(ys[:, lo - 1: t], spec.y_size)
+    u_parts = np.unravel_index(us[:, lo - 1: t - 1], spec.u_size)
+    ranks = []
+    for k in range(spec.K):
+        lam = np.zeros(len(ys), dtype=np.int64)
+        for y in y_parts[k].T:
+            lam = lam * spec.y_size[k] + y
+        for u in u_parts[k].T:
+            lam = lam * spec.u_size[k] + u
+        ranks.append(lam)
+    return ranks
+
+
+def _act(spec: ProblemSpec, action_fn: ActionFn, t: int, ys: np.ndarray,
+         us: np.ndarray) -> np.ndarray:
+    """Joint action index at stage t of every row, from ys through stage t
+    and us through stage t-1 (laid out as in _Paths).  action_fn is asked
+    once per distinct (controller, shared history, private window), and
+    each action it returns is checked to be in range."""
+    zs = _symbols(spec, ys, us, t - spec.n)
+    history = _history_ids(spec, zs)
+    a = np.zeros(len(ys), dtype=np.int64)
+    for k, lam in enumerate(_window_ranks(spec, t, ys, us)):
+        count = histories.private_count(spec, k, t)
+        _, first, inverse = np.unique(history * count + lam,
+                                      return_index=True, return_inverse=True)
+        acted = np.array([action_fn(k, t, int(lam[e]), tuple(zs[e].tolist()))
+                          for e in first.tolist()], dtype=np.int64)
+        bad = (acted < 0) | (acted >= spec.u_size[k])
+        if bad.any():
+            raise DomainError(f"action {acted[bad][0]} out of range "
+                              f"for controller {k}")
+        a = a * spec.u_size[k] + acted[inverse]
+    return a
 
 
 def iter_paths(spec: ProblemSpec, action_fn: ActionFn, *,
                t_max: int | None = None, include_final_step: bool = True,
                max_paths: int = DEFAULT_MAX_PATHS) -> Iterator[PathRecord]:
-    """Depth-first enumeration of every positive-probability trajectory
-    prefix up to t_max (observations only at the last stage when
-    include_final_step is false)."""
+    """Every positive-probability trajectory prefix up to t_max
+    (observations only at the last stage when include_final_step is false)
+    in depth-first order: the rows of the path table, which is built in
+    full, and checked against max_paths, before this returns."""
     spec = normalize_problem(spec)
-    t_max = spec.T if t_max is None else t_max
-    if not 1 <= t_max <= spec.T:
-        raise DomainError(f"t_max={t_max} outside [1, {spec.T}]")
-    emitted = 0
-
-    def recurse(t, weight, xs, ys, us, zs):
-        nonlocal emitted
-        x = xs[-1]
-        y_supports = [np.nonzero(spec.obs[k][t - 1][x] > 0.0)[0]
-                      for k in range(spec.K)]
-        for y_stage in itertools.product(*y_supports):
-            w = weight
-            for k in range(spec.K):
-                w *= float(spec.obs[k][t - 1][x, y_stage[k]])
-            ys2 = tuple(ys[k] + (int(y_stage[k]),) for k in range(spec.K))
-            if t == t_max and not include_final_step:
-                emitted += 1
-                if emitted > max_paths:
-                    raise BudgetError(f"path enumeration exceeded {max_paths} paths")
-                yield PathRecord(w, xs, ys2, us, zs)
-                continue
-            delta = zs[: max(0, t - spec.n)]
-            u_stage = tuple(
-                action_fn(k, t, _window_rank(spec, k, t, ys2[k], us[k]), delta)
-                for k in range(spec.K)
-            )
-            us2 = tuple(us[k] + (u_stage[k],) for k in range(spec.K))
-            zs2 = zs
-            if t + spec.n <= spec.T:
-                # this stage will be shared at time t+n, within horizon
-                zs2 = zs + (histories.symbol_rank(
-                    spec, tuple(ys2[k][t - 1] for k in range(spec.K)), u_stage),)
-            a = spec.encode_action(u_stage)
-            trow = spec.trans[t - 1][x, a]
-            for x2 in np.nonzero(trow > 0.0)[0]:
-                w2 = w * float(trow[x2])
-                xs2 = xs + (int(x2),)
-                if t == t_max:
-                    emitted += 1
-                    if emitted > max_paths:
-                        raise BudgetError(f"path enumeration exceeded {max_paths} paths")
-                    yield PathRecord(w2, xs2, ys2, us2, zs2)
-                else:
-                    yield from recurse(t + 1, w2, xs2, ys2, us2, zs2)
-
-    for x0 in np.nonzero(spec.x0_dist > 0.0)[0]:
-        yield from recurse(1, float(spec.x0_dist[x0]), (int(x0),),
-                           tuple(() for _ in range(spec.K)),
-                           tuple(() for _ in range(spec.K)), ())
+    paths = _path_table(spec, action_fn, spec.T if t_max is None else t_max,
+                        include_final_step, max_paths)
+    ys = [part.tolist() for part in np.unravel_index(paths.ys, spec.y_size)]
+    us = [part.tolist() for part in np.unravel_index(paths.us, spec.u_size)]
+    rows = zip(paths.weight.tolist(), paths.xs.tolist(), zip(*ys), zip(*us),
+               paths.zs.tolist())
+    return (PathRecord(w, tuple(xs), tuple(map(tuple, y)), tuple(map(tuple, u)),
+                       tuple(zs))
+            for w, xs, y, u, zs in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +219,17 @@ def iter_paths(spec: ProblemSpec, action_fn: ActionFn, *,
 def exact_cost(spec: ProblemSpec, design: Design, *,
                max_paths: int = DEFAULT_MAX_PATHS) -> EvalResult:
     """Exact expected total cost of a design by exhaustive forward summation
-    over the joint support of all primitive randomness."""
+    over the joint support of all primitive randomness.  Each stage adds
+    its paths' weight x cost in row order, starting from 0.0 (so a leading
+    -0.0 sums to +0.0)."""
     spec = normalize_problem(spec)
-    per_stage = np.zeros(spec.T)
-    for rec in iter_paths(spec, design.act, max_paths=max_paths):
-        for t in range(1, spec.T + 1):
-            a = spec.encode_action(tuple(rec.us[k][t - 1] for k in range(spec.K)))
-            per_stage[t - 1] += rec.weight * float(spec.cost[t - 1][rec.xs[t], a])
+    paths = _path_table(spec, design.act, spec.T, True, max_paths)
+    per_stage = np.array([
+        np.add.accumulate(np.concatenate((
+            [0.0],
+            paths.weight * spec.cost[t - 1][paths.xs[:, t], paths.us[:, t - 1]],
+        )))[-1]
+        for t in range(1, spec.T + 1)])
     return EvalResult(float(per_stage.sum()), tuple(float(c) for c in per_stage))
 
 
@@ -198,57 +278,24 @@ def _draw(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _simulate_block(spec: ProblemSpec, design: Design, seed: int,
                     block: range, x0_cdf: np.ndarray, trans_cdf: np.ndarray,
                     obs_cdf: list[np.ndarray]) -> np.ndarray:
-    """Total cost of each episode of the block.  Stage costs are added in
-    stage order from 0.0, as a per-episode loop adds them."""
-    K, T, n = spec.K, spec.T, spec.n
+    """Total cost of each episode of the block: one sampled trajectory per
+    row, laid out as in _Paths and acted on by _act.  Stage costs are added
+    in stage order from 0.0, as a per-episode loop adds them."""
+    K, T = spec.K, spec.T
     size = len(block)
     draws = np.empty((size, 1 + T * (K + 1)))
     for row, i in enumerate(block):
         np.random.default_rng([seed, i]).random(out=draws[row])
     x = _draw(np.broadcast_to(x0_cdf, (size, len(x0_cdf))), draws[:, 0])
-    ys = np.zeros((K, size, T), dtype=np.int64)
-    us = np.zeros((K, size, T), dtype=np.int64)
-    zs = np.zeros((size, max(0, T - n)), dtype=np.int64)
-    radix = histories.common_obs_count(spec, n + 1) if T > n else 1
-    # Dense id per episode of its shared history among the block's: equal
-    # ids, equal histories.
-    delta_id = np.zeros(size, dtype=np.int64)
+    ys = np.zeros((size, T), dtype=np.int64)
+    us = np.zeros((size, T), dtype=np.int64)
     totals = np.zeros(size)
     for t in range(1, T + 1):
         col = 1 + (t - 1) * (K + 1)
         for k in range(K):
-            ys[k, :, t - 1] = _draw(obs_cdf[k][t - 1, x], draws[:, col + k])
-        length = max(0, t - n)
-        if length:
-            delta_id = np.unique(delta_id * radix + zs[:, length - 1],
-                                 return_inverse=True)[1]
-        lo = max(1, t - n + 1)
-        a = np.zeros(size, dtype=np.int64)
-        for k in range(K):
-            lam = np.zeros(size, dtype=np.int64)
-            for m in range(lo, t + 1):
-                lam = lam * spec.y_size[k] + ys[k, :, m - 1]
-            for m in range(lo, t):
-                lam = lam * spec.u_size[k] + us[k, :, m - 1]
-            count = histories.private_count(spec, k, t)
-            _, first, inverse = np.unique(delta_id * count + lam,
-                                          return_index=True, return_inverse=True)
-            acted = np.array([
-                design.act(k, t, int(lam[e]), tuple(int(z) for z in zs[e, :length]))
-                for e in first.tolist()], dtype=np.int64)
-            bad = (acted < 0) | (acted >= spec.u_size[k])
-            if bad.any():
-                raise DomainError(f"action {acted[bad][0]} out of range "
-                                  f"for controller {k}")
-            us[k, :, t - 1] = acted[inverse]
-            a = a * spec.u_size[k] + us[k, :, t - 1]
-        if t + n <= T:
-            # symbol_rank: the observations' mixed radix, then the actions',
-            # which is the joint action index
-            z = np.zeros(size, dtype=np.int64)
-            for k in range(K):
-                z = z * spec.y_size[k] + ys[k, :, t - 1]
-            zs[:, t - 1] = z * spec.action_count + a
+            y = _draw(obs_cdf[k][t - 1, x], draws[:, col + k])
+            ys[:, t - 1] = ys[:, t - 1] * spec.y_size[k] + y
+        a = us[:, t - 1] = _act(spec, design.act, t, ys, us)
         x = _draw(trans_cdf[t - 1, x, a], draws[:, col + K])
         totals += spec.cost[t - 1][x, a]
     return totals
@@ -376,30 +423,36 @@ def materialize_design(spec: ProblemSpec, design: Design, *,
 # Conditional oracles over shared histories
 # ---------------------------------------------------------------------------
 
+def _by_history(spec: ProblemSpec, paths: _Paths,
+                t: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct shared histories at time t among the table's rows, in
+    first-seen order, and each row's index among them."""
+    zs = paths.zs[:, : max(0, t - spec.n)]
+    ids = _history_ids(spec, zs)
+    first = np.unique(ids, return_index=True)[1]
+    order = np.argsort(first)
+    return [tuple(zs[i].tolist()) for i in first[order]], np.argsort(order)[ids]
+
+
 def conditional_state_dists(spec: ProblemSpec, action_fn: ActionFn, t: int,
                             *, max_paths: int = DEFAULT_MAX_PATHS
                             ) -> dict[tuple[int, ...], tuple[float, np.ndarray]]:
     """Per positive-probability shared history at time t: its probability and
     the exact conditional over joint-state ranks, straight from path sums."""
     spec = normalize_problem(spec)
-    counts = [histories.private_count(spec, k, t) for k in range(spec.K)]
-    size = spec.x_size * math.prod(counts)
-    acc: dict[tuple[int, ...], np.ndarray] = {}
-    for rec in iter_paths(spec, action_fn, t_max=t, include_final_step=False,
-                          max_paths=max_paths):
-        delta = rec.zs[: max(0, t - spec.n)]
-        # joint-state rank: mixed radix over (x, private windows), x major
-        s = rec.xs[t - 1]
-        for k in range(spec.K):
-            s = s * counts[k] + _window_rank(spec, k, t, rec.ys[k], rec.us[k])
-        vec = acc.get(delta)
-        if vec is None:
-            vec = acc[delta] = np.zeros(size)
-        vec[s] += rec.weight
-    return {
-        delta: (float(vec.sum()), vec / vec.sum())
-        for delta, vec in acc.items()
-    }
+    paths = _path_table(spec, action_fn, t, False, max_paths)
+    keys, group = _by_history(spec, paths, t)
+    # joint-state rank: mixed radix over (x, private windows), x major
+    s = paths.xs[:, t - 1].astype(np.int64)
+    size = spec.x_size
+    for k, lam in enumerate(_window_ranks(spec, t, paths.ys, paths.us)):
+        count = histories.private_count(spec, k, t)
+        s = s * count + lam
+        size *= count
+    acc = np.zeros((len(keys), size))
+    np.add.at(acc, (group, s), paths.weight)
+    return {delta: (float(vec.sum()), vec / vec.sum())
+            for delta, vec in zip(keys, acc)}
 
 
 def conditional_x_dists(spec: ProblemSpec, action_fn: ActionFn, t: int,
@@ -408,16 +461,11 @@ def conditional_x_dists(spec: ProblemSpec, action_fn: ActionFn, t: int,
     """P(X_{t-lag} | shared history at t) for every reachable history
     (X at the clipped time max(0, t-lag))."""
     spec = normalize_problem(spec)
-    when = max(0, t - lag)
-    acc: dict[tuple[int, ...], np.ndarray] = {}
-    for rec in iter_paths(spec, action_fn, t_max=t, include_final_step=False,
-                          max_paths=max_paths):
-        delta = rec.zs[: max(0, t - spec.n)]
-        vec = acc.get(delta)
-        if vec is None:
-            vec = acc[delta] = np.zeros(spec.x_size)
-        vec[rec.xs[when]] += rec.weight
-    return {delta: vec / vec.sum() for delta, vec in acc.items()}
+    paths = _path_table(spec, action_fn, t, False, max_paths)
+    keys, group = _by_history(spec, paths, t)
+    acc = np.zeros((len(keys), spec.x_size))
+    np.add.at(acc, (group, paths.xs[:, max(0, t - lag)]), paths.weight)
+    return {delta: vec / vec.sum() for delta, vec in zip(keys, acc)}
 
 
 def conditional_stage_costs(spec: ProblemSpec, action_fn: ActionFn, t: int,
@@ -425,14 +473,14 @@ def conditional_stage_costs(spec: ProblemSpec, action_fn: ActionFn, t: int,
                             ) -> dict[tuple[int, ...], float]:
     """E[stage cost at t | shared history at t] for every reachable history."""
     spec = normalize_problem(spec)
-    num: dict[tuple[int, ...], float] = {}
-    den: dict[tuple[int, ...], float] = {}
-    for rec in iter_paths(spec, action_fn, t_max=t, max_paths=max_paths):
-        delta = rec.zs[: max(0, t - spec.n)]
-        a = spec.encode_action(tuple(rec.us[k][t - 1] for k in range(spec.K)))
-        num[delta] = num.get(delta, 0.0) + rec.weight * float(spec.cost[t - 1][rec.xs[t], a])
-        den[delta] = den.get(delta, 0.0) + rec.weight
-    return {delta: num[delta] / den[delta] for delta in num}
+    paths = _path_table(spec, action_fn, t, True, max_paths)
+    keys, group = _by_history(spec, paths, t)
+    num = np.zeros(len(keys))
+    den = np.zeros(len(keys))
+    cost = spec.cost[t - 1][paths.xs[:, t], paths.us[:, t - 1]]
+    np.add.at(num, group, paths.weight * cost)
+    np.add.at(den, group, paths.weight)
+    return {delta: float(num[i] / den[i]) for i, delta in enumerate(keys)}
 
 
 def conditional_phi(spec: ProblemSpec, action_fn: ActionFn, t: int,
@@ -444,12 +492,9 @@ def conditional_phi(spec: ProblemSpec, action_fn: ActionFn, t: int,
     if t < 2:
         raise DomainError("the two-step-back statistic needs t >= 2")
     A = spec.action_count
-    acc: dict[tuple[int, ...], np.ndarray] = {}
-    for rec in iter_paths(spec, action_fn, t_max=t - 1, max_paths=max_paths):
-        delta = rec.zs[: max(0, t - spec.n)]
-        a = spec.encode_action(tuple(rec.us[k][t - 2] for k in range(spec.K)))
-        vec = acc.get(delta)
-        if vec is None:
-            vec = acc[delta] = np.zeros(spec.x_size * A)
-        vec[rec.xs[t - 2] * A + a] += rec.weight
-    return {delta: vec / vec.sum() for delta, vec in acc.items()}
+    paths = _path_table(spec, action_fn, t - 1, True, max_paths)
+    keys, group = _by_history(spec, paths, t)
+    acc = np.zeros((len(keys), spec.x_size * A))
+    np.add.at(acc, (group, paths.xs[:, t - 2].astype(np.int64) * A + paths.us[:, t - 2]),
+              paths.weight)
+    return {delta: vec / vec.sum() for delta, vec in zip(keys, acc)}

@@ -83,12 +83,6 @@ def make_ia() -> ProblemSpec:
     )
 
 
-def make_i2_mini() -> ProblemSpec:
-    """Delay-2 instance small enough for the brute-force oracle (1024
-    designs): controller 1 has trivial alphabets."""
-    return random_instance(2, 2, 2, 2, (2, 1), (2, 1), seed=7105)
-
-
 CANONICAL = {
     "io": make_io,
     "i1": make_i1,

@@ -67,22 +67,6 @@ def private_rank(spec: ProblemSpec, info: PrivateInfo) -> int:
     return r
 
 
-def private_unrank(spec: ProblemSpec, k: int, t: int, rank: int) -> PrivateInfo:
-    ny, nu = private_sizes(spec, k, t)
-    digits = []
-    for size in [spec.u_size[k]] * nu:
-        digits.append(rank % size)
-        rank //= size
-    u_seq = tuple(reversed(digits))
-    digits = []
-    for size in [spec.y_size[k]] * ny:
-        digits.append(rank % size)
-        rank //= size
-    if rank:
-        raise DomainError("private rank out of range")
-    return PrivateInfo(k, t, tuple(reversed(digits)), u_seq)
-
-
 # ---------------------------------------------------------------------------
 # Common observations
 # ---------------------------------------------------------------------------

@@ -90,11 +90,6 @@ def part_window(spec: ProblemSpec, t: int, m: int) -> tuple[int, int]:
     return m - lo + 1, m - lo
 
 
-def part_domain_count(spec: ProblemSpec, k: int, t: int, m: int) -> int:
-    ny, nu = part_window(spec, t, m)
-    return spec.y_size[k] ** ny * spec.u_size[k] ** nu
-
-
 # Curry index maps per (y_size, u_size, ny, nu, y_fix, u_fix): they depend on
 # nothing else, so every controller and instance of that shape shares one.
 _CURRY_INDEX: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -294,28 +289,6 @@ def h_map(spec: ProblemSpec, state: ThetaRState) -> PiBelief:
     p = np.zeros(st.state_count)
     p[np.ravel_multi_index((xs, *lam), st.shape)] = w2
     return PiBelief(t, p)
-
-
-def suffix_from_prescriptions(spec: ProblemSpec, k: int, t: int,
-                              gammas: dict[int, PartialFunction],
-                              shared_y: dict[int, int],
-                              shared_u: dict[int, int]) -> RSuffix:
-    """Build the suffix directly from its definition: each recent
-    prescription with every already-shared argument substituted.  Used to
-    check that the recursion and the definition agree."""
-    spec = normalize_problem(spec)
-    lo = max(1, t - spec.n + 1)
-    parts = []
-    for m in range(lo, t):
-        g = gammas[m]
-        ny, nu = histories.private_sizes(spec, k, m)
-        table = g.table
-        lo_m = max(1, m - spec.n + 1)
-        for j in range(lo_m, t - spec.n + 1):
-            table = _curry_table(spec, k, table, ny, nu, shared_y[j], shared_u[j])
-            ny, nu = ny - 1, nu - 1
-        parts.append(tuple(table))
-    return RSuffix(k, t, tuple(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ import numpy as np
 
 from delayed_sharing import minimize
 from delayed_sharing._tables import tables
-from delayed_sharing.coordinator import PiBelief, expected_stage_cost
-from delayed_sharing.errors import DomainError
-from delayed_sharing.evaluate import SimResult
+from delayed_sharing.coordinator import (JointState, PiBelief,
+                                         expected_stage_cost)
+from delayed_sharing.errors import BudgetError, DomainError
+from delayed_sharing.evaluate import EvalResult, PathRecord, SimResult
+from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (GammaProfile, PartialFunction,
                                        PrivateInfo, common_obs_rank,
                                        common_obs_space, gamma_profiles,
@@ -18,6 +20,7 @@ from delayed_sharing.histories import (GammaProfile, PartialFunction,
                                        private_sizes, private_space,
                                        symbol_rank)
 from delayed_sharing.model import normalize_problem
+from delayed_sharing.second_form import RSuffix, _curry_table, part_window
 
 
 def update_mass(spec, t, p, profile, z_rank, candidates):
@@ -312,3 +315,201 @@ def simulate_reference(spec, design, episodes, seed):
     else:
         std_error = 0.0
     return SimResult(episodes, mean, std_error, seed)
+
+
+# -- path-sum ground truth: the recursive generator and its per-path readers --
+
+def iter_paths_reference(spec, action_fn, *, t_max=None, include_final_step=True,
+                         max_paths=10_000_000):
+    """Depth-first recursion over every positive-probability trajectory
+    prefix up to t_max, one PathRecord per prefix, its weight multiplied
+    factor by factor in trajectory order; action_fn is asked once per path,
+    controller and stage."""
+    spec = normalize_problem(spec)
+    t_max = spec.T if t_max is None else t_max
+    if not 1 <= t_max <= spec.T:
+        raise DomainError(f"t_max={t_max} outside [1, {spec.T}]")
+    emitted = 0
+
+    def window(k, t, ys_k, us_k):
+        lo = max(1, t - spec.n + 1)
+        return _window_rank(spec, k, ys_k[lo - 1: t], us_k[lo - 1: t - 1])
+
+    def recurse(t, weight, xs, ys, us, zs):
+        nonlocal emitted
+        x = xs[-1]
+        y_supports = [np.nonzero(spec.obs[k][t - 1][x] > 0.0)[0]
+                      for k in range(spec.K)]
+        for y_stage in itertools.product(*y_supports):
+            w = weight
+            for k in range(spec.K):
+                w *= float(spec.obs[k][t - 1][x, y_stage[k]])
+            ys2 = tuple(ys[k] + (int(y_stage[k]),) for k in range(spec.K))
+            if t == t_max and not include_final_step:
+                emitted += 1
+                if emitted > max_paths:
+                    raise BudgetError(f"path enumeration exceeded {max_paths} paths")
+                yield PathRecord(w, xs, ys2, us, zs)
+                continue
+            delta = zs[: max(0, t - spec.n)]
+            u_stage = tuple(action_fn(k, t, window(k, t, ys2[k], us[k]), delta)
+                            for k in range(spec.K))
+            us2 = tuple(us[k] + (u_stage[k],) for k in range(spec.K))
+            zs2 = zs
+            if t + spec.n <= spec.T:
+                zs2 = zs + (symbol_rank(
+                    spec, tuple(ys2[k][t - 1] for k in range(spec.K)), u_stage),)
+            a = spec.encode_action(u_stage)
+            trow = spec.trans[t - 1][x, a]
+            for x2 in np.nonzero(trow > 0.0)[0]:
+                w2 = w * float(trow[x2])
+                xs2 = xs + (int(x2),)
+                if t == t_max:
+                    emitted += 1
+                    if emitted > max_paths:
+                        raise BudgetError(f"path enumeration exceeded {max_paths} paths")
+                    yield PathRecord(w2, xs2, ys2, us2, zs2)
+                else:
+                    yield from recurse(t + 1, w2, xs2, ys2, us2, zs2)
+
+    for x0 in np.nonzero(spec.x0_dist > 0.0)[0]:
+        yield from recurse(1, float(spec.x0_dist[x0]), (int(x0),),
+                           tuple(() for _ in range(spec.K)),
+                           tuple(() for _ in range(spec.K)), ())
+
+
+def exact_cost_reference(spec, design):
+    """Expected total cost and per-stage split: one accumulator per stage,
+    adding weight x stage cost path by path."""
+    spec = normalize_problem(spec)
+    per_stage = np.zeros(spec.T)
+    for rec in iter_paths_reference(spec, design.act):
+        for t in range(1, spec.T + 1):
+            a = spec.encode_action(tuple(rec.us[k][t - 1] for k in range(spec.K)))
+            per_stage[t - 1] += rec.weight * float(spec.cost[t - 1][rec.xs[t], a])
+    return EvalResult(float(per_stage.sum()), tuple(float(c) for c in per_stage))
+
+
+def conditional_state_dists_reference(spec, action_fn, t):
+    """Per shared history at t, in first-seen order: its probability and the
+    conditional over joint-state ranks, one vector per history."""
+    spec = normalize_problem(spec)
+    counts = [private_count(spec, k, t) for k in range(spec.K)]
+    size = spec.x_size * math.prod(counts)
+    lo = max(1, t - spec.n + 1)
+    acc = {}
+    for rec in iter_paths_reference(spec, action_fn, t_max=t,
+                                    include_final_step=False):
+        delta = rec.zs[: max(0, t - spec.n)]
+        s = rec.xs[t - 1]
+        for k in range(spec.K):
+            s = s * counts[k] + _window_rank(spec, k, rec.ys[k][lo - 1: t],
+                                             rec.us[k][lo - 1: t - 1])
+        vec = acc.get(delta)
+        if vec is None:
+            vec = acc[delta] = np.zeros(size)
+        vec[s] += rec.weight
+    return {delta: (float(vec.sum()), vec / vec.sum())
+            for delta, vec in acc.items()}
+
+
+def conditional_x_dists_reference(spec, action_fn, t, lag):
+    """P(X_{max(0, t-lag)} | shared history at t), one vector per history."""
+    spec = normalize_problem(spec)
+    when = max(0, t - lag)
+    acc = {}
+    for rec in iter_paths_reference(spec, action_fn, t_max=t,
+                                    include_final_step=False):
+        delta = rec.zs[: max(0, t - spec.n)]
+        vec = acc.get(delta)
+        if vec is None:
+            vec = acc[delta] = np.zeros(spec.x_size)
+        vec[rec.xs[when]] += rec.weight
+    return {delta: vec / vec.sum() for delta, vec in acc.items()}
+
+
+def conditional_stage_costs_reference(spec, action_fn, t):
+    """E[stage cost at t | shared history at t], one float pair per history."""
+    spec = normalize_problem(spec)
+    num = {}
+    den = {}
+    for rec in iter_paths_reference(spec, action_fn, t_max=t):
+        delta = rec.zs[: max(0, t - spec.n)]
+        a = spec.encode_action(tuple(rec.us[k][t - 1] for k in range(spec.K)))
+        num[delta] = num.get(delta, 0.0) + rec.weight * float(spec.cost[t - 1][rec.xs[t], a])
+        den[delta] = den.get(delta, 0.0) + rec.weight
+    return {delta: num[delta] / den[delta] for delta in num}
+
+
+def conditional_phi_reference(spec, action_fn, t):
+    """P(X_{t-2}, joint action at t-1 | shared history at t), state major."""
+    spec = normalize_problem(spec)
+    A = spec.action_count
+    acc = {}
+    for rec in iter_paths_reference(spec, action_fn, t_max=t - 1):
+        delta = rec.zs[: max(0, t - spec.n)]
+        a = spec.encode_action(tuple(rec.us[k][t - 2] for k in range(spec.K)))
+        vec = acc.get(delta)
+        if vec is None:
+            vec = acc[delta] = np.zeros(spec.x_size * A)
+        vec[rec.xs[t - 2] * A + a] += rec.weight
+    return {delta: vec / vec.sum() for delta, vec in acc.items()}
+
+
+# -- inverses and definitions the package itself does not need ----------------
+
+def private_unrank(spec, k, t, rank):
+    """The private window of controller k at time t with the given rank."""
+    ny, nu = private_sizes(spec, k, t)
+    digits = []
+    for size in [spec.u_size[k]] * nu:
+        digits.append(rank % size)
+        rank //= size
+    u_seq = tuple(reversed(digits))
+    digits = []
+    for size in [spec.y_size[k]] * ny:
+        digits.append(rank % size)
+        rank //= size
+    if rank:
+        raise DomainError("private rank out of range")
+    return PrivateInfo(k, t, tuple(reversed(digits)), u_seq)
+
+
+def state_unrank(spec, t, rank):
+    """The joint state at time t with the given rank."""
+    st = tables(spec).stage[t]
+    if not 0 <= rank < st.state_count:
+        raise DomainError(f"state rank {rank} out of range at t={t}")
+    return JointState(t, int(st.x_of_s[rank]),
+                      tuple(int(st.lam_of_s[k][rank]) for k in range(spec.K)))
+
+
+def part_domain_count(spec, k, t, m):
+    """Entries of controller k's part issued at m and held at time t."""
+    ny, nu = part_window(spec, t, m)
+    return spec.y_size[k] ** ny * spec.u_size[k] ** nu
+
+
+def suffix_from_prescriptions(spec, k, t, gammas, shared_y, shared_u):
+    """Build the suffix directly from its definition: each recent
+    prescription with every already-shared argument substituted.  Used to
+    check that the recursion and the definition agree."""
+    spec = normalize_problem(spec)
+    lo = max(1, t - spec.n + 1)
+    parts = []
+    for m in range(lo, t):
+        g = gammas[m]
+        ny, nu = private_sizes(spec, k, m)
+        table = g.table
+        lo_m = max(1, m - spec.n + 1)
+        for j in range(lo_m, t - spec.n + 1):
+            table = _curry_table(spec, k, table, ny, nu, shared_y[j], shared_u[j])
+            ny, nu = ny - 1, nu - 1
+        parts.append(tuple(table))
+    return RSuffix(k, t, tuple(parts))
+
+
+def make_i2_mini():
+    """Delay-2 instance small enough for the brute-force oracle (1024
+    designs): controller 1 has trivial alphabets."""
+    return random_instance(2, 2, 2, 2, (2, 1), (2, 1), seed=7105)

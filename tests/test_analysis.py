@@ -8,7 +8,7 @@ from delayed_sharing.analysis import (check_aicardi_degenerate,
                                       kurtaran_random_search,
                                       verify_kurtaran_witness)
 from delayed_sharing.coordinator import PiBelief, extract_design, state_count, value_at
-from delayed_sharing.errors import PreconditionError
+from delayed_sharing.errors import DomainError, PreconditionError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import private_space, random_design
 from delayed_sharing.model import ProblemSpec, normalize_problem
@@ -178,4 +178,6 @@ def test_concavity_probe_reports(i1_spec):
     rep = concavity_probe(i1_spec, 20, seed=7)
     assert rep.passed
     assert set(rep.min_slack) == {1, 2}
+    with pytest.raises(DomainError, match="samples must be >= 1"):
+        concavity_probe(i1_spec, 0, seed=7)
     assert min(rep.min_slack.values()) >= -1e-9

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from delayed_sharing import coordinator
+from delayed_sharing import _tables
 from delayed_sharing._tables import stacked_support_sets, support_sets, tables
 from delayed_sharing.coordinator import reachable_graph, solve_on_graph
 from delayed_sharing.generate import random_instance
@@ -19,7 +19,7 @@ from helpers import backup_node_reference
 
 BUILD = {"belief": reachable_graph, "theta_r": reachable_graph2}
 # One row per block; an odd cap that leaves partial last blocks; the default.
-BLOCK_ENTRIES = (1, 999, coordinator._BLOCK_ENTRIES)
+BLOCK_ENTRIES = (1, 999, _tables._BLOCK_ENTRIES)
 
 
 def _reference_sweep(graph):
@@ -53,7 +53,7 @@ def test_stage_backup_matches_per_node_reference(seed, K, n, deterministic, form
     assert not any("support" in vars(node) for node in leaves)
     sweeps = []
     for entries in (BLOCK_ENTRIES[-1], *BLOCK_ENTRIES[:-1]):
-        with mock.patch.object(coordinator, "_BLOCK_ENTRIES", entries):
+        with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
             sweeps.append(solve_on_graph(graph)[0])
     # the first sweep read every leaf's support from stacked rows
     for node in leaves:

@@ -84,6 +84,27 @@ def test_negative_seed_is_an_input_error():
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command, value", [("probe-concavity", "0"),
+                                            ("verify", "-3"),
+                                            ("verify", "two")])
+def test_samples_below_one_is_an_input_error(command, value, capsys):
+    """A probe with no samples checks nothing, so it may not report a pass."""
+    code = cli.main([command, "--problem", str(INSTANCES / "io.json"),
+                     "--samples", value])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"samples must be an integer >= 1, got '{value}'" in err
+    assert "Traceback" not in err
+
+
+def test_path_budget_exit_code(capsys):
+    """i2's optimal design has 1,024 paths."""
+    code = cli.main(["evaluate", "--problem", str(INSTANCES / "i2.json"),
+                     "--max-paths", "100"])
+    assert code == cli.EXIT_BUDGET
+    assert "budget exceeded: path enumeration exceeded 100 paths" in capsys.readouterr().err
+
+
 def test_oracle_on_io(tmp_path):
     out = tmp_path / "oracle.json"
     res = run_cli("oracle", "--problem", str(INSTANCES / "io.json"),

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import naive_value, primitive_joint
+from helpers import naive_value, primitive_joint, state_unrank
 
 from delayed_sharing import (_tables, analysis, coordinator, evaluate,
                              instances, minimize, second_form)
@@ -13,7 +13,7 @@ from delayed_sharing.coordinator import (PiBelief, alpha_backup, belief_update,
                                          initial_belief, joint_step_kernel,
                                          reachable_graph, solve_dp,
                                          solve_on_graph, state_count,
-                                         state_rank, state_unrank, JointState,
+                                         state_rank, JointState,
                                          value_at)
 from delayed_sharing.errors import (BudgetError, DomainError,
                                     UnreachableObservationError)

@@ -2,15 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delayed_sharing import evaluate
-from delayed_sharing.coordinator import expected_stage_cost, initial_belief
+from delayed_sharing.coordinator import (expected_stage_cost, extract_design,
+                                         initial_belief, reachable_graph,
+                                         solve_on_graph)
 from delayed_sharing.errors import BudgetError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (ExtensionalDesign, PrivateInfo,
                                        constant_design, gamma_profiles,
                                        private_rank, random_design)
 from delayed_sharing.model import ProblemSpec, normalize_problem
+from helpers import (conditional_phi_reference,
+                     conditional_stage_costs_reference,
+                     conditional_state_dists_reference,
+                     conditional_x_dists_reference, exact_cost_reference,
+                     iter_paths_reference)
 
 
 def constant_cost_spec(c, T=1):
@@ -127,6 +135,22 @@ def test_brute_force_budget(io_spec):
         evaluate.brute_force_optimum(io_spec, budget=100)
 
 
+def test_path_budget(solved):
+    """i2's optimal design has 1,024 paths: a budget of 1,024 admits them and
+    1,023 is refused, by the exact cost, the path view and a conditional."""
+    spec = solved["i2"]["spec"]
+    design = extract_design(spec, solved["i2"]["pol"])
+    assert len(list(evaluate.iter_paths(spec, design.act, max_paths=1024))) == 1024
+    evaluate.exact_cost(spec, design, max_paths=1024)
+    calls = [lambda m: evaluate.exact_cost(spec, design, max_paths=m),
+             lambda m: evaluate.iter_paths(spec, design.act, max_paths=m),
+             lambda m: evaluate.conditional_stage_costs(spec, design.act, spec.T,
+                                                        max_paths=m)]
+    for call in calls:
+        with pytest.raises(BudgetError, match="path enumeration exceeded 1023 paths"):
+            call(1023)
+
+
 def test_brute_force_matches_both_dps(io_spec, solved):
     best, _ = evaluate.brute_force_optimum(io_spec)
     assert abs(best - solved["io"]["vt"].optimal_cost) <= 1e-9
@@ -155,13 +179,111 @@ def test_materialize_design_round_trip(solved):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_window_rank_matches_private_rank(n):
     """Every observation and action sequence through t <= 4, with y and u
-    radices that differ within and across controllers."""
+    radices that differ within and across controllers: one row per
+    sequence, the other controller's observations and actions held at 0."""
     spec = normalize_problem(random_instance(2, 4, n, 2, (2, 3), (3, 2), seed=n))
     for k in range(spec.K):
+        y_stride = spec.y_size[1] if k == 0 else 1
+        u_stride = spec.u_size[1] if k == 0 else 1
         for t in range(1, spec.T + 1):
             lo = max(1, t - n + 1)
-            for ys in itertools.product(range(spec.y_size[k]), repeat=t):
-                for us in itertools.product(range(spec.u_size[k]), repeat=t - 1):
-                    info = PrivateInfo(k, t, ys[lo - 1:], us[lo - 1:])
-                    assert (evaluate._window_rank(spec, k, t, ys, us)
-                            == private_rank(spec, info))
+            seqs = [(ys, us)
+                    for ys in itertools.product(range(spec.y_size[k]), repeat=t)
+                    for us in itertools.product(range(spec.u_size[k]), repeat=t - 1)]
+            ys = np.array([y for y, _ in seqs], dtype=np.int32).reshape(len(seqs), t)
+            us = np.array([u for _, u in seqs], dtype=np.int32).reshape(len(seqs), t - 1)
+            got = evaluate._window_ranks(spec, t, ys * y_stride, us * u_stride)[k]
+            want = [private_rank(spec, PrivateInfo(k, t, y[lo - 1:], u[lo - 1:]))
+                    for y, u in seqs]
+            assert got.tolist() == want
+
+
+# -- the path table against the recursive generator and per-path loops ------
+
+def _with_zero_entries(spec, seed):
+    """spec with about a third of its kernel entries zeroed, each row keeping
+    its largest entry, and the rows renormalized."""
+    rng = np.random.default_rng(seed)
+
+    def thin(p):
+        keep = (rng.random(p.shape) < 0.6) | (p == p.max(axis=-1, keepdims=True))
+        q = np.where(keep, p, 0.0)
+        return q / q.sum(axis=-1, keepdims=True)
+
+    return normalize_problem(ProblemSpec(
+        K=spec.K, T=spec.T, n=spec.n, x_size=spec.x_size, y_size=spec.y_size,
+        u_size=spec.u_size, x0_dist=thin(spec.x0_dist), trans=thin(spec.trans),
+        obs=tuple(thin(o) for o in spec.obs), cost=spec.cost))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.sampled_from([1, 2, 3]),
+       n=st.sampled_from([1, 2, 3]), T=st.integers(1, 4),
+       kernels=st.sampled_from(["generic", "deterministic", "zero_entries"]),
+       kind=st.sampled_from(["random", "extracted"]))
+def test_path_table_matches_the_recursion(seed, K, n, T, kernels, kind):
+    """iter_paths, exact_cost and the four conditional readers against the
+    recursive generator and the per-path loops of tests/helpers.py: same
+    rows in the same order, same keys in the same order, same bits.  Sizes
+    are drawn per controller from {1, 2}; T shrinks until at most 512
+    paths and 128 joint states at T are possible, which keeps the solves
+    for extracted designs short."""
+    rng = np.random.default_rng(seed)
+    y_size = tuple(int(v) for v in rng.integers(1, 3, K))
+    u_size = tuple(int(v) for v in rng.integers(1, 3, K))
+    x_size = int(rng.integers(1, 4))
+
+    def windows(T):
+        return int(np.prod([y ** min(T, n) * u ** (min(T, n) - 1)
+                            for y, u in zip(y_size, u_size)]))
+
+    while T > 1 and (x_size ** (T + 1) * int(np.prod(y_size)) ** T > 512
+                     or x_size * windows(T) > 128):
+        T -= 1
+    spec = normalize_problem(random_instance(
+        K, T, n, x_size, y_size, u_size, seed=seed,
+        deterministic=kernels == "deterministic"))
+    if kernels == "zero_entries":
+        spec = _with_zero_entries(spec, seed)
+    if kind == "random":
+        design = random_design(spec, seed)
+    else:
+        design = extract_design(spec, solve_on_graph(reachable_graph(spec))[1])
+
+    got, want = evaluate.exact_cost(spec, design), exact_cost_reference(spec, design)
+    assert _bits(got.expected_cost) == _bits(want.expected_cost)
+    assert _bits(got.per_stage) == _bits(want.per_stage)
+    for t_max in range(1, T + 1):
+        for final in (True, False):
+            got = list(evaluate.iter_paths(spec, design.act, t_max=t_max,
+                                           include_final_step=final))
+            want = list(iter_paths_reference(spec, design.act, t_max=t_max,
+                                             include_final_step=final))
+            assert got == want
+            assert _bits([r.weight for r in got]) == _bits([r.weight for r in want])
+    for t in range(1, T + 1):
+        got = evaluate.conditional_state_dists(spec, design.act, t)
+        want = conditional_state_dists_reference(spec, design.act, t)
+        assert list(got) == list(want)
+        for delta, (prob, vec) in want.items():
+            assert _bits(got[delta][0]) == _bits(prob)
+            assert _bits(got[delta][1]) == _bits(vec)
+        for lag in sorted({1, n, t + 1}):
+            got = evaluate.conditional_x_dists(spec, design.act, t, lag)
+            want = conditional_x_dists_reference(spec, design.act, t, lag)
+            assert list(got) == list(want)
+            assert all(_bits(got[d]) == _bits(v) for d, v in want.items())
+        got = evaluate.conditional_stage_costs(spec, design.act, t)
+        want = conditional_stage_costs_reference(spec, design.act, t)
+        assert list(got) == list(want)
+        assert all(type(got[d]) is float and _bits(got[d]) == _bits(v)
+                   for d, v in want.items())
+    for t in range(2, T + 2):
+        got = evaluate.conditional_phi(spec, design.act, t)
+        want = conditional_phi_reference(spec, design.act, t)
+        assert list(got) == list(want)
+        assert all(_bits(got[d]) == _bits(v) for d, v in want.items())

@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delayed_sharing import coordinator, instances, minimize
+from delayed_sharing import _tables, coordinator, instances, minimize
 from delayed_sharing._tables import support_sets, tables
 from delayed_sharing.coordinator import (PiBelief, belief_update, expand_stage,
-                                         joint_step_kernel, state_unrank)
+                                         joint_step_kernel)
 from delayed_sharing.errors import UnreachableObservationError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (GammaProfile, PartialFunction,
                                        common_obs_rank, common_obs_space)
 from delayed_sharing.model import normalize_problem
-from helpers import embedded_profile, update_mass
+from helpers import embedded_profile, state_unrank, update_mass
 
 
 def _consistent(spec, t, z):
@@ -171,7 +171,7 @@ def test_row_chunks_match_one_gather(monkeypatch, K, n):
     t = spec.T - 1
     p = _belief(spec, t, rng, 0.5)
     visible_for = _visible_rule(spec, t, p, "consistent")
-    monkeypatch.setattr(coordinator, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(_tables, "_BLOCK_ENTRIES", 1)
     calls, child_fn = _recorder(spec)
     got = expand_stage(spec, t, p, visible_for, child_fn)
     assert got
@@ -342,9 +342,9 @@ def test_terminal_row_blocks_match_one_block(monkeypatch, name):
     rng = np.random.default_rng(11)
     P = np.stack([_belief(spec, spec.T, rng, sparsity)
                   for sparsity in (0.0, 0.5, 0.9) * 7])
-    monkeypatch.setattr(coordinator, "_BLOCK_ENTRIES", 1 << 40)
+    monkeypatch.setattr(_tables, "_BLOCK_ENTRIES", 1 << 40)
     whole = coordinator._last_stage_values(spec, P)
     for entries in (1, 3 * 4096, 5 * 96):
-        monkeypatch.setattr(coordinator, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(_tables, "_BLOCK_ENTRIES", entries)
         got = coordinator._last_stage_values(spec, P)
         assert got.tobytes() == whole.tobytes()

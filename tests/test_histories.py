@@ -10,9 +10,9 @@ from delayed_sharing.histories import (CommonObs, GammaProfile, PartialFunction,
                                        common_obs_rank, common_obs_space,
                                        delta_count, gamma_profiles,
                                        private_count, private_rank,
-                                       private_space, private_unrank,
-                                       profile_count, profile_rank,
-                                       profile_unrank)
+                                       private_space, profile_count,
+                                       profile_rank, profile_unrank)
+from helpers import private_unrank
 
 
 def spec_of(K=2, T=3, n=2, x=2, y=(2, 2), u=(2, 2), seed=0):

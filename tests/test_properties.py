@@ -16,7 +16,7 @@ from delayed_sharing.histories import (common_obs_space, profile_unrank,
                                        profile_count)
 from delayed_sharing.model import normalize_problem
 from delayed_sharing.second_form import solve_dp2
-from delayed_sharing._tables import consistent_lams
+from delayed_sharing._tables import tables
 
 SHAPES = [
     # (K, T, n, x, y, u) kept small enough for the naive recursion
@@ -81,7 +81,7 @@ def test_branch_ignores_invisible_assignments(seed, n):
     for z in common_obs_space(spec, t + 1):
         if z.is_null:
             continue
-        cons = consistent_lams(spec, t, z)
+        cons = tables(spec).stage[t].consistency(spec, z)[0]
         a = profile_unrank(spec, t, int(rng.integers(profile_count(spec, t))))
         # overwrite b to agree with a exactly on consistent realizations
         b_tables = []

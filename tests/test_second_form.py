@@ -16,12 +16,11 @@ from delayed_sharing.histories import (PartialFunction, common_obs_space,
 from delayed_sharing.model import ProblemSpec, normalize_problem
 from delayed_sharing.second_form import (RSuffix, Theta, ThetaRState,
                                          extract_design2, h_map, initial_state,
-                                         part_domain_count, r_update,
-                                         reachable_graph2, solve_dp2,
-                                         state_key, suffix_from_prescriptions,
-                                         theta_update)
+                                         r_update, reachable_graph2,
+                                         solve_dp2, state_key, theta_update)
 from delayed_sharing.verify import replay_theta_r
-from helpers import embedded_profile, h_map_reference
+from helpers import (embedded_profile, h_map_reference, make_i2_mini,
+                     part_domain_count, suffix_from_prescriptions)
 
 
 def uniform_identity_spec():
@@ -344,7 +343,6 @@ def test_solve_dp2_matches_dp1_on_all_instances(solved):
 
 
 def test_solve_dp2_matches_brute_force_on_delay_two_mini():
-    from delayed_sharing.generate import make_i2_mini
     spec = normalize_problem(make_i2_mini())
     vt2, _ = solve_dp2(spec)
     best, _ = evaluate.brute_force_optimum(spec)
