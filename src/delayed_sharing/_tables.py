@@ -19,13 +19,15 @@ from .model import ProblemSpec
 
 
 # Most entries one batched array step holds at a time: step_arrays' dense
-# (state, action, next state, observation tuple) block, a gather in
-# coordinator.expand_stage (assignment rows times gathered triples, or rows
-# times next states), a row block of the stage backup (nodes times the
-# entries of a belief, its cost tensor and its totals) and a row block of the
-# terminal minimization (beliefs times einsum outputs).  Larger batches run
-# in row blocks, so memory stays flat in the batch size.  The coordinator
-# reads it at call time, so one patch reaches every reader.
+# (state, action, next state, observation tuple) block, a gather of the
+# forward expansion (coordinator._expand_nodes: group nodes times assignment
+# rows times the larger of gathered triples and next states; build_graph
+# sizes its node blocks so that one assignment row of a whole block fits), a
+# row block of the stage backup (nodes times the entries of a belief, its
+# cost tensor and its totals) and a row block of the terminal minimization
+# (beliefs times einsum outputs).  Larger batches run in row blocks, so
+# memory stays flat in the batch size.  The coordinator reads it at call
+# time, so one patch reaches every reader.
 _BLOCK_ENTRIES = 1 << 16
 
 

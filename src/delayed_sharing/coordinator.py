@@ -69,8 +69,15 @@ class PiBelief:
         self.p.flags.writeable = False
 
 
+def quantize_rows(P: np.ndarray) -> np.ndarray:
+    """Beliefs (rows of P, or one belief) on the dedup grid; a belief's key
+    is the bytes of its row."""
+    Q = P * _DEDUP_SCALE
+    return np.round(Q, out=Q).astype(np.int64)
+
+
 def quantize_key(p: np.ndarray) -> bytes:
-    return np.round(p * _DEDUP_SCALE).astype(np.int64).tobytes()
+    return quantize_rows(p).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +117,9 @@ def _profile_masses(spec: ProblemSpec, t: int, p: np.ndarray,
     from the positive-mass candidate states: one row of _branch_masses."""
     st = tables(spec).stage[t]
     actions = _joint_actions(spec, st, profile)[cand][None, :]
-    m, (pz,) = _branch_masses(st.step_arrays(spec), cand, p[cand], actions,
-                              z_rank, tables(spec).stage[t + 1].state_count)
-    return m[0], pz
+    m, pz = _branch_masses(st.step_arrays(spec), cand, p[cand][None], actions,
+                           z_rank, tables(spec).stage[t + 1].state_count)
+    return m[0, 0], float(pz[0, 0])
 
 
 def joint_step_kernel(spec: ProblemSpec, t: int, s: JointState,
@@ -195,7 +202,7 @@ class InfoNode:
     reconstruction of a (Theta, r) state, which is then kept in state (None
     in the belief form).  support holds, per controller, the realizations
     with positive marginal mass under pi; it is computed on first read, or
-    for all unread nodes of a stage at once when the stage is backed up, so
+    for a block of nodes at once when the block is expanded or backed up, so
     the leaves of a graph that values them without a backup (value_at) never
     pay for it.  relevant holds, per controller, the realizations whose
     assigned actions the backup must distinguish: the support plus every
@@ -271,71 +278,94 @@ def _block_triples(s_start: np.ndarray, s_len: np.ndarray) -> np.ndarray:
 
 def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
                    actions: np.ndarray, z_rank: int, next_count: int
-                   ) -> tuple[np.ndarray, list[float]]:
-    """Unnormalized next-belief mass and branch probability of a batch of
-    assignments: row i of `actions` is the joint action each candidate state
-    takes under assignment i.
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized next-belief mass m (nodes x assignments x next states)
+    and branch probability pz (nodes x assignments) of a block of nodes
+    under a batch of assignments: row j of `mass` is node j's mass on the
+    candidate states, row i of `actions` the joint action each candidate
+    takes under assignment i.  The triples are gathered and filtered on the
+    symbol once for the block, and the (nodes x kept triples) weights are
+    scattered by one np.add.at.
 
-    Row by row this is the single-profile update (update_mass in
-    tests/helpers.py, the reference it is tested against): the same triples,
-    filtered on the same symbol, multiplied and scattered in the same element
-    order, and each row's probability is .sum() over that row's own
-    contiguous slice of weights.  Results are therefore bit-identical to one
-    single-profile update per assignment, and a one-row call is that update.
+    Per (node, assignment) this is the single-profile update (update_mass in
+    tests/helpers.py, its reference): the same triples, multiplied and
+    scattered in the same element order, and pz is .sum() over that pair's
+    own contiguous 1-D slice of weights.  A reduction over the 2-D block
+    (.sum(axis=1), np.add.reduceat) can group the additions differently and
+    change last bits.  Results are therefore bit-identical to one
+    single-profile update per node and assignment.
     """
     starts, lens, dst, zr, w = steps
-    rows = actions.shape[0]
-    m = np.zeros((rows, next_count))
+    nodes, rows = mass.shape[0], actions.shape[0]
+    m = np.zeros((nodes, rows, next_count))
+    pz = np.zeros((nodes, rows))
     s_len = lens[cand, actions].reshape(-1)
     flat = _block_triples(starts[cand, actions].reshape(-1), s_len)
-    if flat.size == 0:
-        return m, [0.0] * rows
     keep = zr[flat] == z_rank
+    if not keep.any():
+        return m, pz
     flat = flat[keep]
-    weights = w[flat] * np.repeat(np.tile(mass, rows), s_len)[keep]
+    src = np.repeat(np.tile(np.arange(cand.size), rows), s_len)[keep]
+    weights = w[flat] * mass[:, src]
     row_of = np.repeat(np.arange(rows), s_len.reshape(rows, -1).sum(axis=1))[keep]
-    np.add.at(m, (row_of, dst[flat]), weights)
+    # one flat scatter: node j's weights, in triple order, land in its plane
+    plane = np.arange(nodes)[:, None] * (rows * next_count)
+    np.add.at(m.reshape(-1), (plane + row_of * next_count + dst[flat]).reshape(-1),
+              weights.reshape(-1))
     bounds = np.searchsorted(row_of, np.arange(rows + 1)).tolist()
-    return m, [float(weights[bounds[i]:bounds[i + 1]].sum())
-               for i in range(rows)]
+    for i in range(rows):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo < hi:
+            pz[:, i] = [row[lo:hi].sum() for row in weights]
+    return m, pz
 
 
-def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
-                 visible_for, child_fn) -> dict[int, ZTable]:
-    """Shared expansion of one information state over all shared symbols.
+def _assignment_keys(spec: ProblemSpec, visible, ranks: np.ndarray
+                     ) -> list[tuple[int, ...]]:
+    """Per-controller assignment ranks of flat branch ranks (ZTable's
+    ranking on these visible sets)."""
+    shape = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
+    return list(zip(*(k.tolist() for k in np.unravel_index(ranks, shape))))
 
-    visible_for(z, consistent) -> per-controller realization sets whose
-    assigned actions distinguish branches; child_fn(z, visible, key, m, pz)
-    -> child id of one branch, where key holds the per-controller assignment
-    ranks (ZTable's ranking), m the branch's unnormalized next-belief mass and
-    pz its probability.
 
-    Per shared symbol, the live candidates are the positive-mass states
-    consistent with it (a per-symbol mask cached on the stage tables).  All
-    per-controller assignments on the visible sets are expanded in one
-    batched gather: the joint action of each (assignment, candidate) pair is
-    read off the assignment ranks by place value (realizations outside the
-    visible sets take action 0, as in the zero-filled completion), the step
-    triples of all pairs are gathered and filtered on the symbol, and their
-    weights are scattered into an (assignments x next states) mass array.
+def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, visible_fors,
+                  children) -> list[dict[int, ZTable]]:
+    """Branches of a block of stage-t information states, whose belief-form
+    images are the rows of P, over every shared symbol.
 
-    Invariant: each branch probability is .sum() over that assignment's own
-    contiguous slice of weights, in the element order of a single-profile
-    update, so branch probabilities and child beliefs are bit-identical to
-    one single-profile update per assignment with the zero-filled profile
-    (update_mass in tests/helpers.py).  A sequential reduction (np.bincount,
-    np.add.reduceat) would break this.
+    visible_fors[j](z, consistent) -> per-controller realization sets whose
+    assigned actions distinguish row j's branches under symbol z;
+    children(z, visible, rows, ranks, M, pz) -> one child reference (an int)
+    per branch of a batch of positive-probability branches under one symbol:
+    rows holds each branch's block row, ranks its flat assignment rank
+    (ZTable's ranking), M its unnormalized next-belief mass (an array of
+    rows children may overwrite) and pz its probability.  A batch lists its
+    branches row by row, each row's in ascending rank.
+
+    Per shared symbol, a row's live candidates are its positive-mass states
+    consistent with the symbol (a per-symbol mask cached on the stage
+    tables).  Rows with equal live states and visible sets form a group
+    (first-seen order), which shares its candidates and its assignments: the
+    joint action of each (assignment, candidate) pair is read off the
+    assignment ranks by place value (realizations outside the visible sets
+    take action 0, as in the zero-filled completion), and one _branch_masses
+    gather per chunk of assignments serves every row of the group.  A chunk
+    holds at most _tables._BLOCK_ENTRIES entries (rows x assignments x the
+    larger of next states and gathered triples) when a single assignment
+    fits.  Branch probabilities and masses are therefore bit-identical to
+    one single-profile update per row and assignment with the zero-filled
+    profile.
 
     Zero-probability branches are pruned (their value is irrelevant to the
-    objective).  child_fn is called in ascending flat rank, so node ids and
-    table rows follow that order.
+    objective).  Returns per row its branch tables, by ascending symbol rank,
+    whose child column holds the references children returned.
     """
     st = tables(spec).stage[t]
     next_count = tables(spec).stage[t + 1].state_count
     steps = st.step_arrays(spec)
     lens = steps[1]
-    positive = p > 0.0
-    out: dict[int, ZTable] = {}
+    positive = P > 0.0
+    out: list[dict[int, ZTable]] = [{} for _ in range(len(P))]
     for z in common_obs_space(spec, t + 1):
         zr = common_obs_rank(spec, z)
         if z.is_null:
@@ -343,62 +373,96 @@ def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
         else:
             cons, consistent = st.consistency(spec, z)
             live = positive & consistent
-        cand = np.nonzero(live)[0]
-        if cand.size == 0:
-            continue
-        visible = visible_for(z, cons)
-        shape = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
-        combos = math.prod(shape)
-        if combos > minimize.DEFAULT_MAX_JOINT_BEHAVIORS:
-            raise BudgetError(f"branch table at t={t} needs {combos} entries "
-                              f"(budget {minimize.DEFAULT_MAX_JOINT_BEHAVIORS})")
-        # Controller k's assignment r gives the i-th visible realization the
-        # base-u digit r // u**(V-1-i) % u.  Realizations outside the visible
-        # set get place value u**V, whose digit is 0 for every r < u**V.
-        places = []
-        for k in range(spec.K):
-            u, v = spec.u_size[k], len(visible[k])
-            place = np.full(st.L[k], u ** v, dtype=np.int64)
-            place[list(visible[k])] = u ** np.arange(v - 1, -1, -1, dtype=np.int64)
-            places.append(place[st.lam_of_s[k][cand]])
-        mass = p[cand]
-        row_cost = max(next_count, cand.size * int(lens[cand].max()), 1)
-        chunk = max(1, _tables._BLOCK_ENTRIES // row_cost)
-        ranks: list[int] = []
-        pzs: list[float] = []
-        children: list[int] = []
-        for lo in range(0, combos, chunk):
-            keys = np.unravel_index(np.arange(lo, min(lo + chunk, combos)), shape)
-            actions = np.zeros((keys[0].size, cand.size), dtype=np.int64)
+        groups: dict[tuple, list[int]] = {}
+        for j in np.nonzero(live.any(axis=1))[0].tolist():
+            groups.setdefault((live[j].tobytes(), visible_fors[j](z, cons)),
+                              []).append(j)
+        for (_, visible), members in groups.items():
+            cand = np.nonzero(live[members[0]])[0]
+            shape = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
+            combos = math.prod(shape)
+            if combos > minimize.DEFAULT_MAX_JOINT_BEHAVIORS:
+                raise BudgetError(f"branch table at t={t} needs {combos} entries "
+                                  f"(budget {minimize.DEFAULT_MAX_JOINT_BEHAVIORS})")
+            # Controller k's assignment r gives the i-th visible realization
+            # the base-u digit r // u**(V-1-i) % u.  Realizations outside the
+            # visible set get place value u**V, whose digit is 0 for every
+            # r < u**V.
+            places = []
             for k in range(spec.K):
-                u = spec.u_size[k]
-                actions = actions * u + keys[k][:, None] // places[k] % u
-            m, row_pz = _branch_masses(steps, cand, mass, actions, zr, next_count)
-            rows = [i for i, pz in enumerate(row_pz) if pz > 0.0]
-            if not rows:
-                continue
-            key_rows = zip(*(keys[k][rows].tolist() for k in range(spec.K)))
-            for i, key in zip(rows, key_rows):
-                ranks.append(lo + i)
-                pzs.append(row_pz[i])
-                children.append(child_fn(z, visible, key, m[i], row_pz[i]))
-        if ranks:
-            out[zr] = ZTable(zr, visible, shape, np.array(ranks, dtype=np.int64),
-                             np.array(pzs), np.array(children, dtype=np.int64))
+                u, v = spec.u_size[k], len(visible[k])
+                place = np.full(st.L[k], u ** v, dtype=np.int64)
+                place[list(visible[k])] = u ** np.arange(v - 1, -1, -1, dtype=np.int64)
+                places.append(place[st.lam_of_s[k][cand]])
+            mass = P[np.ix_(members, cand)]
+            row_cost = max(next_count, cand.size * int(lens[cand].max()), 1)
+            chunk = max(1, _tables._BLOCK_ENTRIES // (len(members) * row_cost))
+            parts: list[list] = [[] for _ in members]
+            for lo in range(0, combos, chunk):
+                ranks = np.arange(lo, min(lo + chunk, combos))
+                keys = np.unravel_index(ranks, shape)
+                actions = np.zeros((ranks.size, cand.size), dtype=np.int64)
+                for k in range(spec.K):
+                    u = spec.u_size[k]
+                    actions = actions * u + keys[k][:, None] // places[k] % u
+                m, pz = _branch_masses(steps, cand, mass, actions, zr, next_count)
+                node_i, row_i = np.nonzero(pz > 0.0)
+                if node_i.size == 0:
+                    continue
+                kept_pz = pz[node_i, row_i]
+                # M is the callee's to overwrite; a view when every row is kept
+                M = (m.reshape(-1, next_count) if node_i.size == pz.size
+                     else m[node_i, row_i])
+                refs = np.array(children(z, visible,
+                                         [members[i] for i in node_i.tolist()],
+                                         ranks[row_i], M, kept_pz),
+                                dtype=np.int64)
+                cuts = np.searchsorted(node_i, np.arange(len(members) + 1)).tolist()
+                for i, part in enumerate(parts):
+                    a, b = cuts[i], cuts[i + 1]
+                    if a < b:
+                        part.append((ranks[row_i[a:b]], kept_pz[a:b], refs[a:b]))
+            for j, part in zip(members, parts):
+                if part:
+                    rank, prob, child = (part[0] if len(part) == 1 else
+                                         (np.concatenate(col) for col in zip(*part)))
+                    out[j][zr] = ZTable(zr, visible, shape, rank, prob, child)
     return out
+
+
+def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
+                 visible_for, child_fn) -> dict[int, ZTable]:
+    """Expansion of one information state over all shared symbols: a block
+    of one of the gather build_graph runs on its stage blocks
+    (_expand_nodes, which defines visible_for).
+
+    child_fn(z, visible, key, m, pz) -> child id of one positive-probability
+    branch, where key holds the per-controller assignment ranks (ZTable's
+    ranking), m the branch's unnormalized next-belief mass and pz its
+    probability.  child_fn is called by ascending symbol, then ascending
+    flat rank, so node ids and table rows follow that order.
+    """
+    def children(z, visible, rows, ranks, M, pz):
+        return [child_fn(z, visible, key, m, q) for key, m, q in
+                zip(_assignment_keys(spec, visible, ranks), M, pz.tolist())]
+    return _expand_nodes(spec, t, p[None], [visible_for], children)[0]
 
 
 def support_visibility(support: tuple[tuple[int, ...], ...]):
     """The belief-form visible_for of expand_stage at a belief with this
     support: under the null symbol the support, otherwise the support
-    realizations consistent with the symbol."""
+    realizations consistent with the symbol (kept per symbol)."""
     sets = tuple(map(frozenset, support))
+    seen: dict = {}
 
     def visible_for(z, cons):
         if z.is_null:
             return support
-        return tuple(tuple(l for l in cons[k] if l in sets[k])
-                     for k in range(len(support)))
+        hit = seen.get(z)
+        if hit is None:
+            hit = seen[z] = tuple(tuple(l for l in cons[k] if l in sets[k])
+                                  for k in range(len(support)))
+        return hit
     return visible_for
 
 
@@ -406,30 +470,36 @@ _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
 
 
 def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
-                visible_rule, child_rule, *, max_nodes: int) -> InfoGraph:
+                visible_rule, successor_rule, *, max_nodes: int) -> InfoGraph:
     """Breadth-first forward closure of an information state.
 
     key_of(state) is the dedup key and pi_of(state) the belief-form image
     (PiBelief) of an information state; visible_rule(node) is the node's
-    visible_for for expand_stage, and child_rule(node) its successor rule:
-    child(z, visible, key, m, pz) -> the state one branch leads to (the
-    arguments of expand_stage's child_fn).  Both rules are made once per node
-    expansion, so a form can share work across the node's branches inside
-    them.  Branch tables are keyed by the action assignment on the visible
-    realizations, which covers every profile choice exactly.
+    visible_for (see _expand_nodes).  successor_rule(block) is the successor
+    rule of a block of same-stage nodes: children(z, visible, rows, ranks, M,
+    pz) -> (keys, state_of), given a batch of branches as _expand_nodes
+    passes it (rows index the block), returns each branch's dedup key and
+    state_of(i), the information state branch i leads to, called only for a
+    key new to the graph.  Rules are made once per node or block, so a form
+    can share work across branches inside them (branchwise adapts a form
+    that builds each branch's state on its own).  Branch tables are keyed by
+    the action assignment on the visible realizations, which covers every
+    profile choice exactly.
+
+    Stage t is expanded in blocks of nodes, sized by _tables._BLOCK_ENTRIES
+    so that one assignment's gather over a whole block fits.  A block's
+    branches are computed symbol by symbol and group by group, then its new
+    children are inserted in the order a per-node expansion inserts them:
+    node, then symbol, then ascending rank.  A key's node takes the state of
+    its first branch in that order (distinct states can share a key), so
+    node ids, stage lists, branch tables and the node-budget error ("edges so
+    far" counts the branches of every node expanded before the one whose
+    child exceeds the budget) are those of one expansion per node.
     """
     graph = InfoGraph(spec, kind, {t: [] for t in range(1, spec.T + 1)}, {}, [], {})
 
-    def insert(state) -> int:
-        key = key_of(state)
-        hit = graph.index.get(key)
-        if hit is not None:
-            return hit
+    def add(key, state) -> int:
         node_id = len(graph.by_id)
-        if node_id >= max_nodes:
-            raise BudgetError(
-                f"{_GRAPH_NAMES[kind]} graph exceeded {max_nodes} nodes "
-                f"(edges so far: {graph.edge_count})")
         pi = pi_of(state)
         node = InfoNode(node_id, pi.t, pi,
                         None if kind == "belief" else state, spec)
@@ -438,33 +508,145 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
         graph.index[key] = node_id
         return node_id
 
-    insert(root)
+    if max_nodes < 1:
+        raise _node_budget(graph, max_nodes, 0)
+    add(key_of(root), root)
     for t in range(1, spec.T):
-        for node in list(graph.stages[t]):
-            child = child_rule(node)
-            expansion = expand_stage(spec, t, node.pi.p, visible_rule(node),
-                                     lambda *branch: insert(child(*branch)))
-            graph.expansions[node.node_id] = expansion
-            node.relevant = tuple(
-                tuple(sorted(set(node.support[k]).union(
-                    *(ztab.visible[k] for ztab in expansion.values()))))
-                for k in range(spec.K))
+        st = tables(spec).stage[t]
+        row_cost = max(state_count(spec, t + 1),
+                       st.state_count * int(st.step_arrays(spec)[1].max()), 1)
+        size = max(1, _tables._BLOCK_ENTRIES // row_cost)
+        nodes = graph.stages[t]
+        for lo in range(0, len(nodes), size):
+            block = nodes[lo:lo + size]
+            _expand_block(graph, block, visible_rule, successor_rule(block),
+                          add, max_nodes)
     for node in graph.stages[spec.T]:
         graph.expansions.setdefault(node.node_id, {})
     return graph
 
 
-def _belief_graph(spec: ProblemSpec, root: PiBelief, key_bytes, *,
+def _node_budget(graph: InfoGraph, max_nodes: int, edges: int) -> BudgetError:
+    return BudgetError(f"{_GRAPH_NAMES[graph.kind]} graph exceeded {max_nodes} "
+                       f"nodes (edges so far: {edges})")
+
+
+def _expand_block(graph: InfoGraph, block: list[InfoNode], visible_rule,
+                  children_of, add, max_nodes: int):
+    """Expand a block of same-stage nodes (build_graph): record each node's
+    branch tables and relevant sets, and add its new children to the graph
+    through add(key, state) -> node id.
+
+    While the block's branches are computed, a branch whose key is already
+    in the graph points at that node, and a new key gets a pending slot that
+    keeps the state of its branch first in per-node order, (block row,
+    symbol rank, assignment rank).  The new keys then become nodes in the
+    order of their first branch, which is the order a per-node expansion
+    inserts them in."""
+    spec, t = graph.spec, block[0].t
+    _read_supports(spec, t, block)
+    pending: dict = {}          # key new to the graph -> slot
+    slots: list[list] = []      # per slot: [first order, key, state]
+
+    def children(z, visible, rows, ranks, M, pz):
+        keys, state_of = children_of(z, visible, rows, ranks, M, pz)
+        zr = common_obs_rank(spec, z)
+        refs = []
+        for i, (key, j, r) in enumerate(zip(keys, rows, ranks.tolist())):
+            hit = graph.index.get(key)
+            if hit is not None:
+                refs.append(hit)
+                continue
+            order = (j, zr, r)
+            slot = pending.get(key)
+            if slot is None:
+                slot = pending[key] = len(slots)
+                slots.append([order, key, state_of(i)])
+            elif order < slots[slot][0]:
+                slots[slot][0], slots[slot][2] = order, state_of(i)
+            refs.append(-1 - slot)
+        return refs
+
+    tabs = _expand_nodes(spec, t, np.stack([node.pi.p for node in block]),
+                         [visible_rule(node) for node in block], children)
+    refs = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        ztab.child for per in tabs for ztab in per.values()])
+    new_at = np.nonzero(refs < 0)[0]
+    new_slots = -1 - refs[new_at]
+    first = np.sort(np.unique(new_slots, return_index=True)[1])
+    room = max_nodes - graph.node_count
+    if first.size > room:
+        # the edges of the block's nodes before the one whose child overflows
+        ends = np.cumsum([sum(ztab.rank.size for ztab in per.values())
+                          for per in tabs])
+        j = int(np.searchsorted(ends, new_at[first[room]], side="right"))
+        raise _node_budget(graph, max_nodes,
+                           graph.edge_count + (int(ends[j - 1]) if j else 0))
+    node_of = np.empty(len(slots), dtype=np.int64)
+    for slot in new_slots[first].tolist():
+        node_of[slot] = add(*slots[slot][1:])
+    for node, per in zip(block, tabs):
+        for ztab in per.values():
+            new = ztab.child < 0
+            ztab.child[new] = node_of[-1 - ztab.child[new]]
+        graph.expansions[node.node_id] = per
+        node.relevant = tuple(
+            tuple(sorted(set(node.support[k]).union(
+                *(ztab.visible[k] for ztab in per.values()))))
+            for k in range(spec.K))
+
+
+def branchwise(child_rule, key_of):
+    """The successor_rule of a form that builds each branch's state on its
+    own: child_rule(node) -> child(z, visible, key, m, pz), the state one
+    branch leads to, with key the per-controller assignment ranks (ZTable's
+    ranking), m the unnormalized next-belief mass and pz the branch
+    probability.  child_rule is made once per node."""
+    def successor_rule(block):
+        rules: dict[int, Any] = {}
+
+        def children(z, visible, rows, ranks, M, pz):
+            states = []
+            for j, key, m, q in zip(rows, _assignment_keys(block[0].spec, visible,
+                                                           ranks), M, pz.tolist()):
+                rule = rules.get(j)
+                if rule is None:
+                    rule = rules[j] = child_rule(block[j])
+                states.append(rule(z, visible, key, m, q))
+            return [key_of(state) for state in states], states.__getitem__
+        return children
+    return successor_rule
+
+
+def belief_successors(key_rows):
+    """successor_rule of the belief form, keyed per stage on the bytes of
+    key_rows(p).  A batch of branches is normalized in one broadcast
+    division and keyed with one key_rows call and one tobytes per row; a
+    PiBelief is made, on a copied row, only for a key new to the graph."""
+    def successor_rule(block):
+        t = block[0].t + 1
+
+        def children(z, visible, rows, ranks, M, pz):
+            P = np.divide(M, pz[:, None], out=M)
+            keys = [(t, row.tobytes()) for row in key_rows(P)]
+            return keys, lambda i: PiBelief(t, P[i].copy())
+        return children
+    return successor_rule
+
+
+def _belief_graph(spec: ProblemSpec, root: PiBelief, key_rows, *,
                   max_nodes: int) -> InfoGraph:
     """Belief-form graph from root: nodes are beliefs, deduplicated per
-    stage on key_bytes(p)."""
+    stage on the bytes of key_rows(p); nodes of equal support share one
+    visible_for."""
+    rules: dict = {}
     return build_graph(
         spec, "belief", root,
-        key_of=lambda pi: (pi.t, key_bytes(pi.p)),
+        key_of=lambda pi: (pi.t, key_rows(pi.p).tobytes()),
         pi_of=lambda pi: pi,
-        visible_rule=lambda node: support_visibility(node.support),
-        child_rule=lambda node: (lambda z, visible, key, m, pz:
-                                 PiBelief(node.t + 1, m / pz)),
+        visible_rule=lambda node: rules.get(node.support) or rules.setdefault(
+            node.support, support_visibility(node.support)),
+        successor_rule=belief_successors(key_rows),
         max_nodes=max_nodes)
 
 
@@ -472,7 +654,7 @@ def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) ->
     """Belief-form graph of the initial belief, deduplicated on the
     quantization grid."""
     spec = normalize_problem(spec)
-    return _belief_graph(spec, initial_belief(spec), quantize_key,
+    return _belief_graph(spec, initial_belief(spec), quantize_rows,
                          max_nodes=max_nodes)
 
 
@@ -520,8 +702,8 @@ def add_continuation(spec: ProblemSpec, bs: minimize.BehaviorSpace,
 
 
 def _read_supports(spec: ProblemSpec, t: int, nodes: list[InfoNode]):
-    """Give every node that has not read its support yet (the leaves of a
-    graph) its support, computed for a row block of beliefs at a time."""
+    """Give every node that has not read its support yet its support,
+    computed for a row block of beliefs at a time."""
     unread = [node for node in nodes if "support" not in vars(node)]
     rows = max(1, _tables._BLOCK_ENTRIES // state_count(spec, t))
     for lo in range(0, len(unread), rows):
@@ -762,7 +944,7 @@ def value_at(spec: ProblemSpec, t: int, pi: PiBelief) -> float:
                           f"{state_count(spec, t)}")
     if not (pi.p > 0.0).any():
         raise DomainError(f"belief at t={t} has no positive mass")
-    graph = _belief_graph(spec, pi, np.ndarray.tobytes,
+    graph = _belief_graph(spec, pi, np.ascontiguousarray,
                           max_nodes=DEFAULT_MAX_NODES)
     leaves = graph.stages[spec.T]
     values = np.zeros(graph.node_count)

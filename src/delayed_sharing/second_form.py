@@ -21,8 +21,8 @@ from . import histories, minimize
 from ._tables import tables
 from .errors import DomainError, UnreachableObservationError
 from .coordinator import (DEFAULT_MAX_NODES, ExtractedDesign, InfoGraph,
-                          PiBelief, ValueTable, build_graph, quantize_key,
-                          solve_on_graph, support_visibility)
+                          PiBelief, ValueTable, branchwise, build_graph,
+                          quantize_key, solve_on_graph, support_visibility)
 from .histories import CommonObs, CoordinatorPolicy, PartialFunction
 from .model import ProblemSpec, normalize_problem
 
@@ -349,7 +349,7 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
 
     return build_graph(spec, "theta_r", initial_state(spec), state_key,
                        lambda state: h_map(spec, state), visible_rule,
-                       child_rule, max_nodes=max_nodes)
+                       branchwise(child_rule, state_key), max_nodes=max_nodes)
 
 
 # The backward sweep is shared with the belief form; the old name stays

@@ -249,6 +249,22 @@ def test_graph_node_budget(i2_spec):
         reachable_graph(i2_spec, max_nodes=10)
 
 
+# The exact node-budget messages.  "edges so far" counts the branches of
+# every node whose expansion finished before the budget was hit, so a build
+# that records expansions late (per block of nodes) would report fewer.  On
+# i2, 100 nodes are exceeded while the fifth stage-2 node expands: the root's
+# 16 branches plus 4 x 16.
+@pytest.mark.parametrize("build,name", [
+    (reachable_graph, "reachable-belief"),
+    (second_form.reachable_graph2, "reachable (Theta, r)")])
+@pytest.mark.parametrize("max_nodes,edges", [(10, 0), (20, 16), (100, 80)])
+def test_graph_node_budget_message(i2_spec, build, name, max_nodes, edges):
+    with pytest.raises(BudgetError) as err:
+        build(i2_spec, max_nodes=max_nodes)
+    assert str(err.value) == (f"{name} graph exceeded {max_nodes} nodes "
+                              f"(edges so far: {edges})")
+
+
 # -- dynamic program ----------------------------------------------------------
 
 def test_solve_dp_horizon_one_reduces_to_stage_min():
@@ -378,8 +394,10 @@ def test_value_at_rejects_a_belief_of_another_stage_or_length(i1_spec):
 
 def test_value_at_has_the_graph_node_budget(monkeypatch, i2_spec):
     monkeypatch.setattr(coordinator, "DEFAULT_MAX_NODES", 3)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         value_at(i2_spec, 1, initial_belief(i2_spec))
+    assert str(err.value) == ("reachable-belief graph exceeded 3 nodes "
+                              "(edges so far: 0)")
 
 
 # -- behavior budget ----------------------------------------------------------

@@ -7,6 +7,7 @@ caches and folds change how the work is scheduled, never the arithmetic."""
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,6 +178,139 @@ def test_row_chunks_match_one_gather(monkeypatch, K, n):
     assert got
     _assert_same_expansion(spec, got, calls,
                            _reference_expand(spec, t, p, visible_for))
+
+
+# -- stage-batched graph build against one expansion per node ----------------
+
+# One node per block (and per gather); an odd cap that splits stages and
+# groups unevenly; the default.
+BLOCK_ENTRIES = (1, 999, _tables._BLOCK_ENTRIES)
+KEY_ROWS = {"grid": coordinator.quantize_rows, "exact": np.ascontiguousarray}
+
+
+def _per_node_graph(spec, root, key_rows, rule):
+    """The graph that one expand_stage per node builds, node after node,
+    inserting each branch's child as its child_fn call comes: the per-node
+    reference of build_graph's stage blocks.  Returns the beliefs in node-id
+    order and each expanded node's branch tables."""
+    beliefs, index, stages, tabs = [], {}, {t: [] for t in range(1, spec.T + 1)}, {}
+
+    def insert(pi):
+        key = (pi.t, key_rows(pi.p).tobytes())
+        if key not in index:
+            index[key] = len(beliefs)
+            beliefs.append(pi)
+            stages[pi.t].append(index[key])
+        return index[key]
+
+    insert(root)
+    for t in range(root.t, spec.T):
+        for i in list(stages[t]):
+            p = beliefs[i].p
+            tabs[i] = expand_stage(
+                spec, t, p, _visible_rule(spec, t, p, rule),
+                lambda z, visible, key, m, pz: insert(PiBelief(t + 1, m / pz)))
+    return beliefs, tabs
+
+
+def _stage_batched_graph(spec, root, key_rows, rule):
+    return coordinator.build_graph(
+        spec, "belief", root,
+        key_of=lambda pi: (pi.t, key_rows(pi.p).tobytes()),
+        pi_of=lambda pi: pi,
+        visible_rule=lambda node: _visible_rule(spec, node.t, node.pi.p, rule),
+        successor_rule=coordinator.belief_successors(key_rows),
+        max_nodes=coordinator.DEFAULT_MAX_NODES)
+
+
+def _assert_same_graph(graph, beliefs, tabs):
+    assert graph.node_count == len(beliefs)
+    for node, pi in zip(graph.by_id, beliefs):
+        assert node.t == pi.t
+        assert node.pi.p.tobytes() == pi.p.tobytes()
+    assert [n.node_id for t in sorted(graph.stages) for n in graph.stages[t]] == \
+        list(range(len(beliefs)))
+    for node_id, want in tabs.items():
+        got = graph.expansions[node_id]
+        assert list(got) == list(want)
+        for zr, ztab in got.items():
+            other = want[zr]
+            assert (ztab.visible, ztab.shape) == (other.visible, other.shape)
+            for name in ("rank", "pz", "child"):
+                a, b = getattr(ztab, name), getattr(other, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _tree_spec(K, n, seed, deterministic):
+    """Two to three stages of branching.  At delay 3 one controller acts
+    and another observes, so full-window assignments stay small."""
+    if n == 3:
+        y, u = (1,) + (2,) * (K - 1), (2,) + (1,) * (K - 1)
+    else:
+        y, u = (2, 2, 1)[:K], (2, 1, 2)[:K] if K == 3 else (2, 2)
+    return normalize_problem(random_instance(
+        K, n + 1 if n >= 2 else 3, n, 2, y, u, seed=seed,
+        deterministic=deterministic))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]),
+       n=st.sampled_from([1, 2, 3]), deterministic=st.booleans(),
+       rule=st.sampled_from(["support", "consistent"]),
+       keys=st.sampled_from(sorted(KEY_ROWS)),
+       sparsity=st.sampled_from([0.0, 0.5, 0.9]))
+def test_stage_blocks_match_per_node_expansion(seed, K, n, deterministic, rule,
+                                               keys, sparsity):
+    """build_graph on a sparse random root (so a stage mixes supports, and
+    groups split) against one expand_stage per node, for every block size:
+    the same node ids, belief bytes and branch tables."""
+    spec = _tree_spec(K, n, seed, deterministic)
+    root = PiBelief(1, _belief(spec, 1, np.random.default_rng(seed), sparsity))
+    beliefs, tabs = _per_node_graph(spec, root, KEY_ROWS[keys], rule)
+    for entries in BLOCK_ENTRIES:
+        with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
+            graph = _stage_batched_graph(spec, root, KEY_ROWS[keys], rule)
+        _assert_same_graph(graph, beliefs, tabs)
+
+
+def _kept_per_row(spec, t, cand, actions, z_rank):
+    """Kept triples of each assignment row of one _branch_masses call."""
+    starts, lens, _, zr, _ = tables(spec).stage[t].step_arrays(spec)
+    s_len = lens[cand, actions]
+    flat = coordinator._block_triples(starts[cand, actions].reshape(-1),
+                                      s_len.reshape(-1))
+    row_of = np.repeat(np.arange(len(actions)), s_len.sum(axis=1))
+    return np.bincount(row_of[zr[flat] == z_rank], minlength=len(actions))
+
+
+@pytest.mark.parametrize("name", ["i2", "ia", "tree"])
+@pytest.mark.parametrize("entries", BLOCK_ENTRIES)
+def test_reachable_graphs_match_per_node_expansion(monkeypatch, name, entries):
+    """The shipped graphs with mixed supports (i2, ia), and a generic tree
+    whose stage-2 gathers serve groups of several nodes with rows of at
+    least 9 kept weights, where a reduction over the 2-D weight block (as
+    opposed to one .sum() per row slice) can change the last bits."""
+    if name == "tree":
+        spec = normalize_problem(random_instance(2, 3, 1, 2, (2, 2), (2, 2), 17))
+    else:
+        spec = normalize_problem(instances.load(name))
+    beliefs, tabs = _per_node_graph(spec, coordinator.initial_belief(spec),
+                                    coordinator.quantize_rows, "support")
+    calls = []
+    real = coordinator._branch_masses
+
+    def spy(steps, cand, mass, actions, z_rank, next_count):
+        if len(mass) >= 2 and actions.shape[0]:
+            t = next(t for t, stt in tables(spec).stage.items()
+                     if stt._step_arrays is steps)
+            calls.append(int(_kept_per_row(spec, t, cand, actions, z_rank).max()))
+        return real(steps, cand, mass, actions, z_rank, next_count)
+
+    monkeypatch.setattr(_tables, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(coordinator, "_branch_masses", spy)
+    _assert_same_graph(coordinator.reachable_graph(spec), beliefs, tabs)
+    if name == "tree" and entries != 1:
+        assert max(calls) >= 9
 
 
 def _row_totals_reference(spec, t, p, bs):

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from delayed_sharing import evaluate
 from delayed_sharing.analysis import design_profile
-from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, build_graph,
-                                         extract_design, support_visibility)
+from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, branchwise,
+                                         build_graph, extract_design,
+                                         support_visibility)
 from delayed_sharing.errors import DomainError, UnreachableObservationError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (PartialFunction, common_obs_space,
@@ -292,7 +293,8 @@ def _per_edge_graph2(spec):
 
     return build_graph(spec, "theta_r", initial_state(spec), state_key,
                        lambda state: h_map(spec, state), visible_rule,
-                       child_rule, max_nodes=DEFAULT_MAX_NODES)
+                       branchwise(child_rule, state_key),
+                       max_nodes=DEFAULT_MAX_NODES)
 
 
 @pytest.mark.parametrize("name", ["i2", "ia", "det_n2"])
