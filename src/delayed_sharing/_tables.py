@@ -21,13 +21,13 @@ from .model import ProblemSpec
 # Most entries one batched array step holds at a time: step_arrays' dense
 # (state, action, next state, observation tuple) block, a gather of the
 # forward expansion (coordinator._expand_nodes: group nodes times assignment
-# rows times the larger of gathered triples and next states; build_graph
-# sizes its node blocks so that one assignment row of a whole block fits), a
-# row block of the stage backup (nodes times the entries of a belief, its
-# cost tensor and its totals) and a row block of the terminal minimization
-# (beliefs times einsum outputs).  Larger batches run in row blocks, so
-# memory stays flat in the batch size.  The coordinator reads it at call
-# time, so one patch reaches every reader.
+# rows times the larger of gathered triples and next states; build_graph's
+# node blocks, which also bound the successor rules' per-block memos, let
+# one assignment row of a whole block fit), a row block of the stage
+# backup (nodes times the entries of a belief, its cost tensor and its
+# totals) and a row block of the terminal minimization (beliefs times einsum
+# outputs).  Larger batches run in row blocks, so memory stays flat in the
+# batch size.  Readers look it up at call time, so one patch reaches all.
 _BLOCK_ENTRIES = 1 << 16
 
 

@@ -219,7 +219,7 @@ def _cmd_probe_concavity(args) -> int:
 
 def _at_least(low: int, name: str):
     """An option parser for integers >= low: numpy seeds its streams from
-    non-negative integers, and a probe needs at least one sample."""
+    non-negative integers; samples, episodes and budgets start at one."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -236,17 +236,17 @@ def _at_least(low: int, name: str):
 _OPTIONS = {
     "--seed": dict(type=_at_least(0, "seed"), default=7,
                    help="seed for randomized steps (default 7)"),
-    "--episodes": dict(type=int, default=100_000,
+    "--episodes": dict(type=_at_least(1, "episodes"), default=100_000,
                        help="Monte Carlo episodes (default 100000)"),
     "--samples": dict(type=_at_least(1, "samples"), default=20,
                       help="probe samples per stage (default 20)"),
-    "--max-nodes": dict(type=int, default=DEFAULT_MAX_NODES,
+    "--max-nodes": dict(type=_at_least(1, "max-nodes"), default=DEFAULT_MAX_NODES,
                         help="reachable-graph node budget"),
-    "--max-designs": dict(type=int,
+    "--max-designs": dict(type=_at_least(1, "max-designs"),
                           help="brute-force design budget; its evaluation "
                                "budget is this times the path bound (default: "
                                f"{evaluate.DEFAULT_ORACLE_BUDGET} evaluations)"),
-    "--max-paths": dict(type=int, default=evaluate.DEFAULT_MAX_PATHS,
+    "--max-paths": dict(type=_at_least(1, "max-paths"), default=evaluate.DEFAULT_MAX_PATHS,
                         help="trajectory enumeration budget"),
     "--design": dict(help="stored design JSON (default: solve and extract)"),
     "--emit-design": dict(help="also write the extracted design as a table"),

@@ -5,8 +5,9 @@ and the piecewise-linear value-function machinery.  Also the information-graph
 core both dynamic programs run on: one graph type, one forward closure
 (build_graph), one stage backup (behind solve_on_graph) and one continuation
 assembly (add_continuation); each form supplies only its information state,
-dedup key, belief-form image, visibility rule and successor.  value_at runs
-on the same core: a solve on the belief graph rooted at the probed belief.
+dedup key, belief-form image, base sets and block successor rule.  value_at
+runs on the same core: a solve on the belief graph rooted at the probed
+belief.
 
 The joint state at time t is S_t = (X_{t-1}, private windows of all
 controllers); the coordinator's belief over it, conditioned on shared data
@@ -320,21 +321,15 @@ def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
     return m, pz
 
 
-def _assignment_keys(spec: ProblemSpec, visible, ranks: np.ndarray
-                     ) -> list[tuple[int, ...]]:
-    """Per-controller assignment ranks of flat branch ranks (ZTable's
-    ranking on these visible sets)."""
-    shape = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
-    return list(zip(*(k.tolist() for k in np.unravel_index(ranks, shape))))
-
-
-def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, visible_fors,
+def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases,
                   children) -> list[dict[int, ZTable]]:
     """Branches of a block of stage-t information states, whose belief-form
     images are the rows of P, over every shared symbol.
 
-    visible_fors[j](z, consistent) -> per-controller realization sets whose
-    assigned actions distinguish row j's branches under symbol z;
+    bases[j] holds, per controller, the realizations whose assigned actions
+    can distinguish row j's branches.  Under the null symbol they are the
+    visible sets; under any other symbol the visible sets are the base
+    realizations consistent with the symbol (made once per base and symbol).
     children(z, visible, rows, ranks, M, pz) -> one child reference (an int)
     per branch of a batch of positive-probability branches under one symbol:
     rows holds each branch's block row, ranks its flat assignment rank
@@ -369,14 +364,20 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, visible_fors,
     for z in common_obs_space(spec, t + 1):
         zr = common_obs_rank(spec, z)
         if z.is_null:
-            cons, live = None, positive
+            live = positive
         else:
             cons, consistent = st.consistency(spec, z)
             live = positive & consistent
         groups: dict[tuple, list[int]] = {}
+        visible_of: dict = {}
         for j in np.nonzero(live.any(axis=1))[0].tolist():
-            groups.setdefault((live[j].tobytes(), visible_fors[j](z, cons)),
-                              []).append(j)
+            base = bases[j]
+            visible = base if z.is_null else visible_of.get(base)
+            if visible is None:
+                visible = visible_of[base] = tuple(
+                    tuple(sorted(set(cons[k]).intersection(base[k])))
+                    for k in range(spec.K))
+            groups.setdefault((live[j].tobytes(), visible), []).append(j)
         for (_, visible), members in groups.items():
             cand = np.nonzero(live[members[0]])[0]
             shape = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
@@ -430,60 +431,23 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, visible_fors,
     return out
 
 
-def expand_stage(spec: ProblemSpec, t: int, p: np.ndarray,
-                 visible_for, child_fn) -> dict[int, ZTable]:
-    """Expansion of one information state over all shared symbols: a block
-    of one of the gather build_graph runs on its stage blocks
-    (_expand_nodes, which defines visible_for).
-
-    child_fn(z, visible, key, m, pz) -> child id of one positive-probability
-    branch, where key holds the per-controller assignment ranks (ZTable's
-    ranking), m the branch's unnormalized next-belief mass and pz its
-    probability.  child_fn is called by ascending symbol, then ascending
-    flat rank, so node ids and table rows follow that order.
-    """
-    def children(z, visible, rows, ranks, M, pz):
-        return [child_fn(z, visible, key, m, q) for key, m, q in
-                zip(_assignment_keys(spec, visible, ranks), M, pz.tolist())]
-    return _expand_nodes(spec, t, p[None], [visible_for], children)[0]
-
-
-def support_visibility(support: tuple[tuple[int, ...], ...]):
-    """The belief-form visible_for of expand_stage at a belief with this
-    support: under the null symbol the support, otherwise the support
-    realizations consistent with the symbol (kept per symbol)."""
-    sets = tuple(map(frozenset, support))
-    seen: dict = {}
-
-    def visible_for(z, cons):
-        if z.is_null:
-            return support
-        hit = seen.get(z)
-        if hit is None:
-            hit = seen[z] = tuple(tuple(l for l in cons[k] if l in sets[k])
-                                  for k in range(len(support)))
-        return hit
-    return visible_for
-
-
 _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
 
 
 def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
-                visible_rule, successor_rule, *, max_nodes: int) -> InfoGraph:
+                base_of, successor_rule, *, max_nodes: int) -> InfoGraph:
     """Breadth-first forward closure of an information state.
 
     key_of(state) is the dedup key and pi_of(state) the belief-form image
-    (PiBelief) of an information state; visible_rule(node) is the node's
-    visible_for (see _expand_nodes).  successor_rule(block) is the successor
-    rule of a block of same-stage nodes: children(z, visible, rows, ranks, M,
-    pz) -> (keys, state_of), given a batch of branches as _expand_nodes
-    passes it (rows index the block), returns each branch's dedup key and
+    (PiBelief) of an information state; base_of(node) is the node's base
+    sets (see _expand_nodes).  successor_rule(block) is the successor rule
+    of a block of same-stage nodes: children(z, visible, rows, ranks, M, pz)
+    -> (keys, state_of), given a batch of branches as _expand_nodes passes
+    it (rows index the block), returns each branch's dedup key and
     state_of(i), the information state branch i leads to, called only for a
-    key new to the graph.  Rules are made once per node or block, so a form
-    can share work across branches inside them (branchwise adapts a form
-    that builds each branch's state on its own).  Branch tables are keyed by
-    the action assignment on the visible realizations, which covers every
+    key new to the graph.  The rule is made once per block, so a form can
+    share work across the block's branches.  Branch tables are keyed by the
+    action assignment on the visible realizations, which covers every
     profile choice exactly.
 
     Stage t is expanded in blocks of nodes, sized by _tables._BLOCK_ENTRIES
@@ -519,7 +483,7 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
         nodes = graph.stages[t]
         for lo in range(0, len(nodes), size):
             block = nodes[lo:lo + size]
-            _expand_block(graph, block, visible_rule, successor_rule(block),
+            _expand_block(graph, block, base_of, successor_rule(block),
                           add, max_nodes)
     for node in graph.stages[spec.T]:
         graph.expansions.setdefault(node.node_id, {})
@@ -531,7 +495,7 @@ def _node_budget(graph: InfoGraph, max_nodes: int, edges: int) -> BudgetError:
                        f"nodes (edges so far: {edges})")
 
 
-def _expand_block(graph: InfoGraph, block: list[InfoNode], visible_rule,
+def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
                   children_of, add, max_nodes: int):
     """Expand a block of same-stage nodes (build_graph): record each node's
     branch tables and relevant sets, and add its new children to the graph
@@ -568,7 +532,7 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], visible_rule,
         return refs
 
     tabs = _expand_nodes(spec, t, np.stack([node.pi.p for node in block]),
-                         [visible_rule(node) for node in block], children)
+                         [base_of(node) for node in block], children)
     refs = np.concatenate([np.zeros(0, dtype=np.int64)] + [
         ztab.child for per in tabs for ztab in per.values()])
     new_at = np.nonzero(refs < 0)[0]
@@ -596,28 +560,6 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], visible_rule,
             for k in range(spec.K))
 
 
-def branchwise(child_rule, key_of):
-    """The successor_rule of a form that builds each branch's state on its
-    own: child_rule(node) -> child(z, visible, key, m, pz), the state one
-    branch leads to, with key the per-controller assignment ranks (ZTable's
-    ranking), m the unnormalized next-belief mass and pz the branch
-    probability.  child_rule is made once per node."""
-    def successor_rule(block):
-        rules: dict[int, Any] = {}
-
-        def children(z, visible, rows, ranks, M, pz):
-            states = []
-            for j, key, m, q in zip(rows, _assignment_keys(block[0].spec, visible,
-                                                           ranks), M, pz.tolist()):
-                rule = rules.get(j)
-                if rule is None:
-                    rule = rules[j] = child_rule(block[j])
-                states.append(rule(z, visible, key, m, q))
-            return [key_of(state) for state in states], states.__getitem__
-        return children
-    return successor_rule
-
-
 def belief_successors(key_rows):
     """successor_rule of the belief form, keyed per stage on the bytes of
     key_rows(p).  A batch of branches is normalized in one broadcast
@@ -637,15 +579,13 @@ def belief_successors(key_rows):
 def _belief_graph(spec: ProblemSpec, root: PiBelief, key_rows, *,
                   max_nodes: int) -> InfoGraph:
     """Belief-form graph from root: nodes are beliefs, deduplicated per
-    stage on the bytes of key_rows(p); nodes of equal support share one
-    visible_for."""
-    rules: dict = {}
+    stage on the bytes of key_rows(p); a node's base sets are its
+    support."""
     return build_graph(
         spec, "belief", root,
         key_of=lambda pi: (pi.t, key_rows(pi.p).tobytes()),
         pi_of=lambda pi: pi,
-        visible_rule=lambda node: rules.get(node.support) or rules.setdefault(
-            node.support, support_visibility(node.support)),
+        base_of=lambda node: node.support,
         successor_rule=belief_successors(key_rows),
         max_nodes=max_nodes)
 

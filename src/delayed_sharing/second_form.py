@@ -21,9 +21,10 @@ from . import histories, minimize
 from ._tables import tables
 from .errors import DomainError, UnreachableObservationError
 from .coordinator import (DEFAULT_MAX_NODES, ExtractedDesign, InfoGraph,
-                          PiBelief, ValueTable, branchwise, build_graph,
-                          quantize_key, solve_on_graph, support_visibility)
-from .histories import CommonObs, CoordinatorPolicy, PartialFunction
+                          PiBelief, ValueTable, build_graph, quantize_key,
+                          solve_on_graph)
+from .histories import (CommonObs, CoordinatorPolicy, PartialFunction,
+                        common_obs_rank)
 from .model import ProblemSpec, normalize_problem
 
 
@@ -305,51 +306,53 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
     probability) and on every realization consistent with the symbol (their
     assignments survive inside the substituted suffix).  Under the null
     symbol the whole prescription survives, so every realization is visible.
-    Under delay 1 suffixes are empty and the belief-form rule applies.
+    Under delay 1 suffixes are empty and the belief-form base (the support)
+    applies.
+
+    A child Theta depends only on the node and the symbol, and controller
+    k's child suffix also on k's assignment rank (its zero-filled
+    prescription), so a block computes each once per (row, symbol), resp.
+    (row, symbol, k, rank), and assembles branch keys from them; a
+    ThetaRState is made only for a key new to the graph.
     """
     spec = normalize_problem(spec)
-    st_tables = tables(spec)
+    full = {t: tuple(tuple(range(L)) for L in st.L)
+            for t, st in tables(spec).stage.items()}
 
-    def visible_rule(node):
-        if spec.n == 1:
-            return support_visibility(node.support)
-        full = tuple(tuple(range(L)) for L in st_tables.stage[node.t].L)
-        return lambda z, cons: full if z.is_null else cons
-
-    def child_rule(node):
-        # The child Theta depends only on the symbol, and controller k's
-        # suffix only on the symbol and k's assignment rank on its visible
-        # set, so each is computed once per node expansion; the memos go with
-        # it.  Row r of _digit_tables(u, V) holds the digits of rank r.
-        t, state = node.t, node.state
-        per_symbol: dict[CommonObs, tuple[Theta, list[dict]]] = {}
+    def successor_rule(block):
+        t = block[0].t
         counts = [histories.private_count(spec, k, t) for k in range(spec.K)]
+        memo: dict[tuple[int, int], tuple[Theta, list[dict]]] = {}
 
-        def child(z, visible, key, m, pz):
-            hit = per_symbol.get(z)
-            if hit is None:
-                hit = per_symbol[z] = (theta_update(spec, state.theta, z),
-                                       [{} for _ in range(spec.K)])
-            theta, suffixes = hit
-            r = []
-            for k in range(spec.K):
-                rs = suffixes[k].get(key[k])
-                if rs is None:
-                    digits = minimize._digit_tables(
-                        spec.u_size[k], len(visible[k]))[0][key[k]]
-                    table = [0] * counts[k]
-                    for lam, d in zip(visible[k], digits.tolist()):
-                        table[lam] = d
-                    gamma = PartialFunction(k, t, tuple(table))
-                    rs = suffixes[k][key[k]] = r_update(
-                        spec, state.r[k], gamma, z)
-                r.append(rs)
-            return ThetaRState(theta, tuple(r))
-        return child
+        def children(z, visible, rows, ranks, M, pz):
+            zr = common_obs_rank(spec, z)
+            per_k = [a.tolist() for a in np.unravel_index(
+                ranks, [spec.u_size[k] ** len(visible[k]) for k in range(spec.K)])]
+            keys, states = [], []
+            for i, j in enumerate(rows):
+                hit = memo.get((j, zr))
+                if hit is None:
+                    hit = memo[(j, zr)] = (theta_update(spec, block[j].state.theta, z),
+                                           [{} for _ in range(spec.K)])
+                theta, suffixes = hit
+                r = []
+                for k, rank in enumerate(ranks_k[i] for ranks_k in per_k):
+                    rs = suffixes[k].get(rank)
+                    if rs is None:
+                        gamma = PartialFunction(k, t, tuple(minimize.completion_table(
+                            counts[k], spec.u_size[k], visible[k], rank)))
+                        rs = suffixes[k][rank] = r_update(spec, block[j].state.r[k],
+                                                          gamma, z)
+                    r.append(rs)
+                keys.append((t + 1, theta.key, tuple(rs.parts for rs in r)))
+                states.append((theta, tuple(r)))
+            return keys, lambda i: ThetaRState(*states[i])
+        return children
 
     return build_graph(spec, "theta_r", initial_state(spec), state_key,
-                       lambda state: h_map(spec, state), visible_rule,
-                       branchwise(child_rule, state_key), max_nodes=max_nodes)
+                       lambda state: h_map(spec, state),
+                       lambda node: node.support if spec.n == 1 else full[node.t],
+                       successor_rule, max_nodes=max_nodes)
 
 
 # The backward sweep is shared with the belief form; the old name stays

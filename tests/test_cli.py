@@ -97,6 +97,37 @@ def test_samples_below_one_is_an_input_error(command, value, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("solve", "--max-nodes", "-5"),
+    ("solve2", "--max-nodes", "0"),
+    ("evaluate", "--max-nodes", "0"),
+    ("simulate", "--max-nodes", "-1"),
+    ("kurtaran", "--max-nodes", "0"),
+    ("evaluate", "--max-paths", "-1"),
+    ("evaluate", "--max-paths", "0"),
+    ("oracle", "--max-designs", "0"),
+    ("oracle", "--max-designs", "-2"),
+    ("simulate", "--episodes", "0"),
+    ("verify", "--episodes", "0"),
+    ("verify", "--episodes", "many"),
+])
+def test_budget_below_one_is_an_input_error(command, option, value, capsys,
+                                            monkeypatch):
+    """A budget or episode count below one is rejected while the options are
+    parsed (exit 2), before any solve, enumeration or check runs; before,
+    the budgets exited 3 once the work reached them, and verify ran every
+    other check first."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+    monkeypatch.setattr(cli, "_load_spec", no_work)
+    code = cli.main([command, "--problem", str(INSTANCES / "io.json"),
+                     option, value])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{option[2:]} must be an integer >= 1, got '{value}'" in err
+    assert "Traceback" not in err
+
+
 def test_path_budget_exit_code(capsys):
     """i2's optimal design has 1,024 paths."""
     code = cli.main(["evaluate", "--problem", str(INSTANCES / "i2.json"),

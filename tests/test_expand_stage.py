@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from delayed_sharing import _tables, coordinator, instances, minimize
 from delayed_sharing._tables import support_sets, tables
-from delayed_sharing.coordinator import (PiBelief, belief_update, expand_stage,
+from delayed_sharing.coordinator import (PiBelief, belief_update,
                                          joint_step_kernel)
 from delayed_sharing.errors import UnreachableObservationError
 from delayed_sharing.generate import random_instance
@@ -38,15 +38,17 @@ def _consistent(spec, t, z):
     return tuple(out)
 
 
-def _reference_expand(spec, t, p, visible_for):
-    """One update_mass call per assignment on the visible sets, with the
-    zero-filled representative profile: the loop expand_stage batches."""
+def _reference_expand(spec, t, p, base):
+    """One update_mass call per assignment on the visible sets (the base
+    sets, or under a concrete symbol the base realizations consistent with
+    it), with the zero-filled representative profile: the loop
+    _expand_nodes batches."""
     stt = tables(spec).stage[t]
     out = {}
     for z in common_obs_space(spec, t + 1):
         zr = common_obs_rank(spec, z)
         if z.is_null:
-            visible = visible_for(z, None)
+            visible = base
             cand = np.nonzero(p > 0.0)[0]
         else:
             cons = _consistent(spec, t, z)
@@ -55,7 +57,8 @@ def _reference_expand(spec, t, p, visible_for):
                 mask &= np.isin(stt.lam_of_s[k], cons[k])
             if not mask.any():
                 continue
-            visible = visible_for(z, cons)
+            visible = tuple(tuple(l for l in cons[k] if l in base[k])
+                            for k in range(spec.K))
             cand = np.nonzero(mask)[0]
         entries = {}
         axes = [itertools.product(range(spec.u_size[k]), repeat=len(visible[k]))
@@ -77,25 +80,25 @@ def _reference_expand(spec, t, p, visible_for):
     return out
 
 
-def _visible_rule(spec, t, p, rule):
-    support = support_sets(spec, t, p)
-    L = tables(spec).stage[t].L
+def _base_sets(spec, t, p, rule):
+    if rule == "support":            # belief form and value_at
+        return support_sets(spec, t, p)
+    # "consistent": the (Theta, r) form at delay >= 2, where every
+    # realization consistent with the symbol is visible
+    return tuple(tuple(range(L)) for L in tables(spec).stage[t].L)
 
-    def visible_for(z, cons):
-        if rule == "support":        # belief form and value_at
-            if z.is_null:
-                return support
-            return tuple(tuple(l for l in cons[k] if l in support[k])
-                         for k in range(spec.K))
-        if rule == "consistent":     # (Theta, r) form at delay >= 2
-            if z.is_null:
-                return tuple(tuple(range(L[k])) for k in range(spec.K))
-            return cons
-        # "partial": visible sets miss some live realizations, which then
-        # take the zero-filled action
-        base = support if z.is_null else cons
-        return tuple(tuple(base[k][::2]) for k in range(spec.K))
-    return visible_for
+
+def expand_one(spec, t, p, base, child_fn):
+    """The branch tables of one information state: a one-row block of
+    _expand_nodes, with child_fn(z, visible, key, m, pz) -> child id called
+    per branch, key holding the per-controller assignment ranks (ZTable's
+    ranking), m the unnormalized next-belief mass and pz the probability."""
+    def children(z, visible, rows, ranks, M, pz):
+        shape = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
+        keys = zip(*(a.tolist() for a in np.unravel_index(ranks, shape)))
+        return [child_fn(z, visible, key, m, q)
+                for key, m, q in zip(keys, M, pz.tolist())]
+    return coordinator._expand_nodes(spec, t, p[None], [base], children)[0]
 
 
 def _belief(spec, t, rng, sparsity):
@@ -110,7 +113,7 @@ def _belief(spec, t, rng, sparsity):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]),
        n=st.sampled_from([1, 2]), deterministic=st.booleans(),
-       rule=st.sampled_from(["support", "consistent", "partial"]),
+       rule=st.sampled_from(["support", "consistent"]),
        sparsity=st.sampled_from([0.0, 0.5, 0.9]))
 def test_batched_expansion_matches_per_assignment_loop(
         seed, K, n, deterministic, rule, sparsity):
@@ -120,12 +123,12 @@ def test_batched_expansion_matches_per_assignment_loop(
     rng = np.random.default_rng(seed)
     t = int(rng.integers(1, spec.T))
     p = _belief(spec, t, rng, sparsity)
-    visible_for = _visible_rule(spec, t, p, rule)
+    base = _base_sets(spec, t, p, rule)
 
     calls, child_fn = _recorder(spec)
-    got = expand_stage(spec, t, p, visible_for, child_fn)
+    got = expand_one(spec, t, p, base, child_fn)
     _assert_same_expansion(spec, got, calls,
-                           _reference_expand(spec, t, p, visible_for))
+                           _reference_expand(spec, t, p, base))
 
 
 def _recorder(spec):
@@ -171,13 +174,13 @@ def test_row_chunks_match_one_gather(monkeypatch, K, n):
     rng = np.random.default_rng(11)
     t = spec.T - 1
     p = _belief(spec, t, rng, 0.5)
-    visible_for = _visible_rule(spec, t, p, "consistent")
+    base = _base_sets(spec, t, p, "consistent")
     monkeypatch.setattr(_tables, "_BLOCK_ENTRIES", 1)
     calls, child_fn = _recorder(spec)
-    got = expand_stage(spec, t, p, visible_for, child_fn)
+    got = expand_one(spec, t, p, base, child_fn)
     assert got
     _assert_same_expansion(spec, got, calls,
-                           _reference_expand(spec, t, p, visible_for))
+                           _reference_expand(spec, t, p, base))
 
 
 # -- stage-batched graph build against one expansion per node ----------------
@@ -189,7 +192,7 @@ KEY_ROWS = {"grid": coordinator.quantize_rows, "exact": np.ascontiguousarray}
 
 
 def _per_node_graph(spec, root, key_rows, rule):
-    """The graph that one expand_stage per node builds, node after node,
+    """The graph that one expand_one per node builds, node after node,
     inserting each branch's child as its child_fn call comes: the per-node
     reference of build_graph's stage blocks.  Returns the beliefs in node-id
     order and each expanded node's branch tables."""
@@ -207,8 +210,8 @@ def _per_node_graph(spec, root, key_rows, rule):
     for t in range(root.t, spec.T):
         for i in list(stages[t]):
             p = beliefs[i].p
-            tabs[i] = expand_stage(
-                spec, t, p, _visible_rule(spec, t, p, rule),
+            tabs[i] = expand_one(
+                spec, t, p, _base_sets(spec, t, p, rule),
                 lambda z, visible, key, m, pz: insert(PiBelief(t + 1, m / pz)))
     return beliefs, tabs
 
@@ -218,7 +221,7 @@ def _stage_batched_graph(spec, root, key_rows, rule):
         spec, "belief", root,
         key_of=lambda pi: (pi.t, key_rows(pi.p).tobytes()),
         pi_of=lambda pi: pi,
-        visible_rule=lambda node: _visible_rule(spec, node.t, node.pi.p, rule),
+        base_of=lambda node: _base_sets(spec, node.t, node.pi.p, rule),
         successor_rule=coordinator.belief_successors(key_rows),
         max_nodes=coordinator.DEFAULT_MAX_NODES)
 
@@ -262,7 +265,7 @@ def _tree_spec(K, n, seed, deterministic):
 def test_stage_blocks_match_per_node_expansion(seed, K, n, deterministic, rule,
                                                keys, sparsity):
     """build_graph on a sparse random root (so a stage mixes supports, and
-    groups split) against one expand_stage per node, for every block size:
+    groups split) against one expand_one per node, for every block size:
     the same node ids, belief bytes and branch tables."""
     spec = _tree_spec(K, n, seed, deterministic)
     root = PiBelief(1, _belief(spec, 1, np.random.default_rng(seed), sparsity))

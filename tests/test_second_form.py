@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delayed_sharing import evaluate
+from unittest import mock
+
+from delayed_sharing import _tables, evaluate
 from delayed_sharing.analysis import design_profile
-from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, branchwise,
-                                         build_graph, extract_design,
-                                         support_visibility)
+from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, build_graph,
+                                         extract_design)
 from delayed_sharing.errors import DomainError, UnreachableObservationError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (PartialFunction, common_obs_space,
@@ -272,52 +273,73 @@ def test_graph2_horizon_one_single_node():
 def _per_edge_graph2(spec):
     """The (Theta, r) graph with every edge's successor built from scratch:
     the zero-filled profile, theta_update and one r_update per controller."""
-    def visible_rule(node):
+    def base_of(node):
         if spec.n == 1:
-            return support_visibility(node.support)
-        full = tuple(tuple(range(private_count(spec, k, node.t)))
+            return node.support
+        return tuple(tuple(range(private_count(spec, k, node.t)))
                      for k in range(spec.K))
-        return lambda z, cons: full if z.is_null else cons
 
-    def child_rule(node):
-        def child(z, visible, key, m, pz):
-            digits = [np.unravel_index(key[k], (spec.u_size[k],) * len(visible[k]))
-                      for k in range(spec.K)]
-            rep = embedded_profile(spec, node.t, visible,
-                                   [[int(d) for d in ds] for ds in digits])
-            return ThetaRState(
-                theta_update(spec, node.state.theta, z),
-                tuple(r_update(spec, node.state.r[k], rep.gammas[k], z)
-                      for k in range(spec.K)))
-        return child
+    def successor_rule(block):
+        def children(z, visible, rows, ranks, M, pz):
+            shapes = [(spec.u_size[k],) * len(visible[k]) for k in range(spec.K)]
+            flat = np.unravel_index(ranks, [spec.u_size[k] ** len(visible[k])
+                                            for k in range(spec.K)])
+            states = []
+            for i, j in enumerate(rows):
+                node = block[j]
+                digits = [[int(d) for d in np.unravel_index(flat[k][i], shapes[k])]
+                          for k in range(spec.K)]
+                rep = embedded_profile(spec, node.t, visible, digits)
+                states.append(ThetaRState(
+                    theta_update(spec, node.state.theta, z),
+                    tuple(r_update(spec, node.state.r[k], rep.gammas[k], z)
+                          for k in range(spec.K))))
+            return [state_key(state) for state in states], states.__getitem__
+        return children
 
     return build_graph(spec, "theta_r", initial_state(spec), state_key,
-                       lambda state: h_map(spec, state), visible_rule,
-                       branchwise(child_rule, state_key),
-                       max_nodes=DEFAULT_MAX_NODES)
+                       lambda state: h_map(spec, state), base_of,
+                       successor_rule, max_nodes=DEFAULT_MAX_NODES)
 
 
-@pytest.mark.parametrize("name", ["i2", "ia", "det_n2"])
+# Delay 3 (two suffix parts, so r_update reads the old suffix), one
+# controller that acts and one that observes: the successor's suffix memo
+# must be kept per block row.
+_SECOND_FORM_CASES = {
+    "det_n2": (2, 4, 2, 2, (2, 2), (2, 2), 5, True),
+    "delay3": (2, 4, 3, 2, (1, 2), (2, 1), 73, False),
+    "det_n3": (2, 5, 3, 2, (1, 2), (2, 1), 73, True),
+}
+
+
+@pytest.mark.parametrize("name", ["i2", "ia", "det_n2", "delay3", "det_n3"])
 def test_per_node_successor_gives_the_per_edge_graph(name, solved):
-    if name == "det_n2":
-        spec = normalize_problem(random_instance(2, 4, 2, 2, (2, 2), (2, 2), 5,
-                                                 deterministic=True))
+    """reachable_graph2's block successor rule against one from-scratch
+    successor per edge, for one node per block, an odd block cap and the
+    default: node ids, state keys, belief bytes and branch tables."""
+    if name in _SECOND_FORM_CASES:
+        *shape, seed, det = _SECOND_FORM_CASES[name]
+        spec = normalize_problem(random_instance(*shape, seed, deterministic=det))
     else:
         spec = solved[name]["spec"]
-    got, want = reachable_graph2(spec), _per_edge_graph2(spec)
-    assert got.node_count == want.node_count
-    for a, b in zip(got.by_id, want.by_id):
-        assert (a.node_id, a.t) == (b.node_id, b.t)
-        assert state_key(a.state) == state_key(b.state)
-        assert np.array_equal(a.pi.p, b.pi.p)
-        ga, gb = got.expansions[a.node_id], want.expansions[b.node_id]
-        assert list(ga) == list(gb)
-        for zr, ztab in ga.items():
-            other = gb[zr]
-            assert ztab.visible == other.visible
-            assert ztab.shape == other.shape
-            for name in ("rank", "pz", "child"):
-                assert getattr(ztab, name).tobytes() == getattr(other, name).tobytes()
+    want = _per_edge_graph2(spec)
+    for entries in (1, 999, _tables._BLOCK_ENTRIES):
+        with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
+            got = reachable_graph2(spec)
+        assert got.node_count == want.node_count
+        for a, b in zip(got.by_id, want.by_id):
+            assert (a.node_id, a.t) == (b.node_id, b.t)
+            assert state_key(a.state) == state_key(b.state)
+            assert a.state.theta.p.tobytes() == b.state.theta.p.tobytes()
+            assert a.pi.p.tobytes() == b.pi.p.tobytes()
+            ga, gb = got.expansions[a.node_id], want.expansions[b.node_id]
+            assert list(ga) == list(gb)
+            for zr, ztab in ga.items():
+                other = gb[zr]
+                assert ztab.visible == other.visible
+                assert ztab.shape == other.shape
+                for col in ("rank", "pz", "child"):
+                    assert getattr(ztab, col).tobytes() == getattr(other, col).tobytes()
 
 
 def test_graph2_golden_counts(solved):
