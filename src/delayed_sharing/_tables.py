@@ -22,8 +22,8 @@ from .model import ProblemSpec
 # (state, action, next state, observation tuple) block, a gather of the
 # forward expansion (coordinator._expand_nodes: group nodes times assignment
 # rows times the larger of gathered triples and next states; build_graph's
-# node blocks, which also bound the successor rules' per-block memos, let
-# one assignment row of a whole block fit), a row block of the stage
+# node blocks let one assignment row of a block fit and bound the (Theta, r)
+# memo of child Theta and aged parts per row and symbol), a row block of the stage
 # backup (nodes times the entries of a belief, its cost tensor and its
 # totals) and a row block of the terminal minimization (beliefs times einsum
 # outputs).  Larger batches run in row blocks, so memory stays flat in the

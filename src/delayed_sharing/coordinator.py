@@ -237,7 +237,6 @@ class InfoGraph:
     stages: dict[int, list[InfoNode]]
     expansions: dict[int, dict[int, ZTable]]
     by_id: list[InfoNode]
-    index: dict[tuple, int]
 
     @property
     def node_count(self) -> int:
@@ -434,21 +433,22 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases,
 _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
 
 
-def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
-                base_of, successor_rule, *, max_nodes: int) -> InfoGraph:
+def build_graph(spec: ProblemSpec, kind: str, root, pi_of, base_of,
+                successor_rule, *, max_nodes: int) -> InfoGraph:
     """Breadth-first forward closure of an information state.
 
-    key_of(state) is the dedup key and pi_of(state) the belief-form image
-    (PiBelief) of an information state; base_of(node) is the node's base
-    sets (see _expand_nodes).  successor_rule(block) is the successor rule
-    of a block of same-stage nodes: children(z, visible, rows, ranks, M, pz)
-    -> (keys, state_of), given a batch of branches as _expand_nodes passes
-    it (rows index the block), returns each branch's dedup key and
-    state_of(i), the information state branch i leads to, called only for a
-    key new to the graph.  The rule is made once per block, so a form can
-    share work across the block's branches.  Branch tables are keyed by the
-    action assignment on the visible realizations, which covers every
-    profile choice exactly.
+    pi_of(state) is the belief-form image (PiBelief) of an information
+    state; base_of(node) is the node's base sets (see _expand_nodes).
+    successor_rule(block) is the successor rule of a block of same-stage
+    nodes: children(z, visible, rows, ranks, M, pz) -> (keys, state_of),
+    given a batch of branches as _expand_nodes passes it (rows index the
+    block), returns each branch's dedup key and state_of(i), the
+    information state branch i leads to, called only for a key new to the
+    graph.  The rule is made once per block, so a form can share work
+    across the block's branches.  Branch tables are keyed by the action
+    assignment on the visible realizations, which covers every profile
+    choice exactly.  Keys carry their stage, so dedup indexes only the stage
+    being built, and the root needs no key.
 
     Stage t is expanded in blocks of nodes, sized by _tables._BLOCK_ENTRIES
     so that one assignment's gather over a whole block fits.  A block's
@@ -460,22 +460,22 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
     far" counts the branches of every node expanded before the one whose
     child exceeds the budget) are those of one expansion per node.
     """
-    graph = InfoGraph(spec, kind, {t: [] for t in range(1, spec.T + 1)}, {}, [], {})
+    graph = InfoGraph(spec, kind, {t: [] for t in range(1, spec.T + 1)}, {}, [])
 
-    def add(key, state) -> int:
+    def add(state) -> int:
         node_id = len(graph.by_id)
         pi = pi_of(state)
         node = InfoNode(node_id, pi.t, pi,
                         None if kind == "belief" else state, spec)
         graph.by_id.append(node)
         graph.stages[pi.t].append(node)
-        graph.index[key] = node_id
         return node_id
 
     if max_nodes < 1:
         raise _node_budget(graph, max_nodes, 0)
-    add(key_of(root), root)
+    add(root)
     for t in range(1, spec.T):
+        index: dict = {}    # key -> id of the stage-(t+1) nodes so far
         st = tables(spec).stage[t]
         row_cost = max(state_count(spec, t + 1),
                        st.state_count * int(st.step_arrays(spec)[1].max()), 1)
@@ -484,7 +484,7 @@ def build_graph(spec: ProblemSpec, kind: str, root, key_of, pi_of,
         for lo in range(0, len(nodes), size):
             block = nodes[lo:lo + size]
             _expand_block(graph, block, base_of, successor_rule(block),
-                          add, max_nodes)
+                          index, add, max_nodes)
     for node in graph.stages[spec.T]:
         graph.expansions.setdefault(node.node_id, {})
     return graph
@@ -496,13 +496,13 @@ def _node_budget(graph: InfoGraph, max_nodes: int, edges: int) -> BudgetError:
 
 
 def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
-                  children_of, add, max_nodes: int):
+                  children_of, index: dict, add, max_nodes: int):
     """Expand a block of same-stage nodes (build_graph): record each node's
     branch tables and relevant sets, and add its new children to the graph
-    through add(key, state) -> node id.
+    through add(state) -> node id and their keys to index.
 
     While the block's branches are computed, a branch whose key is already
-    in the graph points at that node, and a new key gets a pending slot that
+    in index points at that node, and a new key gets a pending slot that
     keeps the state of its branch first in per-node order, (block row,
     symbol rank, assignment rank).  The new keys then become nodes in the
     order of their first branch, which is the order a per-node expansion
@@ -517,7 +517,7 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
         zr = common_obs_rank(spec, z)
         refs = []
         for i, (key, j, r) in enumerate(zip(keys, rows, ranks.tolist())):
-            hit = graph.index.get(key)
+            hit = index.get(key)
             if hit is not None:
                 refs.append(hit)
                 continue
@@ -548,7 +548,7 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
                            graph.edge_count + (int(ends[j - 1]) if j else 0))
     node_of = np.empty(len(slots), dtype=np.int64)
     for slot in new_slots[first].tolist():
-        node_of[slot] = add(*slots[slot][1:])
+        node_of[slot] = index[slots[slot][1]] = add(slots[slot][2])
     for node, per in zip(block, tabs):
         for ztab in per.values():
             new = ztab.child < 0
@@ -583,7 +583,6 @@ def _belief_graph(spec: ProblemSpec, root: PiBelief, key_rows, *,
     support."""
     return build_graph(
         spec, "belief", root,
-        key_of=lambda pi: (pi.t, key_rows(pi.p).tobytes()),
         pi_of=lambda pi: pi,
         base_of=lambda node: node.support,
         successor_rule=belief_successors(key_rows),

@@ -301,23 +301,31 @@ class ExtensionalDesign:
         }
 
     @classmethod
-    def from_json(cls, spec: ProblemSpec, data: dict) -> "ExtensionalDesign":
+    def from_json(cls, spec: ProblemSpec, data) -> "ExtensionalDesign":
+        """Read a design from its JSON form (to_json).  Any other input, an
+        entry that is not an integer action in [0, u_k) too, raises DomainError."""
+        if not isinstance(data, dict):
+            raise DomainError("design must be a JSON object")
         if data.get("kind") != "extensional":
             raise DomainError(f"unknown design kind {data.get('kind')!r}")
         for key in ("K", "T", "n"):
-            if data.get(key) != getattr(spec, key):
-                raise DomainError(f"design {key}={data.get(key)} does not match problem {getattr(spec, key)}")
-        tables = [
-            [np.asarray(tab, dtype=np.int64) for tab in per_k]
-            for per_k in data["tables"]
-        ]
-        for k in range(spec.K):
-            for t in range(1, spec.T + 1):
-                expect = (delta_count(spec, t), private_count(spec, k, t))
-                if tables[k][t - 1].shape != expect:
-                    raise DomainError(f"design table [{k}][{t}] has shape "
-                                      f"{tables[k][t - 1].shape}, expected {expect}")
-        return cls(spec, tables)
+            value = data.get(key)
+            if type(value) is not int or value != getattr(spec, key):
+                raise DomainError(f"design {key}={value} does not match problem {getattr(spec, key)}")
+        raw = data.get("tables")
+        if not (isinstance(raw, list) and len(raw) == spec.K and all(
+                isinstance(per_k, list) and len(per_k) == spec.T for per_k in raw)):
+            raise DomainError(f"design tables must be {spec.K} lists of {spec.T} tables")
+        for k, t in itertools.product(range(spec.K), range(1, spec.T + 1)):
+            tab, u = raw[k][t - 1], spec.u_size[k]
+            rows, cols = delta_count(spec, t), private_count(spec, k, t)
+            if not (isinstance(tab, list) and len(tab) == rows and all(
+                    isinstance(row, list) and len(row) == cols
+                    and all(type(a) is int and 0 <= a < u for a in row) for row in tab)):
+                raise DomainError(f"design table [{k}][{t}] is not a {rows} x {cols} "
+                                  f"table of integer actions in [0, {u})")
+        return cls(spec, [[np.array(tab, dtype=np.int64) for tab in per_k]
+                          for per_k in raw])
 
 
 def constant_design(spec: ProblemSpec, action: int = 0) -> ExtensionalDesign:

@@ -172,25 +172,16 @@ def subkey_vector(spec: ProblemSpec, bs: BehaviorSpace, k: int,
     return key
 
 
-def completion_table(count: int, u: int, restricted, rank: int) -> list[int]:
-    """One controller's zero-filled completion: the table over count
-    realizations giving the restricted ones the base-u digits of rank (first
-    most significant) and every other one action 0."""
-    table = [0] * count
-    for lam, d in zip(restricted, _digit_tables(u, len(restricted))[0][rank].tolist()):
-        table[lam] = d
-    return table
-
-
 def completion_rank(spec: ProblemSpec, bs: BehaviorSpace,
                     flat_index: int) -> int:
-    """Full profile rank of the zero-filled completion of one behavior."""
+    """Full profile rank of the zero-filled completion of one behavior:
+    controller k's table rank is the sum of digit * u**(count-1-lam) over
+    its restricted realizations lam (every other one takes action 0)."""
     per_k = np.unravel_index(flat_index, bs.shape)
     rank = 0
     for k in range(spec.K):
         u, count = spec.u_size[k], histories.private_count(spec, k, bs.t)
-        table_rank = 0
-        for entry in completion_table(count, u, bs.restricted[k], per_k[k]):
-            table_rank = table_rank * u + entry
-        rank = rank * (u ** count) + table_rank
+        digits = _digit_tables(u, len(bs.restricted[k]))[0][per_k[k]].tolist()
+        rank = rank * u ** count + sum(
+            d * u ** (count - 1 - lam) for lam, d in zip(bs.restricted[k], digits))
     return rank

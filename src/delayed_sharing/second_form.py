@@ -67,10 +67,6 @@ class ThetaRState:
         return self.theta.t
 
 
-def state_key(state: ThetaRState) -> tuple:
-    return (state.t, state.theta.key, tuple(rs.parts for rs in state.r))
-
-
 def initial_state(spec: ProblemSpec) -> ThetaRState:
     spec = normalize_problem(spec)
     return ThetaRState(
@@ -152,14 +148,33 @@ def theta_update(spec: ProblemSpec, theta: Theta, z: CommonObs) -> Theta:
     return Theta(t + 1, post @ spec.trans[m - 1][:, a, :])
 
 
+def _aged_parts(spec: ProblemSpec, rs: RSuffix,
+                z: CommonObs) -> tuple[tuple[int, ...], ...]:
+    """The parts of rs one step later, before the newest enters: under the
+    null symbol all of them, unsubstituted; otherwise the oldest ages out
+    and the rest get the newly shared (observation, action) substituted
+    into their earliest slots."""
+    k, t = rs.k, rs.t
+    if z.is_null:
+        return rs.parts
+    lo, aged = max(1, t - spec.n + 1), []
+    for m in range(max(1, t + 2 - spec.n), t):
+        ny, nu = part_window(spec, t, m)
+        table = rs.parts[m - lo]
+        if len(table) != spec.y_size[k] ** ny * spec.u_size[k] ** nu:
+            raise DomainError(f"part at m={m} has arity {len(table)}, "
+                              f"expected window ({ny},{nu})")
+        aged.append(_curry_table(spec, k, table, ny, nu, z.y[k], z.u[k]))
+    return tuple(aged)
+
+
 def r_update(spec: ProblemSpec, rs: RSuffix, gamma: PartialFunction,
              z: CommonObs) -> RSuffix:
-    """Advance one controller's prescription suffix.
-
-    The oldest part ages out entirely, surviving parts get the newly shared
-    (observation, action) substituted into their earliest slots, and the
-    prescription just used enters as the newest part (unsubstituted while
-    nothing has been shared yet).  Empty under delay 1.
+    """Advance one controller's prescription suffix: its aged parts, then
+    the prescription just used as the newest part, substituted like them.
+    Empty under delay 1.  reachable_graph2 reads the newest part off the
+    assignment digits instead; this is the definition the tests check it
+    against.
     """
     spec = normalize_problem(spec)
     k, t = rs.k, rs.t
@@ -167,23 +182,9 @@ def r_update(spec: ProblemSpec, rs: RSuffix, gamma: PartialFunction,
         raise DomainError("prescription does not match the suffix controller/time")
     if spec.n == 1:
         return RSuffix(k, t + 1, ())
-    lo_t = max(1, t - spec.n + 1)
-    lo_t1 = max(1, t + 2 - spec.n)
-    if z.is_null:
-        # t+1 <= n: domains do not shrink; append the raw prescription.
-        return RSuffix(k, t + 1, rs.parts + (gamma.table,))
-    y_fix, u_fix = z.y[k], z.u[k]
-    new_parts = []
-    for m in range(lo_t1, t):
-        ny, nu = part_window(spec, t, m)
-        table = rs.parts[m - lo_t]
-        if len(table) != spec.y_size[k] ** ny * spec.u_size[k] ** nu:
-            raise DomainError(f"part at m={m} has arity {len(table)}, "
-                              f"expected window ({ny},{nu})")
-        new_parts.append(_curry_table(spec, k, table, ny, nu, y_fix, u_fix))
-    ny, nu = histories.private_sizes(spec, k, t)
-    new_parts.append(_curry_table(spec, k, gamma.table, ny, nu, y_fix, u_fix))
-    return RSuffix(k, t + 1, tuple(new_parts))
+    newest = gamma.table if z.is_null else _curry_table(
+        spec, k, gamma.table, *histories.private_sizes(spec, k, t), z.y[k], z.u[k])
+    return RSuffix(k, t + 1, _aged_parts(spec, rs, z) + (newest,))
 
 
 class _HMapTables:
@@ -309,11 +310,11 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
     Under delay 1 suffixes are empty and the belief-form base (the support)
     applies.
 
-    A child Theta depends only on the node and the symbol, and controller
-    k's child suffix also on k's assignment rank (its zero-filled
-    prescription), so a block computes each once per (row, symbol), resp.
-    (row, symbol, k, rank), and assembles branch keys from them; a
-    ThetaRState is made only for a key new to the graph.
+    At delay 2 or more the visible realizations are thus the ones the
+    substitution keeps, in table order, so a child's newest suffix part is
+    its controller's assignment digits.  A block computes the child Theta
+    and the aged parts once per (row, symbol), keys each branch (t+1, Theta
+    key, parts), and makes a ThetaRState only for a key new to the stage.
     """
     spec = normalize_problem(spec)
     full = {t: tuple(tuple(range(L)) for L in st.L)
@@ -321,35 +322,35 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
 
     def successor_rule(block):
         t = block[0].t
-        counts = [histories.private_count(spec, k, t) for k in range(spec.K)]
-        memo: dict[tuple[int, int], tuple[Theta, list[dict]]] = {}
+        memo: dict[tuple[int, int], tuple[Theta, list[tuple]]] = {}
 
         def children(z, visible, rows, ranks, M, pz):
             zr = common_obs_rank(spec, z)
-            per_k = [a.tolist() for a in np.unravel_index(
-                ranks, [spec.u_size[k] ** len(visible[k]) for k in range(spec.K)])]
-            keys, states = [], []
+            digits = [minimize._digit_tables(spec.u_size[k], len(visible[k]))[0]
+                      for k in range(spec.K)]
+            per_k = [a.tolist() for a in np.unravel_index(ranks, [len(d) for d in digits])]
+            keys, thetas = [], []
             for i, j in enumerate(rows):
                 hit = memo.get((j, zr))
                 if hit is None:
-                    hit = memo[(j, zr)] = (theta_update(spec, block[j].state.theta, z),
-                                           [{} for _ in range(spec.K)])
+                    state = block[j].state
+                    hit = memo[(j, zr)] = (theta_update(spec, state.theta, z), [
+                        (_aged_parts(spec, rs, z), {}) for rs in state.r])
                 theta, suffixes = hit
-                r = []
-                for k, rank in enumerate(ranks_k[i] for ranks_k in per_k):
-                    rs = suffixes[k].get(rank)
-                    if rs is None:
-                        gamma = PartialFunction(k, t, tuple(minimize.completion_table(
-                            counts[k], spec.u_size[k], visible[k], rank)))
-                        rs = suffixes[k][rank] = r_update(spec, block[j].state.r[k],
-                                                          gamma, z)
-                    r.append(rs)
-                keys.append((t + 1, theta.key, tuple(rs.parts for rs in r)))
-                states.append((theta, tuple(r)))
-            return keys, lambda i: ThetaRState(*states[i])
+                parts = []
+                for (aged, newest), d, rank in zip(suffixes, digits, (r[i] for r in per_k)):
+                    part = newest.get(rank)
+                    if part is None:
+                        part = newest[rank] = aged if spec.n == 1 else (
+                            aged + (tuple(d[rank].tolist()),))
+                    parts.append(part)
+                keys.append((t + 1, theta.key, tuple(parts)))
+                thetas.append(theta)
+            return keys, lambda i: ThetaRState(thetas[i], tuple(
+                RSuffix(k, t + 1, part) for k, part in enumerate(keys[i][2])))
         return children
 
-    return build_graph(spec, "theta_r", initial_state(spec), state_key,
+    return build_graph(spec, "theta_r", initial_state(spec),
                        lambda state: h_map(spec, state),
                        lambda node: node.support if spec.n == 1 else full[node.t],
                        successor_rule, max_nodes=max_nodes)

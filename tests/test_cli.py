@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from delayed_sharing import cli, minimize
+from delayed_sharing import cli, instances, minimize
 from delayed_sharing.generate import random_instance
+from delayed_sharing.histories import ExtensionalDesign
 from delayed_sharing.model import serialize_problem
 
 INSTANCES = Path(__file__).resolve().parents[1] / "src" / "delayed_sharing" / "instances"
@@ -125,6 +126,49 @@ def test_budget_below_one_is_an_input_error(command, option, value, capsys,
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert f"{option[2:]} must be an integer >= 1, got '{value}'" in err
+    assert "Traceback" not in err
+
+
+def _io_design(entry=1, last_row=(1, 1)):
+    """A well-formed design for io.json (u = (2, 1)) with one entry and one
+    row of its own."""
+    return {"kind": "extensional", "K": 2, "T": 2, "n": 1,
+            "tables": [[[[0, 1]], [[1, 0], [0, 0], [0, entry], list(last_row)]],
+                       [[[0]], [[0], [0], [0], [0]]]]}
+
+
+@pytest.mark.parametrize("design", [
+    [_io_design()],
+    {key: v for key, v in _io_design().items() if key != "tables"},
+    {**_io_design(), "tables": _io_design()["tables"][:1]},
+    _io_design(last_row=(1,)),
+    _io_design(entry="a"),
+    _io_design(entry=1e30),
+    _io_design(entry=1.5),
+    _io_design(entry=True),
+    _io_design(entry=2),
+    _io_design(entry=-1),
+], ids=["top-level-list", "no-tables", "one-controller", "ragged-rows",
+        "string-entry", "huge-float-entry", "float-entry", "boolean-entry",
+        "action-too-large", "negative-action"])
+def test_malformed_design_is_an_input_error(design, tmp_path, capsys, monkeypatch):
+    """A design file is input: every malformed shape exits 2 before the
+    design is evaluated.  Before, these exited 1 with a Python exception
+    (AttributeError, KeyError, IndexError, ValueError, OverflowError), or
+    read 1.5 and true as action 1 and exited 0."""
+    good = ExtensionalDesign.from_json(instances.load("io"), _io_design(entry=1))
+    assert good.act(0, 2, 1, (2,)) == 1
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the design was evaluated")
+    monkeypatch.setattr(cli.evaluate, "exact_cost", no_work)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(design))
+    code = cli.main(["evaluate", "--problem", str(INSTANCES / "io.json"),
+                     "--design", str(path)])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: design")
     assert "Traceback" not in err
 
 

@@ -219,7 +219,6 @@ def _per_node_graph(spec, root, key_rows, rule):
 def _stage_batched_graph(spec, root, key_rows, rule):
     return coordinator.build_graph(
         spec, "belief", root,
-        key_of=lambda pi: (pi.t, key_rows(pi.p).tobytes()),
         pi_of=lambda pi: pi,
         base_of=lambda node: _base_sets(spec, node.t, node.pi.p, rule),
         successor_rule=coordinator.belief_successors(key_rows),

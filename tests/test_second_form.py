@@ -19,7 +19,7 @@ from delayed_sharing.model import ProblemSpec, normalize_problem
 from delayed_sharing.second_form import (RSuffix, Theta, ThetaRState,
                                          extract_design2, h_map, initial_state,
                                          r_update, reachable_graph2,
-                                         solve_dp2, state_key, theta_update)
+                                         solve_dp2, theta_update)
 from delayed_sharing.verify import replay_theta_r
 from helpers import (embedded_profile, h_map_reference, make_i2_mini,
                      part_domain_count, suffix_from_prescriptions)
@@ -270,6 +270,11 @@ def test_graph2_horizon_one_single_node():
     assert graph2.node_count == 1
 
 
+def state_key(state: ThetaRState) -> tuple:
+    """The dedup key reachable_graph2 gives a (Theta, r) state."""
+    return (state.t, state.theta.key, tuple(rs.parts for rs in state.r))
+
+
 def _per_edge_graph2(spec):
     """The (Theta, r) graph with every edge's successor built from scratch:
     the zero-filled profile, theta_update and one r_update per controller."""
@@ -297,22 +302,27 @@ def _per_edge_graph2(spec):
             return [state_key(state) for state in states], states.__getitem__
         return children
 
-    return build_graph(spec, "theta_r", initial_state(spec), state_key,
+    return build_graph(spec, "theta_r", initial_state(spec),
                        lambda state: h_map(spec, state), base_of,
                        successor_rule, max_nodes=DEFAULT_MAX_NODES)
 
 
 # Delay 3 (two suffix parts, so r_update reads the old suffix), one
 # controller that acts and one that observes: the successor's suffix memo
-# must be kept per block row.
+# must be kept per block row.  A three-action controller (base-3 digit
+# rows, at delay 2 and 3) and three controllers check the digit order of
+# the newest suffix part.
 _SECOND_FORM_CASES = {
     "det_n2": (2, 4, 2, 2, (2, 2), (2, 2), 5, True),
     "delay3": (2, 4, 3, 2, (1, 2), (2, 1), 73, False),
     "det_n3": (2, 5, 3, 2, (1, 2), (2, 1), 73, True),
+    "u3_det": (2, 4, 2, 2, (2, 1), (3, 2), 11, True),
+    "u3_n3": (2, 4, 3, 2, (1, 2), (3, 1), 11, False),
+    "k3": (3, 4, 2, 2, (2, 1, 1), (2, 1, 2), 11, False),
 }
 
 
-@pytest.mark.parametrize("name", ["i2", "ia", "det_n2", "delay3", "det_n3"])
+@pytest.mark.parametrize("name", ["i2", "ia", *_SECOND_FORM_CASES])
 def test_per_node_successor_gives_the_per_edge_graph(name, solved):
     """reachable_graph2's block successor rule against one from-scratch
     successor per edge, for one node per block, an odd block cap and the
