@@ -23,11 +23,11 @@ from .model import ProblemSpec
 # forward expansion (coordinator._expand_nodes: group nodes times assignment
 # rows times the larger of gathered triples and next states; build_graph's
 # node blocks let one assignment row of a block fit and bound the (Theta, r)
-# memo of child Theta and aged parts per row and symbol), a row block of the stage
-# backup (nodes times the entries of a belief, its cost tensor and its
-# totals) and a row block of the terminal minimization (beliefs times einsum
-# outputs).  Larger batches run in row blocks, so memory stays flat in the
-# batch size.  Readers look it up at call time, so one patch reaches all.
+# memo per row and symbol; new nodes get images in row blocks of nodes times
+# belief entries), a row block of the stage backup (nodes times a belief's
+# entries, its cost tensor and its totals) and of the terminal minimization
+# (beliefs times einsum outputs).  Larger batches run in row blocks, so
+# memory stays flat; readers look it up at call time, so one patch reaches all.
 _BLOCK_ENTRIES = 1 << 16
 
 

@@ -437,45 +437,46 @@ def build_graph(spec: ProblemSpec, kind: str, root, pi_of, base_of,
                 successor_rule, *, max_nodes: int) -> InfoGraph:
     """Breadth-first forward closure of an information state.
 
-    pi_of(state) is the belief-form image (PiBelief) of an information
-    state; base_of(node) is the node's base sets (see _expand_nodes).
-    successor_rule(block) is the successor rule of a block of same-stage
-    nodes: children(z, visible, rows, ranks, M, pz) -> (keys, state_of),
-    given a batch of branches as _expand_nodes passes it (rows index the
-    block), returns each branch's dedup key and state_of(i), the
-    information state branch i leads to, called only for a key new to the
-    graph.  The rule is made once per block, so a form can share work
-    across the block's branches.  Branch tables are keyed by the action
-    assignment on the visible realizations, which covers every profile
-    choice exactly.  Keys carry their stage, so dedup indexes only the stage
-    being built, and the root needs no key.
+    pi_of(states) lists the belief-form images (PiBelief) of same-stage
+    information states; base_of(node) is the node's base sets (see
+    _expand_nodes).  successor_rule(t), called once per stage next to the
+    stage's dedup index, returns rule(block) -> children(z, visible, rows,
+    ranks, M, pz) -> (keys, state_of): given a batch of branches as
+    _expand_nodes passes it (rows index the block), each branch's dedup key
+    among stage t+1's states, and state_of(i), the information state branch
+    i leads to, called only for a key new to the graph.  Branch tables are
+    keyed by the action assignment on the visible realizations, which
+    covers every profile choice exactly.
 
     Stage t is expanded in blocks of nodes, sized by _tables._BLOCK_ENTRIES
     so that one assignment's gather over a whole block fits.  A block's
     branches are computed symbol by symbol and group by group, then its new
-    children are inserted in the order a per-node expansion inserts them:
-    node, then symbol, then ascending rank.  A key's node takes the state of
-    its first branch in that order (distinct states can share a key), so
-    node ids, stage lists, branch tables and the node-budget error ("edges so
-    far" counts the branches of every node expanded before the one whose
-    child exceeds the budget) are those of one expansion per node.
+    children are inserted in the order a per-node expansion inserts them
+    (node, symbol, ascending rank), pi_of taking row blocks of at most
+    _BLOCK_ENTRIES entries.  A key's node takes the state of its first
+    branch in that order (distinct states can share a key), so node ids,
+    stage lists, branch tables and the node-budget error ("edges so far"
+    counts the branches of every node expanded before the one whose child
+    exceeds the budget) are those of one expansion per node.
     """
     graph = InfoGraph(spec, kind, {t: [] for t in range(1, spec.T + 1)}, {}, [])
 
-    def add(state) -> int:
-        node_id = len(graph.by_id)
-        pi = pi_of(state)
-        node = InfoNode(node_id, pi.t, pi,
-                        None if kind == "belief" else state, spec)
-        graph.by_id.append(node)
-        graph.stages[pi.t].append(node)
-        return node_id
+    def add(t: int, states) -> range:
+        start, rows = len(graph.by_id), max(1, _tables._BLOCK_ENTRIES // state_count(spec, t))
+        for lo in range(0, len(states), rows):
+            for state, pi in zip(states[lo:lo + rows], pi_of(states[lo:lo + rows])):
+                node = InfoNode(len(graph.by_id), t, pi,
+                                None if kind == "belief" else state, spec)
+                graph.by_id.append(node)
+                graph.stages[t].append(node)
+        return range(start, len(graph.by_id))
 
     if max_nodes < 1:
         raise _node_budget(graph, max_nodes, 0)
-    add(root)
+    add(root.t, [root])
     for t in range(1, spec.T):
         index: dict = {}    # key -> id of the stage-(t+1) nodes so far
+        rule = successor_rule(t)
         st = tables(spec).stage[t]
         row_cost = max(state_count(spec, t + 1),
                        st.state_count * int(st.step_arrays(spec)[1].max()), 1)
@@ -483,8 +484,7 @@ def build_graph(spec: ProblemSpec, kind: str, root, pi_of, base_of,
         nodes = graph.stages[t]
         for lo in range(0, len(nodes), size):
             block = nodes[lo:lo + size]
-            _expand_block(graph, block, base_of, successor_rule(block),
-                          index, add, max_nodes)
+            _expand_block(graph, block, base_of, rule(block), index, add, max_nodes)
     for node in graph.stages[spec.T]:
         graph.expansions.setdefault(node.node_id, {})
     return graph
@@ -499,7 +499,7 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
                   children_of, index: dict, add, max_nodes: int):
     """Expand a block of same-stage nodes (build_graph): record each node's
     branch tables and relevant sets, and add its new children to the graph
-    through add(state) -> node id and their keys to index.
+    through add(t + 1, states) -> node ids and their keys to index.
 
     While the block's branches are computed, a branch whose key is already
     in index points at that node, and a new key gets a pending slot that
@@ -547,8 +547,9 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
         raise _node_budget(graph, max_nodes,
                            graph.edge_count + (int(ends[j - 1]) if j else 0))
     node_of = np.empty(len(slots), dtype=np.int64)
-    for slot in new_slots[first].tolist():
-        node_of[slot] = index[slots[slot][1]] = add(slots[slot][2])
+    fresh = new_slots[first].tolist()
+    for slot, node_id in zip(fresh, add(t + 1, [slots[slot][2] for slot in fresh])):
+        node_of[slot] = index[slots[slot][1]] = node_id
     for node, per in zip(block, tabs):
         for ztab in per.values():
             new = ztab.child < 0
@@ -561,18 +562,16 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
 
 
 def belief_successors(key_rows):
-    """successor_rule of the belief form, keyed per stage on the bytes of
-    key_rows(p).  A batch of branches is normalized in one broadcast
-    division and keyed with one key_rows call and one tobytes per row; a
-    PiBelief is made, on a copied row, only for a key new to the graph."""
-    def successor_rule(block):
-        t = block[0].t + 1
-
+    """successor_rule of the belief form, keyed on the bytes of key_rows(p).
+    A batch of branches is normalized in one broadcast division and keyed
+    with one key_rows call and one tobytes per row; a PiBelief is made, on a
+    copied row, only for a key new to the graph."""
+    def successor_rule(t):
         def children(z, visible, rows, ranks, M, pz):
             P = np.divide(M, pz[:, None], out=M)
-            keys = [(t, row.tobytes()) for row in key_rows(P)]
-            return keys, lambda i: PiBelief(t, P[i].copy())
-        return children
+            return ([row.tobytes() for row in key_rows(P)],
+                    lambda i: PiBelief(t + 1, P[i].copy()))
+        return lambda block: children
     return successor_rule
 
 
@@ -583,7 +582,7 @@ def _belief_graph(spec: ProblemSpec, root: PiBelief, key_rows, *,
     support."""
     return build_graph(
         spec, "belief", root,
-        pi_of=lambda pi: pi,
+        pi_of=lambda pis: pis,
         base_of=lambda node: node.support,
         successor_rule=belief_successors(key_rows),
         max_nodes=max_nodes)

@@ -151,10 +151,12 @@ def theta_update(spec: ProblemSpec, theta: Theta, z: CommonObs) -> Theta:
 def _aged_parts(spec: ProblemSpec, rs: RSuffix,
                 z: CommonObs) -> tuple[tuple[int, ...], ...]:
     """The parts of rs one step later, before the newest enters: under the
-    null symbol all of them, unsubstituted; otherwise the oldest ages out
-    and the rest get the newly shared (observation, action) substituted
-    into their earliest slots."""
+    null symbol (due exactly while nothing is shared) all of them; otherwise
+    the oldest ages out and the rest get the newly shared (observation,
+    action) substituted into their earliest slots."""
     k, t = rs.k, rs.t
+    if z.is_null != (t + 1 <= spec.n):
+        raise DomainError(f"unexpected {'null' if z.is_null else 'concrete'} symbol at time {t + 1}")
     if z.is_null:
         return rs.parts
     lo, aged = max(1, t - spec.n + 1), []
@@ -180,11 +182,10 @@ def r_update(spec: ProblemSpec, rs: RSuffix, gamma: PartialFunction,
     k, t = rs.k, rs.t
     if gamma.k != k or gamma.t != t:
         raise DomainError("prescription does not match the suffix controller/time")
-    if spec.n == 1:
-        return RSuffix(k, t + 1, ())
-    newest = gamma.table if z.is_null else _curry_table(
-        spec, k, gamma.table, *histories.private_sizes(spec, k, t), z.y[k], z.u[k])
-    return RSuffix(k, t + 1, _aged_parts(spec, rs, z) + (newest,))
+    aged = _aged_parts(spec, rs, z)
+    newest = () if spec.n == 1 else (gamma.table if z.is_null else _curry_table(
+        spec, k, gamma.table, *histories.private_sizes(spec, k, t), z.y[k], z.u[k]),)
+    return RSuffix(k, t + 1, aged + newest)
 
 
 class _HMapTables:
@@ -245,52 +246,58 @@ def _hmap_tables(spec: ProblemSpec) -> _HMapTables:
 
 
 def h_map(spec: ProblemSpec, state: ThetaRState) -> PiBelief:
-    """Reconstruct the belief-form information state from (Theta, r) by
-    exhaustive forward summation: roll the plant from the delayed state
-    through the substituted prescriptions, then attach the current
-    observations and marginalize onto (previous state, private windows).
+    """The belief-form information state of (Theta, r): h_map_block of one."""
+    return h_map_block(spec, [state])[0]
 
-    The rolled mass is a list of (x, per-controller window) cells in the
-    order their first contribution arrives, each source spreading over its
-    joint observations (controller 0 most significant) and then its next
-    states in ascending order.  A cell's mass sums its contributions in that
-    order too, so every entry is the same floating-point sum as a loop over
-    a dict of (x, observation history, action history) keys.
+
+def h_map_block(spec: ProblemSpec, states: list[ThetaRState]) -> list[PiBelief]:
+    """h_map of same-stage states by exhaustive forward summation: roll each
+    delayed state through its substituted prescriptions, then attach the
+    current observations and marginalize onto (previous state, private windows).
+
+    The rolled mass is a list of (node, x, per-controller window) cells in
+    the order their first contribution arrives: node-major, each source
+    spreading over its joint observations (controller 0 most significant),
+    then its next states in ascending order.  A cell sums its contributions
+    in that order too, so every row is the same floating-point sum as a dict
+    loop over (x, observation history, action history) keys for its state.
     """
     spec = normalize_problem(spec)
-    t = state.t
+    t = states[0].t
     st = tables(spec).stage[t]
     ht = _hmap_tables(spec)
     lo = max(1, t - spec.n + 1)
-    x = np.nonzero(state.theta.p > 0.0)[0]
-    w = state.theta.p[x]
+    theta = np.stack([state.theta.p for state in states])
+    node, x = np.nonzero(theta > 0.0)
+    w = theta[node, x]
     wins = [np.zeros(x.size, dtype=np.int64) for _ in range(spec.K)]
     for m in range(lo, t):
         src, c, xs, w2 = ht.observe(spec, m, x, w)
+        node = node[src]
         a = np.zeros(src.size, dtype=np.int64)
         nxt_wins = []
         for k in range(spec.K):
             u_size = spec.u_size[k]
             entry = ht.extend_index(spec, k, m - lo)[wins[k][src], c]
-            u = np.array(state.r[k].parts[m - lo], dtype=np.int64)[entry]
+            u = np.array([s.r[k].parts[m - lo] for s in states], dtype=np.int64)[node, entry]
             a = a * u_size + u
             nxt_wins.append(entry * u_size + u)
         trow = spec.trans[m - 1][xs, a]
         e, x2 = np.nonzero(trow > 0.0)
-        dims = (spec.x_size, *((spec.y_size[k] * spec.u_size[k]) ** (m - lo + 1)
-                               for k in range(spec.K)))
-        cell = np.ravel_multi_index((x2, *(nw[e] for nw in nxt_wins)), dims)
+        dims = (len(states), spec.x_size, *((spec.y_size[k] * spec.u_size[k])
+                                            ** (m - lo + 1) for k in range(spec.K)))
+        cell = np.ravel_multi_index((node[e], x2, *(nw[e] for nw in nxt_wins)), dims)
         uniq, first, inv = np.unique(cell, return_index=True, return_inverse=True)
         mass = np.zeros(uniq.size)
         np.add.at(mass, inv, w2[e] * trow[e, x2])
         order = np.argsort(first)
-        x, *wins = np.unravel_index(uniq[order], dims)
+        node, x, *wins = np.unravel_index(uniq[order], dims)
         w = mass[order]
     src, c, xs, w2 = ht.observe(spec, t, x, w)
     lam = [ht.extend_index(spec, k, t - lo)[wins[k][src], c] for k in range(spec.K)]
-    p = np.zeros(st.state_count)
-    p[np.ravel_multi_index((xs, *lam), st.shape)] = w2
-    return PiBelief(t, p)
+    P = np.zeros((len(states), st.state_count))
+    P[node[src], np.ravel_multi_index((xs, *lam), st.shape)] = w2
+    return [PiBelief(t, p) for p in P]
 
 
 # ---------------------------------------------------------------------------
@@ -310,48 +317,52 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
     Under delay 1 suffixes are empty and the belief-form base (the support)
     applies.
 
-    At delay 2 or more the visible realizations are thus the ones the
-    substitution keeps, in table order, so a child's newest suffix part is
-    its controller's assignment digits.  A block computes the child Theta
-    and the aged parts once per (row, symbol), keys each branch (t+1, Theta
-    key, parts), and makes a ThetaRState only for a key new to the stage.
+    At delay 2 or more those are the realizations the substitution keeps, in
+    table order, equally many at every branch of a stage, so a child's newest
+    suffix part is the digits of its controller's assignment rank.  Per
+    stage, child Thetas (one per parent Theta and symbol) and aged parts get
+    ints; a key is (Theta id, aged ids, ranks), at delay 1 the Theta id.
     """
     spec = normalize_problem(spec)
     full = {t: tuple(tuple(range(L)) for L in st.L)
             for t, st in tables(spec).stage.items()}
 
-    def successor_rule(block):
-        t = block[0].t
-        memo: dict[tuple[int, int], tuple[Theta, list[tuple]]] = {}
+    def successor_rule(t):
+        ids: list[dict] = [{} for _ in range(spec.K + 1)]   # Theta keys, aged parts
+        thetas: dict = {}   # (parent Theta, symbol rank) -> child Theta
 
-        def children(z, visible, rows, ranks, M, pz):
-            zr = common_obs_rank(spec, z)
-            digits = [minimize._digit_tables(spec.u_size[k], len(visible[k]))[0]
-                      for k in range(spec.K)]
-            per_k = [a.tolist() for a in np.unravel_index(ranks, [len(d) for d in digits])]
-            keys, thetas = [], []
-            for i, j in enumerate(rows):
-                hit = memo.get((j, zr))
-                if hit is None:
-                    state = block[j].state
-                    hit = memo[(j, zr)] = (theta_update(spec, state.theta, z), [
-                        (_aged_parts(spec, rs, z), {}) for rs in state.r])
-                theta, suffixes = hit
-                parts = []
-                for (aged, newest), d, rank in zip(suffixes, digits, (r[i] for r in per_k)):
-                    part = newest.get(rank)
-                    if part is None:
-                        part = newest[rank] = aged if spec.n == 1 else (
-                            aged + (tuple(d[rank].tolist()),))
-                    parts.append(part)
-                keys.append((t + 1, theta.key, tuple(parts)))
-                thetas.append(theta)
-            return keys, lambda i: ThetaRState(thetas[i], tuple(
-                RSuffix(k, t + 1, part) for k, part in enumerate(keys[i][2])))
-        return children
+        def block_rule(block):
+            memo: dict = {}   # (row, symbol) -> Theta, [(aged, parts by rank)], ids
+
+            def children(z, visible, rows, ranks, M, pz):
+                zr = common_obs_rank(spec, z)
+                uniq, inv = np.unique(rows, return_inverse=True)
+                for j in uniq.tolist():
+                    if (j, zr) not in memo:
+                        state = block[j].state
+                        theta = thetas.get((state.theta, zr)) or thetas.setdefault(
+                            (state.theta, zr), theta_update(spec, state.theta, z))
+                        aged = [_aged_parts(spec, rs, z) for rs in state.r]
+                        memo[(j, zr)] = (theta, [(part, {}) for part in aged], [
+                            ids[i].setdefault(key, len(ids[i]))
+                            for i, key in enumerate([theta.key, *aged])])
+                heads = [memo[(j, zr)] for j in uniq.tolist()]
+                cols = np.array([h[2] for h in heads])[inv].T.tolist()
+                if spec.n == 1:
+                    return cols[0], lambda i: ThetaRState(heads[inv[i]][0], tuple(
+                        RSuffix(k, t + 1, ()) for k in range(spec.K)))
+                digits = [minimize._digit_tables(spec.u_size[k], len(visible[k]))[0]
+                          for k in range(spec.K)]
+                per_k = [a.tolist() for a in np.unravel_index(ranks, [len(d) for d in digits])]
+                return list(zip(*cols, *per_k)), lambda i: ThetaRState(heads[inv[i]][0], tuple(
+                    RSuffix(k, t + 1, by_rank.setdefault(per_k[k][i], part + (
+                        tuple(digits[k][per_k[k][i]].tolist()),)))
+                    for k, (part, by_rank) in enumerate(heads[inv[i]][1])))
+            return children
+        return block_rule
 
     return build_graph(spec, "theta_r", initial_state(spec),
-                       lambda state: h_map(spec, state),
+                       lambda states: h_map_block(spec, states),
                        lambda node: node.support if spec.n == 1 else full[node.t],
                        successor_rule, max_nodes=max_nodes)
 

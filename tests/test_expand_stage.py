@@ -219,7 +219,7 @@ def _per_node_graph(spec, root, key_rows, rule):
 def _stage_batched_graph(spec, root, key_rows, rule):
     return coordinator.build_graph(
         spec, "belief", root,
-        pi_of=lambda pi: pi,
+        pi_of=lambda pis: pis,
         base_of=lambda node: _base_sets(spec, node.t, node.pi.p, rule),
         successor_rule=coordinator.belief_successors(key_rows),
         max_nodes=coordinator.DEFAULT_MAX_NODES)

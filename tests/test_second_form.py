@@ -12,14 +12,15 @@ from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, build_graph,
                                          extract_design)
 from delayed_sharing.errors import DomainError, UnreachableObservationError
 from delayed_sharing.generate import random_instance
-from delayed_sharing.histories import (PartialFunction, common_obs_space,
-                                       private_count, profile_unrank,
-                                       random_design)
+from delayed_sharing.histories import (CommonObs, PartialFunction,
+                                       common_obs_space, private_count,
+                                       profile_unrank, random_design)
 from delayed_sharing.model import ProblemSpec, normalize_problem
 from delayed_sharing.second_form import (RSuffix, Theta, ThetaRState,
-                                         extract_design2, h_map, initial_state,
-                                         r_update, reachable_graph2,
-                                         solve_dp2, theta_update)
+                                         _aged_parts, extract_design2, h_map,
+                                         h_map_block, initial_state, r_update,
+                                         reachable_graph2, solve_dp2,
+                                         theta_update)
 from delayed_sharing.verify import replay_theta_r
 from helpers import (embedded_profile, h_map_reference, make_i2_mini,
                      part_domain_count, suffix_from_prescriptions)
@@ -149,6 +150,25 @@ def test_r_update_mismatched_prescription(i2_spec):
                  common_obs_space(i2_spec, 3)[0])
 
 
+@pytest.mark.parametrize("n, rs, null", [
+    (2, RSuffix(0, 1, ()), False),          # concrete symbol before sharing
+    (3, RSuffix(0, 2, ((0, 1),)), False),   # the same at delay 3
+    (2, RSuffix(0, 2, ((0, 1),)), True),    # null symbol after sharing starts
+    (1, RSuffix(0, 1, ()), True),           # the same at delay 1
+])
+def test_r_update_rejects_a_symbol_of_the_wrong_kind(n, rs, null):
+    """Like theta_update, the suffix update takes the null symbol exactly
+    while nothing is shared; before, a concrete symbol there failed with a
+    TypeError inside the currying, and a null one after was accepted."""
+    spec = normalize_problem(random_instance(2, 4, n, 2, (2, 2), (2, 2), 5))
+    z = CommonObs(rs.t + 1, None, None) if null else common_obs_space(spec, n + 1)[0]
+    gamma = PartialFunction(0, rs.t, (0, 1) * (private_count(spec, 0, rs.t) // 2))
+    with pytest.raises(DomainError, match=f"symbol at time {rs.t + 1}"):
+        r_update(spec, rs, gamma, z)
+    with pytest.raises(DomainError, match=f"symbol at time {rs.t + 1}"):
+        _aged_parts(spec, rs, z)
+
+
 def test_suffix_recursion_matches_definition(i2_spec):
     """Composing updates along a history equals building the suffix directly
     from the prescriptions with shared arguments substituted."""
@@ -197,11 +217,12 @@ def test_h_map_single_state():
     assert pi.p.reshape(1, 8, 8).shape == (1, 8, 8)
 
 
-def _random_theta_r(K, n, X, t, seed, zero_share):
-    """A (Theta, r) state at time t of a K-controller, delay-n instance over X
-    states, drawn directly: kernels with about zero_share of their entries
-    zeroed (every row kept a distribution), a random Theta and random part
-    tables of the right arity."""
+def _random_theta_r(K, n, X, t, seed, zero_share, count=1):
+    """count (Theta, r) states at time t of a K-controller, delay-n instance
+    over X states, drawn directly: kernels with about zero_share of their
+    entries zeroed (every row kept a distribution), and per state a random
+    Theta (as sparse as the kernels) and random part tables of the right
+    arity."""
     rng = np.random.default_rng(seed)
     base = random_instance(K, n + 1, n, X, (2,) * K, (2,) * K, seed)
 
@@ -214,12 +235,15 @@ def _random_theta_r(K, n, X, t, seed, zero_share):
     spec = normalize_problem(dataclasses.replace(
         base, trans=sparsify(base.trans),
         obs=tuple(sparsify(o) for o in base.obs)))
-    theta = sparsify(rng.random(X))
     lo = max(1, t - n + 1)
-    r = tuple(RSuffix(k, t, tuple(
-        tuple(int(v) for v in rng.integers(0, 2, part_domain_count(spec, k, t, m)))
-        for m in range(lo, t))) for k in range(K))
-    return spec, ThetaRState(Theta(t, theta), r)
+    states = []
+    for _ in range(count):
+        theta = sparsify(rng.random(X))
+        r = tuple(RSuffix(k, t, tuple(
+            tuple(int(v) for v in rng.integers(0, 2, part_domain_count(spec, k, t, m)))
+            for m in range(lo, t))) for k in range(K))
+        states.append(ThetaRState(Theta(t, theta), r))
+    return spec, states
 
 
 @settings(max_examples=80, deadline=None)
@@ -232,8 +256,28 @@ def test_h_map_equals_dict_loop_reference(K, n, X, t_back, seed, zero_share):
     including at delay 3 over three states, where cells reached in an order
     other than ascending state must still sum in the loop's order."""
     t = max(1, n + 1 - t_back)
-    spec, state = _random_theta_r(K, n, X, t, seed, zero_share)
+    spec, (state,) = _random_theta_r(K, n, X, t, seed, zero_share)
     assert np.array_equal(h_map(spec, state).p, h_map_reference(spec, state).p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.sampled_from((2, 3)), n=st.sampled_from((1, 2, 3)),
+       X=st.sampled_from((2, 3)), t_back=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 16), zero_share=st.sampled_from((0.0, 0.3, 0.6)),
+       count=st.integers(2, 5))
+@example(K=2, n=3, X=3, t_back=1, seed=3, zero_share=0.3, count=3)
+def test_h_map_block_rows_equal_the_reference(K, n, X, t_back, seed, zero_share,
+                                             count):
+    """Several states in one h_map_block call, with mixed Theta supports and
+    sparse kernels: every row is byte for byte the dict loop on its state
+    alone, so stacking states on the node axis never regroups a sum."""
+    t = max(1, n + 1 - t_back)
+    spec, states = _random_theta_r(K, n, X, t, seed, zero_share, count)
+    pis = h_map_block(spec, states)
+    assert len(pis) == count
+    for pi, state in zip(pis, states):
+        assert pi.t == t
+        assert pi.p.tobytes() == h_map_reference(spec, state).p.tobytes()
 
 
 def test_h_map_equals_dict_loop_reference_on_graph_nodes(solved):
@@ -284,7 +328,7 @@ def _per_edge_graph2(spec):
         return tuple(tuple(range(private_count(spec, k, node.t)))
                      for k in range(spec.K))
 
-    def successor_rule(block):
+    def block_rule(block):
         def children(z, visible, rows, ranks, M, pz):
             shapes = [(spec.u_size[k],) * len(visible[k]) for k in range(spec.K)]
             flat = np.unravel_index(ranks, [spec.u_size[k] ** len(visible[k])
@@ -303,16 +347,19 @@ def _per_edge_graph2(spec):
         return children
 
     return build_graph(spec, "theta_r", initial_state(spec),
-                       lambda state: h_map(spec, state), base_of,
-                       successor_rule, max_nodes=DEFAULT_MAX_NODES)
+                       lambda states: [h_map(spec, state) for state in states],
+                       base_of, lambda t: block_rule,
+                       max_nodes=DEFAULT_MAX_NODES)
 
 
+# Delay 1 (the key is the child Theta alone; det_n1 merges branches).
 # Delay 3 (two suffix parts, so r_update reads the old suffix), one
 # controller that acts and one that observes: the successor's suffix memo
 # must be kept per block row.  A three-action controller (base-3 digit
 # rows, at delay 2 and 3) and three controllers check the digit order of
 # the newest suffix part.
 _SECOND_FORM_CASES = {
+    "det_n1": (2, 4, 1, 2, (2, 2), (2, 2), 5, True),
     "det_n2": (2, 4, 2, 2, (2, 2), (2, 2), 5, True),
     "delay3": (2, 4, 3, 2, (1, 2), (2, 1), 73, False),
     "det_n3": (2, 5, 3, 2, (1, 2), (2, 1), 73, True),
@@ -322,7 +369,7 @@ _SECOND_FORM_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", ["i2", "ia", *_SECOND_FORM_CASES])
+@pytest.mark.parametrize("name", ["io", "i1", "i2", "ia", *_SECOND_FORM_CASES])
 def test_per_node_successor_gives_the_per_edge_graph(name, solved):
     """reachable_graph2's block successor rule against one from-scratch
     successor per edge, for one node per block, an odd block cap and the
