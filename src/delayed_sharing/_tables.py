@@ -26,8 +26,9 @@ from .model import ProblemSpec
 # memo per row and symbol; new nodes get images in row blocks of nodes times
 # belief entries), a row block of the stage backup (nodes times a belief's
 # entries, its cost tensor and its totals) and of the terminal minimization
-# (beliefs times einsum outputs).  Larger batches run in row blocks, so
-# memory stays flat; readers look it up at call time, so one patch reaches all.
+# (beliefs times the behavior sums of all but the last controller).  Larger
+# batches run in row blocks, so memory stays flat; readers look it up at call
+# time, so one patch reaches all.
 _BLOCK_ENTRIES = 1 << 16
 
 

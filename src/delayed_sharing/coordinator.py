@@ -93,7 +93,7 @@ def initial_belief(spec: ProblemSpec) -> PiBelief:
     operands = [spec.x0_dist]
     out = ""
     for k in range(spec.K):
-        letter = minimize._LETTERS[26 + k]        # uppercase, clear of "x"
+        letter = chr(ord("A") + k)  # uppercase, clear of "x"
         operands.append(spec.obs[k][0])
         sub_x += f",x{letter}"
         out += letter
@@ -663,8 +663,8 @@ def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
     entries, so memory stays flat in stage size.  Per block: one stage-total
     contraction over the stacked beliefs, each expanded node's continuation
     added to its own row, one argmin over the rows; each distinct minimizer's
-    completion rank is computed once per group.  Rows are independent (see
-    minimize.stage_totals for the bit-level scope), so values and ranks are
+    completion rank is computed once per group.  Every row is the bytes of
+    its one-row stage totals (minimize.stage_totals), so values and ranks are
     those of one backup per node.  J and ranks list the nodes in stage order.
     """
     spec = graph.spec
@@ -827,37 +827,28 @@ def _last_stage_values(spec: ProblemSpec, P: np.ndarray) -> np.ndarray:
     first K-1 controllers are enumerated, the last controller's prescription
     is then optimized entry by entry, which is exact because for fixed other
     prescriptions the objective is additive over its private realizations.
-    Rows are independent, so the row blocks give the bits of one call.
+
+    The batch's cost tensor is one product per row (minimize.cost_tensor).
+    Per row block: the first K-1 controllers' behavior sums
+    (minimize.behavior_sums: controller 0 first, each over its realizations
+    in ascending order), an elementwise minimum over the last controller's
+    action slices, a sum over its realizations on a contiguous axis, and the
+    minimum over behaviors.  Each value is a function of its own row only,
+    so every row block size gives the bytes of a one-row call.
     """
     T = spec.T
     st = tables(spec).stage[T]
     full = tuple(tuple(range(st.L[k])) for k in range(spec.K))
-    row_entries = st.L[spec.K - 1] * spec.u_size[spec.K - 1]
-    for k in range(spec.K - 1):
-        row_entries *= spec.u_size[k] ** st.L[k]
+    joint = math.prod(spec.u_size[k] ** st.L[k] for k in range(spec.K - 1))
+    row_entries = st.L[-1] * spec.u_size[-1] * joint
     if row_entries * len(P) > minimize.DEFAULT_MAX_JOINT_BEHAVIORS * 64:
         raise BudgetError(f"terminal minimization batch too large at T={T}")
-    bs = minimize.behavior_space(spec, T, full[: spec.K - 1] + ((),))
-    cube = P.reshape((len(P), *st.shape))
-    q_cube = st.q.reshape((spec.x_size, *spec.u_size))
-    ct = np.tensordot(cube, q_cube, axes=([1], [0]))
-    # ct axes: (batch, lam_1..lam_K, u_1..u_K)
-    letters = minimize._LETTERS
-    lam_l = letters[: spec.K]
-    act_l = letters[spec.K: 2 * spec.K]
-    beh_l = letters[2 * spec.K: 3 * spec.K - 1]
-    sub = "z" + lam_l + act_l
-    for k in range(spec.K - 1):
-        sub += "," + beh_l[k] + lam_l[k] + act_l[k]
-    sub += "->z" + beh_l + lam_l[spec.K - 1] + act_l[spec.K - 1]
+    minimize.check_joint_behaviors(T, joint)
     rows = max(1, _tables._BLOCK_ENTRIES // row_entries)
+    ct = minimize.cost_tensor(spec, T, P, full)
     values = np.empty(len(P))
     for lo in range(0, len(P), rows):
-        cur = minimize.einsum(sub, ct[lo:lo + rows], *bs.onehots[: spec.K - 1])
-        # Minimize over the last controller's action by an elementwise fold
-        # over its slices.  The einsum output is stored behaviors-major, so
-        # that axis is strided, and numpy's reduction along it is ~30x slower
-        # than the fold; a minimum is exact, so both give the same bits.
+        cur = minimize.behavior_sums(ct[lo:lo + rows], spec.K - 1)
         low = cur[..., 0]
         for a in range(1, cur.shape[-1]):
             low = np.minimum(low, cur[..., a])

@@ -18,6 +18,7 @@ array therefore lands on the smallest-rank minimizer directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,95 +42,86 @@ class BehaviorSpace:
     restricted: tuple[tuple[int, ...], ...]   # per k: realization ranks, ascending
     shape: tuple[int, ...]                    # per k: number of behaviors
     mats: tuple[np.ndarray, ...]              # per k: (N_k, |restricted_k|) digits
-    onehots: tuple[np.ndarray, ...]           # per k: (N_k, |restricted_k|, u_k)
     pos: tuple[dict[int, int], ...]           # per k: realization rank -> column
 
 
-# Digit matrix and one-hot tensor per (u, m): they depend on nothing else, so
-# every behavior space of that shape shares one read-only copy.  Entries are
-# made only after the joint-behavior budget check, one per shape in use.
-_DIGIT_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _digit_tables(u: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (u**m, m) base-u digits of every behavior, first column most
-    significant, and their (u**m, m, u) one-hot encoding; both read-only."""
-    hit = _DIGIT_TABLES.get((u, m))
-    if hit is not None:
-        return hit
-    count = u ** m
-    mat = np.zeros((count, m), dtype=np.int64)
-    idx = np.arange(count, dtype=np.int64)
-    for col in reversed(range(m)):
-        mat[:, col] = idx % u
-        idx //= u
-    onehot = np.eye(u, dtype=np.float64)[mat]
+# Digit matrix per (u, m): it depends on nothing else, so every behavior
+# space of that shape shares one read-only copy.  Entries are made only after
+# the joint-behavior budget check, one per shape in use.
+@functools.lru_cache(maxsize=None)
+def _digit_tables(u: int, m: int) -> np.ndarray:
+    """The read-only (u**m, m) base-u digits of every behavior, first column
+    most significant."""
+    mat = np.indices((u,) * m, dtype=np.int64).reshape(m, u ** m).T
     mat.flags.writeable = False
-    onehot.flags.writeable = False
-    _DIGIT_TABLES[(u, m)] = (mat, onehot)
-    return mat, onehot
+    return mat
+
+
+def check_joint_behaviors(t: int, joint: int) -> None:
+    if joint > DEFAULT_MAX_JOINT_BEHAVIORS:
+        raise BudgetError(
+            f"profile minimization at t={t} needs {joint} joint behaviors "
+            f"(budget {DEFAULT_MAX_JOINT_BEHAVIORS})")
 
 
 def behavior_space(spec: ProblemSpec, t: int,
                    restricted: tuple[tuple[int, ...], ...]) -> BehaviorSpace:
     shape = tuple(spec.u_size[k] ** len(restricted[k]) for k in range(spec.K))
-    joint = math.prod(shape)
-    if joint > DEFAULT_MAX_JOINT_BEHAVIORS:
-        raise BudgetError(
-            f"profile minimization at t={t} needs {joint} joint behaviors "
-            f"(budget {DEFAULT_MAX_JOINT_BEHAVIORS})")
-    mats = []
-    onehots = []
-    pos = []
-    for k in range(spec.K):
-        mat, onehot = _digit_tables(spec.u_size[k], len(restricted[k]))
-        mats.append(mat)
-        onehots.append(onehot)
-        pos.append({lam: i for i, lam in enumerate(restricted[k])})
+    check_joint_behaviors(t, math.prod(shape))
     return BehaviorSpace(
-        t=t, restricted=tuple(tuple(r) for r in restricted),
-        shape=shape,
-        mats=tuple(mats), onehots=tuple(onehots), pos=tuple(pos),
+        t=t, restricted=tuple(tuple(r) for r in restricted), shape=shape,
+        mats=tuple(_digit_tables(spec.u_size[k], len(restricted[k]))
+                   for k in range(spec.K)),
+        pos=tuple({lam: i for i, lam in enumerate(restricted[k])}
+                  for k in range(spec.K)),
     )
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+def cost_tensor(spec: ProblemSpec, t: int, P: np.ndarray,
+                restricted: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Expected stage cost of each belief of a stack P of shape (rows,
+    state_count) per restricted realization tuple and joint action, axes
+    (rows, lam_0..lam_{K-1}, u_0..u_{K-1}).  Each row is its own
+    (realizations x states) @ (states x actions) product, so it does not
+    depend on the other rows."""
+    st = tables(spec).stage[t]
+    rows = len(P)
+    cube = P.reshape((rows, *st.shape))
+    for k, lams in enumerate(restricted):
+        if len(lams) < st.L[k]:
+            cube = cube.take(lams, axis=2 + k)
+    lam_shape = cube.shape[2:]
+    return np.matmul(np.moveaxis(cube, 1, -1).reshape(rows, -1, spec.x_size),
+                     st.q).reshape((rows, *lam_shape, *spec.u_size))
 
 
-def _einsum_subscripts(K: int, batch: str = "") -> str:
-    """Subscripts contracting the cost tensor (lam_1..lam_K, u_1..u_K) with
-    each controller's one-hot behaviors; batch, when given, is the letter of
-    a leading row axis carried through to the output."""
-    lam = _LETTERS[:K]
-    act = _LETTERS[K:2 * K]
-    beh = _LETTERS[2 * K:3 * K]
-    operands = [batch + lam + act]
-    operands += [beh[k] + lam[k] + act[k] for k in range(K)]
-    return ",".join(operands) + "->" + batch + beh
+def behavior_sums(ct: np.ndarray, count: int) -> np.ndarray:
+    """Contract the first count controllers of a cost tensor stack ct, axes
+    (rows, lam_0..lam_{K-1}, u_0..u_{K-1}), with their behaviors: axes
+    (rows, N_0..N_{count-1}, lam_count.., u_count..).
 
-
-# Greedy contraction paths, keyed on (subscripts, operand shapes).  The path
-# depends on nothing else, so reusing it reproduces optimize=True exactly
-# without searching again on every call.
-_EINSUM_PATHS: dict[tuple, list] = {}
-
-
-def einsum_path(subscripts: str, *operands: np.ndarray) -> list:
-    """The contraction path np.einsum(subscripts, *operands, optimize=True)
-    takes, searched once per operand shapes."""
-    key = (subscripts, tuple(op.shape for op in operands))
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
-        _EINSUM_PATHS[key] = path
-    return path
-
-
-def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """np.einsum(subscripts, *operands, optimize=True) with the contraction
-    path looked up per operand shapes instead of searched per call."""
-    return np.einsum(subscripts, *operands,
-                     optimize=einsum_path(subscripts, *operands))
+    Controllers are contracted in order, controller 0 first.  Controller k's
+    action slices are added realization by realization, in ascending order:
+    the running sum starts at the first realization's slice and each later
+    slice is broadcast along a new digit axis, so behavior b holds the left
+    fold of its digits' terms and the digit axes read as b's base-u_k digits,
+    first realization most significant.  Every operation is elementwise, so
+    each row is the bytes of the one-row call on it.  In memory the digit
+    axes lead and the rows and uncontracted axes trail, so every sum runs
+    over long contiguous stretches.
+    """
+    K = (ct.ndim - 1) // 2
+    cur = np.ascontiguousarray(ct.transpose(
+        [a for k in range(count) for a in (1 + k, 1 + K + k)] + [0]
+        + [1 + k for k in range(count, K)] + [1 + K + k for k in range(count, K)]))
+    for k in range(count):
+        # cur: lam_k, u_k, the later pairs, N_{k-1}..N_0, rows, the rest
+        total = cur[0]
+        for i in range(1, len(cur)):
+            total = (total[:, None] + cur[i]).reshape((-1, *cur.shape[2:]))
+        pairs = count - 1 - k
+        cur = np.ascontiguousarray(np.moveaxis(total, 0, 2 * pairs)) if pairs else total
+    return cur.transpose([count, *range(count - 1, -1, -1), *range(count + 1, cur.ndim)])
 
 
 def stage_totals(spec: ProblemSpec, t: int, P: np.ndarray,
@@ -139,27 +131,13 @@ def stage_totals(spec: ProblemSpec, t: int, P: np.ndarray,
     stack p[None].  Zero-mass realizations outside the restricted sets
     contribute nothing, so restricting the cost tensor to them is exact.
 
-    Each row is computed as for one belief: its cost tensor is its own
-    (realizations x states) @ (states x actions) product, as np.tensordot
-    forms it (one stacked product would let BLAS fuse multiply-adds
-    differently), and the behaviors are contracted along the one-belief
-    optimize=True path with the row axis carried along.  With two or more
-    controllers of two or more actions each, every step is a matrix-matrix
-    product and each row is the bytes of the one-belief einsum (tested).
-    With one controller, or a one-action controller, the one-belief step is
-    a matrix-vector product, which BLAS may sum in another order: rows then
-    agree with it to rounding only.
+    A behavior's total is summed controller by controller, controller 0
+    innermost: for each controller, its restricted realizations' terms in
+    ascending order (behavior_sums).  Each row is computed as for one belief
+    (its own cost tensor, then elementwise sums), so a stack gives every row
+    the bytes of the one-row call on it, for every shape.
     """
-    st = tables(spec).stage[t]
-    rows = len(P)
-    cube = P.reshape((rows, *st.shape))
-    cube_r = cube[np.ix_(range(rows), range(spec.x_size), *bs.restricted)]
-    lam_shape = cube_r.shape[2:]
-    ct = np.matmul(np.moveaxis(cube_r, 1, -1).reshape(rows, -1, spec.x_size),
-                   st.q).reshape((rows, *lam_shape, *spec.u_size))
-    path = einsum_path(_einsum_subscripts(spec.K), ct[0], *bs.onehots)
-    return np.einsum(_einsum_subscripts(spec.K, _LETTERS[3 * spec.K]),
-                     ct, *bs.onehots, optimize=path)
+    return behavior_sums(cost_tensor(spec, t, P, bs.restricted), spec.K)
 
 
 def subkey_vector(spec: ProblemSpec, bs: BehaviorSpace, k: int,
@@ -181,7 +159,7 @@ def completion_rank(spec: ProblemSpec, bs: BehaviorSpace,
     rank = 0
     for k in range(spec.K):
         u, count = spec.u_size[k], histories.private_count(spec, k, bs.t)
-        digits = _digit_tables(u, len(bs.restricted[k]))[0][per_k[k]].tolist()
+        digits = bs.mats[k][per_k[k]].tolist()
         rank = rank * u ** count + sum(
             d * u ** (count - 1 - lam) for lam, d in zip(bs.restricted[k], digits))
     return rank

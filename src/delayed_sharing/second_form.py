@@ -351,7 +351,7 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
                 if spec.n == 1:
                     return cols[0], lambda i: ThetaRState(heads[inv[i]][0], tuple(
                         RSuffix(k, t + 1, ()) for k in range(spec.K)))
-                digits = [minimize._digit_tables(spec.u_size[k], len(visible[k]))[0]
+                digits = [minimize._digit_tables(spec.u_size[k], len(visible[k]))
                           for k in range(spec.K)]
                 per_k = [a.tolist() for a in np.unravel_index(ranks, [len(d) for d in digits])]
                 return list(zip(*cols, *per_k)), lambda i: ThetaRState(heads[inv[i]][0], tuple(

@@ -74,20 +74,21 @@ def replay_theta_r(spec: ProblemSpec, design, t: int,
 def recursion_errors(spec: ProblemSpec, design) -> tuple[float, float, float, float]:
     """(belief recursion vs Bayes, theta recursion vs Bayes, h_map vs Bayes,
     cost collapse) max errors along every history reachable under design."""
-    from .second_form import h_map
+    from .second_form import h_map_block
     from .coordinator import expected_stage_cost
     max_pi = max_th = max_h = max_cost = 0.0
     for t in range(1, spec.T + 1):
         dists = evaluate.conditional_state_dists(spec, design.act, t)
         xdists = evaluate.conditional_x_dists(spec, design.act, t, lag=spec.n)
         costs = evaluate.conditional_stage_costs(spec, design.act, t)
-        for delta in sorted(dists):
+        deltas = sorted(dists)
+        states = [replay_theta_r(spec, design, t, delta) for delta in deltas]
+        for delta, state, image in zip(deltas, states, h_map_block(spec, states)):
             prob, vec = dists[delta]
             pi = analysis.replay_beliefs(spec, design, t, delta)
             max_pi = max(max_pi, float(np.abs(pi.p - vec).max()))
-            state = replay_theta_r(spec, design, t, delta)
             max_th = max(max_th, float(np.abs(state.theta.p - xdists[delta]).max()))
-            max_h = max(max_h, float(np.abs(h_map(spec, state).p - vec).max()))
+            max_h = max(max_h, float(np.abs(image.p - vec).max()))
             profile = analysis.design_profile(spec, design, t, delta)
             max_cost = max(max_cost, abs(
                 expected_stage_cost(spec, pi, profile) - costs[delta]))

@@ -82,6 +82,38 @@ def backup_node_reference(spec, t, p, relevant, expansion, values):
     return value, minimize.completion_rank(spec, bs, flat_idx)
 
 
+def ordered_totals_reference(spec, t, p, restricted):
+    """Stage totals of one belief over every behavior on the restricted
+    sets, shaped (N_0, .., N_{K-1}): the cost tensor as one (realizations x
+    states) @ (states x actions) product, then each behavior's total in
+    Python floats, controller 0 innermost, every controller's realizations
+    in ascending order and every sum starting at its first term."""
+    stt = tables(spec).stage[t]
+    cube = p.reshape(stt.shape)[np.ix_(range(spec.x_size), *restricted)]
+    q_cube = stt.q.reshape((spec.x_size, *spec.u_size))
+    ct = np.tensordot(cube, q_cube, axes=([0], [0])).tolist()
+    spaces = [list(itertools.product(range(spec.u_size[k]), repeat=len(restricted[k])))
+              for k in range(spec.K)]
+
+    def total(digits, k, lams):
+        # sum over the realizations of controllers 0..k-1, given lams of k..
+        if k == 0:
+            entry = ct
+            for i in (*lams, *(digits[j][lams[j]] for j in range(spec.K))):
+                entry = entry[i]
+            return entry
+        acc = None
+        for lam in range(len(restricted[k - 1])):
+            term = total(digits, k - 1, (lam, *lams))
+            acc = term if acc is None else acc + term
+        return acc
+
+    out = np.empty([len(space) for space in spaces])
+    for idx in itertools.product(*(range(len(space)) for space in spaces)):
+        out[idx] = total([spaces[k][i] for k, i in enumerate(idx)], spec.K, ())
+    return out
+
+
 def window_tables_reference(spec, t):
     """Per controller, the shift map and aged-out coordinates of the stage-t
     windows, by a loop over PrivateInfo windows that appends (y, u), trims

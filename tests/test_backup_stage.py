@@ -2,16 +2,19 @@
 relevant sets, stacking their beliefs in row blocks and taking one argmin
 per block change how the work is scheduled, never the arithmetic: values
 must agree bit for bit and minimizing profile ranks exactly, for every row
-block size."""
+block size.  The stage totals and the terminal minimization of a stack of
+beliefs must give every row the bytes of the one-row call on it."""
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from delayed_sharing import _tables
+from delayed_sharing import _tables, minimize
 from delayed_sharing._tables import stacked_support_sets, support_sets, tables
-from delayed_sharing.coordinator import reachable_graph, solve_on_graph
+from delayed_sharing.coordinator import (_last_stage_values, reachable_graph,
+                                         solve_on_graph)
 from delayed_sharing.generate import random_instance
 from delayed_sharing.model import normalize_problem
 from delayed_sharing.second_form import reachable_graph2
@@ -20,6 +23,10 @@ from helpers import backup_node_reference
 BUILD = {"belief": reachable_graph, "theta_r": reachable_graph2}
 # One row per block; an odd cap that leaves partial last blocks; the default.
 BLOCK_ENTRIES = (1, 999, _tables._BLOCK_ENTRIES)
+# Observation and action counts per controller of shapes where a one-row
+# contraction can take another summation path than a stack: one controller,
+# a controller with one observation, a controller with one action.
+THIN = {"k1": ((2,), (2,)), "y1": ((1, 2), (2, 2)), "u1": ((2, 2), (2, 1))}
 
 
 def _reference_sweep(graph):
@@ -45,9 +52,25 @@ def test_stage_backup_matches_per_node_reference(seed, K, n, deterministic, form
     """Three stages, so the middle stage both reads and feeds continuations;
     a third controller observes a single symbol, which keeps K=3 graphs near
     a thousand nodes."""
-    spec = normalize_problem(random_instance(
+    _check_stage_backup(normalize_problem(random_instance(
         K, 3, n, 2, (2, 2, 1)[:K] if K == 3 else (2, 2), (2,) * K, seed=seed,
-        deterministic=deterministic))
+        deterministic=deterministic)), form)
+
+
+@pytest.mark.parametrize("shape", list(THIN))
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10_000), deterministic=st.booleans(),
+       form=st.sampled_from(["belief", "theta_r"]))
+def test_stage_backup_matches_per_node_reference_on_thin_shapes(
+        shape, seed, deterministic, form):
+    """Delay 2, so the last two stages each hold several nodes that share
+    relevant sets and stack into one row block."""
+    y, u = THIN[shape]
+    _check_stage_backup(normalize_problem(random_instance(
+        len(y), 3, 2, 2, y, u, seed=seed, deterministic=deterministic)), form)
+
+
+def _check_stage_backup(spec, form):
     graph = BUILD[form](spec)
     leaves = graph.stages[spec.T]
     assert not any("support" in vars(node) for node in leaves)
@@ -66,6 +89,37 @@ def test_stage_backup_matches_per_node_reference(seed, K, n, deterministic, form
             assert (np.array(list(vt.J[t].values())).tobytes()
                     == np.array([v for v, _ in per_node.values()]).tobytes())
             assert list(vt.argmin[t].values()) == [r for _, r in per_node.values()]
+
+
+def _thin_stack(shape):
+    """A stage-3 instance of a thin shape (delay 2) and 25 Dirichlet beliefs."""
+    y, u = THIN[shape]
+    spec = normalize_problem(random_instance(len(y), 3, 2, 2, y, u, seed=5))
+    count = tables(spec).stage[spec.T].state_count
+    return spec, np.random.default_rng(5).dirichlet(np.ones(count), size=25)
+
+
+@pytest.mark.parametrize("shape", list(THIN))
+def test_stage_totals_rows_equal_one_row_calls(shape):
+    """Every realization restricted; with one single-observation controller
+    (y1) a contraction that depends on the row count gave 24 of 25 rows
+    other bytes than their one-row calls."""
+    spec, P = _thin_stack(shape)
+    t = spec.T
+    bs = minimize.behavior_space(spec, t, tuple(
+        tuple(range(count)) for count in tables(spec).stage[t].L))
+    block = minimize.stage_totals(spec, t, P, bs)
+    assert block.shape == (len(P), *bs.shape)
+    for row, p in zip(block, P):
+        assert row.tobytes() == minimize.stage_totals(spec, t, p[None], bs)[0].tobytes()
+
+
+@pytest.mark.parametrize("shape", list(THIN))
+def test_terminal_rows_equal_one_row_calls(shape):
+    spec, P = _thin_stack(shape)
+    block = _last_stage_values(spec, P)
+    for value, p in zip(block, P):
+        assert value.tobytes() == _last_stage_values(spec, p[None])[0].tobytes()
 
 
 def test_stacked_supports_match_marginal_mass():

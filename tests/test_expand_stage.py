@@ -1,11 +1,10 @@
 """The batched branch expansion and the single-profile routes (belief
 update, joint step kernel, the dense symbol maps of alpha_backup) against a
-per-profile reference, the cached einsum path against
-np.einsum(..., optimize=True), and the terminal minimization fold against a
-reduction along the action axis.  All must agree bit for bit: batching, path
-caches and folds change how the work is scheduled, never the arithmetic."""
+per-profile reference, the stage totals against an ordered-sum loop, and the
+terminal minimization fold against a reduction along the action axis.  All
+must agree bit for bit: batching and folds change how the work is
+scheduled, never the arithmetic."""
 
-import dataclasses
 import itertools
 from unittest import mock
 
@@ -22,7 +21,8 @@ from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (GammaProfile, PartialFunction,
                                        common_obs_rank, common_obs_space)
 from delayed_sharing.model import normalize_problem
-from helpers import embedded_profile, state_unrank, update_mass
+from helpers import (embedded_profile, ordered_totals_reference, state_unrank,
+                     update_mass)
 
 
 def _consistent(spec, t, z):
@@ -315,26 +315,15 @@ def test_reachable_graphs_match_per_node_expansion(monkeypatch, name, entries):
         assert max(calls) >= 9
 
 
-def _row_totals_reference(spec, t, p, bs):
-    """Stage totals of one belief by np.einsum(..., optimize=True), without
-    a row axis."""
-    stt = tables(spec).stage[t]
-    cube_r = p.reshape(stt.shape)[np.ix_(range(spec.x_size), *bs.restricted)]
-    q_cube = stt.q.reshape((spec.x_size, *spec.u_size))
-    ct = np.tensordot(cube_r, q_cube, axes=([0], [0]))
-    return np.einsum(minimize._einsum_subscripts(spec.K), ct, *bs.onehots,
-                     optimize=True)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]),
        n=st.sampled_from([1, 2]), deterministic=st.booleans(),
        sparsity=st.sampled_from([0.0, 0.5, 0.9]))
-def test_stage_totals_cached_path_is_bit_identical(
+def test_stage_totals_match_ordered_sum_reference(
         seed, K, n, deterministic, sparsity):
-    """The cached path on one belief, and on stacks of 1, 2 and 7 beliefs,
-    gives row by row the bytes of np.einsum(..., optimize=True) on that
-    row alone."""
+    """Stage totals of one belief, and of stacks of 1, 2 and 7 beliefs, are
+    row by row the bytes of the ordered Python-float sums on that row
+    alone."""
     spec = normalize_problem(random_instance(
         K, n + 1, n, 2, (2,) * K, (2,) * K, seed=seed,
         deterministic=deterministic))
@@ -342,23 +331,23 @@ def test_stage_totals_cached_path_is_bit_identical(
     t = int(rng.integers(1, spec.T + 1))
     p = _belief(spec, t, rng, sparsity)
     # at most 3 realizations per controller keeps the behavior count small;
-    # uneven counts make the one-belief and many-row contraction paths differ
+    # uneven counts give the controllers unequal behavior axes
     restricted = tuple(lams[:int(rng.integers(1, 4))]
                        for lams in support_sets(spec, t, p))
     bs = minimize.behavior_space(spec, t, restricted)
 
-    want = _row_totals_reference(spec, t, p, bs)
-    for _ in range(2):              # first call may search, second reuses
-        got = minimize.stage_totals(spec, t, p[None], bs)
-        assert got.shape == (1, *want.shape)
-        assert got[0].tobytes() == want.tobytes()
+    want = ordered_totals_reference(spec, t, p, restricted)
+    got = minimize.stage_totals(spec, t, p[None], bs)
+    assert got.shape == (1, *want.shape)
+    assert got[0].tobytes() == want.tobytes()
     for rows in (1, 2, 7):
         P = np.stack([p] + [_belief(spec, t, rng, sparsity)
                             for _ in range(rows - 1)])
         got = minimize.stage_totals(spec, t, P, bs)
         assert got.shape == (rows, *bs.shape)
         for row, q in zip(got, P):
-            assert row.tobytes() == _row_totals_reference(spec, t, q, bs).tobytes()
+            assert (row.tobytes()
+                    == ordered_totals_reference(spec, t, q, restricted).tobytes())
 
 
 @pytest.mark.parametrize("K", [2, 3])
@@ -370,21 +359,14 @@ def test_behavior_space_shares_read_only_digit_tables(K):
     restricted = tuple(lams[:3] for lams in support_sets(spec, t, p))
     bs = minimize.behavior_space(spec, t, restricted)
     again = minimize.behavior_space(spec, t, restricted)
-    fresh_onehots = []
     for k in range(spec.K):
         u, m = spec.u_size[k], len(restricted[k])
         want = np.array(list(itertools.product(range(u), repeat=m)),
                         dtype=np.int64).reshape(u ** m, m)
         assert np.array_equal(bs.mats[k], want)
-        fresh_onehots.append(np.eye(u)[want])
-        assert np.array_equal(bs.onehots[k], fresh_onehots[k])
-        assert again.mats[k] is bs.mats[k] and again.onehots[k] is bs.onehots[k]
-        for arr in (bs.mats[k], bs.onehots[k]):
-            with pytest.raises(ValueError):
-                arr[...] = 0
-    uncached = dataclasses.replace(bs, onehots=tuple(fresh_onehots))
-    assert (minimize.stage_totals(spec, t, p[None], bs).tobytes()
-            == minimize.stage_totals(spec, t, p[None], uncached).tobytes())
+        assert again.mats[k] is bs.mats[k]
+        with pytest.raises(ValueError):
+            bs.mats[k][...] = 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -451,29 +433,31 @@ def _terminal_spec(name):
 @pytest.mark.parametrize("name", ["i2", "ia", "k3"])
 def test_terminal_fold_matches_axis_min(monkeypatch, name):
     """_last_stage_values folds np.minimum over the last action axis; the
-    result must be the bytes of .min(axis=-1) on the same einsum output."""
+    result must be the bytes of .min(axis=-1) on the same behavior sums,
+    then a sum over the last realization axis of a C-contiguous copy."""
     spec = _terminal_spec(name)
     rng = np.random.default_rng(9)
     P = np.stack([_belief(spec, spec.T, rng, sparsity)
                   for sparsity in (0.0, 0.0, 0.5, 0.5, 0.9, 0.9)])
     outputs = []
-    real = minimize.einsum
+    real = minimize.behavior_sums
 
     def spy(*args):
         outputs.append(real(*args))
         return outputs[-1]
 
-    monkeypatch.setattr(minimize, "einsum", spy)
+    monkeypatch.setattr(minimize, "behavior_sums", spy)
     got = coordinator._last_stage_values(spec, P)
     (cur,) = outputs
-    want = cur.min(axis=-1).sum(axis=-1).reshape(len(P), -1).min(axis=1)
+    want = np.ascontiguousarray(cur.min(axis=-1)).sum(axis=-1).reshape(
+        len(P), -1).min(axis=1)
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["i2", "k3"])
 def test_terminal_row_blocks_match_one_block(monkeypatch, name):
     """_last_stage_values minimizes a large batch in row blocks; every block
-    size gives the bytes of the whole batch in one einsum."""
+    size gives the bytes of the whole batch in one block."""
     spec = _terminal_spec(name)
     rng = np.random.default_rng(11)
     P = np.stack([_belief(spec, spec.T, rng, sparsity)
