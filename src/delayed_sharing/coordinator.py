@@ -284,16 +284,22 @@ def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
     under a batch of assignments: row j of `mass` is node j's mass on the
     candidate states, row i of `actions` the joint action each candidate
     takes under assignment i.  The triples are gathered and filtered on the
-    symbol once for the block, and the (nodes x kept triples) weights are
-    scattered by one np.add.at.
+    symbol once for the block.  Assignments are then grouped by segment
+    length, the number of their kept triples (ascending length, then
+    assignment order); per group, one C-contiguous (nodes x assignments x
+    length) weights block gives every pz by one last-axis sum and is
+    scattered into m by one np.add.at.
 
     Per (node, assignment) this is the single-profile update (update_mass in
     tests/helpers.py, its reference): the same triples, multiplied and
-    scattered in the same element order, and pz is .sum() over that pair's
-    own contiguous 1-D slice of weights.  A reduction over the 2-D block
-    (.sum(axis=1), np.add.reduceat) can group the additions differently and
-    change last bits.  Results are therefore bit-identical to one
-    single-profile update per node and assignment.
+    scattered in the same element order (each mass entry only ever receives
+    its own assignment's triples), and pz sums that pair's weights as its
+    1-D .sum() does.  A last-axis sum over C-contiguous rows of equal length
+    replays the 1-D pairwise order row by row; over strided or F-ordered
+    rows numpy may run the inner loop across rows and add in another order,
+    changing last bits, which is why the weights block is built C-ordered
+    (np.take) whatever the layout of mass.  Results are therefore
+    bit-identical to one single-profile update per node and assignment.
     """
     starts, lens, dst, zr, w = steps
     nodes, rows = mass.shape[0], actions.shape[0]
@@ -306,17 +312,26 @@ def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
         return m, pz
     flat = flat[keep]
     src = np.repeat(np.tile(np.arange(cand.size), rows), s_len)[keep]
-    weights = w[flat] * mass[:, src]
-    row_of = np.repeat(np.arange(rows), s_len.reshape(rows, -1).sum(axis=1))[keep]
-    # one flat scatter: node j's weights, in triple order, land in its plane
+    seg = np.bincount(np.repeat(np.arange(rows), s_len.reshape(rows, -1).sum(axis=1))[keep],
+                      minlength=rows)
+    order = np.argsort(seg, kind="stable")
+    lengths = seg[order]
+    # kept positions of the assignments in that order, each in triple order
+    at = _block_triples((np.cumsum(seg) - seg)[order], lengths)
+    src, flat = src[at], flat[at]
+    weight, cell = w[flat], np.repeat(order, lengths) * next_count + dst[flat]
     plane = np.arange(nodes)[:, None] * (rows * next_count)
-    np.add.at(m.reshape(-1), (plane + row_of * next_count + dst[flat]).reshape(-1),
-              weights.reshape(-1))
-    bounds = np.searchsorted(row_of, np.arange(rows + 1)).tolist()
-    for i in range(rows):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo < hi:
-            pz[:, i] = [row[lo:hi].sum() for row in weights]
+    ends = np.cumsum(lengths).tolist()
+    bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), rows]
+    for i, j in zip(bounds, bounds[1:]):
+        length = int(lengths[i])
+        if length == 0:
+            continue
+        a, b = ends[i] - length, ends[j - 1]
+        part = np.take(mass, src[a:b], axis=1)      # C-ordered, nodes x (b - a)
+        part *= weight[a:b]
+        pz[:, order[i:j]] = part.reshape(nodes, j - i, length).sum(axis=-1)
+        np.add.at(m.reshape(-1), (plane + cell[a:b]).reshape(-1), part.reshape(-1))
     return m, pz
 
 
@@ -501,12 +516,15 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
     branch tables and relevant sets, and add its new children to the graph
     through add(t + 1, states) -> node ids and their keys to index.
 
-    While the block's branches are computed, a branch whose key is already
-    in index points at that node, and a new key gets a pending slot that
-    keeps the state of its branch first in per-node order, (block row,
-    symbol rank, assignment rank).  The new keys then become nodes in the
-    order of their first branch, which is the order a per-node expansion
-    inserts them in."""
+    While the block's branches are computed, each batch of branches looks
+    up each of its distinct keys once, at the key's first branch in the
+    batch; a batch lists its branches in per-node order, (block row, symbol
+    rank, assignment rank).  A key already in index points at that node,
+    and a new key gets a pending slot that keeps the state of its branch
+    first in per-node order over the whole block (a later batch, of another
+    symbol or group, can hold a smaller order).  Every branch takes its
+    key's reference.  The new keys then become nodes in the order of their
+    first branch, which is the order a per-node expansion inserts them in."""
     spec, t = graph.spec, block[0].t
     _read_supports(spec, t, block)
     pending: dict = {}          # key new to the graph -> slot
@@ -515,21 +533,25 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
     def children(z, visible, rows, ranks, M, pz):
         keys, state_of = children_of(z, visible, rows, ranks, M, pz)
         zr = common_obs_rank(spec, z)
-        refs = []
-        for i, (key, j, r) in enumerate(zip(keys, rows, ranks.tolist())):
+        # one pass over the keys: each distinct key's first branch (the
+        # batch is in per-node order) and each branch's first branch
+        first_of: dict = {}
+        first = np.fromiter(map(first_of.setdefault, keys, range(len(keys))),
+                            dtype=np.int64, count=len(keys))
+        refs = np.empty(len(keys), dtype=np.int64)
+        for key, i in first_of.items():
             hit = index.get(key)
-            if hit is not None:
-                refs.append(hit)
-                continue
-            order = (j, zr, r)
-            slot = pending.get(key)
-            if slot is None:
-                slot = pending[key] = len(slots)
-                slots.append([order, key, state_of(i)])
-            elif order < slots[slot][0]:
-                slots[slot][0], slots[slot][2] = order, state_of(i)
-            refs.append(-1 - slot)
-        return refs
+            if hit is None:
+                order = (rows[i], zr, int(ranks[i]))
+                slot = pending.get(key)
+                if slot is None:
+                    slot = pending[key] = len(slots)
+                    slots.append([order, key, state_of(i)])
+                elif order < slots[slot][0]:
+                    slots[slot][0], slots[slot][2] = order, state_of(i)
+                hit = -1 - slot
+            refs[i] = hit
+        return refs[first]
 
     tabs = _expand_nodes(spec, t, np.stack([node.pi.p for node in block]),
                          [base_of(node) for node in block], children)

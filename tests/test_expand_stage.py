@@ -5,6 +5,7 @@ terminal minimization fold against a reduction along the action axis.  All
 must agree bit for bit: batching and folds change how the work is
 scheduled, never the arithmetic."""
 
+import dataclasses
 import itertools
 from unittest import mock
 
@@ -16,7 +17,7 @@ from delayed_sharing import _tables, coordinator, instances, minimize
 from delayed_sharing._tables import support_sets, tables
 from delayed_sharing.coordinator import (PiBelief, belief_update,
                                          joint_step_kernel)
-from delayed_sharing.errors import UnreachableObservationError
+from delayed_sharing.errors import BudgetError, UnreachableObservationError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (GammaProfile, PartialFunction,
                                        common_obs_rank, common_obs_space)
@@ -191,16 +192,23 @@ BLOCK_ENTRIES = (1, 999, _tables._BLOCK_ENTRIES)
 KEY_ROWS = {"grid": coordinator.quantize_rows, "exact": np.ascontiguousarray}
 
 
-def _per_node_graph(spec, root, key_rows, rule):
+def _per_node_graph(spec, root, key_rows, rule,
+                    max_nodes=coordinator.DEFAULT_MAX_NODES):
     """The graph that one expand_one per node builds, node after node,
     inserting each branch's child as its child_fn call comes: the per-node
     reference of build_graph's stage blocks.  Returns the beliefs in node-id
-    order and each expanded node's branch tables."""
+    order and each expanded node's branch tables.  A new key past max_nodes
+    raises the node-budget error, whose edges are those of every node
+    expanded before."""
     beliefs, index, stages, tabs = [], {}, {t: [] for t in range(1, spec.T + 1)}, {}
 
     def insert(pi):
         key = (pi.t, key_rows(pi.p).tobytes())
         if key not in index:
+            if len(beliefs) == max_nodes:
+                edges = sum(z.rank.size for per in tabs.values() for z in per.values())
+                raise BudgetError(f"reachable-belief graph exceeded {max_nodes} "
+                                  f"nodes (edges so far: {edges})")
             index[key] = len(beliefs)
             beliefs.append(pi)
             stages[pi.t].append(index[key])
@@ -216,13 +224,15 @@ def _per_node_graph(spec, root, key_rows, rule):
     return beliefs, tabs
 
 
-def _stage_batched_graph(spec, root, key_rows, rule):
+def _stage_batched_graph(spec, root, key_rows, rule,
+                         max_nodes=coordinator.DEFAULT_MAX_NODES,
+                         successor_rule=None):
     return coordinator.build_graph(
         spec, "belief", root,
         pi_of=lambda pis: pis,
         base_of=lambda node: _base_sets(spec, node.t, node.pi.p, rule),
-        successor_rule=coordinator.belief_successors(key_rows),
-        max_nodes=coordinator.DEFAULT_MAX_NODES)
+        successor_rule=successor_rule or coordinator.belief_successors(key_rows),
+        max_nodes=max_nodes)
 
 
 def _assert_same_graph(graph, beliefs, tabs):
@@ -275,6 +285,80 @@ def test_stage_blocks_match_per_node_expansion(seed, K, n, deterministic, rule,
         _assert_same_graph(graph, beliefs, tabs)
 
 
+def _logged(spec, successor_rule, log):
+    """successor_rule, logging each batch as (stage, block number, keys,
+    each branch's per-node order (block row, symbol rank, assignment
+    rank))."""
+    blocks = itertools.count()
+
+    def rule_at(t):
+        rule = successor_rule(t)
+
+        def block_rule(block):
+            children, number = rule(block), next(blocks)
+
+            def spy(z, visible, rows, ranks, M, pz):
+                keys, state_of = children(z, visible, rows, ranks, M, pz)
+                zr = common_obs_rank(spec, z)
+                log.append((t, number, keys,
+                            [(j, zr, r) for j, r in zip(rows, ranks.tolist())]))
+                return keys, state_of
+            return spy
+        return block_rule
+    return rule_at
+
+
+def _dedup_cases(log):
+    """The dedup cases the logged batches reach: a key repeated within a
+    batch, a key indexed by an earlier block of its stage, and a key new to
+    the graph whose smallest order comes in a later batch of its block than
+    the key's first."""
+    cases, known, block = set(), {}, None
+    for t, number, keys, orders in log:
+        if number != block:     # earlier blocks of the stage indexed their keys
+            block, first, indexed = number, {}, set(known.setdefault(t, set()))
+        if len(set(keys)) < len(keys):
+            cases.add("repeated")
+        for key, order in zip(keys, orders):
+            if key in indexed:
+                cases.add("indexed")
+            elif order < first.get(key, order):
+                cases.add("later")
+        for key, order in zip(keys, orders):
+            first[key] = min(first.get(key, order), order)
+        known[t].update(keys)
+    return cases
+
+
+def test_dedup_order_matches_per_node_expansion():
+    """A coarse key (beliefs rounded to quarters) merges distinct beliefs,
+    so each node must keep the belief of its key's first branch in per-node
+    order.  With 300-entry blocks (four nodes) the batches reach every
+    dedup case (a key repeated within a batch, a key indexed by an earlier
+    block, a key whose smallest order comes in a later batch); every block
+    size must give the per-node graph's node ids, stage lists and beliefs,
+    and every node budget its error and edge count."""
+    spec = normalize_problem(random_instance(2, 4, 1, 2, (2, 2), (2, 2), 5))
+    root = coordinator.initial_belief(spec)
+    coarse = lambda P: np.round(P * 4)
+    beliefs, tabs = _per_node_graph(spec, root, coarse, "support")
+    for entries in (*BLOCK_ENTRIES, 300):
+        log = []
+        with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
+            graph = _stage_batched_graph(
+                spec, root, coarse, "support",
+                successor_rule=_logged(spec, coordinator.belief_successors(coarse), log))
+            _assert_same_graph(graph, beliefs, tabs)
+            if entries == 300:
+                assert _dedup_cases(log) == {"repeated", "indexed", "later"}
+            for max_nodes in range(1, len(beliefs)):
+                with pytest.raises(BudgetError) as want:
+                    _per_node_graph(spec, root, coarse, "support", max_nodes)
+                with pytest.raises(BudgetError) as got:
+                    _stage_batched_graph(spec, root, coarse, "support", max_nodes)
+                assert str(got.value) == str(want.value)
+
+
 def _kept_per_row(spec, t, cand, actions, z_rank):
     """Kept triples of each assignment row of one _branch_masses call."""
     starts, lens, _, zr, _ = tables(spec).stage[t].step_arrays(spec)
@@ -313,6 +397,94 @@ def test_reachable_graphs_match_per_node_expansion(monkeypatch, name, entries):
     _assert_same_graph(coordinator.reachable_graph(spec), beliefs, tabs)
     if name == "tree" and entries != 1:
         assert max(calls) >= 9
+
+
+# -- _branch_masses against one single-profile update per pair ---------------
+
+def _kernel_spec(K, n, x_size, kernel, seed):
+    """A random instance with many one-step triples per (state, action)
+    ("generic"), one ("deterministic"), or one under joint action 0 and many
+    under the others ("mixed"), so that the assignments of one block keep
+    different numbers of triples."""
+    y, u = ((3,), (2,)) if K == 1 else ((2, 2), (2, 2))
+    gen = random_instance(K, n + 1, n, x_size, y, u, seed)
+    det = random_instance(K, n + 1, n, x_size, y, u, seed, deterministic=True)
+    if kernel != "mixed":
+        return normalize_problem(gen if kernel == "generic" else det)
+    trans = gen.trans.copy()
+    trans[:, :, 0] = det.trans[:, :, 0]
+    return normalize_problem(dataclasses.replace(gen, trans=trans))
+
+
+def _check_branch_masses(spec, t, rng, nodes, layout, share, assignments):
+    """One _branch_masses call per shared symbol on a block of `nodes`
+    beliefs, positive on a random share of the stage's states, passed as a
+    C- or F-ordered mass block, under random profiles.  Every (node,
+    assignment) pair's pz and mass must be the bytes of its update_mass
+    call.  Returns, per call, each assignment's kept triples (its segment
+    length)."""
+    stt = tables(spec).stage[t]
+    cand = np.flatnonzero(rng.uniform(size=stt.state_count) < share)
+    if cand.size == 0:
+        cand = np.array([int(rng.integers(stt.state_count))])
+    P = np.zeros((nodes, stt.state_count))
+    P[:, cand] = rng.uniform(0.05, 1.0, (nodes, cand.size))
+    P /= P.sum(axis=1, keepdims=True)
+    mass = (np.asfortranarray if layout == "F" else np.ascontiguousarray)(P[:, cand])
+    profiles = [GammaProfile(t, tuple(
+        PartialFunction(k, t, tuple(rng.integers(0, spec.u_size[k], stt.L[k]).tolist()))
+        for k in range(spec.K))) for _ in range(assignments)]
+    actions = np.stack([coordinator._joint_actions(spec, stt, g)[cand] for g in profiles])
+    steps, next_count = stt.step_arrays(spec), tables(spec).stage[t + 1].state_count
+    lengths = []
+    for zr in (common_obs_rank(spec, z) for z in common_obs_space(spec, t + 1)):
+        m, pz = coordinator._branch_masses(steps, cand, mass, actions, zr, next_count)
+        for j, p in enumerate(P):
+            for i, profile in enumerate(profiles):
+                want_m, want_pz = update_mass(spec, t, p, profile, zr, cand)
+                assert pz[j, i].tobytes() == np.float64(want_pz).tobytes()
+                assert m[j, i].tobytes() == want_m.tobytes()
+        lengths.append(_kept_per_row(spec, t, cand, actions, zr).tolist())
+    return lengths
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.sampled_from([1, 2]),
+       n=st.sampled_from([1, 2]), x_size=st.integers(1, 4),
+       kernel=st.sampled_from(["generic", "deterministic", "mixed"]),
+       nodes=st.integers(1, 7), layout=st.sampled_from(["C", "F"]),
+       share=st.sampled_from([0.3, 0.6, 1.0]), assignments=st.integers(1, 6))
+def test_branch_masses_match_update_mass_bytes(seed, K, n, x_size, kernel, nodes,
+                                               layout, share, assignments):
+    """pz is summed per group of equal segment length by one last-axis sum;
+    each must be the bytes of the 1-D .sum() of its own weights, whatever
+    the block's size, the mass layout and the mix of segment lengths."""
+    spec = _kernel_spec(K, n, x_size, kernel, seed)
+    rng = np.random.default_rng(seed)
+    _check_branch_masses(spec, int(rng.integers(1, spec.T)), rng, nodes, layout,
+                         share, assignments)
+
+
+def test_branch_masses_cases_cover_segment_lengths():
+    """Fixed cases of the test above that reach segment lengths 1 to 9 (below
+    and past the 8-term unrolling of numpy's pairwise sum) and past its
+    128-term blocks, and calls that mix several nonzero lengths."""
+    cases = [  # (K, n, x_size, kernel, seed, t, nodes, layout, share, assignments)
+        (2, 2, 2, "deterministic", 5, 2, 7, "F", 0.6, 3),
+        (1, 2, 4, "deterministic", 4, 2, 4, "C", 0.6, 2),
+        (1, 2, 4, "deterministic", 3, 2, 1, "F", 0.6, 2),
+        (1, 2, 4, "mixed", 3, 2, 5, "C", 1.0, 4),
+    ]
+    seen, mixed = set(), 0
+    for K, n, x_size, kernel, seed, t, nodes, layout, share, rows in cases:
+        spec = _kernel_spec(K, n, x_size, kernel, seed)
+        for lengths in _check_branch_masses(spec, t, np.random.default_rng(seed),
+                                            nodes, layout, share, rows):
+            seen.update(lengths)
+            mixed += len(set(lengths) - {0}) >= 2
+    assert set(range(1, 10)) <= seen
+    assert max(seen) > 128
+    assert mixed
 
 
 @settings(max_examples=60, deadline=None)
