@@ -137,8 +137,8 @@ def check_one_step_factorization(spec: ProblemSpec, design: Design,
     max_indep = 0.0
     for t in range(1, spec.T + 1):
         st = tables(spec).stage[t]
-        x_dist_1 = evaluate.conditional_x_dists(spec, design.act, t, lag=1)
-        x_dist_2 = evaluate.conditional_x_dists(spec, design2.act, t, lag=1)
+        x_dist_1 = evaluate.conditional_x_dists(spec, design, t, lag=1)
+        x_dist_2 = evaluate.conditional_x_dists(spec, design2, t, lag=1)
         for delta in sorted(x_dist_1):
             checked += 1
             pi = replay_beliefs(spec, design, t, delta)
@@ -265,14 +265,14 @@ class KurtaranReport:
         return self.witness is None
 
 
-def _phi_direct(spec: ProblemSpec, action_fn, t: int,
+def _phi_direct(spec: ProblemSpec, design: Design, t: int,
                 delta: tuple[int, ...]) -> np.ndarray:
     """Recompute the two-step-back statistic at one shared history from
     scratch, filtering trajectories explicitly (independent of the grouped
     accumulation used by the search)."""
     A = spec.action_count
     vec = np.zeros(spec.x_size * A)
-    for rec in evaluate.iter_paths(spec, action_fn, t_max=t - 1):
+    for rec in evaluate.iter_paths(spec, design, t_max=t - 1):
         if rec.zs[: max(0, t - spec.n)] != delta:
             continue
         a = spec.encode_action(tuple(rec.us[k][t - 2] for k in range(spec.K)))
@@ -288,13 +288,13 @@ def verify_kurtaran_witness(spec: ProblemSpec, design: Design,
     """Re-verify a witness from scratch: statistics match within 1e-12 and
     the successor gap clears 1e-6."""
     spec = normalize_problem(spec)
-    phi_a = _phi_direct(spec, design.act, witness.t, witness.delta)
-    phi_b = _phi_direct(spec, design.act, witness.t, witness.delta_prime)
+    phi_a = _phi_direct(spec, design, witness.t, witness.delta)
+    phi_b = _phi_direct(spec, design, witness.t, witness.delta_prime)
     if float(np.abs(phi_a - phi_b).max()) > PHI_MATCH_TOL:
         return False
-    nxt_a = _phi_direct(spec, design.act, witness.t + 1,
+    nxt_a = _phi_direct(spec, design, witness.t + 1,
                         witness.delta + (witness.z_rank,))
-    nxt_b = _phi_direct(spec, design.act, witness.t + 1,
+    nxt_b = _phi_direct(spec, design, witness.t + 1,
                         witness.delta_prime + (witness.z_rank,))
     return float(np.abs(nxt_a - nxt_b).max()) > PHI_GAP_TOL
 
@@ -318,9 +318,9 @@ def kurtaran_witness_search(spec: ProblemSpec, design: Design
     comparisons = 0
     witness = None
     for t in range(2, spec.T):
-        phis = evaluate.conditional_phi(spec, design.act, t)
+        phis = evaluate.conditional_phi(spec, design, t)
         histories_per_t[t] = len(phis)
-        nxt = evaluate.conditional_phi(spec, design.act, t + 1)
+        nxt = evaluate.conditional_phi(spec, design, t + 1)
         buckets: dict[bytes, list[tuple[int, ...]]] = {}
         for delta in sorted(phis):
             key = np.round(phis[delta] / PHI_MATCH_TOL).astype(np.int64).tobytes()

@@ -259,7 +259,7 @@ class InfoGraph:
             table = profile.gammas[k].table
             for lam in ztab.visible[k]:
                 r = r * self.spec.u_size[k] + table[lam]
-        i = int(np.searchsorted(ztab.rank, r))
+        i = int(ztab.rank.searchsorted(r))
         if i == ztab.rank.size or ztab.rank[i] != r:
             raise OffDesignHistoryError(
                 f"profile/symbol pair off every positive-probability branch "
@@ -782,6 +782,10 @@ class ExtractedDesign:
     A time outside [1, T] (DomainError) or a history of the wrong length is
     rejected before the cache is read.  Nothing is stored per (history,
     private rank) entry.
+
+    Tabulating: stage_tables gives whole stage tables from the policy's
+    on-design rows, one graph.child call per (on-design node, shared
+    symbol) and one gather per table, without asking act per entry.
     """
 
     spec: ProblemSpec
@@ -830,6 +834,45 @@ class ExtractedDesign:
 
     def act(self, k: int, t: int, lam_rank: int, delta: tuple[int, ...]) -> int:
         return self._profile(t, self._locate(t, delta)).gammas[k].table[lam_rank]
+
+    def stage_tables(self) -> list[list[np.ndarray]]:
+        """Every controller's stage tables (Design.stage_tables), walked over
+        the policy's own rows from the root.  Stage t's on-design rows are
+        the shared histories act locates: per distinct on-design node at t-1
+        and shared symbol, graph.child (the call _locate makes) gives the
+        child once, and its row is the parent's row (t <= n) or parent row
+        x radix + symbol rank (delta_rank's radix).  Each table is one
+        gather of the located nodes' decoded prescriptions into those rows;
+        every other row keeps action 0."""
+        spec, graph = self.spec, self.policy.graph
+        radix = histories.common_obs_count(spec, spec.n + 1) if spec.T > spec.n else 1
+        rows, nodes = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        tables: list[list[np.ndarray]] = [[] for _ in range(spec.K)]
+        for t in range(1, spec.T + 1):
+            if t > 1:
+                symbols = radix if t > spec.n else 1
+                children = np.full((len(distinct), symbols), _OFF_DESIGN, dtype=np.int64)
+                for i, node in enumerate(distinct.tolist()):
+                    profile = self._profile(t - 1, node)
+                    for z in range(symbols):
+                        try:
+                            children[i, z] = graph.child(node, profile, z)[0]
+                        except OffDesignHistoryError:
+                            pass
+                children = children[at]
+                on = children != _OFF_DESIGN
+                rows = (rows[:, None] * symbols + np.arange(symbols))[on]
+                nodes = children[on]
+            distinct, at = np.unique(nodes, return_inverse=True)
+            profiles = [self._profile(t, node) for node in distinct.tolist()]
+            for k in range(spec.K):
+                cols = histories.private_count(spec, k, t)
+                gammas = np.array([p.gammas[k].table for p in profiles],
+                                  dtype=np.int64).reshape(len(profiles), cols)
+                tab = np.zeros((histories.delta_count(spec, t), cols), dtype=np.int64)
+                tab[rows] = gammas[at]
+                tables[k].append(tab)
+        return tables
 
 
 def extract_design(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDesign:

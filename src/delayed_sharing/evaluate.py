@@ -9,8 +9,9 @@ path table, built stage by stage; exact_cost and the conditional oracles
 are sums over its rows.  The seeded Monte Carlo estimate (simulate) samples
 the same primitive randomness, one PCG64 stream per episode, and runs the
 episodes stage by stage as arrays over blocks.  Both act through one stage
-step, _act, which reads the strategy only through its act method, never
-through solver tables.
+step, _act, which gathers an ExtensionalDesign's actions from its tables and
+asks any other strategy through its act method, never through solver
+tables.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ class PathRecord:
     zs: tuple[int, ...]
 
 
-# Any strategy enters path enumeration through this shape:
-# (controller, time, private rank, shared-history z ranks) -> action.
+# A strategy enters path enumeration as a Design or as a bare act function
+# of this shape: (controller, time, private rank, shared-history z ranks)
+# -> action.
 ActionFn = Callable[[int, int, int, tuple[int, ...]], int]
 
 
@@ -96,7 +98,7 @@ def _expand(mask: np.ndarray, max_paths: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(mask)
 
 
-def _path_table(spec: ProblemSpec, action_fn: ActionFn, t_max: int,
+def _path_table(spec: ProblemSpec, design: Design | ActionFn, t_max: int,
                 include_final_step: bool, max_paths: int) -> _Paths:
     """The paths up to t_max (observations only at the last stage when
     include_final_step is false), built stage by stage: each row expands
@@ -123,7 +125,7 @@ def _path_table(spec: ProblemSpec, action_fn: ActionFn, t_max: int,
             ys[:, t - 1] = ys[:, t - 1] * spec.y_size[k] + y
         if t > acted:
             break
-        us[:, t - 1] = _act(spec, action_fn, t, ys, us)
+        us[:, t - 1] = _act(spec, design, t, ys, us)
         kernel = spec.trans[t - 1][xs[:, t - 1], us[:, t - 1]]
         rows, x = _expand(kernel > 0.0, max_paths)
         weight = weight[rows] * kernel[rows, x]
@@ -151,6 +153,16 @@ def _history_ids(spec: ProblemSpec, zs: np.ndarray) -> np.ndarray:
     return ids
 
 
+def _delta_ranks(spec: ProblemSpec, zs: np.ndarray) -> np.ndarray:
+    """Each row's shared-history rank (histories.delta_rank's radix), the
+    row of zs."""
+    radix = spec.action_count * math.prod(spec.y_size)
+    ranks = np.zeros(len(zs), dtype=np.int64)
+    for z in zs.T:
+        ranks = ranks * radix + z
+    return ranks
+
+
 def _window_ranks(spec: ProblemSpec, t: int, ys: np.ndarray,
                   us: np.ndarray) -> list[np.ndarray]:
     """Per controller, each row's private window rank at time t
@@ -170,38 +182,50 @@ def _window_ranks(spec: ProblemSpec, t: int, ys: np.ndarray,
     return ranks
 
 
-def _act(spec: ProblemSpec, action_fn: ActionFn, t: int, ys: np.ndarray,
-         us: np.ndarray) -> np.ndarray:
+def _act(spec: ProblemSpec, design: Design | ActionFn, t: int,
+         ys: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Joint action index at stage t of every row, from ys through stage t
-    and us through stage t-1 (laid out as in _Paths).  action_fn is asked
-    once per distinct (controller, shared history, private window), and
-    each action it returns is checked to be in range."""
+    and us through stage t-1 (laid out as in _Paths).  An
+    ExtensionalDesign's actions are gathered, one tables[k][t-1][delta rank,
+    private rank] per controller; any other design (or a bare act function)
+    is asked once per distinct (controller, shared history, private window).
+    Either way the actions are checked to be in range, controller by
+    controller, and the first bad one in (shared history, private rank)
+    order is named."""
     zs = _symbols(spec, ys, us, t - spec.n)
-    history = _history_ids(spec, zs)
+    tables = design.tables if isinstance(design, ExtensionalDesign) else None
+    if tables is None:
+        action_fn = getattr(design, "act", design)
+        history = _history_ids(spec, zs)
+    else:
+        history = _delta_ranks(spec, zs)
     a = np.zeros(len(ys), dtype=np.int64)
     for k, lam in enumerate(_window_ranks(spec, t, ys, us)):
-        count = histories.private_count(spec, k, t)
-        _, first, inverse = np.unique(history * count + lam,
-                                      return_index=True, return_inverse=True)
-        acted = np.array([action_fn(k, t, int(lam[e]), tuple(zs[e].tolist()))
-                          for e in first.tolist()], dtype=np.int64)
+        key = history * histories.private_count(spec, k, t) + lam
+        if tables is None:
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            acted = np.array([action_fn(k, t, int(lam[e]), tuple(zs[e].tolist()))
+                              for e in first.tolist()], dtype=np.int64)[inverse]
+        else:
+            acted = tables[k][t - 1][history, lam].astype(np.int64, copy=False)
         bad = (acted < 0) | (acted >= spec.u_size[k])
         if bad.any():
-            raise DomainError(f"action {acted[bad][0]} out of range "
-                              f"for controller {k}")
-        a = a * spec.u_size[k] + acted[inverse]
+            raise DomainError(f"action {acted[bad][np.argmin(key[bad])]} out of "
+                              f"range for controller {k}")
+        a = a * spec.u_size[k] + acted
     return a
 
 
-def iter_paths(spec: ProblemSpec, action_fn: ActionFn, *,
+def iter_paths(spec: ProblemSpec, design: Design | ActionFn, *,
                t_max: int | None = None, include_final_step: bool = True,
                max_paths: int = DEFAULT_MAX_PATHS) -> Iterator[PathRecord]:
     """Every positive-probability trajectory prefix up to t_max
     (observations only at the last stage when include_final_step is false)
     in depth-first order: the rows of the path table, which is built in
-    full, and checked against max_paths, before this returns."""
+    full, and checked against max_paths, before this returns.  design is a
+    Design or its act function."""
     spec = normalize_problem(spec)
-    paths = _path_table(spec, action_fn, spec.T if t_max is None else t_max,
+    paths = _path_table(spec, design, spec.T if t_max is None else t_max,
                         include_final_step, max_paths)
     ys = [part.tolist() for part in np.unravel_index(paths.ys, spec.y_size)]
     us = [part.tolist() for part in np.unravel_index(paths.us, spec.u_size)]
@@ -223,7 +247,7 @@ def exact_cost(spec: ProblemSpec, design: Design, *,
     its paths' weight x cost in row order, starting from 0.0 (so a leading
     -0.0 sums to +0.0)."""
     spec = normalize_problem(spec)
-    paths = _path_table(spec, design.act, spec.T, True, max_paths)
+    paths = _path_table(spec, design, spec.T, True, max_paths)
     per_stage = np.array([
         np.add.accumulate(np.concatenate((
             [0.0],
@@ -240,9 +264,10 @@ def simulate(spec: ProblemSpec, design: Design, episodes: int, seed: int) -> Sim
     the initial state, then per stage each controller's observation and the
     transition.  Results are therefore reproducible and independent of how
     episodes are grouped: episodes run in blocks of at most _SIM_BLOCK, each
-    stage as array operations over the block, and the design is asked once
-    per distinct (controller, time, shared history, private rank) of a block
-    through its act method, so any Design works.
+    stage as array operations over the block.  An ExtensionalDesign's
+    actions are gathered from its tables; any other Design is asked once per
+    distinct (controller, time, shared history, private rank) of a block
+    through its act method.
     """
     spec = normalize_problem(spec)
     if episodes < 1:
@@ -295,7 +320,7 @@ def _simulate_block(spec: ProblemSpec, design: Design, seed: int,
         for k in range(K):
             y = _draw(obs_cdf[k][t - 1, x], draws[:, col + k])
             ys[:, t - 1] = ys[:, t - 1] * spec.y_size[k] + y
-        a = us[:, t - 1] = _act(spec, design.act, t, ys, us)
+        a = us[:, t - 1] = _act(spec, design, t, ys, us)
         x = _draw(trans_cdf[t - 1, x, a], draws[:, col + K])
         totals += spec.cost[t - 1][x, a]
     return totals
@@ -384,15 +409,22 @@ def brute_force_optimum(spec: ProblemSpec, *,
 def materialize_design(spec: ProblemSpec, design: Design, *,
                        max_entries: int = 1_000_000) -> ExtensionalDesign:
     """Tabulate any design over the full (shared history, private rank)
-    product domain.  Histories the design rejects (off-policy for a replayed
-    strategy) get action 0; they never occur under the design itself, so the
-    tabulated copy is cost-identical.  A rejection is a verdict on (t, delta)
-    alone, so the first one ends its row."""
+    product domain, in fresh arrays the caller may write into.  Refused
+    (BudgetError) before any table is allocated when the entries exceed
+    max_entries.  A design with stage_tables (ExtensionalDesign,
+    ExtractedDesign) hands its tables over whole; any other is asked entry
+    by entry through act.  Histories the design rejects (off-policy for a
+    replayed strategy) get action 0; they never occur under the design
+    itself, so the tabulated copy is cost-identical.  A rejection is a
+    verdict on (t, delta) alone, so the first one ends its row."""
     spec = normalize_problem(spec)
     total = sum(histories.delta_count(spec, t) * histories.private_count(spec, k, t)
                 for k in range(spec.K) for t in range(1, spec.T + 1))
     if total > max_entries:
         raise BudgetError(f"design table needs {total} entries (budget {max_entries})")
+    stage_tables = getattr(design, "stage_tables", None)
+    if stage_tables is not None:
+        return ExtensionalDesign(spec, stage_tables())
     radix = histories.common_obs_count(spec, spec.n + 1) if spec.T > spec.n else 1
     tables: list[list[np.ndarray]] = []
     for k in range(spec.K):
@@ -420,7 +452,8 @@ def materialize_design(spec: ProblemSpec, design: Design, *,
 
 
 # ---------------------------------------------------------------------------
-# Conditional oracles over shared histories
+# Conditional oracles over shared histories (design: a Design or its act
+# function, as for iter_paths)
 # ---------------------------------------------------------------------------
 
 def _by_history(spec: ProblemSpec, paths: _Paths,
@@ -434,13 +467,13 @@ def _by_history(spec: ProblemSpec, paths: _Paths,
     return [tuple(zs[i].tolist()) for i in first[order]], np.argsort(order)[ids]
 
 
-def conditional_state_dists(spec: ProblemSpec, action_fn: ActionFn, t: int,
+def conditional_state_dists(spec: ProblemSpec, design: Design | ActionFn, t: int,
                             *, max_paths: int = DEFAULT_MAX_PATHS
                             ) -> dict[tuple[int, ...], tuple[float, np.ndarray]]:
     """Per positive-probability shared history at time t: its probability and
     the exact conditional over joint-state ranks, straight from path sums."""
     spec = normalize_problem(spec)
-    paths = _path_table(spec, action_fn, t, False, max_paths)
+    paths = _path_table(spec, design, t, False, max_paths)
     keys, group = _by_history(spec, paths, t)
     # joint-state rank: mixed radix over (x, private windows), x major
     s = paths.xs[:, t - 1].astype(np.int64)
@@ -455,25 +488,25 @@ def conditional_state_dists(spec: ProblemSpec, action_fn: ActionFn, t: int,
             for delta, vec in zip(keys, acc)}
 
 
-def conditional_x_dists(spec: ProblemSpec, action_fn: ActionFn, t: int,
+def conditional_x_dists(spec: ProblemSpec, design: Design | ActionFn, t: int,
                         lag: int, *, max_paths: int = DEFAULT_MAX_PATHS
                         ) -> dict[tuple[int, ...], np.ndarray]:
     """P(X_{t-lag} | shared history at t) for every reachable history
     (X at the clipped time max(0, t-lag))."""
     spec = normalize_problem(spec)
-    paths = _path_table(spec, action_fn, t, False, max_paths)
+    paths = _path_table(spec, design, t, False, max_paths)
     keys, group = _by_history(spec, paths, t)
     acc = np.zeros((len(keys), spec.x_size))
     np.add.at(acc, (group, paths.xs[:, max(0, t - lag)]), paths.weight)
     return {delta: vec / vec.sum() for delta, vec in zip(keys, acc)}
 
 
-def conditional_stage_costs(spec: ProblemSpec, action_fn: ActionFn, t: int,
+def conditional_stage_costs(spec: ProblemSpec, design: Design | ActionFn, t: int,
                             *, max_paths: int = DEFAULT_MAX_PATHS
                             ) -> dict[tuple[int, ...], float]:
     """E[stage cost at t | shared history at t] for every reachable history."""
     spec = normalize_problem(spec)
-    paths = _path_table(spec, action_fn, t, True, max_paths)
+    paths = _path_table(spec, design, t, True, max_paths)
     keys, group = _by_history(spec, paths, t)
     num = np.zeros(len(keys))
     den = np.zeros(len(keys))
@@ -483,7 +516,7 @@ def conditional_stage_costs(spec: ProblemSpec, action_fn: ActionFn, t: int,
     return {delta: float(num[i] / den[i]) for i, delta in enumerate(keys)}
 
 
-def conditional_phi(spec: ProblemSpec, action_fn: ActionFn, t: int,
+def conditional_phi(spec: ProblemSpec, design: Design | ActionFn, t: int,
                     *, max_paths: int = DEFAULT_MAX_PATHS
                     ) -> dict[tuple[int, ...], np.ndarray]:
     """P(X_{t-2}, joint action at t-1 | shared history at t), flattened with
@@ -492,7 +525,7 @@ def conditional_phi(spec: ProblemSpec, action_fn: ActionFn, t: int,
     if t < 2:
         raise DomainError("the two-step-back statistic needs t >= 2")
     A = spec.action_count
-    paths = _path_table(spec, action_fn, t - 1, True, max_paths)
+    paths = _path_table(spec, design, t - 1, True, max_paths)
     keys, group = _by_history(spec, paths, t)
     acc = np.zeros((len(keys), spec.x_size * A))
     np.add.at(acc, (group, paths.xs[:, t - 2].astype(np.int64) * A + paths.us[:, t - 2]),

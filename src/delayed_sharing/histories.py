@@ -271,7 +271,15 @@ class Design(Protocol):
 
     act may raise OffDesignHistoryError for a shared history the design never
     produces.  That is a verdict on (t, delta) alone: if act raises it for
-    one (k, lam_rank) at (t, delta), it raises it for every other."""
+    one (k, lam_rank) at (t, delta), it raises it for every other.
+
+    A design may also give its whole stage tables at once with a
+    stage_tables() method: fresh int64 arrays, tables[k][t-1] of shape
+    (#shared histories at t, #private realizations) indexed as
+    ExtensionalDesign's, holding act's answer at every entry and action 0
+    on every shared history act rejects.  evaluate.materialize_design reads
+    them instead of asking act entry by entry; act is the protocol, and a
+    design that defines only act is tabulated through it."""
 
     def act(self, k: int, t: int, lam_rank: int, delta: tuple[int, ...]) -> int: ...
 
@@ -290,6 +298,11 @@ class ExtensionalDesign:
 
     def act(self, k: int, t: int, lam_rank: int, delta: tuple[int, ...]) -> int:
         return int(self.tables[k][t - 1][delta_rank(self.spec, t, delta), lam_rank])
+
+    def stage_tables(self) -> list[list[np.ndarray]]:
+        """Fresh int64 copies of the tables (Design.stage_tables)."""
+        return [[np.array(tab, dtype=np.int64) for tab in per_k]
+                for per_k in self.tables]
 
     def to_json(self) -> dict:
         return {

@@ -78,9 +78,9 @@ def recursion_errors(spec: ProblemSpec, design) -> tuple[float, float, float, fl
     from .coordinator import expected_stage_cost
     max_pi = max_th = max_h = max_cost = 0.0
     for t in range(1, spec.T + 1):
-        dists = evaluate.conditional_state_dists(spec, design.act, t)
-        xdists = evaluate.conditional_x_dists(spec, design.act, t, lag=spec.n)
-        costs = evaluate.conditional_stage_costs(spec, design.act, t)
+        dists = evaluate.conditional_state_dists(spec, design, t)
+        xdists = evaluate.conditional_x_dists(spec, design, t, lag=spec.n)
+        costs = evaluate.conditional_stage_costs(spec, design, t)
         deltas = sorted(dists)
         states = [replay_theta_r(spec, design, t, delta) for delta in deltas]
         for delta, state, image in zip(deltas, states, h_map_block(spec, states)):
@@ -100,7 +100,7 @@ def theta_independence_error(spec: ProblemSpec, designs) -> float:
     histories reachable under more than one of them."""
     worst = 0.0
     for t in range(1, spec.T + 1):
-        dists = [evaluate.conditional_x_dists(spec, d.act, t, lag=spec.n)
+        dists = [evaluate.conditional_x_dists(spec, d, t, lag=spec.n)
                  for d in designs]
         for i in range(len(dists)):
             for j in range(i + 1, len(dists)):

@@ -19,7 +19,7 @@ from delayed_sharing.histories import (GammaProfile, PartialFunction,
                                        private_count, private_rank,
                                        private_sizes, private_space,
                                        symbol_rank)
-from delayed_sharing.model import normalize_problem
+from delayed_sharing.model import ProblemSpec, normalize_problem
 from delayed_sharing.second_form import RSuffix, _curry_table, part_window
 
 
@@ -545,3 +545,51 @@ def make_i2_mini():
     """Delay-2 instance small enough for the brute-force oracle (1024
     designs): controller 1 has trivial alphabets."""
     return random_instance(2, 2, 2, 2, (2, 1), (2, 1), seed=7105)
+
+
+class ActOnly:
+    """A design seen only through act, the Design protocol's one required
+    method: evaluate and materialize_design ask it entry by entry."""
+
+    def __init__(self, design):
+        self.design = design
+
+    def act(self, k, t, lam_rank, delta):
+        return self.design.act(k, t, lam_rank, delta)
+
+
+def small_instance(seed, K, n, T, kernels):
+    """A seeded instance with per-controller sizes drawn from {1, 2} and
+    |X| from {1, 2, 3}; T shrinks until at most 512 paths and 128 joint
+    states at T are possible, so both forms solve in well under a second.
+    kernels is "generic", "deterministic" or "zero_entries" (about a third
+    of the kernel entries zeroed, each row keeping its largest entry, and
+    the rows renormalized)."""
+    rng = np.random.default_rng(seed)
+    y_size = tuple(int(v) for v in rng.integers(1, 3, K))
+    u_size = tuple(int(v) for v in rng.integers(1, 3, K))
+    x_size = int(rng.integers(1, 4))
+
+    def windows(T):
+        return int(np.prod([y ** min(T, n) * u ** (min(T, n) - 1)
+                            for y, u in zip(y_size, u_size)]))
+
+    while T > 1 and (x_size ** (T + 1) * int(np.prod(y_size)) ** T > 512
+                     or x_size * windows(T) > 128):
+        T -= 1
+    spec = normalize_problem(random_instance(
+        K, T, n, x_size, y_size, u_size, seed=seed,
+        deterministic=kernels == "deterministic"))
+    if kernels != "zero_entries":
+        return spec
+    rng = np.random.default_rng(seed)
+
+    def thin(p):
+        keep = (rng.random(p.shape) < 0.6) | (p == p.max(axis=-1, keepdims=True))
+        q = np.where(keep, p, 0.0)
+        return q / q.sum(axis=-1, keepdims=True)
+
+    return normalize_problem(ProblemSpec(
+        K=spec.K, T=spec.T, n=spec.n, x_size=spec.x_size, y_size=spec.y_size,
+        u_size=spec.u_size, x0_dist=thin(spec.x0_dist), trans=thin(spec.trans),
+        obs=tuple(thin(o) for o in spec.obs), cost=spec.cost))

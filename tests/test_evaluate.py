@@ -18,7 +18,7 @@ from helpers import (conditional_phi_reference,
                      conditional_stage_costs_reference,
                      conditional_state_dists_reference,
                      conditional_x_dists_reference, exact_cost_reference,
-                     iter_paths_reference)
+                     iter_paths_reference, small_instance)
 
 
 def constant_cost_spec(c, T=1):
@@ -200,22 +200,6 @@ def test_window_rank_matches_private_rank(n):
 
 # -- the path table against the recursive generator and per-path loops ------
 
-def _with_zero_entries(spec, seed):
-    """spec with about a third of its kernel entries zeroed, each row keeping
-    its largest entry, and the rows renormalized."""
-    rng = np.random.default_rng(seed)
-
-    def thin(p):
-        keep = (rng.random(p.shape) < 0.6) | (p == p.max(axis=-1, keepdims=True))
-        q = np.where(keep, p, 0.0)
-        return q / q.sum(axis=-1, keepdims=True)
-
-    return normalize_problem(ProblemSpec(
-        K=spec.K, T=spec.T, n=spec.n, x_size=spec.x_size, y_size=spec.y_size,
-        u_size=spec.u_size, x0_dist=thin(spec.x0_dist), trans=thin(spec.trans),
-        obs=tuple(thin(o) for o in spec.obs), cost=spec.cost))
-
-
 def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
@@ -228,27 +212,12 @@ def _bits(x):
 def test_path_table_matches_the_recursion(seed, K, n, T, kernels, kind):
     """iter_paths, exact_cost and the four conditional readers against the
     recursive generator and the per-path loops of tests/helpers.py: same
-    rows in the same order, same keys in the same order, same bits.  Sizes
-    are drawn per controller from {1, 2}; T shrinks until at most 512
-    paths and 128 joint states at T are possible, which keeps the solves
-    for extracted designs short."""
-    rng = np.random.default_rng(seed)
-    y_size = tuple(int(v) for v in rng.integers(1, 3, K))
-    u_size = tuple(int(v) for v in rng.integers(1, 3, K))
-    x_size = int(rng.integers(1, 4))
-
-    def windows(T):
-        return int(np.prod([y ** min(T, n) * u ** (min(T, n) - 1)
-                            for y, u in zip(y_size, u_size)]))
-
-    while T > 1 and (x_size ** (T + 1) * int(np.prod(y_size)) ** T > 512
-                     or x_size * windows(T) > 128):
-        T -= 1
-    spec = normalize_problem(random_instance(
-        K, T, n, x_size, y_size, u_size, seed=seed,
-        deterministic=kernels == "deterministic"))
-    if kernels == "zero_entries":
-        spec = _with_zero_entries(spec, seed)
+    rows in the same order, same keys in the same order, same bits.  The
+    instance is helpers.small_instance's, which keeps the solves for
+    extracted designs short.  A random design is passed whole, so its
+    actions are gathered from its tables; the references ask act."""
+    spec = small_instance(seed, K, n, T, kernels)
+    T = spec.T
     if kind == "random":
         design = random_design(spec, seed)
     else:
@@ -259,31 +228,31 @@ def test_path_table_matches_the_recursion(seed, K, n, T, kernels, kind):
     assert _bits(got.per_stage) == _bits(want.per_stage)
     for t_max in range(1, T + 1):
         for final in (True, False):
-            got = list(evaluate.iter_paths(spec, design.act, t_max=t_max,
+            got = list(evaluate.iter_paths(spec, design, t_max=t_max,
                                            include_final_step=final))
             want = list(iter_paths_reference(spec, design.act, t_max=t_max,
                                              include_final_step=final))
             assert got == want
             assert _bits([r.weight for r in got]) == _bits([r.weight for r in want])
     for t in range(1, T + 1):
-        got = evaluate.conditional_state_dists(spec, design.act, t)
+        got = evaluate.conditional_state_dists(spec, design, t)
         want = conditional_state_dists_reference(spec, design.act, t)
         assert list(got) == list(want)
         for delta, (prob, vec) in want.items():
             assert _bits(got[delta][0]) == _bits(prob)
             assert _bits(got[delta][1]) == _bits(vec)
         for lag in sorted({1, n, t + 1}):
-            got = evaluate.conditional_x_dists(spec, design.act, t, lag)
+            got = evaluate.conditional_x_dists(spec, design, t, lag)
             want = conditional_x_dists_reference(spec, design.act, t, lag)
             assert list(got) == list(want)
             assert all(_bits(got[d]) == _bits(v) for d, v in want.items())
-        got = evaluate.conditional_stage_costs(spec, design.act, t)
+        got = evaluate.conditional_stage_costs(spec, design, t)
         want = conditional_stage_costs_reference(spec, design.act, t)
         assert list(got) == list(want)
         assert all(type(got[d]) is float and _bits(got[d]) == _bits(v)
                    for d, v in want.items())
     for t in range(2, T + 2):
-        got = evaluate.conditional_phi(spec, design.act, t)
+        got = evaluate.conditional_phi(spec, design, t)
         want = conditional_phi_reference(spec, design.act, t)
         assert list(got) == list(want)
         assert all(_bits(got[d]) == _bits(v) for d, v in want.items())
