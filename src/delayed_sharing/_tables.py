@@ -22,9 +22,8 @@ from .model import ProblemSpec
 # (state, action, next state, observation tuple) block, a gather of the
 # forward expansion (coordinator._expand_nodes: group nodes times assignment
 # rows times the larger of gathered triples and next states; build_graph's
-# node blocks let one assignment row of a block fit and bound the (Theta, r)
-# memo per row and symbol; new nodes get images in row blocks of nodes times
-# belief entries), a row block of the stage backup (nodes times a belief's
+# node blocks let one assignment row of a block fit; new nodes get images in
+# row blocks of nodes times belief entries), a row block of the stage backup (nodes times a belief's
 # entries, its cost tensor and its totals) and of the terminal minimization
 # (beliefs times the behavior sums of all but the last controller).  Larger
 # batches run in row blocks, so memory stays flat; readers look it up at call

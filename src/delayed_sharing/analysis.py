@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluate, generate
+from ._tables import tables
 from .coordinator import (PiBelief, belief_update, initial_belief, solve_dp,
                           solve_on_graph, value_at)
 from .errors import DomainError, PreconditionError
@@ -27,7 +28,8 @@ from .second_form import reachable_graph2
 
 PHI_MATCH_TOL = 1e-12     # equal-statistic bucketing
 PHI_GAP_TOL = 1e-6        # a violation must clear this, far above bucket noise
-CONCAVITY_TOL = 1e-9
+CONCAVITY_TOL = 1e-9      # value-of-mixture slack
+EXACT_TOL = 1e-12         # factorization and point-mass errors
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +44,12 @@ class ConcavityReport:
     passed: bool
 
 
-def concavity_probe(spec: ProblemSpec, samples: int, seed: int,
-                    *, tol: float = CONCAVITY_TOL) -> ConcavityReport:
+def concavity_probe(spec: ProblemSpec, samples: int, seed: int) -> ConcavityReport:
     """Sample mixture triples per stage and check the value of the mixture
     is never below the mixture of values (minus tolerance)."""
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     spec = normalize_problem(spec)
-    from ._tables import tables
     min_slack: dict[int, float] = {}
     for t in range(1, spec.T + 1):
         dim = tables(spec).stage[t].state_count
@@ -66,7 +66,7 @@ def concavity_probe(spec: ProblemSpec, samples: int, seed: int,
             worst = min(worst, vm - (lam * v1 + (1.0 - lam) * v2))
         min_slack[t] = float(worst)
     return ConcavityReport(seed, samples,
-                           min_slack, all(s >= -tol for s in min_slack.values()))
+                           min_slack, all(s >= -CONCAVITY_TOL for s in min_slack.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +118,17 @@ def _flipped_design(spec: ProblemSpec, design: Design) -> Design:
     return flipped
 
 
-def check_one_step_factorization(spec: ProblemSpec, design: Design,
-                                 design2: Design | None = None,
-                                 *, tol: float = 1e-12) -> FactorizationReport:
+def check_one_step_factorization(spec: ProblemSpec,
+                                 design: Design) -> FactorizationReport:
     """Under delay 1, at every reachable shared history: (a) the belief-form
     information state factorizes into the observation likelihoods times the
     previous-state conditional, and (b) that conditional is identical under a
-    second design wherever both designs reach the history."""
+    second design (the first with one first-stage entry flipped) wherever
+    both designs reach the history."""
     spec = normalize_problem(spec)
     if spec.n != 1:
         raise PreconditionError(f"factorization probe needs delay 1, got n={spec.n}")
-    if design2 is None:
-        design2 = _flipped_design(spec, design)
-    from ._tables import tables
+    design2 = _flipped_design(spec, design)
     checked = 0
     overlap = 0
     max_prod = 0.0
@@ -153,7 +151,7 @@ def check_one_step_factorization(spec: ProblemSpec, design: Design,
                 max_indep = max(max_indep, float(
                     np.abs(x_dist_1[delta] - x_dist_2[delta]).max()))
     return FactorizationReport(checked, overlap, max_prod, max_indep,
-                               max_prod <= tol and max_indep <= tol)
+                               max_prod <= EXACT_TOL and max_indep <= EXACT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +197,7 @@ def projection_violation(spec: ProblemSpec,
 
 
 def check_aicardi_degenerate(spec: ProblemSpec,
-                             factor_sizes: tuple[int, ...],
-                             *, tol: float = 1e-12) -> AicardiReport:
+                             factor_sizes: tuple[int, ...]) -> AicardiReport:
     """On a product-state instance where every controller's observation is an
     exact projection of its subsystem coordinate: past the delay, the
     delayed-state belief is a point mass at every reachable node, the node
@@ -228,7 +225,7 @@ def check_aicardi_degenerate(spec: ProblemSpec,
             seen[key] = node.node_id
     vt1, _ = solve_dp(spec)
     vt2, _ = solve_on_graph(graph2)
-    passed = (worst <= tol and structural
+    passed = (worst <= EXACT_TOL and structural
               and abs(vt1.optimal_cost - vt2.optimal_cost) <= 1e-9)
     return AicardiReport(nodes_checked, worst, structural,
                          vt1.optimal_cost, vt2.optimal_cost, passed)

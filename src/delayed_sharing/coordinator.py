@@ -455,13 +455,13 @@ def build_graph(spec: ProblemSpec, kind: str, root, pi_of, base_of,
     pi_of(states) lists the belief-form images (PiBelief) of same-stage
     information states; base_of(node) is the node's base sets (see
     _expand_nodes).  successor_rule(t), called once per stage next to the
-    stage's dedup index, returns rule(block) -> children(z, visible, rows,
-    ranks, M, pz) -> (keys, state_of): given a batch of branches as
-    _expand_nodes passes it (rows index the block), each branch's dedup key
-    among stage t+1's states, and state_of(i), the information state branch
-    i leads to, called only for a key new to the graph.  Branch tables are
-    keyed by the action assignment on the visible realizations, which
-    covers every profile choice exactly.
+    stage's dedup index, returns children(block, z, visible, rows, ranks, M,
+    pz) -> (keys, state_of): given a block of nodes and a batch of its
+    branches as _expand_nodes passes it (rows index the block), each
+    branch's dedup key among stage t+1's states, and state_of(i), the
+    information state branch i leads to, called only for a key new to the
+    graph.  Branch tables are keyed by the action assignment on the visible
+    realizations, which covers every profile choice exactly.
 
     Stage t is expanded in blocks of nodes, sized by _tables._BLOCK_ENTRIES
     so that one assignment's gather over a whole block fits.  A block's
@@ -491,7 +491,7 @@ def build_graph(spec: ProblemSpec, kind: str, root, pi_of, base_of,
     add(root.t, [root])
     for t in range(1, spec.T):
         index: dict = {}    # key -> id of the stage-(t+1) nodes so far
-        rule = successor_rule(t)
+        children = successor_rule(t)
         st = tables(spec).stage[t]
         row_cost = max(state_count(spec, t + 1),
                        st.state_count * int(st.step_arrays(spec)[1].max()), 1)
@@ -499,7 +499,7 @@ def build_graph(spec: ProblemSpec, kind: str, root, pi_of, base_of,
         nodes = graph.stages[t]
         for lo in range(0, len(nodes), size):
             block = nodes[lo:lo + size]
-            _expand_block(graph, block, base_of, rule(block), index, add, max_nodes)
+            _expand_block(graph, block, base_of, children, index, add, max_nodes)
     for node in graph.stages[spec.T]:
         graph.expansions.setdefault(node.node_id, {})
     return graph
@@ -531,7 +531,7 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
     slots: list[list] = []      # per slot: [first order, key, state]
 
     def children(z, visible, rows, ranks, M, pz):
-        keys, state_of = children_of(z, visible, rows, ranks, M, pz)
+        keys, state_of = children_of(block, z, visible, rows, ranks, M, pz)
         zr = common_obs_rank(spec, z)
         # one pass over the keys: each distinct key's first branch (the
         # batch is in per-node order) and each branch's first branch
@@ -589,11 +589,11 @@ def belief_successors(key_rows):
     with one key_rows call and one tobytes per row; a PiBelief is made, on a
     copied row, only for a key new to the graph."""
     def successor_rule(t):
-        def children(z, visible, rows, ranks, M, pz):
+        def children(block, z, visible, rows, ranks, M, pz):
             P = np.divide(M, pz[:, None], out=M)
             return ([row.tobytes() for row in key_rows(P)],
                     lambda i: PiBelief(t + 1, P[i].copy()))
-        return lambda block: children
+        return children
     return successor_rule
 
 
@@ -760,11 +760,6 @@ def solve_dp(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES
 # Strategy extraction
 # ---------------------------------------------------------------------------
 
-# The _cache verdict of a shared history the policy's own branches never
-# produce; node ids are non-negative.
-_OFF_DESIGN = -1
-
-
 @dataclass
 class ExtractedDesign:
     """The per-controller strategy induced by a solved coordinator policy.
@@ -775,13 +770,12 @@ class ExtractedDesign:
     histories consistent with the policy.
 
     Caching: each located node's prescription profile is decoded once, on
-    first use, and kept per (t, node) for both acting and replay.  Every
-    shared history's verdict is kept in _cache: the located node id, or
-    _OFF_DESIGN for a history the policy rejects, which raises
-    OffDesignHistoryError again on every later call without another replay.
-    A time outside [1, T] (DomainError) or a history of the wrong length is
-    rejected before the cache is read.  Nothing is stored per (history,
-    private rank) entry.
+    first use, and kept per (t, node) for both acting and replay, and each
+    on-design shared history's node id is kept in _cache.  A history the
+    policy rejects is not kept: every call on it replays and raises
+    OffDesignHistoryError.  A time outside [1, T] (DomainError) or a history
+    of the wrong length is rejected before the cache is read.  Nothing is
+    stored per (history, private rank) entry.
 
     Tabulating: stage_tables gives whole stage tables from the policy's
     on-design rows, one graph.child call per (on-design node, shared
@@ -813,24 +807,15 @@ class ExtractedDesign:
             return 0
         key = (t, delta)
         hit = self._cache.get(key)
-        if hit is not None:
-            if hit == _OFF_DESIGN:
-                raise OffDesignHistoryError(
-                    f"shared history {delta} at t={t} is off the design")
-            return hit
-        if t <= self.spec.n:
-            parent_delta, z_rank = delta, 0
-        else:
-            parent_delta, z_rank = delta[:-1], delta[-1]
-        try:
+        if hit is None:
+            if t <= self.spec.n:
+                parent_delta, z_rank = delta, 0
+            else:
+                parent_delta, z_rank = delta[:-1], delta[-1]
             parent = self._locate(t - 1, parent_delta)
-            child, _ = self.policy.graph.child(
-                parent, self._profile(t - 1, parent), z_rank)
-        except OffDesignHistoryError:
-            self._cache[key] = _OFF_DESIGN
-            raise
-        self._cache[key] = child
-        return child
+            hit = self._cache[key] = self.policy.graph.child(
+                parent, self._profile(t - 1, parent), z_rank)[0]
+        return hit
 
     def act(self, k: int, t: int, lam_rank: int, delta: tuple[int, ...]) -> int:
         return self._profile(t, self._locate(t, delta)).gammas[k].table[lam_rank]
@@ -845,13 +830,14 @@ class ExtractedDesign:
         gather of the located nodes' decoded prescriptions into those rows;
         every other row keeps action 0."""
         spec, graph = self.spec, self.policy.graph
+        off = -1        # no child: node ids are non-negative
         radix = histories.common_obs_count(spec, spec.n + 1) if spec.T > spec.n else 1
         rows, nodes = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
         tables: list[list[np.ndarray]] = [[] for _ in range(spec.K)]
         for t in range(1, spec.T + 1):
             if t > 1:
                 symbols = radix if t > spec.n else 1
-                children = np.full((len(distinct), symbols), _OFF_DESIGN, dtype=np.int64)
+                children = np.full((len(distinct), symbols), off, dtype=np.int64)
                 for i, node in enumerate(distinct.tolist()):
                     profile = self._profile(t - 1, node)
                     for z in range(symbols):
@@ -860,7 +846,7 @@ class ExtractedDesign:
                         except OffDesignHistoryError:
                             pass
                 children = children[at]
-                on = children != _OFF_DESIGN
+                on = children != off
                 rows = (rows[:, None] * symbols + np.arange(symbols))[on]
                 nodes = children[on]
             distinct, at = np.unique(nodes, return_inverse=True)

@@ -16,7 +16,7 @@ from typing import Any, Iterator, Protocol
 import numpy as np
 
 from .errors import DomainError
-from .model import JointAction, ProblemSpec, window
+from .model import JointAction, ProblemSpec
 
 
 # ---------------------------------------------------------------------------
@@ -34,9 +34,12 @@ class PrivateInfo:
 
 
 def private_sizes(spec: ProblemSpec, k: int, t: int) -> tuple[int, int]:
-    """(#observations, #own actions) in the private window at time t."""
-    win = window(spec, t)
-    return len(win.obs_range), len(win.act_range)
+    """(#observations, #own actions) in the private window at time t: the
+    stages max(1, t-n+1)..t and ..t-1 (model.window), min(t, n) of them and
+    one fewer."""
+    if not 1 <= t <= spec.T:
+        raise DomainError(f"t={t} outside horizon [1, {spec.T}]")
+    return min(t, spec.n), min(t, spec.n) - 1
 
 
 def private_count(spec: ProblemSpec, k: int, t: int) -> int:

@@ -12,12 +12,13 @@ map back to the belief-form information state is a forward reconstruction
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import histories, minimize
+from . import histories
 from ._tables import tables
 from .errors import DomainError, UnreachableObservationError
 from .coordinator import (DEFAULT_MAX_NODES, ExtractedDesign, InfoGraph,
@@ -318,48 +319,51 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
     applies.
 
     At delay 2 or more those are the realizations the substitution keeps, in
-    table order, equally many at every branch of a stage, so a child's newest
-    suffix part is the digits of its controller's assignment rank.  Per
-    stage, child Thetas (one per parent Theta and symbol) and aged parts get
-    ints; a key is (Theta id, aged ids, ranks), at delay 1 the Theta id.
+    table order, equally many under every symbol, so a child's newest suffix
+    parts are the digits of its assignment rank and every branch of a stage
+    has the same number of assignments, combos.  Per stage, each (node,
+    symbol) gets its child Theta (one per parent Theta and symbol), aged
+    parts and a head id, one int per distinct (child Theta key, aged parts);
+    a branch's key is head * combos + rank, at delay 1 the head alone.
     """
     spec = normalize_problem(spec)
     full = {t: tuple(tuple(range(L)) for L in st.L)
             for t, st in tables(spec).stage.items()}
 
     def successor_rule(t):
-        ids: list[dict] = [{} for _ in range(spec.K + 1)]   # Theta keys, aged parts
         thetas: dict = {}   # (parent Theta, symbol rank) -> child Theta
+        heads: dict = {}    # (child Theta key, aged parts) -> head id
+        memo: dict = {}     # (node id, symbol rank) -> child Theta, aged parts, head id
 
-        def block_rule(block):
-            memo: dict = {}   # (row, symbol) -> Theta, [(aged, parts by rank)], ids
+        def children(block, z, visible, rows, ranks, M, pz):
+            zr = common_obs_rank(spec, z)
+            uniq, inv = np.unique(rows, return_inverse=True)
+            at = []
+            for j in uniq.tolist():
+                state, hit = block[j].state, memo.get((block[j].node_id, zr))
+                if hit is None:
+                    theta = thetas.get((state.theta, zr)) or thetas.setdefault(
+                        (state.theta, zr), theta_update(spec, state.theta, z))
+                    aged = tuple(_aged_parts(spec, rs, z) for rs in state.r)
+                    hit = memo[(block[j].node_id, zr)] = (
+                        theta, aged, heads.setdefault((theta.key, aged), len(heads)))
+                at.append(hit)
+            keys = np.array([hit[2] for hit in at], dtype=np.int64)[inv]
+            radix = [spec.u_size[k] for k in range(spec.K) for _ in visible[k]]
+            if spec.n > 1:
+                keys = keys * math.prod(radix) + ranks
+            cuts = np.cumsum([0, *map(len, visible)]).tolist()
 
-            def children(z, visible, rows, ranks, M, pz):
-                zr = common_obs_rank(spec, z)
-                uniq, inv = np.unique(rows, return_inverse=True)
-                for j in uniq.tolist():
-                    if (j, zr) not in memo:
-                        state = block[j].state
-                        theta = thetas.get((state.theta, zr)) or thetas.setdefault(
-                            (state.theta, zr), theta_update(spec, state.theta, z))
-                        aged = [_aged_parts(spec, rs, z) for rs in state.r]
-                        memo[(j, zr)] = (theta, [(part, {}) for part in aged], [
-                            ids[i].setdefault(key, len(ids[i]))
-                            for i, key in enumerate([theta.key, *aged])])
-                heads = [memo[(j, zr)] for j in uniq.tolist()]
-                cols = np.array([h[2] for h in heads])[inv].T.tolist()
-                if spec.n == 1:
-                    return cols[0], lambda i: ThetaRState(heads[inv[i]][0], tuple(
-                        RSuffix(k, t + 1, ()) for k in range(spec.K)))
-                digits = [minimize._digit_tables(spec.u_size[k], len(visible[k]))
-                          for k in range(spec.K)]
-                per_k = [a.tolist() for a in np.unravel_index(ranks, [len(d) for d in digits])]
-                return list(zip(*cols, *per_k)), lambda i: ThetaRState(heads[inv[i]][0], tuple(
-                    RSuffix(k, t + 1, by_rank.setdefault(per_k[k][i], part + (
-                        tuple(digits[k][per_k[k][i]].tolist()),)))
-                    for k, (part, by_rank) in enumerate(heads[inv[i]][1])))
-            return children
-        return block_rule
+            def state_of(i):
+                theta, aged, _ = at[inv[i]]
+                if spec.n > 1:      # newest parts: the digits of the assignment
+                    digits = [int(d) for d in np.unravel_index(int(ranks[i]), radix)]
+                    aged = tuple(part + (tuple(digits[a:b]),)
+                                 for part, a, b in zip(aged, cuts, cuts[1:]))
+                return ThetaRState(theta, tuple(RSuffix(k, t + 1, part)
+                                                for k, part in enumerate(aged)))
+            return keys.tolist(), state_of
+        return children
 
     return build_graph(spec, "theta_r", initial_state(spec),
                        lambda states: h_map_block(spec, states),

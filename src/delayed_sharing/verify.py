@@ -16,13 +16,15 @@ import numpy as np
 
 from . import analysis, evaluate, minimize
 from .coordinator import (PiBelief, add_continuation, alpha_backup,
-                          extract_design, initial_belief, reachable_graph,
-                          solve_on_graph, state_count, value_at)
+                          expected_stage_cost, extract_design, initial_belief,
+                          reachable_graph, solve_on_graph, state_count,
+                          value_at)
 from .errors import BudgetError
 from .histories import common_obs_space, random_design
 from .model import ProblemSpec, normalize_problem
-from .second_form import (ThetaRState, extract_design2, initial_state,
-                          r_update, reachable_graph2, theta_update)
+from .second_form import (ThetaRState, extract_design2, h_map_block,
+                          initial_state, r_update, reachable_graph2,
+                          theta_update)
 
 PI_TOL = 1e-12
 DP_TOL = 1e-9
@@ -74,8 +76,6 @@ def replay_theta_r(spec: ProblemSpec, design, t: int,
 def recursion_errors(spec: ProblemSpec, design) -> tuple[float, float, float, float]:
     """(belief recursion vs Bayes, theta recursion vs Bayes, h_map vs Bayes,
     cost collapse) max errors along every history reachable under design."""
-    from .second_form import h_map_block
-    from .coordinator import expected_stage_cost
     max_pi = max_th = max_h = max_cost = 0.0
     for t in range(1, spec.T + 1):
         dists = evaluate.conditional_state_dists(spec, design, t)

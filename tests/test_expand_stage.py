@@ -286,25 +286,19 @@ def test_stage_blocks_match_per_node_expansion(seed, K, n, deterministic, rule,
 
 
 def _logged(spec, successor_rule, log):
-    """successor_rule, logging each batch as (stage, block number, keys,
-    each branch's per-node order (block row, symbol rank, assignment
-    rank))."""
-    blocks = itertools.count()
-
+    """successor_rule, logging each batch as (stage, block number (its first
+    node id), keys, each branch's per-node order (block row, symbol rank,
+    assignment rank))."""
     def rule_at(t):
-        rule = successor_rule(t)
+        children = successor_rule(t)
 
-        def block_rule(block):
-            children, number = rule(block), next(blocks)
-
-            def spy(z, visible, rows, ranks, M, pz):
-                keys, state_of = children(z, visible, rows, ranks, M, pz)
-                zr = common_obs_rank(spec, z)
-                log.append((t, number, keys,
-                            [(j, zr, r) for j, r in zip(rows, ranks.tolist())]))
-                return keys, state_of
-            return spy
-        return block_rule
+        def spy(block, z, visible, rows, ranks, M, pz):
+            keys, state_of = children(block, z, visible, rows, ranks, M, pz)
+            zr = common_obs_rank(spec, z)
+            log.append((t, block[0].node_id, keys,
+                        [(j, zr, r) for j, r in zip(rows, ranks.tolist())]))
+            return keys, state_of
+        return spy
     return rule_at
 
 

@@ -328,36 +328,34 @@ def _per_edge_graph2(spec):
         return tuple(tuple(range(private_count(spec, k, node.t)))
                      for k in range(spec.K))
 
-    def block_rule(block):
-        def children(z, visible, rows, ranks, M, pz):
-            shapes = [(spec.u_size[k],) * len(visible[k]) for k in range(spec.K)]
-            flat = np.unravel_index(ranks, [spec.u_size[k] ** len(visible[k])
-                                            for k in range(spec.K)])
-            states = []
-            for i, j in enumerate(rows):
-                node = block[j]
-                digits = [[int(d) for d in np.unravel_index(flat[k][i], shapes[k])]
-                          for k in range(spec.K)]
-                rep = embedded_profile(spec, node.t, visible, digits)
-                states.append(ThetaRState(
-                    theta_update(spec, node.state.theta, z),
-                    tuple(r_update(spec, node.state.r[k], rep.gammas[k], z)
-                          for k in range(spec.K))))
-            return [state_key(state) for state in states], states.__getitem__
-        return children
+    def children(block, z, visible, rows, ranks, M, pz):
+        shapes = [(spec.u_size[k],) * len(visible[k]) for k in range(spec.K)]
+        flat = np.unravel_index(ranks, [spec.u_size[k] ** len(visible[k])
+                                        for k in range(spec.K)])
+        states = []
+        for i, j in enumerate(rows):
+            node = block[j]
+            digits = [[int(d) for d in np.unravel_index(flat[k][i], shapes[k])]
+                      for k in range(spec.K)]
+            rep = embedded_profile(spec, node.t, visible, digits)
+            states.append(ThetaRState(
+                theta_update(spec, node.state.theta, z),
+                tuple(r_update(spec, node.state.r[k], rep.gammas[k], z)
+                      for k in range(spec.K))))
+        return [state_key(state) for state in states], states.__getitem__
 
     return build_graph(spec, "theta_r", initial_state(spec),
                        lambda states: [h_map(spec, state) for state in states],
-                       base_of, lambda t: block_rule,
+                       base_of, lambda t: children,
                        max_nodes=DEFAULT_MAX_NODES)
 
 
-# Delay 1 (the key is the child Theta alone; det_n1 merges branches).
-# Delay 3 (two suffix parts, so r_update reads the old suffix), one
-# controller that acts and one that observes: the successor's suffix memo
-# must be kept per block row.  A three-action controller (base-3 digit
-# rows, at delay 2 and 3) and three controllers check the digit order of
-# the newest suffix part.
+# Delay 1 (the key is the child Theta's head id alone; det_n1 merges
+# branches).  Delay 3 (two suffix parts, so r_update reads the old suffix),
+# one controller that acts and one that observes: the head memo must be kept
+# per (node, symbol), not per parent Theta.  A three-action controller
+# (base-3 digits, at delay 2 and 3) and three controllers check the digit
+# order of the newest suffix part.
 _SECOND_FORM_CASES = {
     "det_n1": (2, 4, 1, 2, (2, 2), (2, 2), 5, True),
     "det_n2": (2, 4, 2, 2, (2, 2), (2, 2), 5, True),
@@ -369,16 +367,19 @@ _SECOND_FORM_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", ["io", "i1", "i2", "ia", *_SECOND_FORM_CASES])
-def test_per_node_successor_gives_the_per_edge_graph(name, solved):
-    """reachable_graph2's block successor rule against one from-scratch
-    successor per edge, for one node per block, an odd block cap and the
-    default: node ids, state keys, belief bytes and branch tables."""
+def _case_spec(name, solved):
     if name in _SECOND_FORM_CASES:
         *shape, seed, det = _SECOND_FORM_CASES[name]
-        spec = normalize_problem(random_instance(*shape, seed, deterministic=det))
-    else:
-        spec = solved[name]["spec"]
+        return normalize_problem(random_instance(*shape, seed, deterministic=det))
+    return solved[name]["spec"]
+
+
+@pytest.mark.parametrize("name", ["io", "i1", "i2", "ia", *_SECOND_FORM_CASES])
+def test_per_node_successor_gives_the_per_edge_graph(name, solved):
+    """reachable_graph2's successor rule against one from-scratch successor
+    per edge, for one node per block, an odd block cap and the default: node
+    ids, state keys, belief bytes and branch tables."""
+    spec = _case_spec(name, solved)
     want = _per_edge_graph2(spec)
     for entries in (1, 999, _tables._BLOCK_ENTRIES):
         with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
@@ -397,6 +398,23 @@ def test_per_node_successor_gives_the_per_edge_graph(name, solved):
                 assert ztab.shape == other.shape
                 for col in ("rank", "pz", "child"):
                     assert getattr(ztab, col).tobytes() == getattr(other, col).tobytes()
+
+
+@pytest.mark.parametrize("name", ["i2", "ia", *(
+    name for name, case in _SECOND_FORM_CASES.items() if case[2] >= 2)])
+def test_branch_tables_of_a_stage_share_one_shape(name, solved):
+    """At delay 2 or more every branch table of a (Theta, r) stage has one
+    shape: its visible sets are the realizations consistent with the symbol,
+    equally many under every symbol.  That makes reachable_graph2's key,
+    head id times the stage's assignment count plus the assignment rank,
+    one-to-one on (head, rank)."""
+    spec = _case_spec(name, solved)
+    assert spec.n >= 2
+    graph = reachable_graph2(spec)
+    shapes = {t: {ztab.shape for node in nodes
+                  for ztab in graph.expansions[node.node_id].values()}
+              for t, nodes in graph.stages.items() if t < spec.T}
+    assert all(len(per) == 1 for per in shapes.values()), shapes
 
 
 def test_graph2_golden_counts(solved):
