@@ -23,11 +23,13 @@ from .model import ProblemSpec
 # forward expansion (coordinator._expand_nodes: group nodes times assignment
 # rows times the larger of gathered triples and next states; build_graph's
 # node blocks let one assignment row of a block fit; new nodes get images in
-# row blocks of nodes times belief entries), a row block of the stage backup (nodes times a belief's
-# entries, its cost tensor and its totals) and of the terminal minimization
-# (beliefs times the behavior sums of all but the last controller).  Larger
-# batches run in row blocks, so memory stays flat; readers look it up at call
-# time, so one patch reaches all.
+# row blocks of nodes times belief entries), the support sets of
+# coordinator._read_supports (beliefs times belief entries), a row block of
+# the stage backup (nodes times a belief's entries, its cost tensor and its
+# totals) and of the terminal minimization (beliefs times the behavior sums
+# of all but the last controller).  Larger batches run in row blocks, so
+# memory stays flat; readers look it up at call time, so one patch reaches
+# all.
 _BLOCK_ENTRIES = 1 << 16
 
 

@@ -351,14 +351,13 @@ def kurtaran_witness_search(spec: ProblemSpec, design: Design
     return KurtaranReport(histories_per_t, groups, comparisons, None)
 
 
-def kurtaran_random_search(count: int, seed: int, *, T: int = 4
-                           ) -> list[KurtaranReport]:
+def kurtaran_random_search(count: int, seed: int) -> list[KurtaranReport]:
     """The randomized protocol: seeded random binary (instance, design)
-    pairs at delay 2, each searched to completion."""
+    pairs at delay 2 and horizon 4, each searched to completion."""
     reports = []
     for i in range(count):
         spec = normalize_problem(generate.random_instance(
-            2, T, 2, 2, (2, 2), (2, 2), seed=(seed * 1000 + i)))
+            2, 4, 2, 2, (2, 2), (2, 2), seed=(seed * 1000 + i)))
         design = random_design(spec, seed * 2000 + i)
         reports.append(kurtaran_witness_search(spec, design))
     return reports

@@ -35,6 +35,7 @@ from .histories import (CommonObs, CoordinatorPolicy, GammaProfile,
 from .model import ProblemSpec, normalize_problem
 
 DEFAULT_MAX_NODES = 200_000
+DEFAULT_MAX_ALPHA_VECTORS = 50_000
 
 # Beliefs are deduplicated on a 1e-9 grid: quantized keys merge anything
 # within half a grid step, which absorbs float noise while leaving genuinely
@@ -862,7 +863,7 @@ class ExtractedDesign:
 
 
 def extract_design(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDesign:
-    if policy.kind != "belief" or policy.graph is None:
+    if policy.kind != "belief":
         raise DomainError("policy was not solved on a reachable-belief graph")
     return ExtractedDesign(normalize_problem(spec), policy)
 
@@ -998,51 +999,43 @@ def _symbol_maps(spec: ProblemSpec, t: int,
     return out
 
 
-def alpha_backup(spec: ProblemSpec, *, prune: bool = True,
-                 max_vectors: int = 50_000) -> AlphaSet:
+def alpha_backup(spec: ProblemSpec) -> AlphaSet:
     """Exact backward construction of the piecewise-linear value pieces.
 
     Per profile, the continuation pieces are cross-summed across shared
     symbols (choices of a continuation piece per symbol are independent, so
     pruning between cross-sums preserves the envelope exactly).  Growth is
-    exponential in general; the budget aborts rather than thrash.
+    exponential in general; DEFAULT_MAX_ALPHA_VECTORS aborts rather than
+    thrash.
     """
     spec = normalize_problem(spec)
-    if profile_count(spec, spec.T) > max_vectors:
+    budget = DEFAULT_MAX_ALPHA_VECTORS
+    if profile_count(spec, spec.T) > budget:
         raise BudgetError(
             f"terminal family needs {profile_count(spec, spec.T)} pieces "
-            f"(budget {max_vectors})")
-    sets: dict[int, np.ndarray] = {}
-    A = _stage_alpha_vectors(spec, spec.T)
-    if prune:
-        A = _prune_pointwise(A)
-    sets[spec.T] = A
+            f"(budget {budget})")
+    sets = {spec.T: _prune_pointwise(_stage_alpha_vectors(spec, spec.T))}
     for t in range(spec.T - 1, 0, -1):
         st = tables(spec).stage[t]
         count = profile_count(spec, t)
-        if count > max_vectors:
-            raise BudgetError(f"stage t={t} has {count} profiles (budget {max_vectors})")
+        if count > budget:
+            raise BudgetError(f"stage t={t} has {count} profiles (budget {budget})")
         stage_rows = _stage_alpha_vectors(spec, t)
         new_rows: list[np.ndarray] = []
         for g_idx, profile in enumerate(histories.gamma_profiles(spec, t)):
             S = stage_rows[g_idx][None, :]
             for M in _symbol_maps(spec, t, profile).values():
-                G = sets[t + 1] @ M.T
-                if prune:
-                    G = _prune_pointwise(G)
+                G = _prune_pointwise(sets[t + 1] @ M.T)
                 S = (S[:, None, :] + G[None, :, :]).reshape(-1, st.state_count)
-                if len(S) > max_vectors:
+                if len(S) > budget:
                     raise BudgetError(
                         f"cross-sum at t={t} grew to {len(S)} pieces "
-                        f"(budget {max_vectors})")
-                if prune:
-                    S = _prune_pointwise(S)
+                        f"(budget {budget})")
+                S = _prune_pointwise(S)
             new_rows.append(S)
-        A = np.concatenate(new_rows, axis=0)
-        if prune:
-            A = _prune_pointwise(A)
-        if len(A) > max_vectors:
+        A = _prune_pointwise(np.concatenate(new_rows, axis=0))
+        if len(A) > budget:
             raise BudgetError(f"family at t={t} has {len(A)} pieces "
-                              f"(budget {max_vectors})")
+                              f"(budget {budget})")
         sets[t] = A
     return AlphaSet(sets)

@@ -30,6 +30,7 @@ from .model import ProblemSpec, normalize_problem
 
 DEFAULT_MAX_PATHS = 10_000_000
 DEFAULT_ORACLE_BUDGET = 10_000_000
+DEFAULT_MAX_DESIGN_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,9 @@ def _expand(mask: np.ndarray, max_paths: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _path_table(spec: ProblemSpec, design: Design | ActionFn, t_max: int,
-                include_final_step: bool, max_paths: int) -> _Paths:
+                final_step: bool, max_paths: int) -> _Paths:
     """The paths up to t_max (observations only at the last stage when
-    include_final_step is false), built stage by stage: each row expands
+    final_step is false), built stage by stage: each row expands
     over its positive observations, controller 0 first, then, having acted,
     over its positive next states.  C order keeps the rows depth-first, and
     weights are multiplied factor by factor in trajectory order.  Kernel
@@ -109,7 +110,7 @@ def _path_table(spec: ProblemSpec, design: Design | ActionFn, t_max: int,
     checking each one against max_paths checks the path count."""
     if not 1 <= t_max <= spec.T:
         raise DomainError(f"t_max={t_max} outside [1, {spec.T}]")
-    acted = t_max if include_final_step else t_max - 1
+    acted = t_max if final_step else t_max - 1
     _, x0 = _expand(spec.x0_dist[None] > 0.0, max_paths)
     weight = spec.x0_dist[x0]
     xs = np.zeros((len(x0), acted + 1), dtype=np.int32)
@@ -217,16 +218,14 @@ def _act(spec: ProblemSpec, design: Design | ActionFn, t: int,
 
 
 def iter_paths(spec: ProblemSpec, design: Design | ActionFn, *,
-               t_max: int | None = None, include_final_step: bool = True,
-               max_paths: int = DEFAULT_MAX_PATHS) -> Iterator[PathRecord]:
-    """Every positive-probability trajectory prefix up to t_max
-    (observations only at the last stage when include_final_step is false)
-    in depth-first order: the rows of the path table, which is built in
-    full, and checked against max_paths, before this returns.  design is a
+               t_max: int | None = None) -> Iterator[PathRecord]:
+    """Every positive-probability trajectory prefix up to t_max in
+    depth-first order: the rows of the path table, which is built in full,
+    and checked against DEFAULT_MAX_PATHS, before this returns.  design is a
     Design or its act function."""
     spec = normalize_problem(spec)
     paths = _path_table(spec, design, spec.T if t_max is None else t_max,
-                        include_final_step, max_paths)
+                        True, DEFAULT_MAX_PATHS)
     ys = [part.tolist() for part in np.unravel_index(paths.ys, spec.y_size)]
     us = [part.tolist() for part in np.unravel_index(paths.us, spec.u_size)]
     rows = zip(paths.weight.tolist(), paths.xs.tolist(), zip(*ys), zip(*us),
@@ -406,12 +405,11 @@ def brute_force_optimum(spec: ProblemSpec, *,
     return best, best_design
 
 
-def materialize_design(spec: ProblemSpec, design: Design, *,
-                       max_entries: int = 1_000_000) -> ExtensionalDesign:
+def materialize_design(spec: ProblemSpec, design: Design) -> ExtensionalDesign:
     """Tabulate any design over the full (shared history, private rank)
     product domain, in fresh arrays the caller may write into.  Refused
     (BudgetError) before any table is allocated when the entries exceed
-    max_entries.  A design with stage_tables (ExtensionalDesign,
+    DEFAULT_MAX_DESIGN_ENTRIES.  A design with stage_tables (ExtensionalDesign,
     ExtractedDesign) hands its tables over whole; any other is asked entry
     by entry through act.  Histories the design rejects (off-policy for a
     replayed strategy) get action 0; they never occur under the design
@@ -420,8 +418,9 @@ def materialize_design(spec: ProblemSpec, design: Design, *,
     spec = normalize_problem(spec)
     total = sum(histories.delta_count(spec, t) * histories.private_count(spec, k, t)
                 for k in range(spec.K) for t in range(1, spec.T + 1))
-    if total > max_entries:
-        raise BudgetError(f"design table needs {total} entries (budget {max_entries})")
+    if total > DEFAULT_MAX_DESIGN_ENTRIES:
+        raise BudgetError(f"design table needs {total} entries "
+                          f"(budget {DEFAULT_MAX_DESIGN_ENTRIES})")
     stage_tables = getattr(design, "stage_tables", None)
     if stage_tables is not None:
         return ExtensionalDesign(spec, stage_tables())
@@ -430,17 +429,12 @@ def materialize_design(spec: ProblemSpec, design: Design, *,
     for k in range(spec.K):
         per_k = []
         for t in range(1, spec.T + 1):
-            rows = histories.delta_count(spec, t)
             cols = histories.private_count(spec, k, t)
-            tab = np.zeros((rows, cols), dtype=np.int64)
-            length = histories.delta_length(spec, t)
-            for row in range(rows):
-                digits = []
-                rest = row
-                for _ in range(length):
-                    digits.append(rest % radix)
-                    rest //= radix
-                delta = tuple(reversed(digits))
+            tab = np.zeros((histories.delta_count(spec, t), cols), dtype=np.int64)
+            # shared histories in rank order (histories.delta_rank)
+            deltas = itertools.product(range(radix),
+                                       repeat=histories.delta_length(spec, t))
+            for row, delta in enumerate(deltas):
                 for lam in range(cols):
                     try:
                         tab[row, lam] = design.act(k, t, lam, delta)
@@ -453,7 +447,7 @@ def materialize_design(spec: ProblemSpec, design: Design, *,
 
 # ---------------------------------------------------------------------------
 # Conditional oracles over shared histories (design: a Design or its act
-# function, as for iter_paths)
+# function, as for iter_paths; paths checked against DEFAULT_MAX_PATHS)
 # ---------------------------------------------------------------------------
 
 def _by_history(spec: ProblemSpec, paths: _Paths,
@@ -467,13 +461,12 @@ def _by_history(spec: ProblemSpec, paths: _Paths,
     return [tuple(zs[i].tolist()) for i in first[order]], np.argsort(order)[ids]
 
 
-def conditional_state_dists(spec: ProblemSpec, design: Design | ActionFn, t: int,
-                            *, max_paths: int = DEFAULT_MAX_PATHS
+def conditional_state_dists(spec: ProblemSpec, design: Design | ActionFn, t: int
                             ) -> dict[tuple[int, ...], tuple[float, np.ndarray]]:
     """Per positive-probability shared history at time t: its probability and
     the exact conditional over joint-state ranks, straight from path sums."""
     spec = normalize_problem(spec)
-    paths = _path_table(spec, design, t, False, max_paths)
+    paths = _path_table(spec, design, t, False, DEFAULT_MAX_PATHS)
     keys, group = _by_history(spec, paths, t)
     # joint-state rank: mixed radix over (x, private windows), x major
     s = paths.xs[:, t - 1].astype(np.int64)
@@ -489,24 +482,22 @@ def conditional_state_dists(spec: ProblemSpec, design: Design | ActionFn, t: int
 
 
 def conditional_x_dists(spec: ProblemSpec, design: Design | ActionFn, t: int,
-                        lag: int, *, max_paths: int = DEFAULT_MAX_PATHS
-                        ) -> dict[tuple[int, ...], np.ndarray]:
+                        lag: int) -> dict[tuple[int, ...], np.ndarray]:
     """P(X_{t-lag} | shared history at t) for every reachable history
     (X at the clipped time max(0, t-lag))."""
     spec = normalize_problem(spec)
-    paths = _path_table(spec, design, t, False, max_paths)
+    paths = _path_table(spec, design, t, False, DEFAULT_MAX_PATHS)
     keys, group = _by_history(spec, paths, t)
     acc = np.zeros((len(keys), spec.x_size))
     np.add.at(acc, (group, paths.xs[:, max(0, t - lag)]), paths.weight)
     return {delta: vec / vec.sum() for delta, vec in zip(keys, acc)}
 
 
-def conditional_stage_costs(spec: ProblemSpec, design: Design | ActionFn, t: int,
-                            *, max_paths: int = DEFAULT_MAX_PATHS
+def conditional_stage_costs(spec: ProblemSpec, design: Design | ActionFn, t: int
                             ) -> dict[tuple[int, ...], float]:
     """E[stage cost at t | shared history at t] for every reachable history."""
     spec = normalize_problem(spec)
-    paths = _path_table(spec, design, t, True, max_paths)
+    paths = _path_table(spec, design, t, True, DEFAULT_MAX_PATHS)
     keys, group = _by_history(spec, paths, t)
     num = np.zeros(len(keys))
     den = np.zeros(len(keys))
@@ -516,8 +507,7 @@ def conditional_stage_costs(spec: ProblemSpec, design: Design | ActionFn, t: int
     return {delta: float(num[i] / den[i]) for i, delta in enumerate(keys)}
 
 
-def conditional_phi(spec: ProblemSpec, design: Design | ActionFn, t: int,
-                    *, max_paths: int = DEFAULT_MAX_PATHS
+def conditional_phi(spec: ProblemSpec, design: Design | ActionFn, t: int
                     ) -> dict[tuple[int, ...], np.ndarray]:
     """P(X_{t-2}, joint action at t-1 | shared history at t), flattened with
     the state index major; defined for t >= 2."""
@@ -525,7 +515,7 @@ def conditional_phi(spec: ProblemSpec, design: Design | ActionFn, t: int,
     if t < 2:
         raise DomainError("the two-step-back statistic needs t >= 2")
     A = spec.action_count
-    paths = _path_table(spec, design, t - 1, True, max_paths)
+    paths = _path_table(spec, design, t - 1, True, DEFAULT_MAX_PATHS)
     keys, group = _by_history(spec, paths, t)
     acc = np.zeros((len(keys), spec.x_size * A))
     np.add.at(acc, (group, paths.xs[:, t - 2].astype(np.int64) * A + paths.us[:, t - 2]),

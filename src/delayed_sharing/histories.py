@@ -344,16 +344,12 @@ class ExtensionalDesign:
                           for per_k in raw])
 
 
-def constant_design(spec: ProblemSpec, action: int = 0) -> ExtensionalDesign:
-    """A design that plays a fixed per-controller action everywhere."""
-    tables = []
-    for k in range(spec.K):
-        a = min(action, spec.u_size[k] - 1)
-        tables.append([
-            np.full((delta_count(spec, t), private_count(spec, k, t)), a, dtype=np.int64)
-            for t in range(1, spec.T + 1)
-        ])
-    return ExtensionalDesign(spec, tables)
+def constant_design(spec: ProblemSpec) -> ExtensionalDesign:
+    """A design that plays action 0 everywhere."""
+    return ExtensionalDesign(spec, [
+        [np.zeros((delta_count(spec, t), private_count(spec, k, t)), dtype=np.int64)
+         for t in range(1, spec.T + 1)]
+        for k in range(spec.K)])
 
 
 def random_design(spec: ProblemSpec, seed: int) -> ExtensionalDesign:
@@ -377,7 +373,7 @@ class CoordinatorPolicy:
 
     kind: str                                  # "belief" or "theta_r"
     assignments: dict[int, dict[int, int]]     # t -> node id -> profile rank
-    graph: Any = field(repr=False, default=None)
+    graph: Any = field(repr=False)
 
     def profile_rank(self, t: int, node_id: int) -> int:
         return self.assignments[t][node_id]

@@ -376,20 +376,17 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
 solve_on_graph2 = solve_on_graph
 
 
-def solve_dp2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES
-              ) -> tuple[ValueTable, CoordinatorPolicy]:
+def solve_dp2(spec: ProblemSpec) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward induction over the reachable (Theta, r) graph; the stage cost
     of a node is the collapsed cost of its reconstructed belief, so the two
     dynamic programs value the same objective."""
-    spec = normalize_problem(spec)
-    graph = reachable_graph2(spec, max_nodes=max_nodes)
-    return solve_on_graph(graph)
+    return solve_on_graph(reachable_graph2(normalize_problem(spec)))
 
 
 def extract_design2(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDesign:
     """Per-controller strategy from a solved (Theta, r) policy; replays the
     update pair along the shared history, with the same acting contract as
     the belief-form extraction."""
-    if policy.kind != "theta_r" or policy.graph is None:
+    if policy.kind != "theta_r":
         raise DomainError("policy was not solved on a (Theta, r) graph")
     return ExtractedDesign(normalize_problem(spec), policy)

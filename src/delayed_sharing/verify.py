@@ -110,8 +110,8 @@ def theta_independence_error(spec: ProblemSpec, designs) -> float:
     return worst
 
 
-def verify_instance(spec: ProblemSpec, *, samples: int = 20,
-                    episodes: int = 20_000, seed: int = 7) -> Verification:
+def verify_instance(spec: ProblemSpec, *, samples: int, episodes: int,
+                    seed: int) -> Verification:
     spec = normalize_problem(spec)
     lines: list[str] = []
     failures = 0

@@ -320,14 +320,15 @@ def test_extract_horizon_one_is_root_profile():
             assert design.act(k, 1, lam, ()) == profile.gammas[k].table[lam]
 
 
-def test_extract_replay_matches_simulation(solved):
+def test_extract_replay_matches_simulation(solved, monkeypatch):
     # on-policy episodes are reproduced action-for-action by the design
+    monkeypatch.setattr(evaluate, "DEFAULT_MAX_PATHS", 10_000)
     entry = solved["i2"]
     spec, pol = entry["spec"], entry["pol"]
     design = extract_design(spec, pol)
     from delayed_sharing.histories import PrivateInfo, private_rank
     checked = 0
-    for rec in evaluate.iter_paths(spec, design.act, max_paths=10_000):
+    for rec in evaluate.iter_paths(spec, design.act):
         for t in range(1, spec.T + 1):
             delta = rec.zs[: max(0, t - spec.n)]
             profile = profile_unrank(
@@ -436,8 +437,7 @@ def test_terminal_batch_has_the_behavior_budget(monkeypatch, i2_spec):
 
 def test_alpha_horizon_one_counts_profiles():
     spec = normalize_problem(random_instance(2, 1, 1, 2, (2, 2), (2, 2), seed=2))
-    aset = alpha_backup(spec, prune=False)
-    assert len(aset.vectors[1]) == profile_count(spec, 1)
+    assert len(coordinator._stage_alpha_vectors(spec, 1)) == profile_count(spec, 1)
 
 
 def test_alpha_zero_cost_gives_zero_vectors():
@@ -462,9 +462,10 @@ def test_alpha_envelope_matches_value(i1_spec):
                 value_at(i1_spec, t, PiBelief(t, p)), abs=1e-9)
 
 
-def test_alpha_budget_error(i2_spec):
-    with pytest.raises(BudgetError):
-        alpha_backup(i2_spec, max_vectors=1000)
+def test_alpha_budget_error(i2_spec, monkeypatch):
+    monkeypatch.setattr(coordinator, "DEFAULT_MAX_ALPHA_VECTORS", 1000)
+    with pytest.raises(BudgetError, match=r"\(budget 1000\)"):
+        alpha_backup(i2_spec)
 
 
 # -- state rank codec ---------------------------------------------------------

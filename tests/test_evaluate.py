@@ -135,20 +135,33 @@ def test_brute_force_budget(io_spec):
         evaluate.brute_force_optimum(io_spec, budget=100)
 
 
-def test_path_budget(solved):
-    """i2's optimal design has 1,024 paths: a budget of 1,024 admits them and
-    1,023 is refused, by the exact cost, the path view and a conditional."""
+def test_path_budget(solved, monkeypatch):
+    """i2's optimal design has 1,024 paths: exact_cost's max_paths of 1,024
+    admits them and 1,023 is refused.  The path view and the four
+    conditionals read DEFAULT_MAX_PATHS at call time: each admits the rows
+    it builds (counted by the recursive reference) and is refused at one
+    less."""
     spec = solved["i2"]["spec"]
     design = extract_design(spec, solved["i2"]["pol"])
-    assert len(list(evaluate.iter_paths(spec, design.act, max_paths=1024))) == 1024
     evaluate.exact_cost(spec, design, max_paths=1024)
-    calls = [lambda m: evaluate.exact_cost(spec, design, max_paths=m),
-             lambda m: evaluate.iter_paths(spec, design.act, max_paths=m),
-             lambda m: evaluate.conditional_stage_costs(spec, design.act, spec.T,
-                                                        max_paths=m)]
-    for call in calls:
-        with pytest.raises(BudgetError, match="path enumeration exceeded 1023 paths"):
-            call(1023)
+    with pytest.raises(BudgetError, match="path enumeration exceeded 1023 paths"):
+        evaluate.exact_cost(spec, design, max_paths=1023)
+    T = spec.T
+    readers = [  # (reader, t_max and final-step flag of the table it builds)
+        (lambda: list(evaluate.iter_paths(spec, design.act)), T, True),
+        (lambda: evaluate.conditional_state_dists(spec, design.act, T), T, False),
+        (lambda: evaluate.conditional_x_dists(spec, design.act, T, spec.n), T, False),
+        (lambda: evaluate.conditional_stage_costs(spec, design.act, T), T, True),
+        (lambda: evaluate.conditional_phi(spec, design.act, T), T - 1, True)]
+    for read, t_max, final in readers:
+        rows = sum(1 for _ in iter_paths_reference(spec, design.act, t_max=t_max,
+                                                   include_final_step=final))
+        monkeypatch.setattr(evaluate, "DEFAULT_MAX_PATHS", rows)
+        read()
+        monkeypatch.setattr(evaluate, "DEFAULT_MAX_PATHS", rows - 1)
+        with pytest.raises(BudgetError,
+                           match=f"path enumeration exceeded {rows - 1} paths"):
+            read()
 
 
 def test_brute_force_matches_both_dps(io_spec, solved):
@@ -227,13 +240,10 @@ def test_path_table_matches_the_recursion(seed, K, n, T, kernels, kind):
     assert _bits(got.expected_cost) == _bits(want.expected_cost)
     assert _bits(got.per_stage) == _bits(want.per_stage)
     for t_max in range(1, T + 1):
-        for final in (True, False):
-            got = list(evaluate.iter_paths(spec, design, t_max=t_max,
-                                           include_final_step=final))
-            want = list(iter_paths_reference(spec, design.act, t_max=t_max,
-                                             include_final_step=final))
-            assert got == want
-            assert _bits([r.weight for r in got]) == _bits([r.weight for r in want])
+        got = list(evaluate.iter_paths(spec, design, t_max=t_max))
+        want = list(iter_paths_reference(spec, design.act, t_max=t_max))
+        assert got == want
+        assert _bits([r.weight for r in got]) == _bits([r.weight for r in want])
     for t in range(1, T + 1):
         got = evaluate.conditional_state_dists(spec, design, t)
         want = conditional_state_dists_reference(spec, design.act, t)

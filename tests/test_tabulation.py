@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delayed_sharing import evaluate, generate, histories
 from delayed_sharing.coordinator import (ExtractedDesign, extract_design,
@@ -50,9 +50,12 @@ def _check(spec, make):
        n=st.sampled_from([1, 2, 3]), T=st.integers(1, 4),
        kernels=st.sampled_from(["generic", "deterministic"]),
        form=st.sampled_from(sorted(FORMS)))
+@example(seed=0, K=1, n=1, T=4, kernels="generic", form="belief")
 def test_tables_equal_the_per_entry_fill(seed, K, n, T, kernels, form):
     """Both forms' extracted designs and a random extensional design, on
-    instances with n below, at and above T."""
+    instances with n below, at and above T.  The explicit example has
+    shared histories of three symbols of four values each, so the per-entry
+    fill's row order is pinned."""
     spec = small_instance(seed, K, n, T, kernels)
     build, extract = FORMS[form]
     policy = solve_on_graph(build(spec))[1]
@@ -80,15 +83,19 @@ def _unsolved(spec):
     return ExtractedDesign(spec, CoordinatorPolicy("belief", {}, _NoGraph()))
 
 
-def test_budget_is_checked_before_tables(solved):
+def test_budget_is_checked_before_tables(solved, monkeypatch):
     spec = solved["i1"]["spec"]
-    with pytest.raises(BudgetError, match=r"design table needs \d+ entries \(budget 1\)"):
-        evaluate.materialize_design(spec, _unsolved(spec), max_entries=1)
     design = extract_design(spec, solved["i1"]["pol"])
     total = sum(tab.size for per_k in evaluate.materialize_design(spec, design).tables
                 for tab in per_k)
+    monkeypatch.setattr(evaluate, "DEFAULT_MAX_DESIGN_ENTRIES", 1)
+    with pytest.raises(BudgetError, match=r"design table needs \d+ entries \(budget 1\)"):
+        evaluate.materialize_design(spec, _unsolved(spec))
+    monkeypatch.setattr(evaluate, "DEFAULT_MAX_DESIGN_ENTRIES", total)
+    evaluate.materialize_design(spec, design)
+    monkeypatch.setattr(evaluate, "DEFAULT_MAX_DESIGN_ENTRIES", total - 1)
     with pytest.raises(BudgetError, match=f"needs {total} entries"):
-        evaluate.materialize_design(spec, _unsolved(spec), max_entries=total - 1)
+        evaluate.materialize_design(spec, _unsolved(spec))
 
 
 def test_budget_refuses_a_size_that_would_not_fit():
