@@ -12,7 +12,7 @@ from .coordinator import (AlphaSet, InfoGraph, JointState, PiBelief,
                           ValueTable, alpha_backup, belief_update,
                           expected_stage_cost, extract_design, initial_belief,
                           joint_step_kernel, reachable_graph, solve_dp,
-                          value_at)
+                          value_at, values_at)
 from .second_form import (RSuffix, Theta, ThetaRState, extract_design2,
                           h_map, r_update, reachable_graph2, solve_dp2,
                           theta_update)

@@ -27,7 +27,8 @@ from .model import ProblemSpec
 # coordinator._read_supports (beliefs times belief entries), a row block of
 # the stage backup (nodes times a belief's entries, its cost tensor and its
 # totals) and of the terminal minimization (beliefs times the behavior sums
-# of all but the last controller).  Larger batches run in row blocks, so
+# of all but the last controller; its chunks of whole row blocks stack
+# beliefs and their cost tensors).  Larger batches run in row blocks, so
 # memory stays flat; readers look it up at call time, so one patch reaches
 # all.
 _BLOCK_ENTRIES = 1 << 16

@@ -18,7 +18,7 @@ import numpy as np
 from . import evaluate, generate
 from ._tables import tables
 from .coordinator import (PiBelief, belief_update, initial_belief, solve_dp,
-                          solve_on_graph, value_at)
+                          solve_on_graph, values_at)
 from .errors import DomainError, PreconditionError
 from .histories import (Design, GammaProfile, PartialFunction,
                         common_obs_count, common_obs_space, private_count,
@@ -46,7 +46,9 @@ class ConcavityReport:
 
 def concavity_probe(spec: ProblemSpec, samples: int, seed: int) -> ConcavityReport:
     """Sample mixture triples per stage and check the value of the mixture
-    is never below the mixture of values (minus tolerance)."""
+    is never below the mixture of values (minus tolerance).  A stage's
+    triples are drawn first, then their beliefs (p1, p2, mixture, sample
+    after sample) are valued by one values_at call."""
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     spec = normalize_problem(spec)
@@ -54,15 +56,17 @@ def concavity_probe(spec: ProblemSpec, samples: int, seed: int) -> ConcavityRepo
     for t in range(1, spec.T + 1):
         dim = tables(spec).stage[t].state_count
         rng = np.random.default_rng([seed, t])
-        worst = np.inf
+        lams, beliefs = [], []
         for _ in range(samples):
             p1 = rng.dirichlet(np.ones(dim))
             p2 = rng.dirichlet(np.ones(dim))
             lam = float(rng.random())
-            mix = lam * p1 + (1.0 - lam) * p2
-            v1 = value_at(spec, t, PiBelief(t, p1))
-            v2 = value_at(spec, t, PiBelief(t, p2))
-            vm = value_at(spec, t, PiBelief(t, mix))
+            lams.append(lam)
+            beliefs += [PiBelief(t, p) for p in (p1, p2, lam * p1 + (1.0 - lam) * p2)]
+        values = values_at(spec, t, beliefs)
+        worst = np.inf
+        for i, lam in enumerate(lams):
+            v1, v2, vm = values[3 * i:3 * i + 3]
             worst = min(worst, vm - (lam * v1 + (1.0 - lam) * v2))
         min_slack[t] = float(worst)
     return ConcavityReport(seed, samples,

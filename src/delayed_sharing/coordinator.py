@@ -5,9 +5,9 @@ and the piecewise-linear value-function machinery.  Also the information-graph
 core both dynamic programs run on: one graph type, one forward closure
 (build_graph), one stage backup (behind solve_on_graph) and one continuation
 assembly (add_continuation); each form supplies only its information state,
-dedup key, belief-form image, base sets and block successor rule.  value_at
+dedup key, belief-form image, base sets and block successor rule.  values_at
 runs on the same core: a solve on the belief graph rooted at the probed
-belief.
+beliefs.
 
 The joint state at time t is S_t = (X_{t-1}, private windows of all
 controllers); the coordinator's belief over it, conditioned on shared data
@@ -449,9 +449,11 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases,
 _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
 
 
-def build_graph(spec: ProblemSpec, kind: str, root, pi_of, base_of,
+def build_graph(spec: ProblemSpec, kind: str, roots: list, pi_of, base_of,
                 successor_rule, *, max_nodes: int) -> InfoGraph:
-    """Breadth-first forward closure of an information state.
+    """Breadth-first forward closure of a list of same-stage information
+    states, the roots, which become nodes 0, 1, ... in list order (equal
+    roots stay distinct nodes; their children merge).
 
     pi_of(states) lists the belief-form images (PiBelief) of same-stage
     information states; base_of(node) is the node's base sets (see
@@ -487,9 +489,9 @@ def build_graph(spec: ProblemSpec, kind: str, root, pi_of, base_of,
                 graph.stages[t].append(node)
         return range(start, len(graph.by_id))
 
-    if max_nodes < 1:
+    if max_nodes < len(roots):
         raise _node_budget(graph, max_nodes, 0)
-    add(root.t, [root])
+    add(roots[0].t, roots)
     for t in range(1, spec.T):
         index: dict = {}    # key -> id of the stage-(t+1) nodes so far
         children = successor_rule(t)
@@ -584,30 +586,34 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
             for k in range(spec.K))
 
 
-def belief_successors(key_rows):
+def belief_successors(key_rows, *, belief_is_key: bool = False):
     """successor_rule of the belief form, keyed on the bytes of key_rows(p).
     A batch of branches is normalized in one broadcast division and keyed
-    with one key_rows call and one tobytes per row; a PiBelief is made, on a
-    copied row, only for a key new to the graph."""
+    with one key_rows call and one tobytes per row; a PiBelief is made only
+    for a key new to the graph: on a copied row, or, with belief_is_key
+    (key_rows keeps the float64 rows, so a key is its row's bytes), as a
+    read-only view of the key, which the stage index holds anyway."""
     def successor_rule(t):
         def children(block, z, visible, rows, ranks, M, pz):
             P = np.divide(M, pz[:, None], out=M)
-            return ([row.tobytes() for row in key_rows(P)],
-                    lambda i: PiBelief(t + 1, P[i].copy()))
+            keys = [row.tobytes() for row in key_rows(P)]
+            if belief_is_key:
+                return keys, lambda i: PiBelief(t + 1, np.frombuffer(keys[i]))
+            return keys, lambda i: PiBelief(t + 1, P[i].copy())
         return children
     return successor_rule
 
 
-def _belief_graph(spec: ProblemSpec, root: PiBelief, key_rows, *,
+def _belief_graph(spec: ProblemSpec, roots: list[PiBelief], successor_rule, *,
                   max_nodes: int) -> InfoGraph:
-    """Belief-form graph from root: nodes are beliefs, deduplicated per
-    stage on the bytes of key_rows(p); a node's base sets are its
-    support."""
+    """Belief-form graph from same-stage roots: nodes are beliefs,
+    deduplicated per stage by successor_rule's keys (belief_successors); a
+    node's base sets are its support."""
     return build_graph(
-        spec, "belief", root,
+        spec, "belief", roots,
         pi_of=lambda pis: pis,
         base_of=lambda node: node.support,
-        successor_rule=belief_successors(key_rows),
+        successor_rule=successor_rule,
         max_nodes=max_nodes)
 
 
@@ -615,8 +621,8 @@ def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) ->
     """Belief-form graph of the initial belief, deduplicated on the
     quantization grid."""
     spec = normalize_problem(spec)
-    return _belief_graph(spec, initial_belief(spec), quantize_rows,
-                         max_nodes=max_nodes)
+    return _belief_graph(spec, [initial_belief(spec)],
+                         belief_successors(quantize_rows), max_nodes=max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -872,68 +878,113 @@ def extract_design(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDes
 # Value function on the whole simplex
 # ---------------------------------------------------------------------------
 
-def _last_stage_values(spec: ProblemSpec, P: np.ndarray) -> np.ndarray:
-    """Terminal values of a batch of beliefs (rows of P).
+def _last_stage_values(spec: ProblemSpec, beliefs) -> np.ndarray:
+    """Terminal values of a batch of stage-T beliefs (1-D arrays, or the
+    rows of a stack).
 
     Minimizes the expected terminal cost over all profiles: behaviors of the
     first K-1 controllers are enumerated, the last controller's prescription
     is then optimized entry by entry, which is exact because for fixed other
     prescriptions the objective is additive over its private realizations.
 
-    The batch's cost tensor is one product per row (minimize.cost_tensor).
-    Per row block: the first K-1 controllers' behavior sums
-    (minimize.behavior_sums: controller 0 first, each over its realizations
-    in ascending order), an elementwise minimum over the last controller's
-    action slices, a sum over its realizations on a contiguous axis, and the
+    The beliefs run in chunks of whole row blocks, each chunk's stack and
+    cost tensor (minimize.cost_tensor, one product per row) inside
+    _tables._BLOCK_ENTRIES entries when one block fits, so memory stays flat
+    in the batch size.  Per row block: the first K-1 controllers' behavior
+    sums (minimize.behavior_sums: controller 0 first, each over its
+    realizations in ascending order), an elementwise minimum over the last
+    controller's action slices, a sum over its realizations on a contiguous
+    axis (minimize.last_axis_sum, the bytes of .sum(axis=-1)), and the
     minimum over behaviors.  Each value is a function of its own row only,
-    so every row block size gives the bytes of a one-row call.
+    so every chunk and row block size gives the bytes of a one-row call.
     """
     T = spec.T
     st = tables(spec).stage[T]
     full = tuple(tuple(range(st.L[k])) for k in range(spec.K))
     joint = math.prod(spec.u_size[k] ** st.L[k] for k in range(spec.K - 1))
     row_entries = st.L[-1] * spec.u_size[-1] * joint
-    if row_entries * len(P) > minimize.DEFAULT_MAX_JOINT_BEHAVIORS * 64:
+    if row_entries * len(beliefs) > minimize.DEFAULT_MAX_JOINT_BEHAVIORS * 64:
         raise BudgetError(f"terminal minimization batch too large at T={T}")
     minimize.check_joint_behaviors(T, joint)
     rows = max(1, _tables._BLOCK_ENTRIES // row_entries)
-    ct = minimize.cost_tensor(spec, T, P, full)
-    values = np.empty(len(P))
-    for lo in range(0, len(P), rows):
-        cur = minimize.behavior_sums(ct[lo:lo + rows], spec.K - 1)
-        low = cur[..., 0]
-        for a in range(1, cur.shape[-1]):
-            low = np.minimum(low, cur[..., a])
-        values[lo:lo + len(cur)] = low.sum(axis=-1).reshape(len(cur), -1).min(axis=1)
+    # a row of a chunk holds a belief and its cost tensor
+    chunk = rows * max(1, _tables._BLOCK_ENTRIES // (
+        rows * (st.state_count + math.prod(st.L) * spec.action_count)))
+    values = np.empty(len(beliefs))
+    for lo in range(0, len(beliefs), chunk):
+        ct = minimize.cost_tensor(spec, T, np.stack(beliefs[lo:lo + chunk]), full)
+        for i in range(0, len(ct), rows):
+            cur = minimize.behavior_sums(ct[i:i + rows], spec.K - 1)
+            low = cur[..., 0]
+            for a in range(1, cur.shape[-1]):
+                low = np.minimum(low, cur[..., a])
+            values[lo + i:lo + i + len(cur)] = minimize.last_axis_sum(low).reshape(
+                len(cur), -1).min(axis=1)
     return values
 
 
-def value_at(spec: ProblemSpec, t: int, pi: PiBelief) -> float:
-    """The dynamic-program value at an arbitrary stage-t belief: the root
-    value of a solve on the belief-form graph rooted at pi, deduplicated on
-    exact belief bytes so no two distinct beliefs merge.  Every stage-T leaf
-    is valued in one batched terminal minimization, then stages T-1..t are
-    backed up as in solve_on_graph.  The graph has the default node budget
-    (BudgetError beyond it); meant for desk-scale probing, not solving."""
+# Most roots valued in one graph (values_at): a graph holds every root's
+# subtree, so memory grows with this bound.
+DEFAULT_MAX_VALUE_ROOTS = 2
+
+
+def values_at(spec: ProblemSpec, t: int, pis: list[PiBelief]) -> list[float]:
+    """The dynamic-program values at arbitrary stage-t beliefs, in order.
+
+    Consecutive beliefs are valued DEFAULT_MAX_VALUE_ROOTS at a time, as the
+    root values of a solve on the belief-form graph rooted at them,
+    deduplicated on exact belief bytes so no two distinct beliefs merge (a
+    new node's belief is a view of its key).  Every stage-T leaf is valued
+    by the batched terminal minimization, then stages T-1..t are backed up
+    as in solve_on_graph.  Node values depend only on their own beliefs and
+    every stacked row has the bytes of its one-row call, so each value is
+    the bytes of its one-root call (value_at).  The graph has the default
+    node budget; a stacked graph that exceeds a budget (BudgetError) is
+    valued again one root per graph, so each root gets its one-root value
+    or error.  Meant for desk-scale probing, not solving."""
     spec = normalize_problem(spec)
     if not 1 <= t <= spec.T:
         raise DomainError(f"t={t} outside horizon [1, {spec.T}]")
-    if pi.t != t:
-        raise DomainError(f"belief of stage {pi.t} evaluated at t={t}")
-    if len(pi.p) != state_count(spec, t):
-        raise DomainError(f"belief of length {len(pi.p)} at t={t}, expected "
-                          f"{state_count(spec, t)}")
-    if not (pi.p > 0.0).any():
-        raise DomainError(f"belief at t={t} has no positive mass")
-    graph = _belief_graph(spec, pi, np.ascontiguousarray,
-                          max_nodes=DEFAULT_MAX_NODES)
+    for pi in pis:
+        if pi.t != t:
+            raise DomainError(f"belief of stage {pi.t} evaluated at t={t}")
+        if len(pi.p) != state_count(spec, t):
+            raise DomainError(f"belief of length {len(pi.p)} at t={t}, expected "
+                              f"{state_count(spec, t)}")
+        if not (pi.p > 0.0).any():
+            raise DomainError(f"belief at t={t} has no positive mass")
+    size = DEFAULT_MAX_VALUE_ROOTS
+    out: list[float] = []
+    for lo in range(0, len(pis), size):
+        roots = pis[lo:lo + size]
+        try:
+            out += _root_values(spec, t, roots)
+        except BudgetError:
+            if len(roots) == 1:
+                raise
+            for pi in roots:
+                out += _root_values(spec, t, [pi])
+    return out
+
+
+def _root_values(spec: ProblemSpec, t: int, roots: list[PiBelief]) -> list[float]:
+    """The root values of one exact-key belief graph rooted at roots."""
+    graph = _belief_graph(
+        spec, roots, belief_successors(np.ascontiguousarray, belief_is_key=True),
+        max_nodes=DEFAULT_MAX_NODES)
     leaves = graph.stages[spec.T]
     values = np.zeros(graph.node_count)
     values[[node.node_id for node in leaves]] = _last_stage_values(
-        spec, np.stack([node.pi.p for node in leaves]))
+        spec, [node.pi.p for node in leaves])
     for stage in range(spec.T - 1, t - 1, -1):
         _backup_stage(graph, stage, values)
-    return float(values[0])
+    return values[:len(roots)].tolist()
+
+
+def value_at(spec: ProblemSpec, t: int, pi: PiBelief) -> float:
+    """The dynamic-program value at an arbitrary stage-t belief: values_at
+    on one belief."""
+    return values_at(spec, t, [pi])[0]
 
 
 # ---------------------------------------------------------------------------

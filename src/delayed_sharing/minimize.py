@@ -124,6 +124,38 @@ def behavior_sums(ct: np.ndarray, count: int) -> np.ndarray:
     return cur.transpose([count, *range(count - 1, -1, -1), *range(count + 1, cur.ndim)])
 
 
+def last_axis_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1), bit for bit, for a float64 array whose last axis is
+    non-empty and has the smallest stride, with one array operation per
+    term instead of one inner-loop call per summed row.
+
+    numpy's reduction starts each output at +0.0 and adds the pairwise sum
+    of its row, whose order this replays over strided slices: below 8
+    terms a left fold from -0.0; up to 128, eight accumulators of the
+    stride-8 columns, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the remaining terms in order; beyond, the halves split at a multiple of
+    8.  (With another axis innermost numpy adds in another order.)"""
+    return 0.0 + _pairwise_sum(a)
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    n = a.shape[-1]
+    if n < 8:
+        return functools.reduce(np.add, (a[..., i] for i in range(n)), -0.0)
+    if n <= 128:
+        whole = n - n % 8
+        r = a[..., :8]
+        for lo in range(8, whole, 8):
+            r = r + a[..., lo:lo + 8]
+        res = ((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])) + (
+            (r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7]))
+        for i in range(whole, n):
+            res = res + a[..., i]
+        return res
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(a[..., :half]) + _pairwise_sum(a[..., half:])
+
+
 def stage_totals(spec: ProblemSpec, t: int, P: np.ndarray,
                  bs: BehaviorSpace) -> np.ndarray:
     """Expected stage cost of every behavior at each belief of a stack P of

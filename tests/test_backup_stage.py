@@ -5,11 +5,12 @@ must agree bit for bit and minimizing profile ranks exactly, for every row
 block size.  The stage totals and the terminal minimization of a stack of
 beliefs must give every row the bytes of the one-row call on it."""
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from delayed_sharing import _tables, minimize
 from delayed_sharing._tables import stacked_support_sets, support_sets, tables
@@ -147,3 +148,57 @@ def test_stacked_supports_match_marginal_mass():
                               np.nonzero(cube.sum(axis=axes) > 0.0)[0]))
         assert sets == tuple(want)
         assert support_sets(spec, t, row) == sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.integers(1, 3), n=st.sampled_from([1, 2]),
+       y=st.tuples(*[st.integers(1, 3)] * 3), u=st.tuples(*[st.integers(1, 3)] * 3),
+       sparsity=st.sampled_from([0.0, 0.5, 0.9]), entries=st.sampled_from(BLOCK_ENTRIES))
+def test_stacked_rows_equal_one_row_calls_on_random_shapes(seed, K, n, y, u, sparsity,
+                                                           entries):
+    """Random observation and action counts, 1 included: a stack's
+    terminal values (in chunks and row blocks of every size) and stage
+    totals over random restricted sets give every row the bytes of its
+    one-row call at the default block size."""
+    spec = normalize_problem(random_instance(K, n + 1, n, 2, y[:K], u[:K], seed=seed))
+    rng = np.random.default_rng(seed)
+    stages = tables(spec).stage
+    assume(stages[spec.T].state_count <= 4096)
+    L = stages[spec.T].L
+    joint = math.prod(spec.u_size[k] ** L[k] for k in range(K - 1))
+    if joint * L[-1] * spec.u_size[-1] <= 1 << 14:
+        P = rng.dirichlet(np.ones(stages[spec.T].state_count), size=9)
+        P[rng.uniform(size=P.shape) < sparsity] = 0.0
+        P[:, 0] += 1e-3     # keep every row positive
+        with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
+            block = _last_stage_values(spec, P)
+        for value, p in zip(block, P):
+            assert value.tobytes() == _last_stage_values(spec, p[None])[0].tobytes()
+    t = int(rng.integers(1, spec.T + 1))
+    restricted = tuple(
+        tuple(sorted(rng.choice(count, size=int(rng.integers(1, min(count, 4) + 1)),
+                                replace=False).tolist()))
+        for count in stages[t].L)
+    assume(math.prod(spec.u_size[k] ** len(r) for k, r in enumerate(restricted)) <= 1 << 12)
+    bs = minimize.behavior_space(spec, t, restricted)
+    P = rng.dirichlet(np.ones(stages[t].state_count), size=7)
+    block = minimize.stage_totals(spec, t, P, bs)
+    for row, p in zip(block, P):
+        assert row.tobytes() == minimize.stage_totals(spec, t, p[None], bs)[0].tobytes()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "permuted"])
+def test_last_axis_sum_is_numpy_sum(layout):
+    """minimize.last_axis_sum replays numpy's pairwise order, so it gives
+    the bytes of .sum(axis=-1) at every length, on a contiguous or strided
+    last axis, with mixed magnitudes and signed zeros."""
+    rng = np.random.default_rng(0)
+    for n in range(1, 301):
+        x = rng.standard_normal((3, 2, n)) * np.exp(rng.uniform(-30.0, 30.0, (3, 2, n)))
+        x[0, 0] = -0.0
+        x[0, 1, : n // 2] = -0.0
+        a = {"contiguous": x,
+             "strided": np.repeat(x, 3, axis=-1)[..., ::3],
+             "permuted": np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2),
+             }[layout]
+        assert minimize.last_axis_sum(a).tobytes() == a.sum(axis=-1).tobytes(), n

@@ -228,7 +228,7 @@ def _stage_batched_graph(spec, root, key_rows, rule,
                          max_nodes=coordinator.DEFAULT_MAX_NODES,
                          successor_rule=None):
     return coordinator.build_graph(
-        spec, "belief", root,
+        spec, "belief", [root],
         pi_of=lambda pis: pis,
         base_of=lambda node: _base_sets(spec, node.t, node.pi.p, rule),
         successor_rule=successor_rule or coordinator.belief_successors(key_rows),
@@ -275,14 +275,22 @@ def test_stage_blocks_match_per_node_expansion(seed, K, n, deterministic, rule,
                                                keys, sparsity):
     """build_graph on a sparse random root (so a stage mixes supports, and
     groups split) against one expand_one per node, for every block size:
-    the same node ids, belief bytes and branch tables."""
+    the same node ids, belief bytes and branch tables.  Exact keys, as in
+    values_at, make each new node's belief a read-only view of its key."""
     spec = _tree_spec(K, n, seed, deterministic)
     root = PiBelief(1, _belief(spec, 1, np.random.default_rng(seed), sparsity))
     beliefs, tabs = _per_node_graph(spec, root, KEY_ROWS[keys], rule)
+    exact = keys == "exact"
     for entries in BLOCK_ENTRIES:
         with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
-            graph = _stage_batched_graph(spec, root, KEY_ROWS[keys], rule)
+            graph = _stage_batched_graph(
+                spec, root, KEY_ROWS[keys], rule,
+                successor_rule=coordinator.belief_successors(
+                    KEY_ROWS[keys], belief_is_key=exact))
         _assert_same_graph(graph, beliefs, tabs)
+        for node in graph.by_id[1:]:
+            assert isinstance(node.pi.p.base, bytes) == exact
+            assert not node.pi.p.flags.writeable
 
 
 def _logged(spec, successor_rule, log):

@@ -344,7 +344,7 @@ def _per_edge_graph2(spec):
                       for k in range(spec.K))))
         return [state_key(state) for state in states], states.__getitem__
 
-    return build_graph(spec, "theta_r", initial_state(spec),
+    return build_graph(spec, "theta_r", [initial_state(spec)],
                        lambda states: [h_map(spec, state) for state in states],
                        base_of, lambda t: children,
                        max_nodes=DEFAULT_MAX_NODES)
