@@ -1,18 +1,15 @@
 """Exact solvers and verification probes for finite decentralized stochastic
 control with n-step delayed sharing of observations and actions."""
 
-from .model import (JointAction, ProblemSpec, Violation, WindowInfo,
-                    load_problem, normalize_problem, serialize_problem,
-                    validate_problem, window)
+from .model import (ProblemSpec, Violation, load_problem, normalize_problem,
+                    serialize_problem, validate_problem)
 from .histories import (CommonObs, CoordinatorPolicy, Design,
                         ExtensionalDesign, GammaProfile, PartialFunction,
-                        PrivateInfo, apply_profile, common_obs_space,
-                        gamma_profiles, private_space, profile_count)
-from .coordinator import (AlphaSet, InfoGraph, JointState, PiBelief,
-                          ValueTable, alpha_backup, belief_update,
-                          expected_stage_cost, extract_design, initial_belief,
-                          joint_step_kernel, reachable_graph, solve_dp,
-                          value_at, values_at)
+                        common_obs_space, gamma_profiles, profile_count)
+from .coordinator import (AlphaSet, InfoGraph, PiBelief, ValueTable,
+                          alpha_backup, belief_update, expected_stage_cost,
+                          extract_design, initial_belief, reachable_graph,
+                          solve_dp, value_at, values_at)
 from .second_form import (RSuffix, Theta, ThetaRState, extract_design2,
                           h_map, r_update, reachable_graph2, solve_dp2,
                           theta_update)

@@ -38,8 +38,8 @@ class StageTables:
     """Index tables for one decision time t.
 
     A window rank is mixed radix over the window's observations, oldest
-    first, then its actions, oldest first (``histories.private_rank``), so
-    every table here is integer arithmetic on ranks.
+    first, then its actions, oldest first, so every table here is integer
+    arithmetic on ranks.
     """
 
     def __init__(self, spec: ProblemSpec, t: int):
@@ -82,9 +82,6 @@ class StageTables:
             self.y_aged.append(y_part // Y ** (ny - 1))
             self.u_aged.append(u_part // U ** (nu - 1) if nu
                                else np.full(self.L[k], -1, dtype=np.int64))
-
-    def state_rank(self, x: int, lam_ranks) -> int:
-        return int(np.ravel_multi_index((x, *lam_ranks), self.shape))
 
     def step_arrays(self, spec: ProblemSpec):
         """Flattened one-step law: per (state, joint action), a contiguous

@@ -43,21 +43,8 @@ DEFAULT_MAX_ALPHA_VECTORS = 50_000
 _DEDUP_SCALE = 1e9
 
 
-@dataclass(frozen=True)
-class JointState:
-    """One realization of (previous plant state, all private windows)."""
-
-    t: int
-    x_prev: int
-    lam: tuple[int, ...]      # per-controller private ranks
-
-
 def state_count(spec: ProblemSpec, t: int) -> int:
     return tables(spec).stage[t].state_count
-
-
-def state_rank(spec: ProblemSpec, s: JointState) -> int:
-    return tables(spec).stage[s.t].state_rank(s.x_prev, s.lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,27 +109,6 @@ def _profile_masses(spec: ProblemSpec, t: int, p: np.ndarray,
     m, pz = _branch_masses(st.step_arrays(spec), cand, p[cand][None], actions,
                            z_rank, tables(spec).stage[t + 1].state_count)
     return m[0, 0], float(pz[0, 0])
-
-
-def joint_step_kernel(spec: ProblemSpec, t: int, s: JointState,
-                      profile: GammaProfile) -> dict[tuple[int, int], float]:
-    """One-step law of (next joint state, emitted shared symbol) from s under
-    a profile.  The shared symbol is read off s and the profile's actions, so
-    it has a single support point.  Keys are (next state rank, symbol rank)."""
-    spec = normalize_problem(spec)
-    if not 1 <= t <= spec.T - 1:
-        raise DomainError(f"full step undefined at t={t} (horizon {spec.T})")
-    rank = state_rank(spec, s)
-    p = np.zeros(state_count(spec, t))
-    p[rank] = 1.0
-    out: dict[tuple[int, int], float] = {}
-    for z in common_obs_space(spec, t + 1):
-        zr = common_obs_rank(spec, z)
-        m, pz = _profile_masses(spec, t, p, profile, zr, np.array([rank]))
-        if pz > 0.0:
-            for s2 in np.nonzero(m > 0.0)[0]:
-                out[(int(s2), zr)] = float(m[s2])
-    return out
 
 
 def belief_update(spec: ProblemSpec, pi: PiBelief, profile: GammaProfile,
@@ -747,7 +713,7 @@ def solve_on_graph(graph: InfoGraph) -> tuple[ValueTable, CoordinatorPolicy]:
     for t in range(graph.spec.T, 0, -1):
         J[t], arg[t] = _backup_stage(graph, t, values)
     table = ValueTable(J, arg)
-    policy = CoordinatorPolicy(graph.kind, arg, graph)
+    policy = CoordinatorPolicy(arg, graph)
     return table, policy
 
 
@@ -869,7 +835,7 @@ class ExtractedDesign:
 
 
 def extract_design(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDesign:
-    if policy.kind != "belief":
+    if policy.graph.kind != "belief":
         raise DomainError("policy was not solved on a reachable-belief graph")
     return ExtractedDesign(normalize_problem(spec), policy)
 

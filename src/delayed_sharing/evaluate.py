@@ -166,9 +166,9 @@ def _delta_ranks(spec: ProblemSpec, zs: np.ndarray) -> np.ndarray:
 
 def _window_ranks(spec: ProblemSpec, t: int, ys: np.ndarray,
                   us: np.ndarray) -> list[np.ndarray]:
-    """Per controller, each row's private window rank at time t
-    (histories.private_rank's mixed radix: observations major, then
-    actions), cut from joint ranks ys and us laid out as in _Paths."""
+    """Per controller, each row's private window rank at time t (mixed
+    radix over the window's observations, oldest first, then its actions,
+    oldest first), cut from joint ranks ys and us laid out as in _Paths."""
     lo = max(1, t - spec.n + 1)
     y_parts = np.unravel_index(ys[:, lo - 1: t], spec.y_size)
     u_parts = np.unravel_index(us[:, lo - 1: t - 1], spec.u_size)
@@ -377,27 +377,28 @@ def enumerate_designs(spec: ProblemSpec, *,
         yield ExtensionalDesign(spec, [list(per_k) for per_k in tables])
 
 
-def brute_force_optimum(spec: ProblemSpec, *,
-                        max_designs: int = DEFAULT_ORACLE_BUDGET,
-                        budget: int = DEFAULT_ORACLE_BUDGET
+def brute_force_optimum(spec: ProblemSpec, *, max_designs: int | None = None
                         ) -> tuple[float, ExtensionalDesign]:
     """Exhaustive minimum of exact_cost over every design; ties go to the
     earlier design in enumeration order.  Refused (BudgetError) before any
-    design is evaluated when the designs exceed max_designs or designs x
-    path_count_bound exceeds budget, the number of path evaluations."""
+    design is evaluated when the designs exceed max_designs.  Without
+    max_designs, DEFAULT_ORACLE_BUDGET, read at call time, caps both the
+    designs and designs x path_count_bound, the number of path
+    evaluations."""
     spec = normalize_problem(spec)
     n_designs = design_count(spec)
-    if n_designs > max_designs:
+    budget = DEFAULT_ORACLE_BUDGET if max_designs is None else max_designs
+    if n_designs > budget:
         raise BudgetError(
-            f"design space holds {n_designs} designs (budget {max_designs})")
+            f"design space holds {n_designs} designs (budget {budget})")
     work = n_designs * path_count_bound(spec)
-    if work > budget:
+    if max_designs is None and work > budget:
         raise BudgetError(
             f"oracle needs {n_designs} designs x {path_count_bound(spec)} "
             f"paths = {work} evaluations (budget {budget})")
     best: float | None = None
     best_design: ExtensionalDesign | None = None
-    for design in enumerate_designs(spec, max_designs=max_designs):
+    for design in enumerate_designs(spec, max_designs=budget):
         value = exact_cost(spec, design).expected_cost
         if best is None or value < best:
             best = value

@@ -16,27 +16,17 @@ from typing import Any, Iterator, Protocol
 import numpy as np
 
 from .errors import DomainError
-from .model import JointAction, ProblemSpec
+from .model import ProblemSpec
 
 
 # ---------------------------------------------------------------------------
 # Private information
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrivateInfo:
-    """One realization of controller k's private window at time t."""
-
-    k: int
-    t: int
-    y_seq: tuple[int, ...]
-    u_seq: tuple[int, ...]
-
-
 def private_sizes(spec: ProblemSpec, k: int, t: int) -> tuple[int, int]:
     """(#observations, #own actions) in the private window at time t: the
-    stages max(1, t-n+1)..t and ..t-1 (model.window), min(t, n) of them and
-    one fewer."""
+    observations of stages max(1, t-n+1)..t and the own actions of stages
+    max(1, t-n+1)..t-1, min(t, n) of them and one fewer."""
     if not 1 <= t <= spec.T:
         raise DomainError(f"t={t} outside horizon [1, {spec.T}]")
     return min(t, spec.n), min(t, spec.n) - 1
@@ -45,29 +35,6 @@ def private_sizes(spec: ProblemSpec, k: int, t: int) -> tuple[int, int]:
 def private_count(spec: ProblemSpec, k: int, t: int) -> int:
     ny, nu = private_sizes(spec, k, t)
     return spec.y_size[k] ** ny * spec.u_size[k] ** nu
-
-
-def private_space(spec: ProblemSpec, k: int, t: int) -> list[PrivateInfo]:
-    """All realizations, rank order: y entries major, then u entries."""
-    ny, nu = private_sizes(spec, k, t)
-    axes = [range(spec.y_size[k])] * ny + [range(spec.u_size[k])] * nu
-    return [
-        PrivateInfo(k, t, combo[:ny], combo[ny:])
-        for combo in itertools.product(*axes)
-    ]
-
-
-def private_rank(spec: ProblemSpec, info: PrivateInfo) -> int:
-    ny, nu = private_sizes(spec, info.k, info.t)
-    if len(info.y_seq) != ny or len(info.u_seq) != nu:
-        raise DomainError(f"window lengths {len(info.y_seq)}/{len(info.u_seq)} "
-                          f"do not match time {info.t} (expected {ny}/{nu})")
-    r = 0
-    for y in info.y_seq:
-        r = r * spec.y_size[info.k] + y
-    for u in info.u_seq:
-        r = r * spec.u_size[info.k] + u
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +127,6 @@ def pf_count(spec: ProblemSpec, k: int, t: int) -> int:
     return spec.u_size[k] ** private_count(spec, k, t)
 
 
-def pf_rank(spec: ProblemSpec, pf: PartialFunction) -> int:
-    r = 0
-    for entry in pf.table:
-        r = r * spec.u_size[pf.k] + entry
-    return r
-
-
 def pf_unrank(spec: ProblemSpec, k: int, t: int, rank: int) -> PartialFunction:
     size = private_count(spec, k, t)
     digits = []
@@ -183,13 +143,6 @@ def profile_count(spec: ProblemSpec, t: int) -> int:
     for k in range(spec.K):
         c *= pf_count(spec, k, t)
     return c
-
-
-def profile_rank(spec: ProblemSpec, profile: GammaProfile) -> int:
-    r = 0
-    for k in range(spec.K):
-        r = r * pf_count(spec, k, profile.t) + pf_rank(spec, profile.gammas[k])
-    return r
 
 
 def profile_unrank(spec: ProblemSpec, t: int, rank: int) -> GammaProfile:
@@ -218,20 +171,6 @@ def gamma_profiles(spec: ProblemSpec, t: int) -> Iterator[GammaProfile]:
         yield GammaProfile(t, tuple(
             PartialFunction(k, t, tables[k]) for k in range(spec.K)
         ))
-
-
-def apply_profile(spec: ProblemSpec, profile: GammaProfile,
-                  lam_ranks: tuple[int, ...]) -> JointAction:
-    """Evaluate every controller's prescription at its private rank."""
-    u = []
-    for k in range(spec.K):
-        table = profile.gammas[k].table
-        rank = lam_ranks[k]
-        if not 0 <= rank < len(table):
-            raise DomainError(f"private rank {rank} out of range for controller {k}")
-        u.append(table[rank])
-    u = tuple(u)
-    return JointAction(u=u, index=spec.encode_action(u))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +308,9 @@ def random_design(spec: ProblemSpec, seed: int) -> ExtensionalDesign:
 @dataclass
 class CoordinatorPolicy:
     """A solved coordinator decision rule: per time, a profile rank for every
-    reachable node of the information-state graph it was solved on."""
+    reachable node of the information-state graph it was solved on, whose
+    kind names the form."""
 
-    kind: str                                  # "belief" or "theta_r"
     assignments: dict[int, dict[int, int]]     # t -> node id -> profile rank
     graph: Any = field(repr=False)
 

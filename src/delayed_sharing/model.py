@@ -99,45 +99,12 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class JointAction:
-    """A per-controller action tuple together with its flattened index."""
-
-    u: tuple[int, ...]
-    index: int
-
-
-@dataclass(frozen=True)
-class WindowInfo:
-    """Private-information index windows at one decision time."""
-
-    obs_range: range        # times of privately held observations
-    act_range: range        # times of privately held own actions
-    shared_horizon: int     # number of (Y, U) stages already shared
-
-
-@dataclass(frozen=True)
 class Violation:
     """One validation failure: array path, offending value, description."""
 
     path: str
     value: float
     message: str
-
-
-def window(spec: ProblemSpec, t: int) -> WindowInfo:
-    """Index windows of the private data held at time t.
-
-    For t <= n the windows are clipped at stage 1: no data exists before the
-    first stage, and nothing has been shared yet (shared_horizon 0).
-    """
-    if not 1 <= t <= spec.T:
-        raise DomainError(f"t={t} outside horizon [1, {spec.T}]")
-    lo = max(1, t - spec.n + 1)
-    return WindowInfo(
-        obs_range=range(lo, t + 1),
-        act_range=range(lo, t),
-        shared_horizon=max(0, t - spec.n),
-    )
 
 
 def _require(cond: bool, message: str):

@@ -387,6 +387,6 @@ def extract_design2(spec: ProblemSpec, policy: CoordinatorPolicy) -> ExtractedDe
     """Per-controller strategy from a solved (Theta, r) policy; replays the
     update pair along the shared history, with the same acting contract as
     the belief-form extraction."""
-    if policy.kind != "theta_r":
+    if policy.graph.kind != "theta_r":
         raise DomainError("policy was not solved on a (Theta, r) graph")
     return ExtractedDesign(normalize_problem(spec), policy)

@@ -3,21 +3,20 @@ grouping or vectorization, independent of the solver internals they check."""
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from delayed_sharing import minimize
 from delayed_sharing._tables import tables
-from delayed_sharing.coordinator import (JointState, PiBelief,
-                                         expected_stage_cost)
+from delayed_sharing.coordinator import PiBelief, expected_stage_cost
 from delayed_sharing.errors import BudgetError, DomainError
 from delayed_sharing.evaluate import EvalResult, PathRecord, SimResult
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (GammaProfile, PartialFunction,
-                                       PrivateInfo, common_obs_rank,
-                                       common_obs_space, gamma_profiles,
-                                       private_count, private_rank,
-                                       private_sizes, private_space,
+                                       common_obs_rank, common_obs_space,
+                                       gamma_profiles, pf_count,
+                                       private_count, private_sizes,
                                        symbol_rank)
 from delayed_sharing.model import ProblemSpec, normalize_problem
 from delayed_sharing.second_form import RSuffix, _curry_table, part_window
@@ -235,15 +234,6 @@ def embedded_profile(spec, t, lam_sets, digit_sets):
     return GammaProfile(t, tuple(gammas))
 
 
-def _window_rank(spec, k, ys, us):
-    r = 0
-    for y in ys:
-        r = r * spec.y_size[k] + y
-    for u in us:
-        r = r * spec.u_size[k] + u
-    return r
-
-
 def h_map_reference(spec, state):
     """(Theta, r) -> belief-form image by a plain forward loop over a dict of
     (state, per-controller observation history, action history) keys; each
@@ -270,7 +260,10 @@ def h_map_reference(spec, state):
                     w2 *= spec.obs[k][m - 1][x, ys[k]]
                     yk = yh[k] + (int(ys[k]),)
                     yh2.append(yk)
-                    u.append(parts[k][_window_rank(spec, k, yk, uh[k])])
+                    # the part issued at m ranks stages lo..m, shaped as a
+                    # private window at time m - lo + 1
+                    u.append(parts[k][private_rank(
+                        spec, PrivateInfo(k, m - lo + 1, yk, uh[k]))])
                 a = spec.encode_action(u)
                 trow = spec.trans[m - 1][x, a]
                 for x2 in np.nonzero(trow > 0.0)[0]:
@@ -287,7 +280,8 @@ def h_map_reference(spec, state):
             lam = []
             for k in range(spec.K):
                 w2 *= spec.obs[k][t - 1][x, ys[k]]
-                lam.append(_window_rank(spec, k, yh[k] + (int(ys[k]),), uh[k]))
+                lam.append(private_rank(spec, PrivateInfo(
+                    k, t, yh[k] + (int(ys[k]),), uh[k])))
             p[np.ravel_multi_index((x, *lam), shape)] += w2
     return PiBelief(t, p)
 
@@ -309,11 +303,6 @@ def simulate_reference(spec, design, episodes, seed):
         # clip guards the 1-ulp shortfall of a renormalized row's last entry
         return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
 
-    def window_rank(k, t, ys_k, us_k):
-        lo = max(1, t - spec.n + 1)
-        return private_rank(spec, PrivateInfo(k, t, tuple(ys_k[lo - 1: t]),
-                                              tuple(us_k[lo - 1: t - 1])))
-
     for i in range(episodes):
         rng = np.random.default_rng([seed, i])
         draws = iter(rng.random(1 + spec.T * (spec.K + 1)))
@@ -329,8 +318,10 @@ def simulate_reference(spec, design, episodes, seed):
                 ys[k].append(y)
                 y_stage.append(y)
             delta = tuple(zs[: max(0, t - spec.n)])
+            lo = max(1, t - spec.n + 1)
             u_stage = tuple(
-                design.act(k, t, window_rank(k, t, ys[k], us[k]), delta)
+                design.act(k, t, private_rank(spec, PrivateInfo(
+                    k, t, tuple(ys[k][lo - 1:]), tuple(us[k][lo - 1:]))), delta)
                 for k in range(spec.K)
             )
             for k in range(spec.K):
@@ -363,10 +354,6 @@ def iter_paths_reference(spec, action_fn, *, t_max=None, include_final_step=True
         raise DomainError(f"t_max={t_max} outside [1, {spec.T}]")
     emitted = 0
 
-    def window(k, t, ys_k, us_k):
-        lo = max(1, t - spec.n + 1)
-        return _window_rank(spec, k, ys_k[lo - 1: t], us_k[lo - 1: t - 1])
-
     def recurse(t, weight, xs, ys, us, zs):
         nonlocal emitted
         x = xs[-1]
@@ -384,7 +371,9 @@ def iter_paths_reference(spec, action_fn, *, t_max=None, include_final_step=True
                 yield PathRecord(w, xs, ys2, us, zs)
                 continue
             delta = zs[: max(0, t - spec.n)]
-            u_stage = tuple(action_fn(k, t, window(k, t, ys2[k], us[k]), delta)
+            lo = max(1, t - spec.n + 1)
+            u_stage = tuple(action_fn(k, t, private_rank(spec, PrivateInfo(
+                k, t, ys2[k][lo - 1:], us[k][lo - 1:])), delta)
                             for k in range(spec.K))
             us2 = tuple(us[k] + (u_stage[k],) for k in range(spec.K))
             zs2 = zs
@@ -435,8 +424,8 @@ def conditional_state_dists_reference(spec, action_fn, t):
         delta = rec.zs[: max(0, t - spec.n)]
         s = rec.xs[t - 1]
         for k in range(spec.K):
-            s = s * counts[k] + _window_rank(spec, k, rec.ys[k][lo - 1: t],
-                                             rec.us[k][lo - 1: t - 1])
+            s = s * counts[k] + private_rank(spec, PrivateInfo(
+                k, t, rec.ys[k][lo - 1: t], rec.us[k][lo - 1: t - 1]))
         vec = acc.get(delta)
         if vec is None:
             vec = acc[delta] = np.zeros(size)
@@ -488,7 +477,49 @@ def conditional_phi_reference(spec, action_fn, t):
     return {delta: vec / vec.sum() for delta, vec in acc.items()}
 
 
-# -- inverses and definitions the package itself does not need ----------------
+# -- object-level definitions and inverses the package itself does not need --
+
+@dataclass(frozen=True)
+class PrivateInfo:
+    """One realization of controller k's private window at time t."""
+
+    k: int
+    t: int
+    y_seq: tuple[int, ...]
+    u_seq: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class JointState:
+    """One realization of (previous plant state, all private windows)."""
+
+    t: int
+    x_prev: int
+    lam: tuple[int, ...]      # per-controller private ranks
+
+
+def private_space(spec, k, t):
+    """All realizations, rank order: y entries major, then u entries."""
+    ny, nu = private_sizes(spec, k, t)
+    axes = [range(spec.y_size[k])] * ny + [range(spec.u_size[k])] * nu
+    return [PrivateInfo(k, t, combo[:ny], combo[ny:])
+            for combo in itertools.product(*axes)]
+
+
+def private_rank(spec, info):
+    """Mixed radix over the window's observations, oldest first, then its
+    actions, oldest first."""
+    ny, nu = private_sizes(spec, info.k, info.t)
+    if len(info.y_seq) != ny or len(info.u_seq) != nu:
+        raise DomainError(f"window lengths {len(info.y_seq)}/{len(info.u_seq)} "
+                          f"do not match time {info.t} (expected {ny}/{nu})")
+    r = 0
+    for y in info.y_seq:
+        r = r * spec.y_size[info.k] + y
+    for u in info.u_seq:
+        r = r * spec.u_size[info.k] + u
+    return r
+
 
 def private_unrank(spec, k, t, rank):
     """The private window of controller k at time t with the given rank."""
@@ -514,6 +545,31 @@ def state_unrank(spec, t, rank):
         raise DomainError(f"state rank {rank} out of range at t={t}")
     return JointState(t, int(st.x_of_s[rank]),
                       tuple(int(st.lam_of_s[k][rank]) for k in range(spec.K)))
+
+
+def state_rank(spec, s):
+    """Mixed radix over the previous state, then each controller's private
+    rank, controller 0 most significant."""
+    r = s.x_prev
+    for k in range(spec.K):
+        r = r * private_count(spec, k, s.t) + s.lam[k]
+    return r
+
+
+def pf_rank(spec, pf):
+    """Inverse of histories.pf_unrank."""
+    r = 0
+    for entry in pf.table:
+        r = r * spec.u_size[pf.k] + entry
+    return r
+
+
+def profile_rank(spec, profile):
+    """Inverse of histories.profile_unrank."""
+    r = 0
+    for k in range(spec.K):
+        r = r * pf_count(spec, k, profile.t) + pf_rank(spec, profile.gammas[k])
+    return r
 
 
 def part_domain_count(spec, k, t, m):

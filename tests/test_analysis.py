@@ -10,8 +10,9 @@ from delayed_sharing.analysis import (check_aicardi_degenerate,
 from delayed_sharing.coordinator import PiBelief, extract_design, state_count, value_at
 from delayed_sharing.errors import DomainError, PreconditionError
 from delayed_sharing.generate import random_instance
-from delayed_sharing.histories import private_space, random_design
+from delayed_sharing.histories import random_design
 from delayed_sharing.model import ProblemSpec, normalize_problem
+from helpers import private_space
 
 
 # -- delay-1 factorization ------------------------------------------------------

@@ -242,6 +242,18 @@ def test_boolean_size_exit_code(tmp_path):
     assert "n must be an integer" in res.stderr
 
 
+def test_invalid_row_is_an_input_error(tmp_path):
+    data = json.loads((INSTANCES / "io.json").read_text())
+    data["trans"][0][0][0] = [0.9 * p for p in data["trans"][0][0][0]]
+    bad = tmp_path / "short_row.json"
+    bad.write_text(json.dumps(data))
+    res = run_cli("solve", "--problem", str(bad))
+    assert res.returncode == 2
+    assert "input error: invalid problem: trans[" in res.stderr
+    assert "row sums to" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_unknown_command_exit_code():
     res = run_cli("frobnicate", "--problem", "x")
     assert res.returncode == 2

@@ -4,22 +4,22 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import naive_value, primitive_joint, state_unrank
+from helpers import (JointState, PrivateInfo, naive_value, primitive_joint,
+                     private_rank, state_rank, state_unrank, update_mass)
 
 from delayed_sharing import (_tables, analysis, coordinator, evaluate,
                              instances, minimize, second_form)
 from delayed_sharing.coordinator import (PiBelief, alpha_backup, belief_update,
                                          expected_stage_cost, extract_design,
-                                         initial_belief, joint_step_kernel,
-                                         reachable_graph, solve_dp,
-                                         solve_on_graph, state_count,
-                                         state_rank, JointState,
+                                         initial_belief, reachable_graph,
+                                         solve_dp, solve_on_graph, state_count,
                                          value_at)
 from delayed_sharing.errors import (BudgetError, DomainError,
                                     UnreachableObservationError)
 from delayed_sharing.generate import random_instance
-from delayed_sharing.histories import (common_obs_space, gamma_profiles,
-                                       profile_count, profile_unrank)
+from delayed_sharing.histories import (common_obs_rank, common_obs_space,
+                                       gamma_profiles, profile_count,
+                                       profile_unrank)
 from delayed_sharing.model import ProblemSpec, normalize_problem
 
 GOLDEN = {
@@ -60,14 +60,30 @@ def test_initial_belief_matches_primitive_enumeration(i1_spec):
     assert pi.p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-# -- joint step kernel --------------------------------------------------------
+# -- one-step law -------------------------------------------------------------
+
+def _step_law(spec, t, s, profile):
+    """{(next state rank, symbol rank): mass} of one step from a point mass
+    on s under a profile."""
+    rank = state_rank(spec, s)
+    p = np.zeros(state_count(spec, t))
+    p[rank] = 1.0
+    out = {}
+    for z in common_obs_space(spec, t + 1):
+        zr = common_obs_rank(spec, z)
+        m, pz = update_mass(spec, t, p, profile, zr, [rank])
+        if pz > 0.0:
+            for s2 in np.nonzero(m > 0.0)[0]:
+                out[(int(s2), zr)] = float(m[s2])
+    return out
+
 
 def test_joint_step_single_support_point():
     spec = normalize_problem(random_instance(2, 2, 1, 1, (1, 1), (2, 2),
                                              seed=0, deterministic=True))
     profile = profile_unrank(spec, 1, 0)
     s = JointState(1, 0, (0, 0))
-    out = joint_step_kernel(spec, 1, s, profile)
+    out = _step_law(spec, 1, s, profile)
     assert len(out) == 1
     ((_, _), p), = out.items()
     assert p == pytest.approx(1.0, abs=1e-12)
@@ -79,7 +95,7 @@ def test_joint_step_delay_one_symbol(i1_spec):
     spec = i1_spec
     profile = profile_unrank(spec, 1, profile_count(spec, 1) - 1)  # all-ones
     s = JointState(1, 0, (1, 0))
-    out = joint_step_kernel(spec, 1, s, profile)
+    out = _step_law(spec, 1, s, profile)
     z_ranks = {zr for (_, zr) in out}
     assert len(z_ranks) == 1
     z = common_obs_space(spec, 2)[z_ranks.pop()]
@@ -91,7 +107,7 @@ def test_joint_step_matches_primitive_paths(i1_spec):
     spec = i1_spec
     profile = profile_unrank(spec, 1, 5)
     s = JointState(1, 1, (0, 1))
-    out = joint_step_kernel(spec, 1, s, profile)
+    out = _step_law(spec, 1, s, profile)
     # direct: a = profile actions; X_1 ~ trans; Y_2 ~ obs
     a = (profile.gammas[0].table[0], profile.gammas[1].table[1])
     ai = spec.encode_action(a)
@@ -107,12 +123,6 @@ def test_joint_step_matches_primitive_paths(i1_spec):
                                next(zr for (_, zr) in out)), 0.0)
                 assert got == pytest.approx(w, abs=1e-14)
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_joint_step_domain_error(i1_spec):
-    with pytest.raises(DomainError):
-        joint_step_kernel(i1_spec, 2, JointState(2, 0, (0, 0)),
-                          profile_unrank(i1_spec, 2, 0))
 
 
 # -- belief update ------------------------------------------------------------
@@ -326,7 +336,6 @@ def test_extract_replay_matches_simulation(solved, monkeypatch):
     entry = solved["i2"]
     spec, pol = entry["spec"], entry["pol"]
     design = extract_design(spec, pol)
-    from delayed_sharing.histories import PrivateInfo, private_rank
     checked = 0
     for rec in evaluate.iter_paths(spec, design.act):
         for t in range(1, spec.T + 1):

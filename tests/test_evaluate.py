@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,15 +11,14 @@ from delayed_sharing.coordinator import (expected_stage_cost, extract_design,
                                          solve_on_graph)
 from delayed_sharing.errors import BudgetError
 from delayed_sharing.generate import random_instance
-from delayed_sharing.histories import (ExtensionalDesign, PrivateInfo,
-                                       constant_design, gamma_profiles,
-                                       private_rank, random_design)
+from delayed_sharing.histories import (ExtensionalDesign, constant_design,
+                                       gamma_profiles, random_design)
 from delayed_sharing.model import ProblemSpec, normalize_problem
-from helpers import (conditional_phi_reference,
+from helpers import (PrivateInfo, conditional_phi_reference,
                      conditional_stage_costs_reference,
                      conditional_state_dists_reference,
                      conditional_x_dists_reference, exact_cost_reference,
-                     iter_paths_reference, small_instance)
+                     iter_paths_reference, private_rank, small_instance)
 
 
 def constant_cost_spec(c, T=1):
@@ -130,9 +130,13 @@ def test_brute_force_horizon_one_matches_stage_min():
     assert best == pytest.approx(want, abs=1e-12)
 
 
-def test_brute_force_budget(io_spec):
-    with pytest.raises(BudgetError):
-        evaluate.brute_force_optimum(io_spec, budget=100)
+def test_brute_force_budget(io_spec, monkeypatch):
+    """io has 1,024 designs of at most 32 paths: a budget of 2,000 admits
+    the designs and refuses their evaluations."""
+    monkeypatch.setattr(evaluate, "DEFAULT_ORACLE_BUDGET", 2_000)
+    with pytest.raises(BudgetError, match=re.escape(
+            "oracle needs 1024 designs x 32 paths = 32768 evaluations (budget 2000)")):
+        evaluate.brute_force_optimum(io_spec)
 
 
 def test_path_budget(solved, monkeypatch):

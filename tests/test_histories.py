@@ -1,18 +1,14 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from delayed_sharing.errors import DomainError
 from delayed_sharing.generate import random_instance
-from delayed_sharing.histories import (CommonObs, GammaProfile, PartialFunction,
-                                       apply_profile, common_obs_count,
+from delayed_sharing.histories import (CommonObs, common_obs_count,
                                        common_obs_rank, common_obs_space,
                                        delta_count, gamma_profiles,
-                                       private_count, private_rank,
-                                       private_space, profile_count,
-                                       profile_rank, profile_unrank)
-from helpers import private_unrank
+                                       private_count, profile_count,
+                                       profile_unrank)
+from helpers import private_rank, private_space, private_unrank, profile_rank
 
 
 def spec_of(K=2, T=3, n=2, x=2, y=(2, 2), u=(2, 2), seed=0):
@@ -108,25 +104,6 @@ def test_gamma_profiles_rank_order():
         assert profile_unrank(spec, 1, rank) == profile
 
 
-def test_apply_profile_constant_and_identity():
-    spec = spec_of(n=1, T=2)
-    constant = profile_unrank(spec, 1, 0)
-    for lams in itertools.product(range(2), range(2)):
-        assert apply_profile(spec, constant, lams).u == (0, 0)
-    ident = GammaProfile(1, (PartialFunction(0, 1, (0, 1)),
-                             PartialFunction(1, 1, (0, 1))))
-    for lams in itertools.product(range(2), range(2)):
-        act = apply_profile(spec, ident, lams)
-        assert act.u == lams
-        assert act.index == lams[0] * 2 + lams[1]
-
-
-def test_apply_profile_range_check():
-    spec = spec_of(n=1, T=2)
-    with pytest.raises(DomainError):
-        apply_profile(spec, profile_unrank(spec, 1, 0), (2, 0))
-
-
 def test_apply_profile_matches_oracle_design(solved):
     # the solved policy's first-stage prescription, applied by table lookup,
     # agrees with the brute-force optimal design of the same instance
@@ -136,9 +113,8 @@ def test_apply_profile_matches_oracle_design(solved):
     best, oracle_design = evaluate.brute_force_optimum(spec)
     profile = profile_unrank(spec, 1, pol.profile_rank(1, 0))
     for lam0 in range(2):
-        act = apply_profile(spec, profile, (lam0, 0))
-        assert act.u[0] == oracle_design.act(0, 1, lam0, ())
-        assert act.u[1] == oracle_design.act(1, 1, 0, ())
+        assert profile.gammas[0].table[lam0] == oracle_design.act(0, 1, lam0, ())
+        assert profile.gammas[1].table[0] == oracle_design.act(1, 1, 0, ())
 
 
 def test_delta_count():

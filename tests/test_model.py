@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from delayed_sharing import instances
 from delayed_sharing.errors import DomainError, ParseError, SchemaError
 from delayed_sharing.generate import random_instance
+from delayed_sharing.histories import delta_length, private_sizes
 from delayed_sharing.model import (load_problem, normalize_problem,
-                                   serialize_problem, validate_problem, window)
+                                   serialize_problem, validate_problem)
 
 
 IO_FILE = Path(instances.__file__).parent / "io.json"
@@ -128,34 +129,28 @@ def test_normalize_is_idempotent():
 
 def test_window_clipped_at_start():
     spec = random_instance(2, 4, 2, 2, (2, 2), (2, 2), seed=1)
-    w = window(spec, 1)
-    assert list(w.obs_range) == [1]
-    assert list(w.act_range) == []
-    assert w.shared_horizon == 0
+    assert private_sizes(spec, 0, 1) == (1, 0)
+    assert delta_length(spec, 1) == 0
 
 
 def test_window_delay_one():
     spec = random_instance(2, 4, 1, 2, (2, 2), (2, 2), seed=1)
-    w = window(spec, 3)
-    assert list(w.obs_range) == [3]
-    assert list(w.act_range) == []
-    assert w.shared_horizon == 2
+    assert private_sizes(spec, 0, 3) == (1, 0)
+    assert delta_length(spec, 3) == 2
 
 
 def test_window_full():
     spec = random_instance(2, 4, 2, 2, (2, 2), (2, 2), seed=1)
-    w = window(spec, 4)
-    assert list(w.obs_range) == [3, 4]
-    assert list(w.act_range) == [3]
-    assert w.shared_horizon == 2
+    assert private_sizes(spec, 0, 4) == (2, 1)
+    assert delta_length(spec, 4) == 2
 
 
 def test_window_domain_error():
     spec = random_instance(2, 2, 1, 2, (2, 2), (2, 2), seed=1)
     with pytest.raises(DomainError):
-        window(spec, 0)
+        private_sizes(spec, 0, 0)
     with pytest.raises(DomainError):
-        window(spec, 3)
+        private_sizes(spec, 0, 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,14 +159,12 @@ def test_window_invariants(T, n, t):
     if t > T:
         return
     spec = random_instance(1, T, n, 1, (1,), (1,), seed=0)
-    w = window(spec, t)
-    assert len(w.obs_range) <= n
-    assert len(w.act_range) <= n - 1
+    ny, nu = private_sizes(spec, 0, t)
+    assert ny <= n
+    assert nu <= n - 1
     if t > n:
-        assert len(w.obs_range) == n
-        assert len(w.act_range) == n - 1
+        assert (ny, nu) == (n, n - 1)
     if t < T:
-        nxt = window(spec, t + 1)
-        diff = nxt.shared_horizon - w.shared_horizon
+        diff = delta_length(spec, t + 1) - delta_length(spec, t)
         assert diff in (0, 1)
         assert (diff == 1) == (t >= n)

@@ -22,8 +22,9 @@ from delayed_sharing.second_form import (RSuffix, Theta, ThetaRState,
                                          reachable_graph2, solve_dp2,
                                          theta_update)
 from delayed_sharing.verify import replay_theta_r
-from helpers import (embedded_profile, h_map_reference, make_i2_mini,
-                     part_domain_count, suffix_from_prescriptions)
+from helpers import (PrivateInfo, embedded_profile, h_map_reference,
+                     make_i2_mini, part_domain_count, private_rank,
+                     suffix_from_prescriptions)
 
 
 def uniform_identity_spec():
@@ -129,7 +130,6 @@ def test_r_update_delay_two_single_curried_part(i2_spec):
     assert len(table) == 2
     # entries are the prescription at (y1=1, y2, u1=1)
     for y2 in range(2):
-        from delayed_sharing.histories import PrivateInfo, private_rank
         full_rank = private_rank(spec, PrivateInfo(0, 2, (1, y2), (1,)))
         assert table[y2] == g2.table[full_rank]
 

@@ -80,7 +80,7 @@ class _NoGraph:
 
 
 def _unsolved(spec):
-    return ExtractedDesign(spec, CoordinatorPolicy("belief", {}, _NoGraph()))
+    return ExtractedDesign(spec, CoordinatorPolicy({}, _NoGraph()))
 
 
 def test_budget_is_checked_before_tables(solved, monkeypatch):
