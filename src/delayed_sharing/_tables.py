@@ -185,7 +185,8 @@ def stacked_support_sets(spec: ProblemSpec, t: int, P: np.ndarray
     A realization's marginal mass is a sum of non-negative terms, so it is
     positive exactly when one of its joint states has positive mass; the
     test reads that off one boolean reduction per controller.  Rows with
-    equal positivity patterns share one tuple.
+    equal positivity patterns share one tuple; patterns are told apart by
+    their packed bytes.
     """
     st = tables(spec).stage[t]
     live = P.reshape((len(P), *st.shape)) > 0.0
@@ -193,13 +194,15 @@ def stacked_support_sets(spec: ProblemSpec, t: int, P: np.ndarray
     for k in range(spec.K):
         axes = tuple(i for i in range(1, spec.K + 2) if i != k + 2)
         masks.append(live.any(axis=axes))
-    patterns, inverse = np.unique(np.concatenate(masks, axis=1), axis=0,
-                                  return_inverse=True)
+    mask = np.concatenate(masks, axis=1)
+    packed = np.packbits(mask, axis=1)
+    _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").reshape(-1),
+                                  return_index=True, return_inverse=True)
     bounds = np.cumsum([0, *st.L])
-    sets = [tuple(tuple(int(i) for i in np.nonzero(row[bounds[k]:bounds[k + 1]])[0])
+    sets = [tuple(tuple(np.nonzero(mask[i, bounds[k]:bounds[k + 1]])[0].tolist())
                   for k in range(spec.K))
-            for row in patterns]
-    return [sets[i] for i in inverse.reshape(-1).tolist()]
+            for i in first.tolist()]
+    return [sets[i] for i in inverse.tolist()]
 
 
 def support_sets(spec: ProblemSpec, t: int, p: np.ndarray) -> tuple[tuple[int, ...], ...]:

@@ -170,12 +170,12 @@ class InfoNode:
     reconstruction of a (Theta, r) state, which is then kept in state (None
     in the belief form).  support holds, per controller, the realizations
     with positive marginal mass under pi; it is computed on first read, or
-    for a block of nodes at once when the block is expanded or backed up, so
-    the leaves of a graph that values them without a backup (value_at) never
-    pay for it.  relevant holds, per controller, the realizations whose
-    assigned actions the backup must distinguish: the support plus every
-    visible set of the node's branches, assigned when the node is expanded
-    (until then, the support).
+    for a block of nodes at once when the block is expanded or backed up.
+    value_at's terminal reads its leaves' supports off their stacked
+    beliefs (_last_stage_values), not off the nodes.  relevant holds, per
+    controller, the realizations whose assigned actions the backup must
+    distinguish: the support plus every visible set of the node's branches,
+    assigned when the node is expanded (until then, the support).
     """
 
     node_id: int
@@ -616,21 +616,25 @@ def add_continuation(spec: ProblemSpec, bs: minimize.BehaviorSpace,
     values is indexed by node id.
 
     The branch table of a symbol is assembled over its visible assignment
-    ranks and read back per behavior through the behaviors' subkeys, an
-    open mesh of one vector per controller.  The mesh depends only on bs and
-    the visible sets, so subkeys keeps it per visible sets; share it only
-    across calls on the same bs.  Symbols are added in expansion order, one
-    array addition each, so the summation order is fixed by the expansion.
+    ranks and read back per behavior one controller at a time, the last
+    first: axis k is replaced by its entries at the behaviors' subkeys on
+    visible[k] (one take per controller, the entries of the open-mesh
+    gather without building it; the later takes copy whole rows).  A key
+    vector depends only on bs, k and visible[k], so subkeys keeps it per
+    (k, visible[k]); share it only across calls on the same bs.  Symbols
+    are added in expansion order, one array addition each, so the
+    summation order is fixed by the expansion.
     """
     for ztab in expansion.values():
         table = np.zeros(ztab.shape)
         table.reshape(-1)[ztab.rank] = ztab.pz * values[ztab.child]
-        mesh = subkeys.get(ztab.visible)
-        if mesh is None:
-            mesh = subkeys[ztab.visible] = np.ix_(*(
-                minimize.subkey_vector(spec, bs, k, ztab.visible[k])
-                for k in range(spec.K)))
-        totals = totals + table[mesh]
+        for k in range(spec.K - 1, -1, -1):
+            visible = ztab.visible[k]
+            key = subkeys.get((k, visible))
+            if key is None:
+                key = subkeys[k, visible] = minimize.subkey_vector(spec, bs, k, visible)
+            table = table.take(key, axis=k)
+        totals = totals + table
     return totals
 
 
@@ -852,40 +856,62 @@ def _last_stage_values(spec: ProblemSpec, beliefs) -> np.ndarray:
     first K-1 controllers are enumerated, the last controller's prescription
     is then optimized entry by entry, which is exact because for fixed other
     prescriptions the objective is additive over its private realizations.
+    Behaviors are enumerated on the beliefs' supports only: a zero-mass
+    realization's terms are +-0.0, which change a partial sum at most in the
+    sign of a zero, and the last sum starts at +0.0, which drops that sign;
+    so each value is, to the byte, that of the full enumeration.  The last
+    controller keeps every realization, so its sum keeps its pairwise order.
 
-    The beliefs run in chunks of whole row blocks, each chunk's stack and
-    cost tensor (minimize.cost_tensor, one product per row) inside
-    _tables._BLOCK_ENTRIES entries when one block fits, so memory stays flat
-    in the batch size.  Per row block: the first K-1 controllers' behavior
-    sums (minimize.behavior_sums: controller 0 first, each over its
-    realizations in ascending order), an elementwise minimum over the last
-    controller's action slices, a sum over its realizations on a contiguous
-    axis (minimize.last_axis_sum, the bytes of .sum(axis=-1)), and the
-    minimum over behaviors.  Each value is a function of its own row only,
-    so every chunk and row block size gives the bytes of a one-row call.
+    Beliefs are grouped by the first K-1 controllers' supports (read from
+    stacked rows, first seen first).  Each group runs in chunks of whole row
+    blocks, each chunk's stack and cost tensor inside _tables._BLOCK_ENTRIES
+    entries when one block fits, so memory stays flat in the batch size.
+    The cost tensor is the product over every realization (one per row,
+    minimize.cost_tensor), then sliced to the supports: numpy's matmul can
+    round a product of another shape differently.  Per row block: the
+    behavior sums (minimize.behavior_sums: controller 0 first, each over its
+    supported realizations in ascending order), an elementwise minimum over
+    the last controller's action slices, a sum over its realizations on a
+    contiguous axis (minimize.last_axis_sum, the bytes of .sum(axis=-1)),
+    and the minimum over behaviors.  Each value is a function of its own row
+    only, so every grouping, chunk and row block size gives the bytes of a
+    one-row call.  The budgets count every realization, supported or not.
     """
     T = spec.T
     st = tables(spec).stage[T]
     full = tuple(tuple(range(st.L[k])) for k in range(spec.K))
     joint = math.prod(spec.u_size[k] ** st.L[k] for k in range(spec.K - 1))
-    row_entries = st.L[-1] * spec.u_size[-1] * joint
-    if row_entries * len(beliefs) > minimize.DEFAULT_MAX_JOINT_BEHAVIORS * 64:
+    if st.L[-1] * spec.u_size[-1] * joint * len(beliefs) > (
+            minimize.DEFAULT_MAX_JOINT_BEHAVIORS * 64):
         raise BudgetError(f"terminal minimization batch too large at T={T}")
     minimize.check_joint_behaviors(T, joint)
-    rows = max(1, _tables._BLOCK_ENTRIES // row_entries)
-    # a row of a chunk holds a belief and its cost tensor
-    chunk = rows * max(1, _tables._BLOCK_ENTRIES // (
-        rows * (st.state_count + math.prod(st.L) * spec.action_count)))
+    groups: dict[tuple, list[int]] = {}
+    block = max(1, _tables._BLOCK_ENTRIES // st.state_count)
+    for lo in range(0, len(beliefs), block):
+        sets = stacked_support_sets(spec, T, np.stack(beliefs[lo:lo + block]))
+        for i, support in enumerate(sets, lo):
+            groups.setdefault(support[:-1], []).append(i)
     values = np.empty(len(beliefs))
-    for lo in range(0, len(beliefs), chunk):
-        ct = minimize.cost_tensor(spec, T, np.stack(beliefs[lo:lo + chunk]), full)
-        for i in range(0, len(ct), rows):
-            cur = minimize.behavior_sums(ct[i:i + rows], spec.K - 1)
-            low = cur[..., 0]
-            for a in range(1, cur.shape[-1]):
-                low = np.minimum(low, cur[..., a])
-            values[lo + i:lo + i + len(cur)] = minimize.last_axis_sum(low).reshape(
-                len(cur), -1).min(axis=1)
+    for support, members in groups.items():
+        row_entries = st.L[-1] * spec.u_size[-1] * math.prod(
+            spec.u_size[k] ** len(support[k]) for k in range(spec.K - 1))
+        rows = max(1, _tables._BLOCK_ENTRIES // row_entries)
+        # a row of a chunk holds a belief and its cost tensor
+        chunk = rows * max(1, _tables._BLOCK_ENTRIES // (
+            rows * (st.state_count + math.prod(st.L) * spec.action_count)))
+        for lo in range(0, len(members), chunk):
+            ids = members[lo:lo + chunk]
+            ct = minimize.cost_tensor(spec, T, np.stack([beliefs[i] for i in ids]), full)
+            for k, lams in enumerate(support):
+                if len(lams) < st.L[k]:
+                    ct = ct.take(lams, axis=1 + k)
+            for i in range(0, len(ct), rows):
+                cur = minimize.behavior_sums(ct[i:i + rows], spec.K - 1)
+                low = cur[..., 0]
+                for a in range(1, cur.shape[-1]):
+                    low = np.minimum(low, cur[..., a])
+                values[ids[i:i + rows]] = minimize.last_axis_sum(low).reshape(
+                    len(cur), -1).min(axis=1)
     return values
 
 

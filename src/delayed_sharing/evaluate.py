@@ -345,9 +345,11 @@ def path_count_bound(spec: ProblemSpec) -> int:
     return bound
 
 
-def enumerate_designs(spec: ProblemSpec, *,
-                      max_designs: int = DEFAULT_ORACLE_BUDGET) -> Iterator[ExtensionalDesign]:
-    """Every extensionally-stored design exactly once.
+def enumerate_designs(spec: ProblemSpec, *, max_designs: int | None = None
+                      ) -> Iterator[ExtensionalDesign]:
+    """Every extensionally-stored design exactly once; refused (BudgetError)
+    when the designs exceed max_designs, by default DEFAULT_ORACLE_BUDGET
+    read at call time.
 
     Enumeration order is mixed-radix over table entries, blocks ordered by
     (time, controller) with earlier blocks more significant; within a block,
@@ -355,6 +357,8 @@ def enumerate_designs(spec: ProblemSpec, *,
     """
     spec = normalize_problem(spec)
     total = design_count(spec)
+    if max_designs is None:
+        max_designs = DEFAULT_ORACLE_BUDGET
     if total > max_designs:
         raise BudgetError(f"design space holds {total} designs (budget {max_designs})")
     blocks = []        # (k, t, rows, cols)

@@ -113,6 +113,43 @@ def ordered_totals_reference(spec, t, p, restricted):
     return out
 
 
+def last_stage_values_reference(spec, p):
+    """Terminal value of one stage-T belief by full enumeration: every
+    behavior of the first K-1 controllers on every one of their
+    realizations, zero-mass ones included.  Per behavior and realization of
+    the last controller, the terms are left-folded in Python floats,
+    controller 0 innermost and every controller's realizations in ascending
+    order, then minimized over the last action; the last controller's
+    realizations are summed with np.sum on a contiguous 1-D row, and the
+    minimum over behaviors is the value."""
+    stt = tables(spec).stage[spec.T]
+    K, L = spec.K, stt.L
+    q_cube = stt.q.reshape((spec.x_size, *spec.u_size))
+    ct = np.tensordot(p.reshape(stt.shape), q_cube, axes=([0], [0])).tolist()
+
+    def fold(digits, k, lams, a):
+        # sum over the realizations of controllers 0..k-1, given lams of k..
+        if k == 0:
+            entry = ct
+            for i in (*lams, *(digits[j][lams[j]] for j in range(K - 1)), a):
+                entry = entry[i]
+            return entry
+        acc = None
+        for lam in range(L[k - 1]):
+            term = fold(digits, k - 1, (lam, *lams), a)
+            acc = term if acc is None else acc + term
+        return acc
+
+    best = None
+    for digits in itertools.product(*(itertools.product(range(spec.u_size[k]), repeat=L[k])
+                                      for k in range(K - 1))):
+        row = np.array([min(fold(digits, K - 1, (lam,), a) for a in range(spec.u_size[-1]))
+                        for lam in range(L[-1])])
+        value = float(np.sum(row))
+        best = value if best is None else min(best, value)
+    return best
+
+
 def window_tables_reference(spec, t):
     """Per controller, the shift map and aged-out coordinates of the stage-t
     windows, by a loop over PrivateInfo windows that appends (y, u), trims

@@ -3,23 +3,26 @@ relevant sets, stacking their beliefs in row blocks and taking one argmin
 per block change how the work is scheduled, never the arithmetic: values
 must agree bit for bit and minimizing profile ranks exactly, for every row
 block size.  The stage totals and the terminal minimization of a stack of
-beliefs must give every row the bytes of the one-row call on it."""
+beliefs must give every row the bytes of the one-row call on it, and the
+terminal, which enumerates behaviors on supports only, the bytes of a full
+enumeration."""
 
+import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from delayed_sharing import _tables, minimize
+from delayed_sharing import _tables, instances, minimize
 from delayed_sharing._tables import stacked_support_sets, support_sets, tables
 from delayed_sharing.coordinator import (_last_stage_values, reachable_graph,
                                          solve_on_graph)
 from delayed_sharing.generate import random_instance
 from delayed_sharing.model import normalize_problem
 from delayed_sharing.second_form import reachable_graph2
-from helpers import backup_node_reference
+from helpers import backup_node_reference, last_stage_values_reference
 
 BUILD = {"belief": reachable_graph, "theta_r": reachable_graph2}
 # One row per block; an odd cap that leaves partial last blocks; the default.
@@ -48,14 +51,29 @@ def _reference_sweep(graph):
 @settings(max_examples=16, deadline=None)
 @given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]),
        n=st.sampled_from([1, 2]), deterministic=st.booleans(),
-       form=st.sampled_from(["belief", "theta_r"]))
-def test_stage_backup_matches_per_node_reference(seed, K, n, deterministic, form):
+       form=st.sampled_from(["belief", "theta_r"]), u3=st.booleans())
+def test_stage_backup_matches_per_node_reference(seed, K, n, deterministic, form, u3):
     """Three stages, so the middle stage both reads and feeds continuations;
     a third controller observes a single symbol, which keeps K=3 graphs near
-    a thousand nodes."""
+    a thousand nodes.  With u3, the first controller has three actions."""
+    y = (2, 2, 1)[:K] if K == 3 else (2, 2)
+    u = (3 if u3 else 2,) + (2,) * (K - 1)
     _check_stage_backup(normalize_problem(random_instance(
-        K, 3, n, 2, (2, 2, 1)[:K] if K == 3 else (2, 2), (2,) * K, seed=seed,
-        deterministic=deterministic)), form)
+        K, 3, n, 2, y, u, seed=seed, deterministic=deterministic)), form)
+
+
+@pytest.mark.parametrize("y, u", [((2, 2), (2, 2)), ((2, 1), (3, 2)), ((2, 1), (2, 3))])
+@pytest.mark.parametrize("form", list(BUILD))
+def test_stage_backup_matches_per_node_reference_on_gapped_visible_sets(form, y, u):
+    """At delay 2 a symbol's visible sets have gaps in rank (realizations 0
+    and 2 of the support 0, 2, 4, 6, say).  Each expanded node's relevant
+    sets are widened over those gaps, so such a visible set sits at
+    non-adjacent positions of its relevant set (the first and the third of
+    0, 1, 2, 4, 5, 6), with positive mass on both, where its subkeys are
+    not those of any run of the relevant set; one controller may have three
+    actions."""
+    spec = normalize_problem(random_instance(2, 3, 2, 2, y, u, seed=0))
+    assert _check_stage_backup(spec, form, widen=True) > 0
 
 
 @pytest.mark.parametrize("shape", list(THIN))
@@ -71,10 +89,32 @@ def test_stage_backup_matches_per_node_reference_on_thin_shapes(
         len(y), 3, 2, 2, y, u, seed=seed, deterministic=deterministic)), form)
 
 
-def _check_stage_backup(spec, form):
+def _check_stage_backup(spec, form, widen=False):
+    """Compare the sweeps; return how many (node, symbol, controller)
+    visible sets sit at non-adjacent positions of the relevant set with
+    positive mass on two or more of their realizations.  widen adds to each
+    expanded node's relevant sets every realization inside the span of one
+    of its visible sets (a superset of the support and visible sets is a
+    valid relevant set)."""
     graph = BUILD[form](spec)
     leaves = graph.stages[spec.T]
     assert not any("support" in vars(node) for node in leaves)
+    gapped = 0
+    for node_id, expansion in graph.expansions.items():
+        if not expansion:
+            continue
+        node = graph.by_id[node_id]
+        if widen:
+            node.relevant = tuple(
+                tuple(sorted(set(relevant).union(*(
+                    range(ztab.visible[k][0], ztab.visible[k][-1] + 1)
+                    for ztab in expansion.values() if ztab.visible[k]))))
+                for k, relevant in enumerate(node.relevant))
+        for ztab in expansion.values():
+            for k, visible in enumerate(ztab.visible):
+                at = [node.relevant[k].index(lam) for lam in visible]
+                gapped += (len(set(visible) & set(node.support[k])) >= 2
+                           and at != list(range(at[0], at[0] + len(at))))
     sweeps = []
     for entries in (BLOCK_ENTRIES[-1], *BLOCK_ENTRIES[:-1]):
         with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
@@ -90,6 +130,79 @@ def _check_stage_backup(spec, form):
             assert (np.array(list(vt.J[t].values())).tobytes()
                     == np.array([v for v, _ in per_node.values()]).tobytes())
             assert list(vt.argmin[t].values()) == [r for _, r in per_node.values()]
+    return gapped
+
+
+# Costs as drawn, all +0.0, all -0.0, or each entry drawn from +0.0, -0.0,
+# as drawn and minus its magnitude.
+COSTS = ("drawn", "+0.0", "-0.0", "signed")
+
+
+def _with_costs(spec, rng, costs):
+    c = np.array(spec.cost)
+    if costs == "+0.0":
+        c[...] = 0.0
+    elif costs == "-0.0":
+        c[...] = -0.0
+    elif costs == "signed":
+        c = np.choose(rng.integers(0, 4, c.shape),
+                      [np.zeros_like(c), np.full_like(c, -0.0), c, -np.abs(c)])
+    return normalize_problem(dataclasses.replace(spec, cost=c))
+
+
+def _terminal_beliefs(spec, rng, count):
+    """count stage-T beliefs: the first with full support, the others with
+    a random nonempty subset of each controller's realizations kept and,
+    for some, single joint states zeroed as well."""
+    stt = tables(spec).stage[spec.T]
+    P = rng.dirichlet(np.ones(stt.state_count), size=count)
+    for p, sparsity in zip(P[1:], (0.0, 0.5, 0.9) * count):
+        cube = p.reshape(stt.shape)
+        for k, size in enumerate(stt.L):
+            drop = rng.uniform(size=size) < 0.5
+            drop[rng.integers(size)] = False
+            np.moveaxis(cube, k + 1, 0)[drop] = 0.0
+        drop = rng.uniform(size=p.size) < sparsity
+        if (p * ~drop).any():
+            p[drop] = 0.0
+        p /= p.sum()
+    return P
+
+
+@pytest.mark.parametrize("name", ["io", "i1", "i2", "ia"])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10_000), costs=st.sampled_from(COSTS))
+def test_terminal_values_equal_full_enumeration(name, seed, costs):
+    """Each terminal value, float.hex for float.hex, is the full
+    enumeration's (helpers.last_stage_values_reference): over every
+    realization, zero-mass ones included, on sparse and full-support
+    beliefs and with signed-zero and negative costs."""
+    _check_terminal(normalize_problem(instances.load(name)), seed, costs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.integers(1, 3), n=st.sampled_from([1, 2]),
+       y=st.tuples(*[st.integers(1, 3)] * 3), u=st.tuples(*[st.integers(1, 3)] * 3),
+       costs=st.sampled_from(COSTS))
+@example(seed=2, K=2, n=1, y=(2, 1, 1), u=(2, 3, 1), costs="signed")
+def test_terminal_values_equal_full_enumeration_on_random_shapes(seed, K, n, y, u, costs):
+    """The example's second belief has one supported realization of two for
+    controller 0: a cost product over that one realization rounds one value
+    1 ulp away from the product over both."""
+    spec = normalize_problem(random_instance(K, n + 1, n, 2, y[:K], u[:K], seed=seed))
+    L = tables(spec).stage[spec.T].L
+    assume(math.prod(spec.u_size[k] ** L[k] * L[k] for k in range(K - 1))
+           * L[-1] * spec.u_size[-1] <= 1 << 12)
+    _check_terminal(spec, seed, costs)
+
+
+def _check_terminal(spec, seed, costs):
+    rng = np.random.default_rng(seed)
+    spec = _with_costs(spec, rng, costs)
+    P = _terminal_beliefs(spec, rng, 4)
+    got = _last_stage_values(spec, P)
+    for value, p in zip(got.tolist(), P):
+        assert value.hex() == last_stage_values_reference(spec, p).hex()
 
 
 def _thin_stack(shape):

@@ -105,6 +105,13 @@ def test_enumerate_designs_budget():
         list(evaluate.enumerate_designs(spec, max_designs=1000))
 
 
+def test_enumerate_designs_reads_the_default_budget_at_call_time(io_spec, monkeypatch):
+    monkeypatch.setattr(evaluate, "DEFAULT_ORACLE_BUDGET", 10)
+    with pytest.raises(BudgetError,
+                       match=re.escape("design space holds 1024 designs (budget 10)")):
+        next(evaluate.enumerate_designs(io_spec))
+
+
 def test_enumerate_first_design_is_all_zero(io_spec):
     first = next(iter(evaluate.enumerate_designs(io_spec)))
     for k in range(2):

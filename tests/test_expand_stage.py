@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delayed_sharing import _tables, coordinator, instances, minimize
-from delayed_sharing._tables import support_sets, tables
+from delayed_sharing._tables import stacked_support_sets, support_sets, tables
 from delayed_sharing.coordinator import PiBelief, belief_update
 from delayed_sharing.errors import BudgetError, UnreachableObservationError
 from delayed_sharing.generate import random_instance
@@ -595,11 +595,16 @@ def _terminal_spec(name):
 def test_terminal_fold_matches_axis_min(monkeypatch, name):
     """_last_stage_values folds np.minimum over the last action axis; the
     result must be the bytes of .min(axis=-1) on the same behavior sums,
-    then a sum over the last realization axis of a C-contiguous copy."""
+    then a sum over the last realization axis of a C-contiguous copy.  The
+    beliefs are grouped by the first K-1 controllers' supports, first seen
+    first, and each group of these few rows is one behavior_sums call."""
     spec = _terminal_spec(name)
     rng = np.random.default_rng(9)
     P = np.stack([_belief(spec, spec.T, rng, sparsity)
                   for sparsity in (0.0, 0.0, 0.5, 0.5, 0.9, 0.9)])
+    groups = {}
+    for i, support in enumerate(stacked_support_sets(spec, spec.T, P)):
+        groups.setdefault(support[:-1], []).append(i)
     outputs = []
     real = minimize.behavior_sums
 
@@ -609,9 +614,13 @@ def test_terminal_fold_matches_axis_min(monkeypatch, name):
 
     monkeypatch.setattr(minimize, "behavior_sums", spy)
     got = coordinator._last_stage_values(spec, P)
-    (cur,) = outputs
-    want = np.ascontiguousarray(cur.min(axis=-1)).sum(axis=-1).reshape(
-        len(P), -1).min(axis=1)
+    assert len(outputs) == len(groups)
+    want = np.empty(len(P))
+    for (support, rows), cur in zip(groups.items(), outputs):
+        assert cur.shape[1:spec.K] == tuple(
+            spec.u_size[k] ** len(support[k]) for k in range(spec.K - 1))
+        want[rows] = np.ascontiguousarray(cur.min(axis=-1)).sum(axis=-1).reshape(
+            len(cur), -1).min(axis=1)
     assert got.tobytes() == want.tobytes()
 
 
