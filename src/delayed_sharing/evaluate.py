@@ -7,8 +7,11 @@ and expectations or conditionals are exact sums.  This is the oracle the
 solvers are checked against.  The trajectories are the rows of one forward
 path table, built stage by stage; exact_cost and the conditional oracles
 are sums over its rows.  The seeded Monte Carlo estimate (simulate) samples
-the same primitive randomness, one PCG64 stream per episode, and runs the
-episodes stage by stage as arrays over blocks.  Both act through one stage
+the same primitive randomness, one PCG64 stream per episode, numpy's
+default_rng([seed, i]), and runs the episodes stage by stage as arrays over
+blocks.  A block's streams are drawn at once, a lane per episode, by
+NumPy's SeedSequence and PCG64 recurrences written as array operations, bit
+for bit the draws numpy makes episode by episode.  Both act through one stage
 step, _act, which gathers an ExtensionalDesign's actions from its tables and
 asks any other strategy through its act method, never through solver
 tables.
@@ -18,8 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +35,9 @@ from .model import ProblemSpec, normalize_problem
 DEFAULT_MAX_PATHS = 10_000_000
 DEFAULT_ORACLE_BUDGET = 10_000_000
 DEFAULT_MAX_DESIGN_ENTRIES = 1_000_000
+# 8 bytes of totals per episode: 800 MB at the budget.  Below 2**32, so an
+# episode index is one SeedSequence entropy word.
+DEFAULT_MAX_EPISODES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -259,26 +266,32 @@ def exact_cost(spec: ProblemSpec, design: Design, *,
 def simulate(spec: ProblemSpec, design: Design, episodes: int, seed: int) -> SimResult:
     """Seeded Monte Carlo estimate of the expected cost.
 
-    Episode i draws its uniforms from the PCG64 stream seeded with (seed, i):
-    the initial state, then per stage each controller's observation and the
-    transition.  Results are therefore reproducible and independent of how
-    episodes are grouped: episodes run in blocks of at most _SIM_BLOCK, each
-    stage as array operations over the block.  An ExtensionalDesign's
+    Episode i draws its uniforms from the PCG64 stream seeded with (seed, i),
+    np.random.default_rng([seed, i]): the initial state, then per stage each
+    controller's observation and the transition.  Results are therefore
+    reproducible and independent of how episodes are grouped: episodes run
+    in blocks of at most _SIM_BLOCK, and _episode_uniforms draws a block's
+    streams at once, one lane per episode, bit for bit as numpy does.  Each
+    stage runs as array operations over the block.  An ExtensionalDesign's
     actions are gathered from its tables; any other Design is asked once per
     distinct (controller, time, shared history, private rank) of a block
-    through its act method.
+    through its act method.  Refused (BudgetError) before any draw or design
+    call when episodes exceed DEFAULT_MAX_EPISODES, read at call time.
     """
     spec = normalize_problem(spec)
     if episodes < 1:
         raise DomainError("episodes must be >= 1")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    if episodes > DEFAULT_MAX_EPISODES:
+        raise BudgetError(f"simulate asked for {episodes} episodes "
+                          f"(budget {DEFAULT_MAX_EPISODES})")
     cdfs = (np.cumsum(spec.x0_dist), np.cumsum(spec.trans, axis=-1),
             [np.cumsum(spec.obs[k], axis=-1) for k in range(spec.K)])
     totals = np.zeros(episodes)
     for lo in range(0, episodes, _SIM_BLOCK):
         hi = min(lo + _SIM_BLOCK, episodes)
-        totals[lo:hi] = _simulate_block(spec, design, seed, range(lo, hi), *cdfs)
+        totals[lo:hi] = _simulate_block(spec, design, seed, lo, hi, *cdfs)
     mean = float(totals.mean())
     if episodes > 1:
         std_error = float(totals.std(ddof=1) / math.sqrt(episodes))
@@ -287,8 +300,10 @@ def simulate(spec: ProblemSpec, design: Design, episodes: int, seed: int) -> Sim
     return SimResult(episodes, mean, std_error, seed)
 
 
-# Most episodes simulate holds at a time; its per-stage arrays are a few
-# rows of this length, so memory stays flat in the episode count.
+# Most episodes simulate holds at a time.  A block's arrays (draws,
+# observations, actions, stream lanes) have this many rows, so they stay
+# flat in the episode count; the 8-byte total per episode grows with it, and
+# DEFAULT_MAX_EPISODES bounds that.
 _SIM_BLOCK = 4096
 
 
@@ -299,17 +314,15 @@ def _draw(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((cdf_rows <= u[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)
 
 
-def _simulate_block(spec: ProblemSpec, design: Design, seed: int,
-                    block: range, x0_cdf: np.ndarray, trans_cdf: np.ndarray,
+def _simulate_block(spec: ProblemSpec, design: Design, seed: int, lo: int, hi: int,
+                    x0_cdf: np.ndarray, trans_cdf: np.ndarray,
                     obs_cdf: list[np.ndarray]) -> np.ndarray:
-    """Total cost of each episode of the block: one sampled trajectory per
-    row, laid out as in _Paths and acted on by _act.  Stage costs are added
-    in stage order from 0.0, as a per-episode loop adds them."""
+    """Total cost of each episode lo..hi-1: one sampled trajectory per row,
+    laid out as in _Paths and acted on by _act.  Stage costs are added in
+    stage order from 0.0, as a per-episode loop adds them."""
     K, T = spec.K, spec.T
-    size = len(block)
-    draws = np.empty((size, 1 + T * (K + 1)))
-    for row, i in enumerate(block):
-        np.random.default_rng([seed, i]).random(out=draws[row])
+    size = hi - lo
+    draws = _episode_uniforms(seed, lo, hi, 1 + T * (K + 1))
     x = _draw(np.broadcast_to(x0_cdf, (size, len(x0_cdf))), draws[:, 0])
     ys = np.zeros((size, T), dtype=np.int64)
     us = np.zeros((size, T), dtype=np.int64)
@@ -323,6 +336,107 @@ def _simulate_block(spec: ProblemSpec, design: Design, seed: int,
         x = _draw(trans_cdf[t - 1, x, a], draws[:, col + K])
         totals += spec.cost[t - 1][x, a]
     return totals
+
+
+# ---------------------------------------------------------------------------
+# Per-episode PCG64 streams, a lane per episode
+# ---------------------------------------------------------------------------
+# NumPy's SeedSequence (pool of 4 uint32 words) and PCG64 (128-bit LCG with
+# XSL-RR output), fixed by NEP 19.  32-bit words sit in uint64 lanes, and
+# every constant is an np.uint64, so numpy 1.x and 2.x promote alike.
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _limbs(value: int) -> tuple[np.uint64, ...]:
+    """A 128-bit constant as 32-bit limbs, least significant first."""
+    return tuple(np.uint64(value >> s & 0xFFFFFFFF) for s in range(0, 128, 32))
+
+
+_PCG_MULT = _limbs(0x2360ED051FC65DA44385DF649FCCF645)
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[np.uint64, np.uint64]]:
+    """SeedSequence's running hash constant, (xor, multiplier) per hash: it
+    depends only on how many hashes came before."""
+    while True:
+        step = init * mult & 0xFFFFFFFF
+        yield np.uint64(init), np.uint64(step)
+        init = step
+
+
+def _hash(word: np.ndarray, constants: Iterator) -> np.ndarray:
+    """SeedSequence's hashmix, and generate_state's hash on its constants."""
+    xor, mult = next(constants)
+    word = (word ^ xor) * mult & _LOW32
+    return word ^ word >> np.uint64(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two pool words."""
+    word = (np.uint64(0xCA01F9DD) * x - np.uint64(0x4973F715) * y) & _LOW32
+    return word ^ word >> np.uint64(16)
+
+
+def _mul_add(a: Sequence, m: Sequence, c: Sequence) -> list[np.ndarray]:
+    """(a * m + c) mod 2**128 on 32-bit limbs, least significant first; a
+    limb is a lane array or an np.uint64.  A column gathers at most 9 terms
+    below 2**32, so no uint64 sum wraps."""
+    cols = list(c)
+    for i in range(4):
+        for j in range(4 - i):
+            product = a[i] * m[j]
+            cols[i + j] = cols[i + j] + (product & _LOW32)
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (product >> np.uint64(32))
+    limbs = []
+    carry = np.uint64(0)
+    for col in cols:
+        col = col + carry
+        limbs.append(col & _LOW32)
+        carry = col >> np.uint64(32)
+    return limbs
+
+
+def _episode_uniforms(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
+    """Row i - lo holds np.random.default_rng([seed, i]).random(count), bit
+    for bit, for each i in [lo, hi); hi <= 2**32, so i is one entropy word.
+    seed is any integer numpy takes, numpy's own included."""
+    seed = operator.index(seed)
+    index = np.arange(lo, hi, dtype=np.uint64)
+    entropy = [np.full_like(index, (seed >> s) & 0xFFFFFFFF)
+               for s in range(0, max(seed.bit_length(), 1), 32)] + [index]
+    # SeedSequence's pool: hash the first 4 words in, mix every word with
+    # every other, then mix in the words beyond the pool
+    constants = _hash_constants(0x43B0D7E5, 0x931E8875)
+    pool = [_hash(entropy[j] if j < len(entropy) else np.zeros_like(index), constants)
+            for j in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, constants))
+    # generate_state(4, np.uint64): words (high, low) of initstate, then of
+    # initseq, each uint64 two little-endian words
+    constants = _hash_constants(0x8B51F9DD, 0x58F38DED)
+    w = [_hash(pool[j % 4], constants) for j in range(8)]
+    initstate, initseq = [w[2], w[3], w[0], w[1]], [w[6], w[7], w[4], w[5]]
+    # PCG64 seeding: inc = initseq << 1 | 1; from state 0, step, add
+    # initstate, step
+    inc = _mul_add(initseq, _limbs(2), _limbs(1))
+    state = _mul_add(_mul_add(initstate, _limbs(1), inc), _PCG_MULT, inc)
+    out = np.empty((count, hi - lo))
+    for row in out:
+        state = _mul_add(state, _PCG_MULT, inc)
+        # XSL-RR: the 128-bit state's halves xored, rotated right by its
+        # top 6 bits; a double is the top 53 bits of that times 2**-53
+        folded = (state[3] << np.uint64(32) | state[2]) ^ (state[1] << np.uint64(32) | state[0])
+        rot = state[3] >> np.uint64(26)
+        bits = folded >> rot | folded << ((np.uint64(64) - rot) & np.uint64(63))
+        np.multiply(bits >> np.uint64(11), 2.0 ** -53, out=row)
+    return out.T
 
 
 # ---------------------------------------------------------------------------

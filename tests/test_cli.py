@@ -85,6 +85,17 @@ def test_negative_seed_is_an_input_error():
     assert "Traceback" not in res.stderr
 
 
+def test_episodes_over_the_budget_exit_3():
+    """simulate is refused before it allocates a total per episode, which
+    at 10**10 episodes would need 80 GB."""
+    res = run_cli("simulate", "--problem", str(INSTANCES / "io.json"),
+                  "--episodes", "10000000000")
+    assert res.returncode == 3
+    assert res.stderr.startswith("budget exceeded: simulate asked for "
+                                 "10000000000 episodes")
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("command, value", [("probe-concavity", "0"),
                                             ("verify", "-3"),
                                             ("verify", "two")])

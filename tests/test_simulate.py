@@ -1,7 +1,10 @@
 """The block-vectorized Monte Carlo estimate against the per-episode loop in
-tests/helpers.py.  Both draw episode i from default_rng([seed, i]) and add
-its stage costs in the same order, so the results must be equal bit for bit
-(dataclass ==), on either side of the block boundary and for any Design."""
+tests/helpers.py.  Both draw episode i's stream, default_rng([seed, i]): the
+loop asks numpy for it episode by episode, simulate computes a block's
+streams at once in evaluate._episode_uniforms, which is checked here against
+numpy bit for bit.  Both add stage costs in the same order, so the results
+must be equal bit for bit (dataclass ==), on either side of the block
+boundary, for any Design and for seeds of one or more 32-bit words."""
 
 from unittest import mock
 
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from delayed_sharing import evaluate
 from delayed_sharing.coordinator import (extract_design, reachable_graph,
                                          solve_on_graph)
-from delayed_sharing.errors import DomainError, OffDesignHistoryError
+from delayed_sharing.errors import BudgetError, DomainError, OffDesignHistoryError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import random_design
 from delayed_sharing.model import normalize_problem
@@ -32,13 +35,18 @@ def _two_designs(spec, kind, seed):
     return extract(spec, policy), extract(spec, policy)
 
 
+# Simulate seeds of one, two and three 32-bit words
+SIM_SEEDS = st.one_of(st.integers(0, 10_000), st.integers(2**32 - 8, 2**32 + 8),
+                      st.integers(2**64, 2**64 + 10_000))
+
+
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]),
+@given(seed=st.integers(0, 10_000), sim_seed=SIM_SEEDS, K=st.sampled_from([2, 3]),
        n=st.sampled_from([1, 2]), deterministic=st.booleans(),
        kind=st.sampled_from(["belief", "theta_r", "random"]),
        block=st.sampled_from([1, 2, 5]), extra=st.sampled_from([-1, 0, 1]))
-def test_simulate_matches_per_episode_loop(seed, K, n, deterministic, kind,
-                                           block, extra):
+def test_simulate_matches_per_episode_loop(seed, sim_seed, K, n, deterministic,
+                                           kind, block, extra):
     """Episode counts 1, block-1, block and block+1 for small block sizes.
     A third controller observes one symbol, which keeps its solve small."""
     spec = normalize_problem(random_instance(
@@ -47,8 +55,8 @@ def test_simulate_matches_per_episode_loop(seed, K, n, deterministic, kind,
     episodes = max(1, block + extra)
     design, fresh = _two_designs(spec, kind, seed)
     with mock.patch.object(evaluate, "_SIM_BLOCK", block):
-        got = evaluate.simulate(spec, design, episodes, seed)
-    assert got == simulate_reference(spec, fresh, episodes, seed)
+        got = evaluate.simulate(spec, design, episodes, sim_seed)
+    assert got == simulate_reference(spec, fresh, episodes, sim_seed)
 
 
 @pytest.mark.parametrize("kind", ["belief", "random"])
@@ -57,6 +65,30 @@ def test_simulate_matches_per_episode_loop_across_a_full_block(i2_spec, kind):
     episodes = evaluate._SIM_BLOCK + 1
     got = evaluate.simulate(i2_spec, design, episodes, 9)
     assert got == simulate_reference(i2_spec, fresh, episodes, 9)
+
+
+# Seeds of 1, 1, 1, 2, 3, 4 and 5 entropy words: the 4- and 5-word seeds run
+# SeedSequence's loop over words beyond its pool of 4.  numpy's own integers
+# are seeds too.
+STREAM_SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**128 + 1,
+                np.int64(7), np.uint64(2**64 - 1)]
+
+
+@pytest.mark.parametrize("count", [1, 1 + 3 * (3 + 1)])    # 1 + T(K+1), T = K = 3
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_episode_uniforms_are_numpys_per_episode_streams(seed, count):
+    """Each lane against numpy's own default_rng([seed, i]), compared as
+    bits, alone and inside a block that straddles 4096."""
+    indices = [0, 1, 4095, 4096, 2**31, 2**32 - 1, evaluate.DEFAULT_MAX_EPISODES - 1]
+    for i in indices:
+        want = np.random.default_rng([seed, i]).random(count)
+        got = evaluate._episode_uniforms(seed, i, i + 1, count)
+        assert got.shape == (1, count)
+        assert got[0].view(np.uint64).tolist() == want.view(np.uint64).tolist(), i
+    want = np.stack([np.random.default_rng([seed, i]).random(count)
+                     for i in range(4090, 4100)])
+    got = evaluate._episode_uniforms(seed, 4090, 4100, count)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_draw_is_a_clipped_right_searchsorted_per_row():
@@ -105,4 +137,16 @@ def test_simulate_rejects_a_negative_seed_before_any_work(i1_spec):
     design = _Scripted()
     with pytest.raises(DomainError, match="seed"):
         evaluate.simulate(i1_spec, design, 10, seed=-1)
+    assert design.calls == 0
+
+
+def test_simulate_refuses_episodes_over_the_budget_before_any_work(
+        i1_spec, monkeypatch):
+    """The budget is read at call time: it is itself admitted, one more
+    episode is refused before the design is asked anything."""
+    monkeypatch.setattr(evaluate, "DEFAULT_MAX_EPISODES", 3)
+    assert evaluate.simulate(i1_spec, _Scripted(), 3, seed=3).episodes == 3
+    design = _Scripted()
+    with pytest.raises(BudgetError, match="4 episodes"):
+        evaluate.simulate(i1_spec, design, 4, seed=3)
     assert design.calls == 0
