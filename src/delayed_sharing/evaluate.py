@@ -14,7 +14,11 @@ NumPy's SeedSequence and PCG64 recurrences written as array operations, bit
 for bit the draws numpy makes episode by episode.  Both act through one stage
 step, _act, which gathers an ExtensionalDesign's actions from its tables and
 asks any other strategy through its act method, never through solver
-tables.
+tables.  The brute-force oracle builds one design-independent outcome table
+of (initial state, observations, next states) rows and evaluates designs in
+blocks of digit strings over it, gathering each design's actions from its
+digits by the same shared-history and private-window ranks; every cost
+keeps the bytes of that design's exact_cost.
 """
 
 from __future__ import annotations
@@ -146,9 +150,9 @@ def _symbols(spec: ProblemSpec, ys: np.ndarray, us: np.ndarray,
              length: int) -> np.ndarray:
     """Shared symbol ranks (histories.symbol_rank: the joint observation's
     rank, then the joint action's) of stages 1..length, or of every stage
-    acted if fewer."""
-    length = max(0, min(length, us.shape[1]))
-    return ys[:, :length] * spec.action_count + us[:, :length]
+    acted if fewer, along the last axis; leading axes broadcast."""
+    length = max(0, min(length, us.shape[-1]))
+    return ys[..., :length] * spec.action_count + us[..., :length]
 
 
 def _history_ids(spec: ProblemSpec, zs: np.ndarray) -> np.ndarray:
@@ -162,12 +166,12 @@ def _history_ids(spec: ProblemSpec, zs: np.ndarray) -> np.ndarray:
 
 
 def _delta_ranks(spec: ProblemSpec, zs: np.ndarray) -> np.ndarray:
-    """Each row's shared-history rank (histories.delta_rank's radix), the
-    row of zs."""
+    """The shared-history rank (histories.delta_rank's radix) of each
+    history zs[..., :], the last axis in time order."""
     radix = spec.action_count * math.prod(spec.y_size)
-    ranks = np.zeros(len(zs), dtype=np.int64)
-    for z in zs.T:
-        ranks = ranks * radix + z
+    ranks = np.zeros(zs.shape[:-1], dtype=np.int64)
+    for i in range(zs.shape[-1]):
+        ranks = ranks * radix + zs[..., i]
     return ranks
 
 
@@ -175,17 +179,21 @@ def _window_ranks(spec: ProblemSpec, t: int, ys: np.ndarray,
                   us: np.ndarray) -> list[np.ndarray]:
     """Per controller, each row's private window rank at time t (mixed
     radix over the window's observations, oldest first, then its actions,
-    oldest first), cut from joint ranks ys and us laid out as in _Paths."""
+    oldest first), cut from joint ranks ys and us laid out as in _Paths
+    along their last axis; leading axes broadcast.  Each controller's digit
+    is cut by // and %: numpy 2.4's unravel_index miscounts int64 arrays
+    whose last axis has length 1 once they pass 8,192 entries."""
     lo = max(1, t - spec.n + 1)
-    y_parts = np.unravel_index(ys[:, lo - 1: t], spec.y_size)
-    u_parts = np.unravel_index(us[:, lo - 1: t - 1], spec.u_size)
+    ys, us = ys[..., lo - 1: t], us[..., lo - 1: t - 1]
     ranks = []
     for k in range(spec.K):
-        lam = np.zeros(len(ys), dtype=np.int64)
-        for y in y_parts[k].T:
-            lam = lam * spec.y_size[k] + y
-        for u in u_parts[k].T:
-            lam = lam * spec.u_size[k] + u
+        y_part = ys // math.prod(spec.y_size[k + 1:]) % spec.y_size[k]
+        u_part = us // math.prod(spec.u_size[k + 1:]) % spec.u_size[k]
+        lam = np.zeros(ys.shape[:-1], dtype=np.int64)
+        for i in range(y_part.shape[-1]):
+            lam = lam * spec.y_size[k] + y_part[..., i]
+        for i in range(u_part.shape[-1]):
+            lam = lam * spec.u_size[k] + u_part[..., i]
         ranks.append(lam)
     return ranks
 
@@ -255,12 +263,16 @@ def exact_cost(spec: ProblemSpec, design: Design, *,
     spec = normalize_problem(spec)
     paths = _path_table(spec, design, spec.T, True, max_paths)
     per_stage = np.array([
-        np.add.accumulate(np.concatenate((
-            [0.0],
-            paths.weight * spec.cost[t - 1][paths.xs[:, t], paths.us[:, t - 1]],
-        )))[-1]
+        _row_order_sum(paths.weight * spec.cost[t - 1][paths.xs[:, t], paths.us[:, t - 1]])
         for t in range(1, spec.T + 1)])
     return EvalResult(float(per_stage.sum()), tuple(float(c) for c in per_stage))
+
+
+def _row_order_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, term by term in order from +0.0 (so a
+    leading -0.0 sums to +0.0): a stage's cost over path rows."""
+    start = np.zeros(terms.shape[:-1] + (1,))
+    return np.add.accumulate(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
 
 
 def simulate(spec: ProblemSpec, design: Design, episodes: int, seed: int) -> SimResult:
@@ -279,13 +291,7 @@ def simulate(spec: ProblemSpec, design: Design, episodes: int, seed: int) -> Sim
     call when episodes exceed DEFAULT_MAX_EPISODES, read at call time.
     """
     spec = normalize_problem(spec)
-    if episodes < 1:
-        raise DomainError("episodes must be >= 1")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    if episodes > DEFAULT_MAX_EPISODES:
-        raise BudgetError(f"simulate asked for {episodes} episodes "
-                          f"(budget {DEFAULT_MAX_EPISODES})")
+    _check_episodes(episodes, seed)
     cdfs = (np.cumsum(spec.x0_dist), np.cumsum(spec.trans, axis=-1),
             [np.cumsum(spec.obs[k], axis=-1) for k in range(spec.K)])
     totals = np.zeros(episodes)
@@ -298,6 +304,18 @@ def simulate(spec: ProblemSpec, design: Design, episodes: int, seed: int) -> Sim
     else:
         std_error = 0.0
     return SimResult(episodes, mean, std_error, seed)
+
+
+def _check_episodes(episodes: int, seed: int) -> None:
+    """simulate's domain and budget checks on its episode count and seed,
+    which verify.verify_instance also makes before any other work."""
+    if episodes < 1:
+        raise DomainError("episodes must be >= 1")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if episodes > DEFAULT_MAX_EPISODES:
+        raise BudgetError(f"simulate asked for {episodes} episodes "
+                          f"(budget {DEFAULT_MAX_EPISODES})")
 
 
 # Most episodes simulate holds at a time.  A block's arrays (draws,
@@ -442,14 +460,23 @@ def _episode_uniforms(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Brute-force design search
 # ---------------------------------------------------------------------------
+# A design is a string of digits, one per table entry: its tables in (time,
+# controller) order, earlier time first, each row-major (shared-history rank
+# major, private rank minor), every digit an action of its table's
+# controller.  Design i is i written in that mixed radix, the last digit
+# fastest.
 
-def design_count(spec: ProblemSpec) -> int:
-    total = 1
+def _table_shapes(spec: ProblemSpec) -> Iterator[tuple[int, int, int, int]]:
+    """(k, t, rows, cols) of every design table, in digit order."""
     for t in range(1, spec.T + 1):
         for k in range(spec.K):
-            entries = histories.private_count(spec, k, t) * histories.delta_count(spec, t)
-            total *= spec.u_size[k] ** entries
-    return total
+            yield (k, t, histories.delta_count(spec, t),
+                   histories.private_count(spec, k, t))
+
+
+def design_count(spec: ProblemSpec) -> int:
+    return math.prod(spec.u_size[k] ** (rows * cols)
+                     for k, t, rows, cols in _table_shapes(spec))
 
 
 def path_count_bound(spec: ProblemSpec) -> int:
@@ -459,15 +486,68 @@ def path_count_bound(spec: ProblemSpec) -> int:
     return bound
 
 
+@dataclass(frozen=True)
+class _DigitLayout:
+    """Where a design's tables sit in its digit string: each table's
+    (k, t, rows, cols) in digit order and first digit (offsets[k, t]), and
+    each digit's radix and place value, int64 arrays."""
+
+    shapes: tuple[tuple[int, int, int, int], ...]
+    offsets: dict[tuple[int, int], int]
+    radices: np.ndarray
+    strides: np.ndarray
+
+
+def _digit_layout(spec: ProblemSpec) -> _DigitLayout:
+    """The digit layout of spec's designs; refused (BudgetError) when design
+    indices overflow int64, a space no enumeration finishes."""
+    shapes = tuple(_table_shapes(spec))
+    offsets, radices = {}, []
+    for k, t, rows, cols in shapes:
+        offsets[k, t] = len(radices)
+        radices += [spec.u_size[k]] * (rows * cols)
+    strides = list(itertools.accumulate(radices[:0:-1], operator.mul, initial=1))[::-1]
+    count = strides[0] * radices[0]
+    if count > np.iinfo(np.int64).max:
+        raise BudgetError(f"design space holds {count} designs, "
+                          f"past int64 design indices")
+    return _DigitLayout(shapes, offsets, np.array(radices, dtype=np.int64),
+                        np.array(strides, dtype=np.int64))
+
+
+def _design_digits(layout: _DigitLayout, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, digits) array: row i holds design lo + i's digits."""
+    index = np.arange(lo, hi, dtype=np.int64)[:, None]
+    return index // layout.strides % layout.radices
+
+
+def _digits_design(spec: ProblemSpec, layout: _DigitLayout,
+                   digits: np.ndarray) -> ExtensionalDesign:
+    """The design whose digit string is digits, in fresh tables."""
+    tables: list[list[np.ndarray | None]] = [[None] * spec.T for _ in range(spec.K)]
+    for k, t, rows, cols in layout.shapes:
+        lo = layout.offsets[k, t]
+        tables[k][t - 1] = digits[lo: lo + rows * cols].reshape(rows, cols).copy()
+    return ExtensionalDesign(spec, tables)
+
+
+# Most design x row (or design x digit) entries the oracle holds at a time.
+# A block of designs' digits, actions, weights and stage terms have about
+# this many entries each, so memory stays flat in the design count.
+_ORACLE_BLOCK = 1 << 14
+
+
 def enumerate_designs(spec: ProblemSpec, *, max_designs: int | None = None
                       ) -> Iterator[ExtensionalDesign]:
     """Every extensionally-stored design exactly once; refused (BudgetError)
     when the designs exceed max_designs, by default DEFAULT_ORACLE_BUDGET
     read at call time.
 
-    Enumeration order is mixed-radix over table entries, blocks ordered by
-    (time, controller) with earlier blocks more significant; within a block,
-    shared-history index major, private rank minor.
+    Design i's tables are the digits of i in one mixed radix over table
+    entries: tables ordered by (time, controller) with earlier tables more
+    significant; within a table, shared-history index major, private rank
+    minor; the last entry fastest.  Designs are decoded in blocks, as
+    brute_force_optimum decodes them.
     """
     spec = normalize_problem(spec)
     total = design_count(spec)
@@ -475,24 +555,97 @@ def enumerate_designs(spec: ProblemSpec, *, max_designs: int | None = None
         max_designs = DEFAULT_ORACLE_BUDGET
     if total > max_designs:
         raise BudgetError(f"design space holds {total} designs (budget {max_designs})")
-    blocks = []        # (k, t, rows, cols)
+    layout = _digit_layout(spec)
+    block = max(1, _ORACLE_BLOCK // len(layout.radices))
+    for lo in range(0, total, block):
+        for digits in _design_digits(layout, lo, min(lo + block, total)):
+            yield _digits_design(spec, layout, digits)
+
+
+@dataclass(frozen=True)
+class _Outcomes:
+    """Every (initial state, observations, next states) sequence whose
+    kernel factors are positive under some design, one row each in
+    _path_table's depth-first order: observations expand over their positive
+    kernel entries, controller 0 first, and next states over the states
+    positive under some joint action.  xs and ys are laid out as in _Paths.
+    factors[:, 0] is the initial state's probability and factors[:, 1 + (t-1)K
+    + k] controller k's stage-t observation probability.  prefix[:, t-1]
+    numbers each row's stage-t prefix (through the stage-t observations);
+    first[t-1] holds a row of each such prefix, in prefix order."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    factors: np.ndarray
+    prefix: np.ndarray
+    first: list[np.ndarray]
+
+
+def _outcome_table(spec: ProblemSpec, max_paths: int) -> _Outcomes:
+    """The design-independent outcome rows, each expansion checked against
+    max_paths as _path_table checks its own."""
+    K, T = spec.K, spec.T
+    _, x0 = _expand(spec.x0_dist[None] > 0.0, max_paths)
+    xs = np.zeros((len(x0), T + 1), dtype=np.int32)
+    xs[:, 0] = x0
+    ys = np.zeros((len(x0), T), dtype=np.int32)
+    factors = np.zeros((len(x0), 1 + T * K))
+    factors[:, 0] = spec.x0_dist[x0]
+    prefix = np.zeros((len(x0), T), dtype=np.int64)
+    for t in range(1, T + 1):
+        for k in range(K):
+            kernel = spec.obs[k][t - 1][xs[:, t - 1]]
+            rows, y = _expand(kernel > 0.0, max_paths)
+            xs, ys, factors, prefix = xs[rows], ys[rows], factors[rows], prefix[rows]
+            ys[:, t - 1] = ys[:, t - 1] * spec.y_size[k] + y
+            factors[:, 1 + (t - 1) * K + k] = kernel[rows, y]
+        prefix[:, t - 1] = np.arange(len(xs))
+        reach = (spec.trans[t - 1][xs[:, t - 1]] > 0.0).any(axis=1)
+        rows, x = _expand(reach, max_paths)
+        xs, ys, factors, prefix = xs[rows], ys[rows], factors[rows], prefix[rows]
+        xs[:, t] = x
+    first = [np.unique(prefix[:, t], return_index=True)[1] for t in range(T)]
+    return _Outcomes(xs, ys, factors, prefix, first)
+
+
+def _block_costs(spec: ProblemSpec, outcomes: _Outcomes, layout: _DigitLayout,
+                 digits: np.ndarray) -> np.ndarray:
+    """Expected cost of each design of a block, one per row of digits.
+
+    Stage by stage over (design, outcome row) arrays: each controller's
+    action is gathered from the design's digits at its table's offset plus
+    shared-history rank x private count plus private rank, once per stage
+    prefix; the weight multiplies _path_table's factors in its order; each
+    stage's terms are added in row order from 0.0, as exact_cost adds them.
+    A design's own path rows are the outcome rows of nonzero weight, in the
+    same order with the same weights, and every other row adds +-0.0 to a
+    sum that is never -0.0, so each cost keeps the bytes of
+    exact_cost(spec, design).expected_cost."""
+    B = len(digits)
+    weight = outcomes.factors[:, 0]
+    acts: list[np.ndarray] = []
     for t in range(1, spec.T + 1):
         for k in range(spec.K):
-            blocks.append((k, t, histories.delta_count(spec, t),
-                           histories.private_count(spec, k, t)))
-    axes = [range(spec.u_size[k]) for (k, t, rows, cols) in blocks
-            for _ in range(rows * cols)]
-    for digits in itertools.product(*axes):
-        tables: list[list[np.ndarray | None]] = [
-            [None] * spec.T for _ in range(spec.K)
-        ]
-        pos = 0
-        for (k, t, rows, cols) in blocks:
-            block = np.array(digits[pos: pos + rows * cols],
-                             dtype=np.int64).reshape(rows, cols)
-            tables[k][t - 1] = block
-            pos += rows * cols
-        yield ExtensionalDesign(spec, [list(per_k) for per_k in tables])
+            weight = weight * outcomes.factors[:, 1 + (t - 1) * spec.K + k]
+        first = outcomes.first[t - 1]
+        ys = outcomes.ys[first, :t]
+        us = np.zeros((B, len(first), t - 1), dtype=np.int64)
+        for m, acted in enumerate(acts):
+            us[..., m] = acted[:, first]
+        history = _delta_ranks(spec, _symbols(spec, ys, us, t - spec.n))
+        a = np.zeros((B, len(first)), dtype=np.int64)
+        for k, lam in enumerate(_window_ranks(spec, t, ys, us)):
+            entry = (layout.offsets[k, t]
+                     + history * histories.private_count(spec, k, t) + lam)
+            a = a * spec.u_size[k] + np.take_along_axis(
+                digits, np.broadcast_to(entry, a.shape), axis=1)
+        a = a[:, outcomes.prefix[:, t - 1]]
+        acts.append(a)
+        weight = weight * spec.trans[t - 1][outcomes.xs[:, t - 1], a, outcomes.xs[:, t]]
+    per_stage = np.stack([
+        _row_order_sum(weight * spec.cost[t - 1][outcomes.xs[:, t], acts[t - 1]])
+        for t in range(1, spec.T + 1)], axis=-1)
+    return per_stage.sum(axis=-1)
 
 
 def brute_force_optimum(spec: ProblemSpec, *, max_designs: int | None = None
@@ -502,7 +655,13 @@ def brute_force_optimum(spec: ProblemSpec, *, max_designs: int | None = None
     design is evaluated when the designs exceed max_designs.  Without
     max_designs, DEFAULT_ORACLE_BUDGET, read at call time, caps both the
     designs and designs x path_count_bound, the number of path
-    evaluations."""
+    evaluations.
+
+    Designs are evaluated in blocks of digit strings over one
+    design-independent outcome table (_block_costs), each cost the bytes of
+    its exact_cost, and only the winner is built as an ExtensionalDesign.
+    The outcome table is checked against DEFAULT_MAX_PATHS, read at call
+    time."""
     spec = normalize_problem(spec)
     n_designs = design_count(spec)
     budget = DEFAULT_ORACLE_BUDGET if max_designs is None else max_designs
@@ -514,14 +673,19 @@ def brute_force_optimum(spec: ProblemSpec, *, max_designs: int | None = None
         raise BudgetError(
             f"oracle needs {n_designs} designs x {path_count_bound(spec)} "
             f"paths = {work} evaluations (budget {budget})")
+    layout = _digit_layout(spec)
+    outcomes = _outcome_table(spec, DEFAULT_MAX_PATHS)
+    block = max(1, _ORACLE_BLOCK // max(len(outcomes.xs), len(layout.radices)))
     best: float | None = None
-    best_design: ExtensionalDesign | None = None
-    for design in enumerate_designs(spec, max_designs=budget):
-        value = exact_cost(spec, design).expected_cost
-        if best is None or value < best:
-            best = value
-            best_design = design
-    return best, best_design
+    best_index = 0
+    for lo in range(0, n_designs, block):
+        costs = _block_costs(spec, outcomes, layout, _design_digits(
+            layout, lo, min(lo + block, n_designs)))
+        i = int(costs.argmin())
+        if best is None or costs[i] < best:
+            best, best_index = float(costs[i]), lo + i
+    digits = _design_digits(layout, best_index, best_index + 1)[0]
+    return best, _digits_design(spec, layout, digits)
 
 
 def materialize_design(spec: ProblemSpec, design: Design) -> ExtensionalDesign:
@@ -535,8 +699,7 @@ def materialize_design(spec: ProblemSpec, design: Design) -> ExtensionalDesign:
     itself, so the tabulated copy is cost-identical.  A rejection is a
     verdict on (t, delta) alone, so the first one ends its row."""
     spec = normalize_problem(spec)
-    total = sum(histories.delta_count(spec, t) * histories.private_count(spec, k, t)
-                for k in range(spec.K) for t in range(1, spec.T + 1))
+    total = sum(rows * cols for _, _, rows, cols in _table_shapes(spec))
     if total > DEFAULT_MAX_DESIGN_ENTRIES:
         raise BudgetError(f"design table needs {total} entries "
                           f"(budget {DEFAULT_MAX_DESIGN_ENTRIES})")

@@ -80,7 +80,7 @@ class ProblemSpec:
 
     @property
     def action_count(self) -> int:
-        return int(np.prod(self.u_size, dtype=np.int64))
+        return math.prod(self.u_size)
 
     def encode_action(self, u: Iterable[int]) -> int:
         a = 0

@@ -113,6 +113,7 @@ def theta_independence_error(spec: ProblemSpec, designs) -> float:
 def verify_instance(spec: ProblemSpec, *, samples: int, episodes: int,
                     seed: int) -> Verification:
     spec = normalize_problem(spec)
+    evaluate._check_episodes(episodes, seed)
     lines: list[str] = []
     failures = 0
 

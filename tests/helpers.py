@@ -15,7 +15,7 @@ from delayed_sharing.evaluate import EvalResult, PathRecord, SimResult
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (GammaProfile, PartialFunction,
                                        common_obs_rank, common_obs_space,
-                                       gamma_profiles, pf_count,
+                                       delta_count, gamma_profiles, pf_count,
                                        private_count, private_sizes,
                                        symbol_rank)
 from delayed_sharing.model import ProblemSpec, normalize_problem
@@ -632,6 +632,37 @@ def suffix_from_prescriptions(spec, k, t, gammas, shared_y, shared_u):
             ny, nu = ny - 1, nu - 1
         parts.append(tuple(table))
     return RSuffix(k, t, tuple(parts))
+
+
+def enumerate_designs_reference(spec):
+    """Every extensional design's tables, in enumerate_designs' order: one
+    itertools.product axis per table entry, tables by (time, controller)
+    with earlier tables more significant, each shared-history index major
+    and private rank minor."""
+    spec = normalize_problem(spec)
+    blocks = [(k, t, delta_count(spec, t), private_count(spec, k, t))
+              for t in range(1, spec.T + 1) for k in range(spec.K)]
+    axes = [range(spec.u_size[k]) for (k, t, rows, cols) in blocks
+            for _ in range(rows * cols)]
+    for digits in itertools.product(*axes):
+        tables = [[None] * spec.T for _ in range(spec.K)]
+        pos = 0
+        for (k, t, rows, cols) in blocks:
+            tables[k][t - 1] = np.array(digits[pos: pos + rows * cols],
+                                        dtype=np.int64).reshape(rows, cols)
+            pos += rows * cols
+        yield tables
+
+
+# (K, T, n, x, y, u) of random instances small enough for the brute-force
+# oracle: at most 1,024 designs, one controller trivial or T = 1
+ORACLE_SHAPES = [
+    (2, 2, 1, 2, (2, 1), (2, 1)),
+    (2, 2, 1, 3, (1, 2), (1, 2)),
+    (2, 2, 2, 2, (2, 1), (2, 1)),
+    (1, 2, 1, 2, (2,), (2,)),
+    (2, 1, 1, 2, (2, 2), (2, 2)),
+]
 
 
 def make_i2_mini():

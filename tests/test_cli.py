@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from delayed_sharing import cli, instances, minimize
+from delayed_sharing import cli, instances, minimize, verify
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import ExtensionalDesign
 from delayed_sharing.model import serialize_problem
@@ -94,6 +94,20 @@ def test_episodes_over_the_budget_exit_3():
     assert res.stderr.startswith("budget exceeded: simulate asked for "
                                  "10000000000 episodes")
     assert "Traceback" not in res.stderr
+
+
+def test_verify_sizes_its_episodes_before_any_solve(monkeypatch, capsys):
+    """verify makes simulate's episode checks first: an oversize
+    --episodes exits 3 with simulate's message, and no graph is built."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved before it sized its episodes")
+
+    monkeypatch.setattr(verify, "reachable_graph", no_solve)
+    code = cli.main(["verify", "--problem", str(INSTANCES / "i2.json"),
+                     "--episodes", "10000000000"])
+    assert code == cli.EXIT_BUDGET
+    assert capsys.readouterr().err == ("budget exceeded: simulate asked for "
+                                       "10000000000 episodes (budget 100000000)\n")
 
 
 @pytest.mark.parametrize("command, value", [("probe-concavity", "0"),

@@ -14,11 +14,13 @@ from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (ExtensionalDesign, constant_design,
                                        gamma_profiles, random_design)
 from delayed_sharing.model import ProblemSpec, normalize_problem
-from helpers import (PrivateInfo, conditional_phi_reference,
+from helpers import (ORACLE_SHAPES, PrivateInfo, conditional_phi_reference,
                      conditional_stage_costs_reference,
                      conditional_state_dists_reference,
-                     conditional_x_dists_reference, exact_cost_reference,
-                     iter_paths_reference, private_rank, small_instance)
+                     conditional_x_dists_reference,
+                     enumerate_designs_reference, exact_cost_reference,
+                     iter_paths_reference, make_i2_mini, private_rank,
+                     small_instance)
 
 
 def constant_cost_spec(c, T=1):
@@ -146,6 +148,14 @@ def test_brute_force_budget(io_spec, monkeypatch):
         evaluate.brute_force_optimum(io_spec)
 
 
+def test_brute_force_refuses_design_indices_past_int64(i1_spec):
+    """i1 holds 2**68 designs: a budget above that admits them, and the
+    oracle refuses before it decodes a design index it cannot hold."""
+    with pytest.raises(BudgetError, match=re.escape(
+            f"design space holds {2 ** 68} designs, past int64 design indices")):
+        evaluate.brute_force_optimum(i1_spec, max_designs=2 ** 70)
+
+
 def test_path_budget(solved, monkeypatch):
     """i2's optimal design has 1,024 paths: exact_cost's max_paths of 1,024
     admits them and 1,023 is refused.  The path view and the four
@@ -173,6 +183,81 @@ def test_path_budget(solved, monkeypatch):
         with pytest.raises(BudgetError,
                            match=f"path enumeration exceeded {rows - 1} paths"):
             read()
+
+
+# -- the block oracle ---------------------------------------------------------
+
+ORACLE_FAMILIES = ["io", "i2_mini", "oracle_shapes-generic",
+                   "oracle_shapes-deterministic", "small-generic",
+                   "small-deterministic", "small-zero_entries"]
+
+
+def _oracle_family(io_spec, family):
+    """The instances of one family the block oracle is checked on: io, the
+    delay-2 mini instance, ORACLE_SHAPES at seeds 55, 1 and 2, and
+    small_instance's kernels at seeds 0-2 wherever the designs number at
+    most 1,024."""
+    if family == "io":
+        return [io_spec]
+    if family == "i2_mini":
+        return [make_i2_mini()]
+    kind, kernels = family.split("-")
+    if kind == "oracle_shapes":
+        return [random_instance(*shape, seed=seed,
+                                deterministic=kernels == "deterministic")
+                for shape in ORACLE_SHAPES for seed in (55, 1, 2)]
+    specs = [small_instance(seed, K, n, T, kernels) for seed, K, n, T
+             in itertools.product(range(3), (1, 2, 3), (1, 2), (2, 3))]
+    return [spec for spec in specs if evaluate.design_count(spec) <= 1024]
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_block_costs_equal_exact_cost(io_spec, family):
+    """Every design's cost over the outcome table, all designs in one
+    block, is its exact_cost, bit for bit."""
+    specs = _oracle_family(io_spec, family)
+    assert len(specs) >= (1 if family in ("io", "i2_mini") else 15)
+    for spec in specs:
+        spec = normalize_problem(spec)
+        layout = evaluate._digit_layout(spec)
+        count = evaluate.design_count(spec)
+        costs = evaluate._block_costs(
+            spec, evaluate._outcome_table(spec, evaluate.DEFAULT_MAX_PATHS),
+            layout, evaluate._design_digits(layout, 0, count)).tolist()
+        assert len(costs) == count
+        for cost, design in zip(costs, evaluate.enumerate_designs(spec)):
+            assert cost.hex() == evaluate.exact_cost(spec, design).expected_cost.hex()
+
+
+@pytest.mark.parametrize("name", ["io", "horizon_one", "unit_action", "delay_two"])
+def test_enumerate_designs_matches_the_product_reference(io_spec, name):
+    spec = {"io": io_spec,
+            "horizon_one": random_instance(2, 1, 1, 2, (2, 2), (2, 2), seed=1),
+            "unit_action": random_instance(2, 2, 1, 3, (1, 2), (1, 2), seed=1),
+            "delay_two": make_i2_mini()}[name]
+    got = [d.tables for d in evaluate.enumerate_designs(spec)]
+    want = list(enumerate_designs_reference(spec))
+    assert len(got) == len(want) == evaluate.design_count(spec)
+    for g, w in zip(got, want):
+        for gk, wk in zip(g, w):
+            for a, b in zip(gk, wk):
+                assert a.dtype == b.dtype == np.int64
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_brute_force_is_the_same_at_every_block_size(io_spec, monkeypatch, block):
+    """Ties inside a block go to its first design and across blocks to the
+    earlier block: zero cost ties every design, and the deterministic
+    instance ties many."""
+    specs = [io_spec, constant_cost_spec(0.0),
+             random_instance(2, 2, 1, 2, (2, 1), (2, 1), seed=1, deterministic=True)]
+    want = [evaluate.brute_force_optimum(spec) for spec in specs]
+    monkeypatch.setattr(evaluate, "_ORACLE_BLOCK", block)
+    for spec, (best, design) in zip(specs, want):
+        got, got_design = evaluate.brute_force_optimum(spec)
+        assert got.hex() == best.hex()
+        assert got_design.to_json() == design.to_json()
 
 
 def test_brute_force_matches_both_dps(io_spec, solved):
@@ -220,6 +305,15 @@ def test_window_rank_matches_private_rank(n):
             want = [private_rank(spec, PrivateInfo(k, t, y[lo - 1:], u[lo - 1:]))
                     for y, u in seqs]
             assert got.tolist() == want
+            # int64 copies on a leading axis of 9,000 rows (the block
+            # oracle's layout), past the 8,192 entries where numpy 2.4's
+            # unravel_index miscounts a last axis of length 1
+            stack = (9000 // len(seqs) + 1, 1, 1)
+            big = evaluate._window_ranks(
+                spec, t, np.tile(ys * y_stride, stack).astype(np.int64),
+                np.tile(us * u_stride, stack).astype(np.int64))[k]
+            assert big.shape == stack[:1] + got.shape
+            assert (big == got).all()
 
 
 # -- the path table against the recursive generator and per-path loops ------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_value
+from helpers import ORACLE_SHAPES, naive_value
 
 from delayed_sharing import evaluate
 from delayed_sharing.coordinator import (belief_update, initial_belief,
@@ -16,6 +16,7 @@ from delayed_sharing.histories import (common_obs_space, profile_unrank,
                                        profile_count)
 from delayed_sharing.model import normalize_problem
 from delayed_sharing.second_form import solve_dp2
+from delayed_sharing.verify import DP_TOL
 from delayed_sharing._tables import tables
 
 SHAPES = [
@@ -42,15 +43,6 @@ def test_solver_matches_naive_recursion(shape, seed):
     assert vt2.optimal_cost == pytest.approx(want, abs=1e-10)
 
 
-ORACLE_SHAPES = [
-    (2, 2, 1, 2, (2, 1), (2, 1)),
-    (2, 2, 1, 3, (1, 2), (1, 2)),
-    (2, 2, 2, 2, (2, 1), (2, 1)),
-    (1, 2, 1, 2, (2,), (2,)),
-    (2, 1, 1, 2, (2, 2), (2, 2)),
-]
-
-
 @pytest.mark.parametrize("shape", ORACLE_SHAPES)
 def test_solver_matches_brute_force(shape):
     K, T, n, x, y, u = shape
@@ -62,6 +54,21 @@ def test_solver_matches_brute_force(shape):
     assert vt.optimal_cost == pytest.approx(best, abs=1e-9)
     assert vt2.optimal_cost == pytest.approx(best, abs=1e-9)
     assert vt.optimal_cost <= best + 1e-12     # never above the oracle
+
+
+@pytest.mark.parametrize("x_size", [2, 3])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_brute_force_where_both_controllers_choose(x_size, seed):
+    """Both controllers have two actions and two observations at each of
+    two stages, delay 2: 2**20 designs.  Both dynamic programs reach the
+    oracle's optimum, and neither undercuts it."""
+    spec = normalize_problem(random_instance(2, 2, 2, x_size, (2, 2), (2, 2),
+                                             seed=seed, deterministic=True))
+    assert evaluate.design_count(spec) == 2 ** 20
+    best, _ = evaluate.brute_force_optimum(spec, max_designs=2 ** 20)
+    for vt, _ in (solve_dp(spec), solve_dp2(spec)):
+        assert abs(vt.optimal_cost - best) <= DP_TOL
+        assert vt.optimal_cost >= best - 1e-12
 
 
 @settings(max_examples=20, deadline=None)
