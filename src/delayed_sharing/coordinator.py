@@ -171,8 +171,8 @@ class InfoNode:
     in the belief form).  support holds, per controller, the realizations
     with positive marginal mass under pi; it is computed on first read, or
     for a block of nodes at once when the block is expanded or backed up.
-    value_at's terminal reads its leaves' supports off their stacked
-    beliefs (_last_stage_values), not off the nodes.  relevant holds, per
+    value_at's graphs make no stage-T nodes: their stage-T beliefs are leaf
+    rows of the terminal batch (build_graph's leaves).  relevant holds, per
     controller, the realizations whose assigned actions the backup must
     distinguish: the support plus every visible set of the node's branches,
     assigned when the node is expanded (until then, the support).
@@ -416,7 +416,8 @@ _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
 
 
 def build_graph(spec: ProblemSpec, kind: str, roots: list, pi_of, base_of,
-                successor_rule, *, max_nodes: int) -> InfoGraph:
+                successor_rule, *, max_nodes: int,
+                leaves: list | None = None) -> InfoGraph:
     """Breadth-first forward closure of a list of same-stage information
     states, the roots, which become nodes 0, 1, ... in list order (equal
     roots stay distinct nodes; their children merge).
@@ -442,10 +443,21 @@ def build_graph(spec: ProblemSpec, kind: str, roots: list, pi_of, base_of,
     stage lists, branch tables and the node-budget error ("edges so far"
     counts the branches of every node expanded before the one whose child
     exceeds the budget) are those of one expansion per node.
+
+    With leaves (a list, values_at's graphs), stage T holds rows, not nodes:
+    each new stage-T key appends its state (the successor rule makes it the
+    bare belief row) to leaves, and branch tables refer to it by id
+    node_count + its index in leaves; roots at T are appended as their
+    belief rows, so equal roots stay distinct.  Leaves are deduplicated and
+    count against max_nodes as nodes do, and the budget error is the same.
     """
     graph = InfoGraph(spec, kind, {t: [] for t in range(1, spec.T + 1)}, {}, [])
 
     def add(t: int, states) -> range:
+        if leaves is not None and t == spec.T:
+            start = graph.node_count + len(leaves)
+            leaves.extend(states)
+            return range(start, start + len(states))
         start, rows = len(graph.by_id), max(1, _tables._BLOCK_ENTRIES // state_count(spec, t))
         for lo in range(0, len(states), rows):
             for state, pi in zip(states[lo:lo + rows], pi_of(states[lo:lo + rows])):
@@ -457,7 +469,10 @@ def build_graph(spec: ProblemSpec, kind: str, roots: list, pi_of, base_of,
 
     if max_nodes < len(roots):
         raise _node_budget(graph, max_nodes, 0)
-    add(roots[0].t, roots)
+    if leaves is not None and roots[0].t == spec.T:
+        add(spec.T, [pi.p for pi in pi_of(roots)])
+    else:
+        add(roots[0].t, roots)
     for t in range(1, spec.T):
         index: dict = {}    # key -> id of the stage-(t+1) nodes so far
         children = successor_rule(t)
@@ -468,7 +483,8 @@ def build_graph(spec: ProblemSpec, kind: str, roots: list, pi_of, base_of,
         nodes = graph.stages[t]
         for lo in range(0, len(nodes), size):
             block = nodes[lo:lo + size]
-            _expand_block(graph, block, base_of, children, index, add, max_nodes)
+            _expand_block(graph, block, base_of, children, index, add, max_nodes,
+                          max_nodes - graph.node_count - len(leaves or ()))
     for node in graph.stages[spec.T]:
         graph.expansions.setdefault(node.node_id, {})
     return graph
@@ -480,10 +496,11 @@ def _node_budget(graph: InfoGraph, max_nodes: int, edges: int) -> BudgetError:
 
 
 def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
-                  children_of, index: dict, add, max_nodes: int):
+                  children_of, index: dict, add, max_nodes: int, room: int):
     """Expand a block of same-stage nodes (build_graph): record each node's
     branch tables and relevant sets, and add its new children to the graph
-    through add(t + 1, states) -> node ids and their keys to index.
+    through add(t + 1, states) -> node ids and their keys to index.  room
+    is how many more nodes (and leaves) max_nodes allows.
 
     While the block's branches are computed, each batch of branches looks
     up each of its distinct keys once, at the key's first branch in the
@@ -529,7 +546,6 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
     new_at = np.nonzero(refs < 0)[0]
     new_slots = -1 - refs[new_at]
     first = np.sort(np.unique(new_slots, return_index=True)[1])
-    room = max_nodes - graph.node_count
     if first.size > room:
         # the edges of the block's nodes before the one whose child overflows
         ends = np.cumsum([sum(ztab.rank.size for ztab in per.values())
@@ -552,17 +568,22 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
             for k in range(spec.K))
 
 
-def belief_successors(key_rows, *, belief_is_key: bool = False):
+def belief_successors(key_rows, *, belief_is_key: bool = False,
+                      leaf_stage: int = 0):
     """successor_rule of the belief form, keyed on the bytes of key_rows(p).
     A batch of branches is normalized in one broadcast division and keyed
     with one key_rows call and one tobytes per row; a PiBelief is made only
     for a key new to the graph: on a copied row, or, with belief_is_key
     (key_rows keeps the float64 rows, so a key is its row's bytes), as a
-    read-only view of the key, which the stage index holds anyway."""
+    read-only view of the key, which the stage index holds anyway.  With
+    belief_is_key, a key new at leaf_stage gets the bare view, a row of
+    build_graph's leaves, and no PiBelief."""
     def successor_rule(t):
         def children(block, z, visible, rows, ranks, M, pz):
             P = np.divide(M, pz[:, None], out=M)
             keys = [row.tobytes() for row in key_rows(P)]
+            if belief_is_key and t + 1 == leaf_stage:
+                return keys, lambda i: np.frombuffer(keys[i])
             if belief_is_key:
                 return keys, lambda i: PiBelief(t + 1, np.frombuffer(keys[i]))
             return keys, lambda i: PiBelief(t + 1, P[i].copy())
@@ -571,16 +592,16 @@ def belief_successors(key_rows, *, belief_is_key: bool = False):
 
 
 def _belief_graph(spec: ProblemSpec, roots: list[PiBelief], successor_rule, *,
-                  max_nodes: int) -> InfoGraph:
+                  max_nodes: int, leaves: list | None = None) -> InfoGraph:
     """Belief-form graph from same-stage roots: nodes are beliefs,
     deduplicated per stage by successor_rule's keys (belief_successors); a
-    node's base sets are its support."""
+    node's base sets are its support.  leaves as in build_graph."""
     return build_graph(
         spec, "belief", roots,
         pi_of=lambda pis: pis,
         base_of=lambda node: node.support,
         successor_rule=successor_rule,
-        max_nodes=max_nodes)
+        max_nodes=max_nodes, leaves=leaves)
 
 
 def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -> InfoGraph:
@@ -917,23 +938,26 @@ def _last_stage_values(spec: ProblemSpec, beliefs) -> np.ndarray:
 
 # Most roots valued in one graph (values_at): a graph holds every root's
 # subtree, so memory grows with this bound.
-DEFAULT_MAX_VALUE_ROOTS = 2
+DEFAULT_MAX_VALUE_ROOTS = 3
 
 
 def values_at(spec: ProblemSpec, t: int, pis: list[PiBelief]) -> list[float]:
     """The dynamic-program values at arbitrary stage-t beliefs, in order.
 
     Consecutive beliefs are valued DEFAULT_MAX_VALUE_ROOTS at a time, as the
-    root values of a solve on the belief-form graph rooted at them,
-    deduplicated on exact belief bytes so no two distinct beliefs merge (a
-    new node's belief is a view of its key).  Every stage-T leaf is valued
-    by the batched terminal minimization, then stages T-1..t are backed up
-    as in solve_on_graph.  Node values depend only on their own beliefs and
-    every stacked row has the bytes of its one-row call, so each value is
-    the bytes of its one-root call (value_at).  The graph has the default
-    node budget; a stacked graph that exceeds a budget (BudgetError) is
-    valued again one root per graph, so each root gets its one-root value
-    or error.  Meant for desk-scale probing, not solving."""
+    root values of a solve on the belief-form graph rooted at them
+    (_root_values), deduplicated on exact belief bytes so no two distinct
+    beliefs merge.  Every stage-T belief of the graph is a row of one
+    batched terminal minimization, then stages T-1..t are backed up as in
+    solve_on_graph.  Node values depend only on their own beliefs and every
+    stacked row has the bytes of its one-row call, so each value is the
+    bytes of its one-root call (value_at).  The graph has the default node
+    budget; a stacked graph that exceeds a budget (BudgetError) is valued
+    again one root per graph, so each root gets its one-root value or
+    error.  A belief of another stage or length, with a negative or
+    non-finite entry, or with no positive mass is a DomainError, raised
+    before any graph is built.  Meant for desk-scale probing, not
+    solving."""
     spec = normalize_problem(spec)
     if not 1 <= t <= spec.T:
         raise DomainError(f"t={t} outside horizon [1, {spec.T}]")
@@ -943,6 +967,8 @@ def values_at(spec: ProblemSpec, t: int, pis: list[PiBelief]) -> list[float]:
         if len(pi.p) != state_count(spec, t):
             raise DomainError(f"belief of length {len(pi.p)} at t={t}, expected "
                               f"{state_count(spec, t)}")
+        if not (np.isfinite(pi.p).all() and (pi.p >= 0.0).all()):
+            raise DomainError(f"belief at t={t} has a negative or non-finite entry")
         if not (pi.p > 0.0).any():
             raise DomainError(f"belief at t={t} has no positive mass")
     size = DEFAULT_MAX_VALUE_ROOTS
@@ -960,14 +986,18 @@ def values_at(spec: ProblemSpec, t: int, pis: list[PiBelief]) -> list[float]:
 
 
 def _root_values(spec: ProblemSpec, t: int, roots: list[PiBelief]) -> list[float]:
-    """The root values of one exact-key belief graph rooted at roots."""
+    """The root values of one exact-key belief graph rooted at roots.  Its
+    stage-T beliefs are leaf rows, not nodes (build_graph's leaves): each
+    is the read-only view of its key, with id node_count + its row, and
+    one _last_stage_values call on them fills the leaf slots of values
+    before stages T-1..t are backed up.  Roots at T are leaves themselves."""
+    leaves: list[np.ndarray] = []
     graph = _belief_graph(
-        spec, roots, belief_successors(np.ascontiguousarray, belief_is_key=True),
-        max_nodes=DEFAULT_MAX_NODES)
-    leaves = graph.stages[spec.T]
-    values = np.zeros(graph.node_count)
-    values[[node.node_id for node in leaves]] = _last_stage_values(
-        spec, [node.pi.p for node in leaves])
+        spec, roots, belief_successors(np.ascontiguousarray, belief_is_key=True,
+                                       leaf_stage=spec.T),
+        max_nodes=DEFAULT_MAX_NODES, leaves=leaves)
+    values = np.zeros(graph.node_count + len(leaves))
+    values[graph.node_count:] = _last_stage_values(spec, leaves)
     for stage in range(spec.T - 1, t - 1, -1):
         _backup_stage(graph, stage, values)
     return values[:len(roots)].tolist()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delayed_sharing import minimize
+from delayed_sharing import coordinator, minimize
 from delayed_sharing._tables import tables
 from delayed_sharing.coordinator import PiBelief, expected_stage_cost
 from delayed_sharing.errors import BudgetError, DomainError
@@ -148,6 +148,25 @@ def last_stage_values_reference(spec, p):
         value = float(np.sum(row))
         best = value if best is None else min(best, value)
     return best
+
+
+def root_values_reference(spec, t, roots):
+    """The root values of one exact-key belief graph rooted at roots, with
+    every stage-T belief a node of the graph (build_graph without leaves):
+    one _last_stage_values call on the stage-T nodes' beliefs fills their
+    slots, then stages T-1..t are backed up.  values_at's graphs hold
+    stage T as leaf rows instead, so this is the reference of that path."""
+    graph = coordinator._belief_graph(
+        spec, roots,
+        coordinator.belief_successors(np.ascontiguousarray, belief_is_key=True),
+        max_nodes=coordinator.DEFAULT_MAX_NODES)
+    leaves = graph.stages[spec.T]
+    values = np.zeros(graph.node_count)
+    values[[node.node_id for node in leaves]] = coordinator._last_stage_values(
+        spec, [node.pi.p for node in leaves])
+    for stage in range(spec.T - 1, t - 1, -1):
+        coordinator._backup_stage(graph, stage, values)
+    return values[:len(roots)].tolist()
 
 
 def window_tables_reference(spec, t):

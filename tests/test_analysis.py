@@ -182,3 +182,11 @@ def test_concavity_probe_reports(i1_spec):
     with pytest.raises(DomainError, match="samples must be >= 1"):
         concavity_probe(i1_spec, 0, seed=7)
     assert min(rep.min_slack.values()) >= -1e-9
+
+
+def test_concavity_probe_rejects_a_negative_seed_before_any_work(monkeypatch, i1_spec):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the probe drew samples")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        concavity_probe(i1_spec, 2, -1)

@@ -402,6 +402,19 @@ def test_value_at_rejects_a_belief_of_another_stage_or_length(i1_spec):
         value_at(i1_spec, 2, PiBelief(2, np.zeros_like(p)))
 
 
+@pytest.mark.parametrize("entry", [np.nan, -0.5, np.inf, -np.inf])
+def test_values_at_rejects_a_negative_or_non_finite_entry(monkeypatch, i1_spec, entry):
+    """Checked before any graph is built, next to a valid belief."""
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+    monkeypatch.setattr(coordinator, "_root_values", no_graph)
+    n = state_count(i1_spec, 1)
+    good, bad = np.full(n, 1.0 / n), np.full(n, 1.0 / n)
+    bad[0] = entry
+    with pytest.raises(DomainError, match="negative or non-finite entry"):
+        coordinator.values_at(i1_spec, 1, [PiBelief(1, good), PiBelief(1, bad)])
+
+
 def test_value_at_has_the_graph_node_budget(monkeypatch, i2_spec):
     monkeypatch.setattr(coordinator, "DEFAULT_MAX_NODES", 3)
     with pytest.raises(BudgetError) as err:
