@@ -22,9 +22,8 @@ from .model import ProblemSpec
 # (state, action, next state, observation tuple) block, a gather of the
 # forward expansion (coordinator._expand_nodes: group nodes times assignment
 # rows times the larger of gathered triples and next states; build_graph's
-# node blocks let one assignment row of a block fit; new nodes get images in
-# row blocks of nodes times belief entries), the support sets of
-# coordinator._read_supports (beliefs times belief entries), a row block of
+# node blocks let one assignment row of a block fit; new nodes get images
+# and support sets in row blocks of nodes times belief entries), a row block of
 # the stage backup (nodes times a belief's entries, its cost tensor and its
 # totals) and of the terminal minimization (beliefs times the behavior sums
 # of all but the last controller; its chunks of whole row blocks stack

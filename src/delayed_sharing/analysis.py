@@ -44,14 +44,20 @@ class ConcavityReport:
     passed: bool
 
 
+def _check_samples(samples: int) -> None:
+    """concavity_probe's check on its sample count, which
+    verify.verify_instance also makes before any other work."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+
+
 def concavity_probe(spec: ProblemSpec, samples: int, seed: int) -> ConcavityReport:
     """Sample mixture triples per stage and check the value of the mixture
     is never below the mixture of values (minus tolerance).  A stage's
     triples are drawn first, then their beliefs (p1, p2, mixture, sample
     after sample) are valued by one values_at call.  Fewer than one sample
     or a negative seed is a DomainError, raised before any work."""
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    _check_samples(samples)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     spec = normalize_problem(spec)

@@ -18,7 +18,6 @@ prescription profiles at every reachable belief.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -26,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import _tables, histories, minimize
-from ._tables import stacked_support_sets, support_sets, tables
+from ._tables import stacked_support_sets, tables
 from .errors import (BudgetError, DomainError, OffDesignHistoryError,
                      UnreachableObservationError)
 from .histories import (CommonObs, CoordinatorPolicy, GammaProfile,
@@ -164,33 +163,26 @@ class ZTable:
 
 @dataclass
 class InfoNode:
-    """One node of an information-state graph.
+    """One node of an information-state graph, complete when build_graph
+    makes it.
 
     pi is the node's belief-form image: the belief itself, or the h_map
     reconstruction of a (Theta, r) state, which is then kept in state (None
     in the belief form).  support holds, per controller, the realizations
-    with positive marginal mass under pi; it is computed on first read, or
-    for a block of nodes at once when the block is expanded or backed up.
-    value_at's graphs make no stage-T nodes: their stage-T beliefs are leaf
-    rows of the terminal batch (build_graph's leaves).  relevant holds, per
-    controller, the realizations whose assigned actions the backup must
-    distinguish: the support plus every visible set of the node's branches,
-    assigned when the node is expanded (until then, the support).
+    with positive marginal mass under pi.  relevant holds, per controller,
+    the realizations whose assigned actions the backup must distinguish: it
+    starts as the support, and expanding the node widens it by every
+    visible set of the node's branches.  value_at's graphs make no stage-T
+    nodes: their stage-T beliefs are leaf rows of the terminal batch
+    (build_graph's leaves).
     """
 
     node_id: int
     t: int
     pi: PiBelief
     state: Any
-    spec: ProblemSpec = field(repr=False)
-
-    @functools.cached_property
-    def support(self) -> tuple[tuple[int, ...], ...]:
-        return support_sets(self.spec, self.t, self.pi.p)
-
-    @functools.cached_property
-    def relevant(self) -> tuple[tuple[int, ...], ...]:
-        return self.support
+    support: tuple[tuple[int, ...], ...]
+    relevant: tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -415,14 +407,14 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases,
 _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
 
 
-def build_graph(spec: ProblemSpec, kind: str, roots: list, pi_of, base_of,
-                successor_rule, *, max_nodes: int,
+def build_graph(spec: ProblemSpec, kind: str, t: int, roots: list, pi_of,
+                base_of, successor_rule, *, max_nodes: int,
                 leaves: list | None = None) -> InfoGraph:
-    """Breadth-first forward closure of a list of same-stage information
+    """Breadth-first forward closure of a list of stage-t information
     states, the roots, which become nodes 0, 1, ... in list order (equal
     roots stay distinct nodes; their children merge).
 
-    pi_of(states) lists the belief-form images (PiBelief) of same-stage
+    pi_of(t, states) lists the belief-form images (PiBelief) of stage-t
     information states; base_of(node) is the node's base sets (see
     _expand_nodes).  successor_rule(t), called once per stage next to the
     stage's dedup index, returns children(block, z, visible, rows, ranks, M,
@@ -433,23 +425,26 @@ def build_graph(spec: ProblemSpec, kind: str, roots: list, pi_of, base_of,
     graph.  Branch tables are keyed by the action assignment on the visible
     realizations, which covers every profile choice exactly.
 
-    Stage t is expanded in blocks of nodes, sized by _tables._BLOCK_ENTRIES
-    so that one assignment's gather over a whole block fits.  A block's
-    branches are computed symbol by symbol and group by group, then its new
-    children are inserted in the order a per-node expansion inserts them
-    (node, symbol, ascending rank), pi_of taking row blocks of at most
-    _BLOCK_ENTRIES entries.  A key's node takes the state of its first
-    branch in that order (distinct states can share a key), so node ids,
-    stage lists, branch tables and the node-budget error ("edges so far"
-    counts the branches of every node expanded before the one whose child
-    exceeds the budget) are those of one expansion per node.
+    Each stage is expanded in blocks of nodes, sized by
+    _tables._BLOCK_ENTRIES so that one assignment's gather over a whole
+    block fits.  A block's branches are computed symbol by symbol and group
+    by group, then its new children are inserted in the order a per-node
+    expansion inserts them (node, symbol, ascending rank).  A key's node
+    takes the state of its first branch in that order (distinct states can
+    share a key), so node ids, stage lists, branch tables and the
+    node-budget error ("edges so far" counts the branches of every node
+    expanded before the one whose child exceeds the budget) are those of
+    one expansion per node.  New states, roots included, become nodes in
+    row blocks of at most _BLOCK_ENTRIES entries, with one pi_of call and
+    one stacked_support_sets call per block, so a node has its support and
+    relevant sets when it is made.
 
-    With leaves (a list, values_at's graphs), stage T holds rows, not nodes:
-    each new stage-T key appends its state (the successor rule makes it the
-    bare belief row) to leaves, and branch tables refer to it by id
-    node_count + its index in leaves; roots at T are appended as their
-    belief rows, so equal roots stay distinct.  Leaves are deduplicated and
-    count against max_nodes as nodes do, and the budget error is the same.
+    With leaves (a list, values_at's belief graphs, whose states are bare
+    belief rows), stage T holds rows, not nodes: every new stage-T state,
+    roots at T included, is appended to leaves with no pi_of call, and
+    branch tables refer to it by id node_count + its index in leaves, so
+    equal roots stay distinct.  Leaves are deduplicated and count against
+    max_nodes as nodes do, and the budget error is the same.
     """
     graph = InfoGraph(spec, kind, {t: [] for t in range(1, spec.T + 1)}, {}, [])
 
@@ -460,27 +455,27 @@ def build_graph(spec: ProblemSpec, kind: str, roots: list, pi_of, base_of,
             return range(start, start + len(states))
         start, rows = len(graph.by_id), max(1, _tables._BLOCK_ENTRIES // state_count(spec, t))
         for lo in range(0, len(states), rows):
-            for state, pi in zip(states[lo:lo + rows], pi_of(states[lo:lo + rows])):
+            block = states[lo:lo + rows]
+            pis = pi_of(t, block)
+            sets = stacked_support_sets(spec, t, np.stack([pi.p for pi in pis]))
+            for state, pi, support in zip(block, pis, sets):
                 node = InfoNode(len(graph.by_id), t, pi,
-                                None if kind == "belief" else state, spec)
+                                None if kind == "belief" else state, support, support)
                 graph.by_id.append(node)
                 graph.stages[t].append(node)
         return range(start, len(graph.by_id))
 
     if max_nodes < len(roots):
         raise _node_budget(graph, max_nodes, 0)
-    if leaves is not None and roots[0].t == spec.T:
-        add(spec.T, [pi.p for pi in pi_of(roots)])
-    else:
-        add(roots[0].t, roots)
-    for t in range(1, spec.T):
-        index: dict = {}    # key -> id of the stage-(t+1) nodes so far
-        children = successor_rule(t)
-        st = tables(spec).stage[t]
-        row_cost = max(state_count(spec, t + 1),
+    add(t, roots)
+    for stage in range(t, spec.T):
+        index: dict = {}    # key -> id of the stage-(stage+1) nodes so far
+        children = successor_rule(stage)
+        st = tables(spec).stage[stage]
+        row_cost = max(state_count(spec, stage + 1),
                        st.state_count * int(st.step_arrays(spec)[1].max()), 1)
         size = max(1, _tables._BLOCK_ENTRIES // row_cost)
-        nodes = graph.stages[t]
+        nodes = graph.stages[stage]
         for lo in range(0, len(nodes), size):
             block = nodes[lo:lo + size]
             _expand_block(graph, block, base_of, children, index, add, max_nodes,
@@ -498,9 +493,10 @@ def _node_budget(graph: InfoGraph, max_nodes: int, edges: int) -> BudgetError:
 def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
                   children_of, index: dict, add, max_nodes: int, room: int):
     """Expand a block of same-stage nodes (build_graph): record each node's
-    branch tables and relevant sets, and add its new children to the graph
-    through add(t + 1, states) -> node ids and their keys to index.  room
-    is how many more nodes (and leaves) max_nodes allows.
+    branch tables, widen its relevant sets by their visible sets, and add
+    its new children to the graph through add(t + 1, states) -> node ids
+    and their keys to index.  room is how many more nodes (and leaves)
+    max_nodes allows.
 
     While the block's branches are computed, each batch of branches looks
     up each of its distinct keys once, at the key's first branch in the
@@ -512,7 +508,6 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
     key's reference.  The new keys then become nodes in the order of their
     first branch, which is the order a per-node expansion inserts them in."""
     spec, t = graph.spec, block[0].t
-    _read_supports(spec, t, block)
     pending: dict = {}          # key new to the graph -> slot
     slots: list[list] = []      # per slot: [first order, key, state]
 
@@ -568,37 +563,35 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
             for k in range(spec.K))
 
 
-def belief_successors(key_rows, *, belief_is_key: bool = False,
-                      leaf_stage: int = 0):
+def belief_successors(key_rows, *, belief_is_key: bool = False):
     """successor_rule of the belief form, keyed on the bytes of key_rows(p).
     A batch of branches is normalized in one broadcast division and keyed
-    with one key_rows call and one tobytes per row; a PiBelief is made only
-    for a key new to the graph: on a copied row, or, with belief_is_key
-    (key_rows keeps the float64 rows, so a key is its row's bytes), as a
-    read-only view of the key, which the stage index holds anyway.  With
-    belief_is_key, a key new at leaf_stage gets the bare view, a row of
-    build_graph's leaves, and no PiBelief."""
+    with one key_rows call and one tobytes per row.  A key new to the graph
+    gets the bare row of its child belief (build_graph's pi_of makes the
+    PiBelief): a copied row, or, with belief_is_key (key_rows keeps the
+    float64 rows, so a key is its row's bytes), the read-only view of the
+    key, which the stage index holds anyway."""
     def successor_rule(t):
         def children(block, z, visible, rows, ranks, M, pz):
             P = np.divide(M, pz[:, None], out=M)
             keys = [row.tobytes() for row in key_rows(P)]
-            if belief_is_key and t + 1 == leaf_stage:
-                return keys, lambda i: np.frombuffer(keys[i])
             if belief_is_key:
-                return keys, lambda i: PiBelief(t + 1, np.frombuffer(keys[i]))
-            return keys, lambda i: PiBelief(t + 1, P[i].copy())
+                return keys, lambda i: np.frombuffer(keys[i])
+            return keys, lambda i: P[i].copy()
         return children
     return successor_rule
 
 
 def _belief_graph(spec: ProblemSpec, roots: list[PiBelief], successor_rule, *,
                   max_nodes: int, leaves: list | None = None) -> InfoGraph:
-    """Belief-form graph from same-stage roots: nodes are beliefs,
-    deduplicated per stage by successor_rule's keys (belief_successors); a
-    node's base sets are its support.  leaves as in build_graph."""
+    """Belief-form graph from same-stage roots: a state is a bare belief
+    row (each root's p), deduplicated per stage by successor_rule's keys
+    (belief_successors); pi_of wraps a node's row as a PiBelief of its
+    stage, and a node's base sets are its support.  leaves as in
+    build_graph."""
     return build_graph(
-        spec, "belief", roots,
-        pi_of=lambda pis: pis,
+        spec, "belief", roots[0].t, [pi.p for pi in roots],
+        pi_of=lambda t, rows: [PiBelief(t, p) for p in rows],
         base_of=lambda node: node.support,
         successor_rule=successor_rule,
         max_nodes=max_nodes, leaves=leaves)
@@ -659,18 +652,6 @@ def add_continuation(spec: ProblemSpec, bs: minimize.BehaviorSpace,
     return totals
 
 
-def _read_supports(spec: ProblemSpec, t: int, nodes: list[InfoNode]):
-    """Give every node that has not read its support yet its support,
-    computed for a row block of beliefs at a time."""
-    unread = [node for node in nodes if "support" not in vars(node)]
-    rows = max(1, _tables._BLOCK_ENTRIES // state_count(spec, t))
-    for lo in range(0, len(unread), rows):
-        block = unread[lo:lo + rows]
-        sets = stacked_support_sets(spec, t, np.stack([n.pi.p for n in block]))
-        for node, support in zip(block, sets):
-            node.support = support
-
-
 def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
                   ) -> tuple[dict[int, float], dict[int, int]]:
     """Values and minimizing profile ranks of every stage-t node, each backed
@@ -689,7 +670,6 @@ def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
     """
     spec = graph.spec
     nodes = graph.stages[t]
-    _read_supports(spec, t, nodes)
     groups: dict[tuple, list[InfoNode]] = {}
     for node in nodes:
         groups.setdefault(node.relevant, []).append(node)
@@ -988,13 +968,12 @@ def values_at(spec: ProblemSpec, t: int, pis: list[PiBelief]) -> list[float]:
 def _root_values(spec: ProblemSpec, t: int, roots: list[PiBelief]) -> list[float]:
     """The root values of one exact-key belief graph rooted at roots.  Its
     stage-T beliefs are leaf rows, not nodes (build_graph's leaves): each
-    is the read-only view of its key, with id node_count + its row, and
-    one _last_stage_values call on them fills the leaf slots of values
-    before stages T-1..t are backed up.  Roots at T are leaves themselves."""
+    is its bare belief row (the read-only view of its key, or a root's p),
+    with id node_count + its row, and one _last_stage_values call on them
+    fills the leaf slots of values before stages T-1..t are backed up."""
     leaves: list[np.ndarray] = []
     graph = _belief_graph(
-        spec, roots, belief_successors(np.ascontiguousarray, belief_is_key=True,
-                                       leaf_stage=spec.T),
+        spec, roots, belief_successors(np.ascontiguousarray, belief_is_key=True),
         max_nodes=DEFAULT_MAX_NODES, leaves=leaves)
     values = np.zeros(graph.node_count + len(leaves))
     values[graph.node_count:] = _last_stage_values(spec, leaves)

@@ -537,11 +537,9 @@ def _digits_design(spec: ProblemSpec, layout: _DigitLayout,
 _ORACLE_BLOCK = 1 << 14
 
 
-def enumerate_designs(spec: ProblemSpec, *, max_designs: int | None = None
-                      ) -> Iterator[ExtensionalDesign]:
+def enumerate_designs(spec: ProblemSpec) -> Iterator[ExtensionalDesign]:
     """Every extensionally-stored design exactly once; refused (BudgetError)
-    when the designs exceed max_designs, by default DEFAULT_ORACLE_BUDGET
-    read at call time.
+    when the designs exceed DEFAULT_ORACLE_BUDGET, read at call time.
 
     Design i's tables are the digits of i in one mixed radix over table
     entries: tables ordered by (time, controller) with earlier tables more
@@ -551,10 +549,9 @@ def enumerate_designs(spec: ProblemSpec, *, max_designs: int | None = None
     """
     spec = normalize_problem(spec)
     total = design_count(spec)
-    if max_designs is None:
-        max_designs = DEFAULT_ORACLE_BUDGET
-    if total > max_designs:
-        raise BudgetError(f"design space holds {total} designs (budget {max_designs})")
+    if total > DEFAULT_ORACLE_BUDGET:
+        raise BudgetError(f"design space holds {total} designs "
+                          f"(budget {DEFAULT_ORACLE_BUDGET})")
     layout = _digit_layout(spec)
     block = max(1, _ORACLE_BLOCK // len(layout.radices))
     for lo in range(0, total, block):

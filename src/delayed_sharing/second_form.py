@@ -365,8 +365,8 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
             return keys.tolist(), state_of
         return children
 
-    return build_graph(spec, "theta_r", [initial_state(spec)],
-                       lambda states: h_map_block(spec, states),
+    return build_graph(spec, "theta_r", 1, [initial_state(spec)],
+                       lambda t, states: h_map_block(spec, states),
                        lambda node: node.support if spec.n == 1 else full[node.t],
                        successor_rule, max_nodes=max_nodes)
 

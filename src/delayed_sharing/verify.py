@@ -114,6 +114,7 @@ def verify_instance(spec: ProblemSpec, *, samples: int, episodes: int,
                     seed: int) -> Verification:
     spec = normalize_problem(spec)
     evaluate._check_episodes(episodes, seed)
+    analysis._check_samples(samples)
     lines: list[str] = []
     failures = 0
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from delayed_sharing import cli, instances, minimize, verify
+from delayed_sharing.errors import DomainError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import ExtensionalDesign
 from delayed_sharing.model import serialize_problem
@@ -108,6 +109,19 @@ def test_verify_sizes_its_episodes_before_any_solve(monkeypatch, capsys):
     assert code == cli.EXIT_BUDGET
     assert capsys.readouterr().err == ("budget exceeded: simulate asked for "
                                        "10000000000 episodes (budget 100000000)\n")
+
+
+def test_verify_checks_its_samples_before_any_solve(monkeypatch):
+    """verify_instance makes concavity_probe's samples check first: no
+    samples is a DomainError with the probe's message, and no graph is
+    built."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved before it checked its samples")
+
+    monkeypatch.setattr(verify, "reachable_graph", no_solve)
+    spec = instances.load("i2")
+    with pytest.raises(DomainError, match="^samples must be >= 1, got 0$"):
+        verify.verify_instance(spec, samples=0, episodes=100, seed=1)
 
 
 @pytest.mark.parametrize("command, value", [("probe-concavity", "0"),

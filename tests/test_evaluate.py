@@ -101,10 +101,11 @@ def test_design_count_unshared_delay_two():
     assert evaluate.design_count(spec) == (4 ** 2) * (2 ** 8) ** 2
 
 
-def test_enumerate_designs_budget():
+def test_enumerate_designs_budget(monkeypatch):
     spec = random_instance(2, 2, 2, 2, (2, 2), (2, 2), seed=1)
+    monkeypatch.setattr(evaluate, "DEFAULT_ORACLE_BUDGET", 1000)
     with pytest.raises(BudgetError, match=str(evaluate.design_count(spec))):
-        list(evaluate.enumerate_designs(spec, max_designs=1000))
+        list(evaluate.enumerate_designs(spec))
 
 
 def test_enumerate_designs_reads_the_default_budget_at_call_time(io_spec, monkeypatch):

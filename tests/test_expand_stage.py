@@ -226,18 +226,25 @@ def _stage_batched_graph(spec, root, key_rows, rule,
                          max_nodes=coordinator.DEFAULT_MAX_NODES,
                          successor_rule=None):
     return coordinator.build_graph(
-        spec, "belief", [root],
-        pi_of=lambda pis: pis,
+        spec, "belief", root.t, [root.p],
+        pi_of=lambda t, rows: [PiBelief(t, p) for p in rows],
         base_of=lambda node: _base_sets(spec, node.t, node.pi.p, rule),
         successor_rule=successor_rule or coordinator.belief_successors(key_rows),
         max_nodes=max_nodes)
 
 
 def _assert_same_graph(graph, beliefs, tabs):
+    """The per-node graph's node ids, beliefs and branch tables; every node
+    has its support when made, and a node never expanded (stage T) keeps
+    it as its relevant sets."""
+    spec = graph.spec
     assert graph.node_count == len(beliefs)
     for node, pi in zip(graph.by_id, beliefs):
         assert node.t == pi.t
         assert node.pi.p.tobytes() == pi.p.tobytes()
+        assert node.support == support_sets(spec, node.t, node.pi.p)
+        if node.t == spec.T:
+            assert node.relevant == node.support
     assert [n.node_id for t in sorted(graph.stages) for n in graph.stages[t]] == \
         list(range(len(beliefs)))
     for node_id, want in tabs.items():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from unittest import mock
 
 from delayed_sharing import _tables, evaluate
+from delayed_sharing._tables import support_sets
 from delayed_sharing.analysis import design_profile
 from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, build_graph,
                                          extract_design)
@@ -344,8 +345,8 @@ def _per_edge_graph2(spec):
                       for k in range(spec.K))))
         return [state_key(state) for state in states], states.__getitem__
 
-    return build_graph(spec, "theta_r", [initial_state(spec)],
-                       lambda states: [h_map(spec, state) for state in states],
+    return build_graph(spec, "theta_r", 1, [initial_state(spec)],
+                       lambda t, states: [h_map(spec, state) for state in states],
                        base_of, lambda t: children,
                        max_nodes=DEFAULT_MAX_NODES)
 
@@ -378,12 +379,18 @@ def _case_spec(name, solved):
 def test_per_node_successor_gives_the_per_edge_graph(name, solved):
     """reachable_graph2's successor rule against one from-scratch successor
     per edge, for one node per block, an odd block cap and the default: node
-    ids, state keys, belief bytes and branch tables."""
+    ids, state keys, belief bytes and branch tables.  Every node has its
+    support when made, and a node never expanded (stage T) keeps it as its
+    relevant sets."""
     spec = _case_spec(name, solved)
     want = _per_edge_graph2(spec)
     for entries in (1, 999, _tables._BLOCK_ENTRIES):
         with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
             got = reachable_graph2(spec)
+        for node in got.by_id:
+            assert node.support == support_sets(spec, node.t, node.pi.p)
+            if node.t == spec.T:
+                assert node.relevant == node.support
         assert got.node_count == want.node_count
         for a, b in zip(got.by_id, want.by_id):
             assert (a.node_id, a.t) == (b.node_id, b.t)
