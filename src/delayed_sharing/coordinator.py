@@ -206,25 +206,6 @@ class InfoGraph:
         return sum(zt.rank.size for per in self.expansions.values()
                    for zt in per.values())
 
-    def child(self, node_id: int, profile: GammaProfile, z_rank: int) -> tuple[int, float]:
-        """(child id, branch probability) of the branch a profile selects
-        under a shared symbol."""
-        ztab = self.expansions[node_id].get(z_rank)
-        if ztab is None:
-            raise OffDesignHistoryError(
-                f"symbol rank {z_rank} unreachable from node {node_id}")
-        r = 0
-        for k in range(self.spec.K):
-            table = profile.gammas[k].table
-            for lam in ztab.visible[k]:
-                r = r * self.spec.u_size[k] + table[lam]
-        i = int(ztab.rank.searchsorted(r))
-        if i == ztab.rank.size or ztab.rank[i] != r:
-            raise OffDesignHistoryError(
-                f"profile/symbol pair off every positive-probability branch "
-                f"of node {node_id} (z rank {z_rank})")
-        return int(ztab.child[i]), float(ztab.pz[i])
-
 
 def _block_triples(s_start: np.ndarray, s_len: np.ndarray) -> np.ndarray:
     """Flat positions in the step arrays of every triple of the given
@@ -742,98 +723,87 @@ def solve_dp(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES
 class ExtractedDesign:
     """The per-controller strategy induced by a solved coordinator policy.
 
-    Acting replays the belief recursion along the shared history using the
-    policy's own profiles, locates the current node, and evaluates its
-    prescription at the private rank.  Deterministic, and defined exactly on
-    histories consistent with the policy.
-
-    Caching: each located node's prescription profile is decoded once, on
-    first use, and kept per (t, node) for both acting and replay, and each
-    on-design shared history's node id is kept in _cache.  A history the
-    policy rejects is not kept: every call on it replays and raises
-    OffDesignHistoryError.  A time outside [1, T] (DomainError) or a history
-    of the wrong length is rejected before the cache is read.  Nothing is
-    stored per (history, private rank) entry.
-
-    Tabulating: stage_tables gives whole stage tables from the policy's
-    on-design rows, one graph.child call per (on-design node, shared
-    symbol) and one gather per table, without asking act per entry.
+    One memo, keyed by (t, node) and filled on first use, holds per reached
+    node its decoded prescriptions (one int64 array per controller) and its
+    successor row: the child under each shared symbol of stage t+1, -1 where
+    that branch has probability zero.  act follows these rows from the root
+    along the shared history and reads the prescription at the private
+    rank; stage_tables walks them stage by stage.  Nothing is stored per
+    shared history.  A history off the policy, or of the wrong length,
+    raises OffDesignHistoryError; a time, controller or private rank out of
+    range raises DomainError.
     """
 
     spec: ProblemSpec
     policy: CoordinatorPolicy
-    _cache: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
-    _profiles: dict[tuple[int, int], GammaProfile] = field(default_factory=dict)
+    _memo: dict[tuple[int, int], tuple[list[np.ndarray], np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False)
 
-    def _profile(self, t: int, node: int) -> GammaProfile:
-        key = (t, node)
-        profile = self._profiles.get(key)
-        if profile is None:
-            profile = profile_unrank(self.spec, t,
-                                     self.policy.profile_rank(t, node))
-            self._profiles[key] = profile
-        return profile
-
-    def _locate(self, t: int, delta: tuple[int, ...]) -> int:
-        if not 1 <= t <= self.spec.T:
-            raise DomainError(f"t={t} outside horizon [1, {self.spec.T}]")
-        if len(delta) != histories.delta_length(self.spec, t):
-            raise OffDesignHistoryError(
-                f"shared history of length {len(delta)} at t={t}, expected "
-                f"{histories.delta_length(self.spec, t)}")
-        if t == 1:
-            return 0
-        key = (t, delta)
-        hit = self._cache.get(key)
+    def _row(self, t: int, node: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """The memo entry of a node at stage t (class doc)."""
+        hit = self._memo.get((t, node))
         if hit is None:
-            if t <= self.spec.n:
-                parent_delta, z_rank = delta, 0
-            else:
-                parent_delta, z_rank = delta[:-1], delta[-1]
-            parent = self._locate(t - 1, parent_delta)
-            hit = self._cache[key] = self.policy.graph.child(
-                parent, self._profile(t - 1, parent), z_rank)[0]
+            spec, u = self.spec, self.spec.u_size
+            profile = profile_unrank(spec, t, self.policy.profile_rank(t, node))
+            gammas = [g.table for g in profile.gammas]
+            symbols = histories.common_obs_count(spec, t + 1) if t < spec.T else 0
+            succ = np.full(symbols, -1, dtype=np.int64)
+            for z, ztab in self.policy.graph.expansions[node].items():
+                r = 0
+                for k, visible in enumerate(ztab.visible):
+                    for lam in visible:
+                        r = r * u[k] + gammas[k][lam]
+                i = int(ztab.rank.searchsorted(r))
+                if i < ztab.rank.size and ztab.rank[i] == r:
+                    succ[z] = ztab.child[i]
+            hit = self._memo[(t, node)] = (
+                [np.array(g, dtype=np.int64) for g in gammas], succ)
         return hit
 
     def act(self, k: int, t: int, lam_rank: int, delta: tuple[int, ...]) -> int:
-        return self._profile(t, self._locate(t, delta)).gammas[k].table[lam_rank]
+        spec = self.spec
+        if not 1 <= t <= spec.T:
+            raise DomainError(f"t={t} outside horizon [1, {spec.T}]")
+        if len(delta) != histories.delta_length(spec, t):
+            raise OffDesignHistoryError(f"shared history {delta} of the wrong length at t={t}")
+        node = 0
+        for m in range(1, t):
+            succ = self._row(m, node)[1]
+            z = delta[m - spec.n] if m >= spec.n else 0
+            if not (0 <= z < succ.size and succ[z] >= 0):
+                raise OffDesignHistoryError(
+                    f"shared history {delta} leaves the design at t={m + 1}")
+            node = int(succ[z])
+        gammas = self._row(t, node)[0]
+        if not (0 <= k < spec.K and 0 <= lam_rank < gammas[k].size):
+            raise DomainError(f"controller {k} or private rank {lam_rank} "
+                              f"outside the design at t={t}")
+        return int(gammas[k][lam_rank])
 
     def stage_tables(self) -> list[list[np.ndarray]]:
-        """Every controller's stage tables (Design.stage_tables), walked over
-        the policy's own rows from the root.  Stage t's on-design rows are
-        the shared histories act locates: per distinct on-design node at t-1
-        and shared symbol, graph.child (the call _locate makes) gives the
-        child once, and its row is the parent's row (t <= n) or parent row
-        x radix + symbol rank (delta_rank's radix).  Each table is one
-        gather of the located nodes' decoded prescriptions into those rows;
-        every other row keeps action 0."""
-        spec, graph = self.spec, self.policy.graph
-        off = -1        # no child: node ids are non-negative
-        radix = histories.common_obs_count(spec, spec.n + 1) if spec.T > spec.n else 1
+        """Every controller's stage tables (Design.stage_tables), walked
+        stage by stage over the successor rows act follows.  A child's row
+        is its parent's row (t <= n) or parent row x radix + symbol rank
+        (delta_rank's radix).  Each table is one gather of the reached
+        nodes' prescriptions into those rows; every other row keeps
+        action 0."""
+        spec = self.spec
         rows, nodes = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
         tables: list[list[np.ndarray]] = [[] for _ in range(spec.K)]
         for t in range(1, spec.T + 1):
             if t > 1:
-                symbols = radix if t > spec.n else 1
-                children = np.full((len(distinct), symbols), off, dtype=np.int64)
-                for i, node in enumerate(distinct.tolist()):
-                    profile = self._profile(t - 1, node)
-                    for z in range(symbols):
-                        try:
-                            children[i, z] = graph.child(node, profile, z)[0]
-                        except OffDesignHistoryError:
-                            pass
-                children = children[at]
-                on = children != off
-                rows = (rows[:, None] * symbols + np.arange(symbols))[on]
+                children = np.stack([self._row(t - 1, node)[1]
+                                     for node in distinct.tolist()])[at]
+                on = children >= 0
+                rows = (rows[:, None] * children.shape[1]
+                        + np.arange(children.shape[1]))[on]
                 nodes = children[on]
             distinct, at = np.unique(nodes, return_inverse=True)
-            profiles = [self._profile(t, node) for node in distinct.tolist()]
+            prescriptions = [self._row(t, node)[0] for node in distinct.tolist()]
             for k in range(spec.K):
-                cols = histories.private_count(spec, k, t)
-                gammas = np.array([p.gammas[k].table for p in profiles],
-                                  dtype=np.int64).reshape(len(profiles), cols)
-                tab = np.zeros((histories.delta_count(spec, t), cols), dtype=np.int64)
+                gammas = np.stack([p[k] for p in prescriptions])
+                tab = np.zeros((histories.delta_count(spec, t), gammas.shape[1]),
+                               dtype=np.int64)
                 tab[rows] = gammas[at]
                 tables[k].append(tab)
         return tables

@@ -689,9 +689,10 @@ def materialize_design(spec: ProblemSpec, design: Design) -> ExtensionalDesign:
     """Tabulate any design over the full (shared history, private rank)
     product domain, in fresh arrays the caller may write into.  Refused
     (BudgetError) before any table is allocated when the entries exceed
-    DEFAULT_MAX_DESIGN_ENTRIES.  A design with stage_tables (ExtensionalDesign,
-    ExtractedDesign) hands its tables over whole; any other is asked entry
-    by entry through act.  Histories the design rejects (off-policy for a
+    DEFAULT_MAX_DESIGN_ENTRIES.  A design with stage_tables hands its tables
+    over whole: an ExtensionalDesign copies them, an ExtractedDesign walks
+    its successor rows stage by stage.  Any other is asked entry by entry
+    through act.  Histories the design rejects (off-policy for a
     replayed strategy) get action 0; they never occur under the design
     itself, so the tabulated copy is cost-identical.  A rejection is a
     verdict on (t, delta) alone, so the first one ends its row."""

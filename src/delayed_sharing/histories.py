@@ -198,6 +198,8 @@ def delta_rank(spec: ProblemSpec, t: int, z_ranks: tuple[int, ...]) -> int:
     radix = common_obs_count(spec, spec.n + 1)
     r = 0
     for z in z_ranks:
+        if not 0 <= z < radix:
+            raise DomainError(f"shared symbol rank {z} outside [0, {radix})")
         r = r * radix + z
     return r
 
@@ -239,7 +241,12 @@ class ExtensionalDesign:
     tables: list[list[np.ndarray]]
 
     def act(self, k: int, t: int, lam_rank: int, delta: tuple[int, ...]) -> int:
-        return int(self.tables[k][t - 1][delta_rank(self.spec, t, delta), lam_rank])
+        spec = self.spec
+        if not (1 <= t <= spec.T and 0 <= k < spec.K
+                and 0 <= lam_rank < private_count(spec, k, t)):
+            raise DomainError(f"(k={k}, t={t}, private rank {lam_rank}) outside "
+                              f"the design's tables")
+        return int(self.tables[k][t - 1][delta_rank(spec, t, delta), lam_rank])
 
     def stage_tables(self) -> list[list[np.ndarray]]:
         """Fresh int64 copies of the tables (Design.stage_tables)."""

@@ -10,7 +10,7 @@ import numpy as np
 from delayed_sharing import coordinator, minimize
 from delayed_sharing._tables import tables
 from delayed_sharing.coordinator import PiBelief, expected_stage_cost
-from delayed_sharing.errors import BudgetError, DomainError
+from delayed_sharing.errors import BudgetError, DomainError, OffDesignHistoryError
 from delayed_sharing.evaluate import EvalResult, PathRecord, SimResult
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (GammaProfile, PartialFunction,
@@ -288,6 +288,29 @@ def embedded_profile(spec, t, lam_sets, digit_sets):
             table[lam] = d
         gammas.append(PartialFunction(k, t, tuple(table)))
     return GammaProfile(t, tuple(gammas))
+
+
+def child_reference(graph, node_id, profile, z_rank):
+    """(child id, branch probability) of the branch a full profile selects
+    out of a graph node under a shared symbol: the profile's assignment to
+    each controller's visible realizations is ranked digit by digit and
+    searched among the stored ranks.  OffDesignHistoryError where the symbol
+    or the branch has probability zero."""
+    ztab = graph.expansions[node_id].get(z_rank)
+    if ztab is None:
+        raise OffDesignHistoryError(
+            f"symbol rank {z_rank} unreachable from node {node_id}")
+    r = 0
+    for k in range(graph.spec.K):
+        table = profile.gammas[k].table
+        for lam in ztab.visible[k]:
+            r = r * graph.spec.u_size[k] + table[lam]
+    i = int(ztab.rank.searchsorted(r))
+    if i == ztab.rank.size or ztab.rank[i] != r:
+        raise OffDesignHistoryError(
+            f"profile/symbol pair off every positive-probability branch "
+            f"of node {node_id} (z rank {z_rank})")
+    return int(ztab.child[i]), float(ztab.pz[i])
 
 
 def h_map_reference(spec, state):

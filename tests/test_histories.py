@@ -5,9 +5,9 @@ from delayed_sharing.errors import DomainError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (CommonObs, common_obs_count,
                                        common_obs_rank, common_obs_space,
-                                       delta_count, gamma_profiles,
+                                       delta_count, delta_rank, gamma_profiles,
                                        private_count, profile_count,
-                                       profile_unrank)
+                                       profile_unrank, random_design)
 from helpers import private_rank, private_space, private_unrank, profile_rank
 
 
@@ -121,6 +121,21 @@ def test_delta_count():
     spec = spec_of(n=2, T=3)
     assert delta_count(spec, 2) == 1
     assert delta_count(spec, 3) == 16
+
+
+def test_delta_rank_rejects_out_of_range_symbols():
+    """(0, 19) would alias (1, 3) at radix 16; no symbol outside [0, radix)
+    gets a rank, so an extensional design cannot answer for it."""
+    spec = spec_of(n=1, T=3, seed=5)
+    assert common_obs_count(spec, 2) == 16
+    assert delta_rank(spec, 3, (1, 3)) == 19
+    design = random_design(spec, 0)
+    for delta in ((0, 19), (0, 16), (16, 0), (-1, 3), (1, -1)):
+        with pytest.raises(DomainError, match=r"outside \[0, 16\)"):
+            delta_rank(spec, 3, delta)
+        with pytest.raises(DomainError, match=r"outside \[0, 16\)"):
+            design.act(0, 3, 0, delta)
+    assert design.act(0, 3, 0, (1, 3)) == design.tables[0][2][19, 0]
 
 
 @settings(max_examples=50, deadline=None)

