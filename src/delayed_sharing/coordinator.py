@@ -4,10 +4,11 @@ strategy-independent update, the collapsed stage cost, strategy extraction,
 and the piecewise-linear value-function machinery.  Also the information-graph
 core both dynamic programs run on: one graph type, one forward closure
 (build_graph), one stage backup (behind solve_on_graph) and one continuation
-assembly (add_continuation); each form supplies only its information state,
-dedup key, belief-form image, base sets and block successor rule.  values_at
-runs on the same core: a solve on the belief graph rooted at the probed
-beliefs.
+assembly (add_continuations, batched per symbol and visible sets over a row
+block, which verify's branch-probability check also runs on); each form
+supplies only its information state, dedup key, belief-form image, base sets
+and block successor rule.  values_at runs on the same core: a solve on the
+belief graph rooted at the probed beliefs.
 
 The joint state at time t is S_t = (X_{t-1}, private windows of all
 controllers); the coordinator's belief over it, conditioned on shared data
@@ -150,7 +151,9 @@ class ZTable:
     has shape[k] = u_k ** len(visible[k]) ranks; a branch is keyed by the flat
     rank of the per-controller ranks in shape, controller 0 most significant.
     rank, pz and child list the positive-probability branches in ascending
-    rank, which is itertools.product order of the assignments.
+    rank, which is itertools.product order of the assignments.  A graph's
+    tables are views: slices of the arrays _expand_nodes writes once per
+    (symbol, group) of a block.
     """
 
     z_rank: int
@@ -275,8 +278,8 @@ def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
     return m, pz
 
 
-def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases,
-                  children) -> list[dict[int, ZTable]]:
+def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases, children
+                  ) -> tuple[list[dict[int, ZTable]], list[np.ndarray]]:
     """Branches of a block of stage-t information states, whose belief-form
     images are the rows of P, over every shared symbol.
 
@@ -306,8 +309,14 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases,
     profile.
 
     Zero-probability branches are pruned (their value is irrelevant to the
-    objective).  Returns per row its branch tables, by ascending symbol rank,
-    whose child column holds the references children returned.
+    objective).  Each (symbol, group) writes its branches once, as arrays of
+    (member, rank, pz, child reference) ordered by member, then rank (chunks
+    come member by member, each in ascending rank, so only a group that
+    spans several chunks needs a stable sort by member).  Returns per row
+    its branch tables, by ascending symbol rank, each a ZTable of slices
+    (views) of its group's arrays whose child column holds the references
+    children returned, and the child array of every (symbol, group), where
+    those references can be rewritten in place for all tables at once.
     """
     st = tables(spec).stage[t]
     next_count = tables(spec).stage[t + 1].state_count
@@ -315,6 +324,7 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases,
     lens = steps[1]
     positive = P > 0.0
     out: list[dict[int, ZTable]] = [{} for _ in range(len(P))]
+    child_arrays: list[np.ndarray] = []
     for z in common_obs_space(spec, t + 1):
         zr = common_obs_rank(spec, z)
         if z.is_null:
@@ -352,7 +362,7 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases,
             mass = P[np.ix_(members, cand)]
             row_cost = max(next_count, cand.size * int(lens[cand].max()), 1)
             chunk = max(1, _tables._BLOCK_ENTRIES // (len(members) * row_cost))
-            parts: list[list] = [[] for _ in members]
+            found = []      # per chunk: member, rank, pz, child reference
             for lo in range(0, combos, chunk):
                 ranks = np.arange(lo, min(lo + chunk, combos))
                 keys = np.unravel_index(ranks, shape)
@@ -364,25 +374,30 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases,
                 node_i, row_i = np.nonzero(pz > 0.0)
                 if node_i.size == 0:
                     continue
-                kept_pz = pz[node_i, row_i]
+                kept_pz, kept_rank = pz[node_i, row_i], ranks[row_i]
                 # M is the callee's to overwrite; a view when every row is kept
                 M = (m.reshape(-1, next_count) if node_i.size == pz.size
                      else m[node_i, row_i])
-                refs = np.array(children(z, visible,
-                                         [members[i] for i in node_i.tolist()],
-                                         ranks[row_i], M, kept_pz),
-                                dtype=np.int64)
-                cuts = np.searchsorted(node_i, np.arange(len(members) + 1)).tolist()
-                for i, part in enumerate(parts):
-                    a, b = cuts[i], cuts[i + 1]
-                    if a < b:
-                        part.append((ranks[row_i[a:b]], kept_pz[a:b], refs[a:b]))
-            for j, part in zip(members, parts):
-                if part:
-                    rank, prob, child = (part[0] if len(part) == 1 else
-                                         (np.concatenate(col) for col in zip(*part)))
-                    out[j][zr] = ZTable(zr, visible, shape, rank, prob, child)
-    return out
+                refs = children(z, visible, np.take(members, node_i).tolist(),
+                                kept_rank, M, kept_pz)
+                found.append((node_i, kept_rank, kept_pz,
+                              np.asarray(refs, dtype=np.int64)))
+            if not found:
+                continue
+            member, rank, prob, child = found[0]
+            if len(found) > 1:
+                member, rank, prob, child = (np.concatenate(col) for col in zip(*found))
+                if len(members) > 1:    # chunk by chunk -> member by member
+                    order = np.argsort(member, kind="stable")
+                    member, rank, prob, child = (
+                        member[order], rank[order], prob[order], child[order])
+            child_arrays.append(child)
+            cuts = np.searchsorted(member, np.arange(len(members) + 1)).tolist()
+            for j, a, b in zip(members, cuts, cuts[1:]):
+                if a < b:
+                    out[j][zr] = ZTable(zr, visible, shape, rank[a:b], prob[a:b],
+                                        child[a:b])
+    return out, child_arrays
 
 
 _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
@@ -486,8 +501,13 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
     and a new key gets a pending slot that keeps the state of its branch
     first in per-node order over the whole block (a later batch, of another
     symbol or group, can hold a smaller order).  Every branch takes its
-    key's reference.  The new keys then become nodes in the order of their
-    first branch, which is the order a per-node expansion inserts them in."""
+    key's reference.  The new keys then become nodes in the order of the
+    first (node, symbol, rank) each slot recorded, which is the order a
+    per-node expansion inserts them in; the pending references are resolved
+    by one gather per (symbol, group) child array, and relevant sets are
+    widened once per distinct (support, visible sets per symbol).  The
+    per-node tables are read for the budget error only, when room runs
+    out."""
     spec, t = graph.spec, block[0].t
     pending: dict = {}          # key new to the graph -> slot
     slots: list[list] = []      # per slot: [first order, key, state]
@@ -515,33 +535,32 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
             refs[i] = hit
         return refs[first]
 
-    tabs = _expand_nodes(spec, t, np.stack([node.pi.p for node in block]),
-                         [base_of(node) for node in block], children)
-    refs = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        ztab.child for per in tabs for ztab in per.values()])
-    new_at = np.nonzero(refs < 0)[0]
-    new_slots = -1 - refs[new_at]
-    first = np.sort(np.unique(new_slots, return_index=True)[1])
-    if first.size > room:
+    tabs, child_arrays = _expand_nodes(
+        spec, t, np.stack([node.pi.p for node in block]),
+        [base_of(node) for node in block], children)
+    fresh = sorted(range(len(slots)), key=lambda slot: slots[slot][0])
+    if len(fresh) > room:
         # the edges of the block's nodes before the one whose child overflows
-        ends = np.cumsum([sum(ztab.rank.size for ztab in per.values())
-                          for per in tabs])
-        j = int(np.searchsorted(ends, new_at[first[room]], side="right"))
-        raise _node_budget(graph, max_nodes,
-                           graph.edge_count + (int(ends[j - 1]) if j else 0))
-    node_of = np.empty(len(slots), dtype=np.int64)
-    fresh = new_slots[first].tolist()
-    for slot, node_id in zip(fresh, add(t + 1, [slots[slot][2] for slot in fresh])):
-        node_of[slot] = index[slots[slot][1]] = node_id
+        j = slots[fresh[room]][0][0]
+        raise _node_budget(graph, max_nodes, graph.edge_count + sum(
+            ztab.rank.size for per in tabs[:j] for ztab in per.values()))
+    if fresh:
+        node_of = np.empty(len(slots), dtype=np.int64)
+        for slot, node_id in zip(fresh, add(t + 1, [slots[slot][2] for slot in fresh])):
+            node_of[slot] = index[slots[slot][1]] = node_id
+        for child in child_arrays:
+            new = child < 0
+            child[new] = node_of[-1 - child[new]]
+    widened: dict = {}      # (support, visible sets per symbol) -> relevant sets
     for node, per in zip(block, tabs):
-        for ztab in per.values():
-            new = ztab.child < 0
-            ztab.child[new] = node_of[-1 - ztab.child[new]]
         graph.expansions[node.node_id] = per
-        node.relevant = tuple(
-            tuple(sorted(set(node.support[k]).union(
-                *(ztab.visible[k] for ztab in per.values()))))
-            for k in range(spec.K))
+        key = (node.support, tuple(ztab.visible for ztab in per.values()))
+        relevant = widened.get(key)
+        if relevant is None:
+            relevant = widened[key] = tuple(
+                tuple(sorted(set(node.support[k]).union(*(v[k] for v in key[1]))))
+                for k in range(spec.K))
+        node.relevant = relevant
 
 
 def belief_successors(key_rows, *, belief_is_key: bool = False):
@@ -603,34 +622,79 @@ class ValueTable:
         return self.J[1][0]
 
 
-def add_continuation(spec: ProblemSpec, bs: minimize.BehaviorSpace,
-                     totals: np.ndarray, expansion: dict[int, ZTable],
-                     values: np.ndarray, subkeys: dict) -> np.ndarray:
-    """totals plus, per shared symbol, every behavior's branch probability
-    times values[child] of the branch it selects (0 off every branch);
-    values is indexed by node id.
+def add_continuations(spec: ProblemSpec, bs: minimize.BehaviorSpace,
+                      totals: np.ndarray, expansions: list, values: np.ndarray,
+                      subkeys: dict) -> None:
+    """Add to each row i of totals (rows x bs.shape), in place, per shared
+    symbol of expansions[i] (a node's branch tables; None or {} adds
+    nothing), every behavior's branch probability times values[child] of
+    the branch it selects (0 off every branch); values is indexed by node
+    id.
 
-    The branch table of a symbol is assembled over its visible assignment
-    ranks and read back per behavior one controller at a time, the last
-    first: axis k is replaced by its entries at the behaviors' subkeys on
-    visible[k] (one take per controller, the entries of the open-mesh
-    gather without building it; the later takes copy whole rows).  A key
-    vector depends only on bs, k and visible[k], so subkeys keeps it per
-    (k, visible[k]); share it only across calls on the same bs.  Symbols
-    are added in expansion order, one array addition each, so the
-    summation order is fixed by the expansion.
+    The rows' branch tables are batched per (symbol, visible sets), symbols
+    in ascending rank.  A batch's tables are scattered into one stacked
+    (items x visible assignment ranks) table (one row's: a table of its
+    shape), read back per behavior one controller at a time, the last
+    first: controller k's axis is replaced by its entries at the behaviors'
+    subkeys on visible[k] (one take per controller, the entries of the
+    open-mesh gather without building it; the later takes copy whole rows),
+    and added into the batch's rows of totals (a slice when the rows are
+    consecutive; totals is best C-ordered).  A key vector depends
+    only on bs, k and visible[k], so subkeys keeps it per (k, visible[k]);
+    share it only across calls on the same bs.  Every row receives its
+    symbols in ascending rank, one array addition each, so each entry is
+    summed in the order of one node's expansion.
     """
-    for ztab in expansion.values():
-        table = np.zeros(ztab.shape)
-        table.reshape(-1)[ztab.rank] = ztab.pz * values[ztab.child]
+    batches: dict = {}      # (symbol rank, visible sets) -> rows, tables
+    for i, per in enumerate(expansions):
+        for zr, ztab in (per or {}).items():
+            batches.setdefault((zr, ztab.visible), []).append((i, ztab))
+    for zr, visible in sorted(batches):
+        items = batches[zr, visible]
+        shape, lead = items[0][1].shape, int(len(items) > 1)
+        if lead:
+            ztabs = [ztab for _, ztab in items]
+            rank, pz, child = (np.concatenate([getattr(z, name) for z in ztabs])
+                               for name in ("rank", "pz", "child"))
+            table = np.zeros((len(items), math.prod(shape)))
+            table[np.repeat(np.arange(len(items)), [z.rank.size for z in ztabs]),
+                  rank] = pz * values[child]
+            table = table.reshape(len(items), *shape)
+        else:               # one row: its table in its own shape
+            ztab = items[0][1]
+            table = np.zeros(shape)
+            table.reshape(-1)[ztab.rank] = ztab.pz * values[ztab.child]
         for k in range(spec.K - 1, -1, -1):
-            visible = ztab.visible[k]
-            key = subkeys.get((k, visible))
+            key = subkeys.get((k, visible[k]))
             if key is None:
-                key = subkeys[k, visible] = minimize.subkey_vector(spec, bs, k, visible)
-            table = table.take(key, axis=k)
-        totals = totals + table
-    return totals
+                key = subkeys[k, visible[k]] = minimize.subkey_vector(
+                    spec, bs, k, visible[k])
+            table = table.take(key, axis=k + lead)
+        first, last = items[0][0], items[-1][0]
+        if not lead:
+            totals[first] += table
+        elif last - first == len(items) - 1:
+            totals[first:last + 1] += table
+        else:
+            totals[[i for i, _ in items]] += table
+
+
+def stage_blocks(graph: InfoGraph, t: int):
+    """Stage t's nodes grouped by relevant sets (first-seen order): per
+    group its behavior space and its nodes in row blocks of at most
+    _tables._BLOCK_ENTRIES entries, so memory stays flat in stage size."""
+    spec = graph.spec
+    groups: dict[tuple, list[InfoNode]] = {}
+    for node in graph.stages[t]:
+        groups.setdefault(node.relevant, []).append(node)
+    for relevant, members in groups.items():
+        bs = minimize.behavior_space(spec, t, relevant)
+        # a row holds a belief, its cost tensor over the relevant
+        # realizations and actions, and its behaviors' totals
+        row_entries = (state_count(spec, t) + math.prod(bs.shape)
+                       + math.prod(map(len, relevant)) * spec.action_count)
+        rows = max(1, _tables._BLOCK_ENTRIES // row_entries)
+        yield bs, [members[lo:lo + rows] for lo in range(0, len(members), rows)]
 
 
 def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
@@ -640,44 +704,31 @@ def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
     indexed by node id: the next stage's values are read from it (stage-T
     nodes have no branches) and each stage-t value is written into it.
 
-    Nodes are grouped by relevant sets (first-seen order), each group shares
-    one behavior space and runs in row blocks of at most _tables._BLOCK_ENTRIES
-    entries, so memory stays flat in stage size.  Per block: one stage-total
-    contraction over the stacked beliefs, each expanded node's continuation
-    added to its own row, one argmin over the rows; each distinct minimizer's
-    completion rank is computed once per group.  Every row is the bytes of
-    its one-row stage totals (minimize.stage_totals), so values and ranks are
-    those of one backup per node.  J and ranks list the nodes in stage order.
+    Nodes run in the row blocks of stage_blocks; each group shares one
+    behavior space.  Per block: one stage-total contraction over the stacked
+    beliefs, one add_continuations call for the block's branch tables, one
+    argmin over the rows; each distinct minimizer's completion rank is
+    computed once per group.  Every row is the bytes of its one-row stage
+    totals (minimize.stage_totals) plus its own continuation, summed as one
+    node's, so values and ranks are those of one backup per node.  J and
+    ranks list the nodes in stage order.
     """
     spec = graph.spec
-    nodes = graph.stages[t]
-    groups: dict[tuple, list[InfoNode]] = {}
-    for node in nodes:
-        groups.setdefault(node.relevant, []).append(node)
-    J: dict[int, float] = dict.fromkeys(node.node_id for node in nodes)
+    J: dict[int, float] = dict.fromkeys(node.node_id for node in graph.stages[t])
     ranks: dict[int, int] = dict.fromkeys(J)
-    for relevant, members in groups.items():
-        bs = minimize.behavior_space(spec, t, relevant)
+    for bs, blocks in stage_blocks(graph, t):
         subkeys: dict = {}
         completions: dict[int, int] = {}
-        # a row holds a belief, its cost tensor over the relevant
-        # realizations and actions, and its behaviors' totals
-        row_entries = (state_count(spec, t) + math.prod(bs.shape)
-                       + math.prod(map(len, relevant)) * spec.action_count)
-        rows = max(1, _tables._BLOCK_ENTRIES // row_entries)
-        for lo in range(0, len(members), rows):
-            block = members[lo:lo + rows]
-            totals = minimize.stage_totals(
-                spec, t, np.stack([node.pi.p for node in block]), bs)
-            for i, node in enumerate(block):
-                expansion = graph.expansions.get(node.node_id)
-                if expansion:
-                    totals[i] = add_continuation(spec, bs, totals[i],
-                                                 expansion, values, subkeys)
+        for block in blocks:
+            ids = [node.node_id for node in block]
+            # C-ordered: stage_totals keeps the rows innermost in memory
+            totals = np.ascontiguousarray(minimize.stage_totals(
+                spec, t, np.stack([node.pi.p for node in block]), bs))
+            add_continuations(spec, bs, totals,
+                              [graph.expansions.get(i) for i in ids], values, subkeys)
             flat = totals.reshape(len(block), -1)
             best = np.argmin(flat, axis=1)
             low = flat[np.arange(len(block)), best]
-            ids = [node.node_id for node in block]
             values[ids] = low
             for node_id, idx, value in zip(ids, best.tolist(), low.tolist()):
                 rank = completions.get(idx)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, evaluate, minimize
-from .coordinator import (PiBelief, add_continuation, alpha_backup,
+from . import analysis, evaluate
+from .coordinator import (PiBelief, add_continuations, alpha_backup,
                           expected_stage_cost, extract_design, initial_belief,
-                          reachable_graph, solve_on_graph, state_count,
-                          value_at, values_at)
+                          reachable_graph, solve_on_graph, stage_blocks,
+                          state_count, value_at, values_at)
 from .errors import BudgetError
 from .histories import common_obs_space, random_design
 from .model import ProblemSpec, normalize_problem
@@ -45,15 +45,20 @@ class Verification:
 
 
 def _pz_gap(spec: ProblemSpec, graph) -> float:
-    """Worst |sum of branch probabilities - 1| over nodes and behaviors."""
+    """Worst |sum of branch probabilities - 1| over nodes and behaviors: the
+    backup's continuation assembly on unit values, one batch per row block
+    of each stage (coordinator.stage_blocks)."""
     ones = np.ones(graph.node_count)
     worst = 0.0
     for t in range(1, spec.T):
-        for node in graph.stages[t]:
-            bs = minimize.behavior_space(spec, t, node.relevant)
-            acc = add_continuation(spec, bs, np.zeros(bs.shape),
-                                   graph.expansions[node.node_id], ones, {})
-            worst = max(worst, float(np.abs(acc - 1.0).max()))
+        for bs, blocks in stage_blocks(graph, t):
+            subkeys: dict = {}
+            for block in blocks:
+                acc = np.zeros((len(block), *bs.shape))
+                add_continuations(spec, bs, acc,
+                                  [graph.expansions[node.node_id] for node in block],
+                                  ones, subkeys)
+                worst = max(worst, float(np.abs(acc - 1.0).max()))
     return worst
 
 

@@ -724,13 +724,22 @@ class ActOnly:
         return self.design.act(k, t, lam_rank, delta)
 
 
-def small_instance(seed, K, n, T, kernels):
+def small_instance(seed, K, n, T, kernels, *, theta_r=False):
     """A seeded instance with per-controller sizes drawn from {1, 2} and
     |X| from {1, 2, 3}; T shrinks until at most 512 paths and 128 joint
-    states at T are possible, so both forms solve in well under a second.
-    kernels is "generic", "deterministic" or "zero_entries" (about a third
-    of the kernel entries zeroed, each row keeping its largest entry, and
-    the rows renormalized)."""
+    states at T are possible, so the belief form solves in well under a
+    second.  kernels is "generic", "deterministic" or "zero_entries" (about
+    a third of the kernel entries zeroed, each row keeping its largest
+    entry, and the rows renormalized).
+
+    That cap does not bound the (Theta, r) form, whose nodes at a stage
+    range over the r-suffixes the stage can hold: per controller, every
+    action table on the domain of each part issued at lo..t-1.  At delay 3
+    a stage can hold 1,024 or more of them, and one such graph has 16,393
+    nodes.  With theta_r (the caller solves that form too), parameters
+    whose instance can hold more than 64 r-suffix tuples at some stage
+    raise ValueError; at most 64 keep both forms well under a second.  The
+    instance drawn never depends on theta_r."""
     rng = np.random.default_rng(seed)
     y_size = tuple(int(v) for v in rng.integers(1, 3, K))
     u_size = tuple(int(v) for v in rng.integers(1, 3, K))
@@ -743,6 +752,13 @@ def small_instance(seed, K, n, T, kernels):
     while T > 1 and (x_size ** (T + 1) * int(np.prod(y_size)) ** T > 512
                      or x_size * windows(T) > 128):
         T -= 1
+    # part m of a stage-t suffix has y ** (m - lo + 1) * u ** (m - lo) entries
+    suffixes = max(math.prod(u ** (y ** (m - lo + 1) * u ** (m - lo))
+                             for y, u in zip(y_size, u_size) for m in range(lo, t))
+                   for t in range(1, T + 1) for lo in [max(1, t - n + 1)])
+    if theta_r and suffixes > 64:
+        raise ValueError(f"seed {seed}, K={K}, n={n}: {suffixes} r-suffix tuples "
+                         f"at one stage of T={T} (cap 64)")
     spec = normalize_problem(random_instance(
         K, T, n, x_size, y_size, u_size, seed=seed,
         deterministic=kernels == "deterministic"))

@@ -17,8 +17,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from delayed_sharing import _tables, instances, minimize
 from delayed_sharing._tables import stacked_support_sets, support_sets, tables
-from delayed_sharing.coordinator import (_last_stage_values, reachable_graph,
-                                         solve_on_graph)
+from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, PiBelief,
+                                         _belief_graph, _last_stage_values,
+                                         belief_successors, initial_belief,
+                                         quantize_rows, reachable_graph,
+                                         solve_on_graph, stage_blocks)
 from delayed_sharing.generate import random_instance
 from delayed_sharing.model import normalize_problem
 from delayed_sharing.second_form import reachable_graph2
@@ -97,7 +100,6 @@ def _check_stage_backup(spec, form, widen=False):
     of its visible sets (a superset of the support and visible sets is a
     valid relevant set)."""
     graph = BUILD[form](spec)
-    leaves = graph.stages[spec.T]
     gapped = 0
     for node_id, expansion in graph.expansions.items():
         if not expansion:
@@ -114,10 +116,20 @@ def _check_stage_backup(spec, form, widen=False):
                 at = [node.relevant[k].index(lam) for lam in visible]
                 gapped += (len(set(visible) & set(node.support[k])) >= 2
                            and at != list(range(at[0], at[0] + len(at))))
-    sweeps = []
+    _check_sweeps(graph)
+    return gapped
+
+
+def _check_sweeps(graph):
+    """Every block size's sweep against one backup per node; return per
+    block size _mixed_blocks of its row blocks."""
+    spec = graph.spec
+    leaves = graph.stages[spec.T]
+    sweeps, mixed = [], {}
     for entries in (BLOCK_ENTRIES[-1], *BLOCK_ENTRIES[:-1]):
         with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
             sweeps.append(solve_on_graph(graph)[0])
+            mixed[entries] = _mixed_blocks(graph)
     # build_graph read every leaf's support from stacked rows
     for node in leaves:
         assert node.support == support_sets(spec, spec.T, node.pi.p)
@@ -129,12 +141,63 @@ def _check_stage_backup(spec, form, widen=False):
             assert (np.array(list(vt.J[t].values())).tobytes()
                     == np.array([v for v, _ in per_node.values()]).tobytes())
             assert list(vt.argmin[t].values()) == [r for _, r in per_node.values()]
-    return gapped
+    return mixed
 
 
 # Costs as drawn, all +0.0, all -0.0, or each entry drawn from +0.0, -0.0,
 # as drawn and minus its magnitude.
 COSTS = ("drawn", "+0.0", "-0.0", "signed")
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.sampled_from([2, 3]), n=st.sampled_from([1, 2]),
+       deterministic=st.booleans(), costs=st.sampled_from(COSTS))
+@example(seed=0, K=3, n=2, deterministic=False, costs="signed")
+def test_batched_continuations_match_per_node_reference(seed, K, n, deterministic,
+                                                        costs):
+    """The continuation batches (one per symbol and visible sets of a row
+    block) against one backup per node, on a belief graph rooted at the
+    initial belief and three sparse stage-1 beliefs.  Each stage's nodes
+    get the union of its relevant sets (a superset of a node's support and
+    visible sets is a valid relevant set), so a stage is one group whose
+    row blocks mix supports: nodes with different symbol sets
+    (zero-probability symbols pruned) and, at delay 2, a symbol with two
+    visible patterns, which the example reaches in one block.  At K = 3
+    the first controller has three actions; costs may be signed."""
+    y, u = ((1, 2, 1), (3, 2, 2)) if K == 3 else ((2, 2), (2, 2))
+    rng = np.random.default_rng(seed)
+    spec = _with_costs(normalize_problem(random_instance(
+        K, 3, n, 2, y, u, seed=seed, deterministic=deterministic)), rng, costs)
+    roots = [PiBelief(1, p) for p in _sparse_beliefs(spec, 1, rng, 4)]
+    roots[0] = initial_belief(spec)
+    graph = _belief_graph(spec, roots, belief_successors(quantize_rows),
+                          max_nodes=DEFAULT_MAX_NODES)
+    for t in range(1, spec.T):
+        union = tuple(tuple(sorted(set().union(*(node.relevant[k]
+                                                 for node in graph.stages[t]))))
+                      for k in range(K))
+        for node in graph.stages[t]:
+            node.relevant = union
+    mixed = _check_sweeps(graph)
+    if (seed, K, n, deterministic, costs) == (0, 3, 2, False, "signed"):
+        assert mixed[_tables._BLOCK_ENTRIES] == (True, True)
+
+
+def _mixed_blocks(graph):
+    """Whether some row block of the stage backup holds nodes with different
+    symbol sets, and whether one holds a symbol with two visible patterns."""
+    symbols = patterns = False
+    for t in range(1, graph.spec.T):
+        for _, blocks in stage_blocks(graph, t):
+            for block in blocks:
+                pers = [graph.expansions[node.node_id] for node in block]
+                symbols |= len({tuple(per) for per in pers}) > 1
+                seen = {}
+                for per in pers:
+                    for zr, ztab in per.items():
+                        seen.setdefault(zr, set()).add(ztab.visible)
+                patterns |= any(len(v) > 1 for v in seen.values())
+    return symbols, patterns
 
 
 def _with_costs(spec, rng, costs):
@@ -149,11 +212,11 @@ def _with_costs(spec, rng, costs):
     return normalize_problem(dataclasses.replace(spec, cost=c))
 
 
-def _terminal_beliefs(spec, rng, count):
-    """count stage-T beliefs: the first with full support, the others with
+def _sparse_beliefs(spec, t, rng, count):
+    """count stage-t beliefs: the first with full support, the others with
     a random nonempty subset of each controller's realizations kept and,
     for some, single joint states zeroed as well."""
-    stt = tables(spec).stage[spec.T]
+    stt = tables(spec).stage[t]
     P = rng.dirichlet(np.ones(stt.state_count), size=count)
     for p, sparsity in zip(P[1:], (0.0, 0.5, 0.9) * count):
         cube = p.reshape(stt.shape)
@@ -198,7 +261,7 @@ def test_terminal_values_equal_full_enumeration_on_random_shapes(seed, K, n, y, 
 def _check_terminal(spec, seed, costs):
     rng = np.random.default_rng(seed)
     spec = _with_costs(spec, rng, costs)
-    P = _terminal_beliefs(spec, rng, 4)
+    P = _sparse_beliefs(spec, spec.T, rng, 4)
     got = _last_stage_values(spec, P)
     for value, p in zip(got.tolist(), P):
         assert value.hex() == last_stage_values_reference(spec, p).hex()

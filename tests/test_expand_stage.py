@@ -97,7 +97,7 @@ def expand_one(spec, t, p, base, child_fn):
         keys = zip(*(a.tolist() for a in np.unravel_index(ranks, shape)))
         return [child_fn(z, visible, key, m, q)
                 for key, m, q in zip(keys, M, pz.tolist())]
-    return coordinator._expand_nodes(spec, t, p[None], [base], children)[0]
+    return coordinator._expand_nodes(spec, t, p[None], [base], children)[0][0]
 
 
 def _belief(spec, t, rng, sparsity):
@@ -364,6 +364,59 @@ def test_dedup_order_matches_per_node_expansion():
                 with pytest.raises(BudgetError) as got:
                     _stage_batched_graph(spec, root, coarse, "support", max_nodes)
                 assert str(got.value) == str(want.value)
+
+
+def _spanning_groups(log):
+    """Batches of two or more block rows whose rows already came in an
+    earlier batch of the same block and symbol: a group spanning two or
+    more assignment chunks (a row is in one group per symbol)."""
+    seen, count = {}, 0
+    for t, number, _, orders in log:
+        rows = {j for j, _, _ in orders}
+        earlier = seen.setdefault((t, number, orders[0][1]), [])
+        count += len(rows) >= 2 and any(rows & other for other in earlier)
+        earlier.append(rows)
+    return count
+
+
+def test_groups_spanning_chunks_match_per_node_expansion(monkeypatch):
+    """At 2,048 entries a block of this delay-2 tree holds two stage-2
+    nodes, and a group of both gets its assignments in several chunks, so
+    its branches come chunk by chunk and are put member by member.  Each
+    node's tables are slices of its group's arrays and must be the per-node
+    expansion's: ranks strictly ascending, and every child id >= 0 once its
+    block is done.  Every node budget must give the per-node error text."""
+    spec = _tree_spec(2, 2, 0, False)
+    root = coordinator.initial_belief(spec)
+    key_rows = coordinator.quantize_rows
+    beliefs, tabs = _per_node_graph(spec, root, key_rows, "support")
+    real = coordinator._expand_block
+
+    def checked(graph, block, *args):
+        real(graph, block, *args)
+        for node in block:
+            for ztab in graph.expansions[node.node_id].values():
+                assert (np.diff(ztab.rank) > 0).all() and (ztab.child >= 0).all()
+
+    monkeypatch.setattr(coordinator, "_expand_block", checked)
+    monkeypatch.setattr(_tables, "_BLOCK_ENTRIES", 2048)
+    log = []
+    graph = _stage_batched_graph(
+        spec, root, key_rows, "support",
+        successor_rule=_logged(spec, coordinator.belief_successors(key_rows), log))
+    assert _spanning_groups(log) > 0
+    _assert_same_graph(graph, beliefs, tabs)
+    shared = sum(a.child.base is b.child.base
+                 for i, j in zip(graph.stages[2], graph.stages[2][1:])
+                 for z, a in graph.expansions[i.node_id].items()
+                 for b in [graph.expansions[j.node_id].get(z)] if b is not None)
+    assert shared > 0
+    for max_nodes in (1, 2, 9, 17, 18, 40, 100, 200, 272):
+        with pytest.raises(BudgetError) as want:
+            _per_node_graph(spec, root, key_rows, "support", max_nodes)
+        with pytest.raises(BudgetError) as got:
+            _stage_batched_graph(spec, root, key_rows, "support", max_nodes)
+        assert str(got.value) == str(want.value)
 
 
 def _kept_per_row(spec, t, cand, actions, z_rank):

@@ -2,11 +2,12 @@
 design's tables off its on-design rows and copies an extensional design's,
 and both must equal, byte for byte, the per-entry fill through act."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from delayed_sharing import evaluate, generate, histories
 from delayed_sharing.coordinator import (ExtractedDesign, extract_design,
@@ -55,12 +56,34 @@ def test_tables_equal_the_per_entry_fill(seed, K, n, T, kernels, form):
     """Both forms' extracted designs and a random extensional design, on
     instances with n below, at and above T.  The explicit example has
     shared histories of three symbols of four values each, so the per-entry
-    fill's row order is pinned."""
-    spec = small_instance(seed, K, n, T, kernels)
+    fill's row order is pinned.  A (Theta, r) draw whose graph the size
+    cap cannot bound (small_instance raises) is rejected."""
+    try:
+        spec = small_instance(seed, K, n, T, kernels, theta_r=form == "theta_r")
+    except ValueError:
+        assume(False)
     build, extract = FORMS[form]
     policy = solve_on_graph(build(spec))[1]
     _check(spec, lambda: extract(spec, policy))
     _check(spec, lambda: random_design(spec, seed))
+
+
+def test_small_instance_bounds_both_forms():
+    """small_instance(1, 2, 3, 4, "generic") built a (Theta, r) graph of
+    16,393 nodes (52.9 s to solve) under a cap that counted only paths and
+    belief-form joint states.  Asked for that form it now raises; it still
+    draws the same instance for the belief form, whose graph has 521 nodes.
+    Every instance drawn for the (Theta, r) form keeps that graph small."""
+    with pytest.raises(ValueError, match="r-suffix tuples"):
+        small_instance(1, 2, 3, 4, "generic", theta_r=True)
+    assert reachable_graph(small_instance(1, 2, 3, 4, "generic")).node_count == 521
+    for seed, K, n, T in itertools.product(range(3), (1, 2, 3), (1, 2, 3), (2, 4)):
+        try:
+            spec = small_instance(seed, K, n, T, "generic", theta_r=True)
+        except ValueError:
+            assert n == 3
+            continue
+        reachable_graph2(spec, max_nodes=1_000)
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))
