@@ -178,8 +178,9 @@ def tables(spec: ProblemSpec) -> SpecTables:
 
 def stacked_support_sets(spec: ProblemSpec, t: int, P: np.ndarray
                          ) -> list[tuple[tuple[int, ...], ...]]:
-    """support_sets of every belief in a stack P of shape (rows,
-    state_count), in row order.
+    """Per belief in a stack P of shape (rows, state_count), in row order:
+    per controller, the private realizations carrying positive marginal
+    mass.
 
     A realization's marginal mass is a sum of non-negative terms, so it is
     positive exactly when one of its joint states has positive mass; the
@@ -202,9 +203,4 @@ def stacked_support_sets(spec: ProblemSpec, t: int, P: np.ndarray
                   for k in range(spec.K))
             for i in first.tolist()]
     return [sets[i] for i in inverse.tolist()]
-
-
-def support_sets(spec: ProblemSpec, t: int, p: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Per-controller private realizations carrying positive marginal mass."""
-    return stacked_support_sets(spec, t, p[None])[0]
 

@@ -148,8 +148,8 @@ def check_one_step_factorization(spec: ProblemSpec,
     max_indep = 0.0
     for t in range(1, spec.T + 1):
         st = tables(spec).stage[t]
-        x_dist_1 = evaluate.conditional_x_dists(spec, design, t, lag=1)
-        x_dist_2 = evaluate.conditional_x_dists(spec, design2, t, lag=1)
+        x_dist_1 = evaluate.conditional_x_dists(spec, design, t)
+        x_dist_2 = evaluate.conditional_x_dists(spec, design2, t)
         for delta in sorted(x_dist_1):
             checked += 1
             pi = replay_beliefs(spec, design, t, delta)
@@ -181,25 +181,19 @@ class AicardiReport:
     passed: bool
 
 
-def projection_violation(spec: ProblemSpec,
-                         factors: tuple[int, ...]) -> str | None:
-    """Why the instance is not a product state with these per-controller
-    factors, observed by every controller as an exact projection of its own
-    coordinate; None when it is."""
-    if len(factors) != spec.K:
-        return "one state factor per controller is required"
-    if int(np.prod(factors)) != spec.x_size:
-        return f"factors {factors} do not multiply to x_size={spec.x_size}"
+def projection_violation(spec: ProblemSpec) -> str | None:
+    """Why the instance is not a product state whose per-controller factors
+    are the observation alphabets spec.y_size, observed by every controller
+    as an exact projection of its own coordinate; None when it is."""
+    if int(np.prod(spec.y_size)) != spec.x_size:
+        return f"factors {spec.y_size} do not multiply to x_size={spec.x_size}"
 
     def coord(x: int, k: int) -> int:
         for j in range(spec.K - 1, k, -1):
-            x //= factors[j]
-        return x % factors[k]
+            x //= spec.y_size[j]
+        return x % spec.y_size[k]
 
     for k in range(spec.K):
-        if spec.y_size[k] != factors[k]:
-            return (f"controller {k} observation alphabet {spec.y_size[k]} "
-                    f"does not match its factor {factors[k]}")
         for t in range(spec.T):
             for x in range(spec.x_size):
                 row = np.zeros(spec.y_size[k])
@@ -209,15 +203,14 @@ def projection_violation(spec: ProblemSpec,
     return None
 
 
-def check_aicardi_degenerate(spec: ProblemSpec,
-                             factor_sizes: tuple[int, ...]) -> AicardiReport:
+def check_aicardi_degenerate(spec: ProblemSpec) -> AicardiReport:
     """On a product-state instance where every controller's observation is an
-    exact projection of its subsystem coordinate: past the delay, the
-    delayed-state belief is a point mass at every reachable node, the node
-    set is indexed by (delayed state, suffixes), and both dynamic programs
-    agree on the optimal cost."""
+    exact projection of its subsystem coordinate (projection_violation):
+    past the delay, the delayed-state belief is a point mass at every
+    reachable node, the node set is indexed by (delayed state, suffixes),
+    and both dynamic programs agree on the optimal cost."""
     spec = normalize_problem(spec)
-    violation = projection_violation(spec, factor_sizes)
+    violation = projection_violation(spec)
     if violation is not None:
         raise PreconditionError(violation)
 

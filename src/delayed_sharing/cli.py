@@ -78,10 +78,10 @@ def _solution(graph, vt) -> dict:
         nodes = [_node_json(node, vt) for node in graph.stages[t]]
         edges = []
         for node in graph.stages[t]:
-            for ztab in graph.expansions.get(node.node_id, {}).values():
+            for z, ztab in graph.expansions.get(node.node_id, {}).items():
                 for rank, pz, child in zip(ztab.rank, ztab.pz, ztab.child):
                     edges.append({
-                        "from": node.node_id, "z": ztab.z_rank,
+                        "from": node.node_id, "z": z,
                         "assignment_key": [int(i) for i in
                                            np.unravel_index(rank, ztab.shape)],
                         "pz": float(pz), "to": int(child),

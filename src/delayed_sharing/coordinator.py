@@ -99,34 +99,28 @@ def _joint_actions(spec: ProblemSpec, st, profile: GammaProfile) -> np.ndarray:
     return a_vec
 
 
-def _profile_masses(spec: ProblemSpec, t: int, p: np.ndarray,
-                    profile: GammaProfile, z_rank: int,
-                    cand: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unnormalized next-belief mass and branch probability of one profile
-    from the positive-mass candidate states: one row of _branch_masses."""
-    st = tables(spec).stage[t]
-    actions = _joint_actions(spec, st, profile)[cand][None, :]
-    m, pz = _branch_masses(st.step_arrays(spec), cand, p[cand][None], actions,
-                           z_rank, tables(spec).stage[t + 1].state_count)
-    return m[0, 0], float(pz[0, 0])
-
-
 def belief_update(spec: ProblemSpec, pi: PiBelief, profile: GammaProfile,
                   z: CommonObs) -> tuple[PiBelief, float]:
     """Bayes update of the belief given the profile in force and the newly
-    shared symbol.  Raises UnreachableObservationError when the symbol has
-    probability zero; a belief is never fabricated."""
+    shared symbol: one row of _branch_masses from the positive-mass states,
+    normalized by its branch probability.  Raises
+    UnreachableObservationError when the symbol has probability zero; a
+    belief is never fabricated."""
     spec = normalize_problem(spec)
     t = pi.t
     if not 1 <= t <= spec.T - 1:
         raise DomainError(f"no update past the horizon (t={t}, T={spec.T})")
     zr = common_obs_rank(spec, z)
+    st = tables(spec).stage[t]
     cand = np.nonzero(pi.p > 0.0)[0]
-    m, pz = _profile_masses(spec, t, pi.p, profile, zr, cand)
+    actions = _joint_actions(spec, st, profile)[cand][None, :]
+    m, pz = _branch_masses(st.step_arrays(spec), cand, pi.p[cand][None], actions,
+                           zr, state_count(spec, t + 1))
+    pz = float(pz[0, 0])
     if pz <= 0.0:
         raise UnreachableObservationError(
             f"shared symbol rank {zr} has probability zero at t={t}")
-    return PiBelief(t + 1, m / pz), pz
+    return PiBelief(t + 1, m[0, 0] / pz), pz
 
 
 def expected_stage_cost(spec: ProblemSpec, pi: PiBelief,
@@ -144,7 +138,8 @@ def expected_stage_cost(spec: ProblemSpec, pi: PiBelief,
 
 @dataclass
 class ZTable:
-    """Branches for one shared symbol out of one node.
+    """Branches for one shared symbol out of one node (the symbol's rank is
+    the table's key in InfoGraph.expansions).
 
     Controller k's assignment of actions to its visible realizations
     visible[k] is ranked base u_k, first realization most significant, so it
@@ -156,7 +151,6 @@ class ZTable:
     (symbol, group) of a block.
     """
 
-    z_rank: int
     visible: tuple[tuple[int, ...], ...]
     shape: tuple[int, ...]
     rank: np.ndarray          # int64
@@ -395,7 +389,7 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases, children
             cuts = np.searchsorted(member, np.arange(len(members) + 1)).tolist()
             for j, a, b in zip(members, cuts, cuts[1:]):
                 if a < b:
-                    out[j][zr] = ZTable(zr, visible, shape, rank[a:b], prob[a:b],
+                    out[j][zr] = ZTable(visible, shape, rank[a:b], prob[a:b],
                                         child[a:b])
     return out, child_arrays
 
@@ -1053,22 +1047,20 @@ def _symbol_maps(spec: ProblemSpec, t: int,
                  profile: GammaProfile) -> dict[int, np.ndarray]:
     """Dense one-step map per shared symbol under a profile: entry (s, s2)
     is the probability of stepping from joint state s to s2 while emitting
-    the symbol.  Row s adds s's step triples in triple order, as the
-    single-profile update from a point mass on s does (1.0 * w is exact)."""
+    the symbol.  Row s is _branch_masses' update of a point mass on s over
+    every joint state: 1.0 * w is exact and the other states add +0.0, so
+    the row holds the bytes of the single-profile update from that point
+    mass."""
     st = tables(spec).stage[t]
-    starts, lens, dst, zr, w = st.step_arrays(spec)
     states = np.arange(st.state_count)
-    actions = _joint_actions(spec, st, profile)
-    s_len = lens[states, actions]
-    flat = _block_triples(starts[states, actions], s_len)
-    src = np.repeat(states, s_len)
+    actions = _joint_actions(spec, st, profile)[None, :]
+    steps, next_count = st.step_arrays(spec), state_count(spec, t + 1)
     out: dict[int, np.ndarray] = {}
     for z in common_obs_space(spec, t + 1):
         r = common_obs_rank(spec, z)
-        keep = zr[flat] == r
-        M = np.zeros((st.state_count, state_count(spec, t + 1)))
-        np.add.at(M, (src[keep], dst[flat[keep]]), w[flat[keep]])
-        out[r] = M
+        m, _ = _branch_masses(steps, states, np.eye(st.state_count), actions,
+                              r, next_count)
+        out[r] = m[:, 0]
     return out
 
 

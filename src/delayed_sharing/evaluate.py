@@ -578,11 +578,11 @@ class _Outcomes:
     first: list[np.ndarray]
 
 
-def _outcome_table(spec: ProblemSpec, max_paths: int) -> _Outcomes:
+def _outcome_table(spec: ProblemSpec) -> _Outcomes:
     """The design-independent outcome rows, each expansion checked against
-    max_paths as _path_table checks its own."""
+    DEFAULT_MAX_PATHS, read at call time, as _path_table checks its own."""
     K, T = spec.K, spec.T
-    _, x0 = _expand(spec.x0_dist[None] > 0.0, max_paths)
+    _, x0 = _expand(spec.x0_dist[None] > 0.0, DEFAULT_MAX_PATHS)
     xs = np.zeros((len(x0), T + 1), dtype=np.int32)
     xs[:, 0] = x0
     ys = np.zeros((len(x0), T), dtype=np.int32)
@@ -592,13 +592,13 @@ def _outcome_table(spec: ProblemSpec, max_paths: int) -> _Outcomes:
     for t in range(1, T + 1):
         for k in range(K):
             kernel = spec.obs[k][t - 1][xs[:, t - 1]]
-            rows, y = _expand(kernel > 0.0, max_paths)
+            rows, y = _expand(kernel > 0.0, DEFAULT_MAX_PATHS)
             xs, ys, factors, prefix = xs[rows], ys[rows], factors[rows], prefix[rows]
             ys[:, t - 1] = ys[:, t - 1] * spec.y_size[k] + y
             factors[:, 1 + (t - 1) * K + k] = kernel[rows, y]
         prefix[:, t - 1] = np.arange(len(xs))
         reach = (spec.trans[t - 1][xs[:, t - 1]] > 0.0).any(axis=1)
-        rows, x = _expand(reach, max_paths)
+        rows, x = _expand(reach, DEFAULT_MAX_PATHS)
         xs, ys, factors, prefix = xs[rows], ys[rows], factors[rows], prefix[rows]
         xs[:, t] = x
     first = [np.unique(prefix[:, t], return_index=True)[1] for t in range(T)]
@@ -671,7 +671,7 @@ def brute_force_optimum(spec: ProblemSpec, *, max_designs: int | None = None
             f"oracle needs {n_designs} designs x {path_count_bound(spec)} "
             f"paths = {work} evaluations (budget {budget})")
     layout = _digit_layout(spec)
-    outcomes = _outcome_table(spec, DEFAULT_MAX_PATHS)
+    outcomes = _outcome_table(spec)
     block = max(1, _ORACLE_BLOCK // max(len(outcomes.xs), len(layout.radices)))
     best: float | None = None
     best_index = 0
@@ -761,15 +761,16 @@ def conditional_state_dists(spec: ProblemSpec, design: Design | ActionFn, t: int
             for delta, vec in zip(keys, acc)}
 
 
-def conditional_x_dists(spec: ProblemSpec, design: Design | ActionFn, t: int,
-                        lag: int) -> dict[tuple[int, ...], np.ndarray]:
-    """P(X_{t-lag} | shared history at t) for every reachable history
-    (X at the clipped time max(0, t-lag))."""
+def conditional_x_dists(spec: ProblemSpec, design: Design | ActionFn, t: int
+                        ) -> dict[tuple[int, ...], np.ndarray]:
+    """P(X_{t-n} | shared history at t) for every reachable history (X at
+    the clipped time max(0, t-n)): the delayed-state conditional Theta
+    tracks."""
     spec = normalize_problem(spec)
     paths = _path_table(spec, design, t, False, DEFAULT_MAX_PATHS)
     keys, group = _by_history(spec, paths, t)
     acc = np.zeros((len(keys), spec.x_size))
-    np.add.at(acc, (group, paths.xs[:, max(0, t - lag)]), paths.weight)
+    np.add.at(acc, (group, paths.xs[:, max(0, t - spec.n)]), paths.weight)
     return {delta: vec / vec.sum() for delta, vec in zip(keys, acc)}
 
 

@@ -12,10 +12,7 @@ NAMES = ("io", "i1", "i2", "ia")
 
 def load(name: str) -> ProblemSpec:
     """Load a shipped instance by name, validated and renormalized."""
-    if name not in NAMES:
-        raise KeyError(f"unknown instance {name!r}; shipped: {NAMES}")
-    text = resources.files(__package__).joinpath(f"{name}.json").read_text("utf-8")
-    return normalize_problem(load_problem(text))
+    return normalize_problem(load_raw(name))
 
 
 def load_raw(name: str) -> ProblemSpec:

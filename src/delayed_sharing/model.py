@@ -90,13 +90,6 @@ class ProblemSpec:
             a = a * size + uk
         return a
 
-    def decode_action(self, a: int) -> tuple[int, ...]:
-        out = []
-        for size in reversed(self.u_size):
-            out.append(a % size)
-            a //= size
-        return tuple(reversed(out))
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -84,7 +84,7 @@ def recursion_errors(spec: ProblemSpec, design) -> tuple[float, float, float, fl
     max_pi = max_th = max_h = max_cost = 0.0
     for t in range(1, spec.T + 1):
         dists = evaluate.conditional_state_dists(spec, design, t)
-        xdists = evaluate.conditional_x_dists(spec, design, t, lag=spec.n)
+        xdists = evaluate.conditional_x_dists(spec, design, t)
         costs = evaluate.conditional_stage_costs(spec, design, t)
         deltas = sorted(dists)
         states = [replay_theta_r(spec, design, t, delta) for delta in deltas]
@@ -105,8 +105,7 @@ def theta_independence_error(spec: ProblemSpec, designs) -> float:
     histories reachable under more than one of them."""
     worst = 0.0
     for t in range(1, spec.T + 1):
-        dists = [evaluate.conditional_x_dists(spec, d, t, lag=spec.n)
-                 for d in designs]
+        dists = [evaluate.conditional_x_dists(spec, d, t) for d in designs]
         for i in range(len(dists)):
             for j in range(i + 1, len(dists)):
                 for delta in set(dists[i]) & set(dists[j]):
@@ -210,9 +209,8 @@ def verify_instance(spec: ProblemSpec, *, samples: int, episodes: int,
               f"independence_err={_fmt(rep.max_independence_error)} "
               f"histories={rep.histories_checked}")
 
-    factors = tuple(spec.y_size)
-    if analysis.projection_violation(spec, factors) is None:
-        rep = analysis.check_aicardi_degenerate(spec, factors)
+    if analysis.projection_violation(spec) is None:
+        rep = analysis.check_aicardi_degenerate(spec)
         check("fully_observed.degeneracy", rep.passed,
               f"offpoint={_fmt(rep.max_offpoint_mass)} "
               f"indexed={rep.structurally_indexed} nodes={rep.nodes_checked}")

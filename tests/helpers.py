@@ -210,7 +210,7 @@ def step_arrays_reference(spec, t):
     dst, zr, w = [], [], []
     for s, (x, *lam) in enumerate(states):
         for a in range(A):
-            action = spec.decode_action(a)
+            action = decode_action(spec, a)
             starts[s, a] = len(dst)
             za = 0
             if t + 1 > spec.n:
@@ -513,10 +513,10 @@ def conditional_state_dists_reference(spec, action_fn, t):
             for delta, vec in acc.items()}
 
 
-def conditional_x_dists_reference(spec, action_fn, t, lag):
-    """P(X_{max(0, t-lag)} | shared history at t), one vector per history."""
+def conditional_x_dists_reference(spec, action_fn, t):
+    """P(X_{max(0, t-n)} | shared history at t), one vector per history."""
     spec = normalize_problem(spec)
-    when = max(0, t - lag)
+    when = max(0, t - spec.n)
     acc = {}
     for rec in iter_paths_reference(spec, action_fn, t_max=t,
                                     include_final_step=False):
@@ -633,6 +633,27 @@ def state_rank(spec, s):
     for k in range(spec.K):
         r = r * private_count(spec, k, s.t) + s.lam[k]
     return r
+
+
+def decode_action(spec, a):
+    """Per-controller actions of a joint action rank (controller 0 most
+    significant); the inverse of ProblemSpec.encode_action."""
+    out = []
+    for size in reversed(spec.u_size):
+        out.append(a % size)
+        a //= size
+    return tuple(reversed(out))
+
+
+def support_sets(spec, t, p):
+    """Per controller, the private realizations whose marginal mass under
+    the stage-t belief p (a sum over the other coordinates) is positive."""
+    cube = p.reshape(tables(spec).stage[t].shape)
+    out = []
+    for k in range(spec.K):
+        axes = tuple(i for i in range(spec.K + 1) if i != k + 1)
+        out.append(tuple(int(i) for i in np.nonzero(cube.sum(axis=axes) > 0.0)[0]))
+    return tuple(out)
 
 
 def pf_rank(spec, pf):

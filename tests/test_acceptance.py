@@ -156,7 +156,7 @@ def test_criterion_8_delay_one_equivalence(solved):
 
 def test_criterion_9_fully_observed_degeneracy(solved):
     entry = solved["ia"]
-    rep = check_aicardi_degenerate(entry["spec"], (2, 2))
+    rep = check_aicardi_degenerate(entry["spec"])
     dp_diff = abs(entry["vt"].optimal_cost - entry["vt2"].optimal_cost)
     ok = rep.passed and rep.max_offpoint_mass <= PROB_TOL and dp_diff <= OPT_TOL
     _report(9, "fully-observed degeneracy", ok,

@@ -1,7 +1,12 @@
+import dataclasses
+import json
+import re
+
 import numpy as np
 import pytest
 
-from delayed_sharing.analysis import (check_aicardi_degenerate,
+from delayed_sharing import cli
+from delayed_sharing.analysis import (KurtaranWitness, check_aicardi_degenerate,
                                       check_one_step_factorization,
                                       concavity_probe,
                                       kurtaran_witness_search,
@@ -11,7 +16,8 @@ from delayed_sharing.coordinator import PiBelief, extract_design, state_count, v
 from delayed_sharing.errors import DomainError, PreconditionError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import random_design
-from delayed_sharing.model import ProblemSpec, normalize_problem
+from delayed_sharing.model import (ProblemSpec, load_problem, normalize_problem,
+                                   serialize_problem)
 from helpers import private_space
 
 
@@ -54,17 +60,23 @@ def test_factorization_on_solved_instances(solved):
 # -- fully-observed degeneracy ---------------------------------------------------
 
 def test_aicardi_requires_projections(i2_spec):
-    with pytest.raises(PreconditionError):
-        check_aicardi_degenerate(i2_spec, (2, 1))
+    with pytest.raises(PreconditionError, match="do not multiply to x_size=2"):
+        check_aicardi_degenerate(i2_spec)
 
 
-def test_aicardi_factor_mismatch(ia_spec):
-    with pytest.raises(PreconditionError):
-        check_aicardi_degenerate(ia_spec, (4, 2))
+def test_aicardi_requires_exact_projection_rows(ia_spec):
+    """ia with one observation row of controller 1 made uninformative: the
+    factors still multiply to x_size, and the row is named."""
+    obs = [np.array(o) for o in ia_spec.obs]
+    obs[1][1, 2] = 0.5
+    spec = dataclasses.replace(ia_spec, obs=tuple(obs), renormalized=False)
+    with pytest.raises(PreconditionError,
+                       match=re.escape("obs[1][1][2] is not the coordinate projection")):
+        check_aicardi_degenerate(spec)
 
 
 def test_aicardi_degenerate_passes(ia_spec):
-    rep = check_aicardi_degenerate(ia_spec, (2, 2))
+    rep = check_aicardi_degenerate(ia_spec)
     assert rep.passed
     assert rep.max_offpoint_mass <= 1e-12
     assert rep.structurally_indexed
@@ -114,21 +126,49 @@ def _collision_instance():
         obs=tuple(obs), cost=np.array(base.cost)))
 
 
-def test_kurtaran_witness_found_and_reverified():
-    """A history-dependent design whose later prescriptions split statistic-
-    equal histories: the statistic admits no self-contained update here."""
-    spec = _collision_instance()
+def _witness_design(spec):
+    """A history-dependent design on the collision instance whose later
+    prescriptions split statistic-equal histories."""
     design = random_design(spec, 5)
     for k in range(2):
         design.tables[k][0][:, :] = 0
         for lam, info in enumerate(private_space(spec, k, 2)):
             design.tables[k][1][:, lam] = info.y_seq[-1]
+    return design
+
+
+def test_kurtaran_witness_found_and_reverified():
+    """A history-dependent design whose later prescriptions split statistic-
+    equal histories: the statistic admits no self-contained update here."""
+    spec = _collision_instance()
+    design = _witness_design(spec)
     rep = kurtaran_witness_search(spec, design)
     assert rep.witness is not None
     w = rep.witness
     assert w.gap > 1e-6
     assert np.abs(np.array(w.phi) - np.array(w.phi)).max() <= 1e-12
     assert verify_kurtaran_witness(spec, design, w)
+
+
+def test_kurtaran_cli_reports_the_witness_of_a_design_file(tmp_path, capsys):
+    """kurtaran --design searches the stored design alone; its one finding
+    re-verifies from scratch on the instance read back from the file."""
+    problem, design_file, out = (tmp_path / name for name in
+                                 ("collision.json", "design.json", "out.json"))
+    problem.write_text(serialize_problem(_collision_instance()))
+    spec = normalize_problem(load_problem(problem.read_text()))
+    design = _witness_design(spec)
+    design_file.write_text(json.dumps(design.to_json()))
+    assert cli.main(["kurtaran", "--problem", str(problem), "--design",
+                     str(design_file), "--out", str(out)]) == cli.EXIT_OK
+    assert "design file: WITNESS t=" in capsys.readouterr().out
+    findings = json.loads(out.read_text())["findings"]
+    assert len(findings) == 1 and findings[0]["design"] == "file"
+    f = findings[0]
+    witness = KurtaranWitness(
+        f["t"], tuple(f["delta"]), tuple(f["delta_prime"]), f["z"],
+        tuple(f["phi"]), tuple(f["phi_next"]), tuple(f["phi_next_prime"]), f["gap"])
+    assert verify_kurtaran_witness(spec, design, witness)
 
 
 def test_kurtaran_open_loop_design_exhausts_with_comparisons():

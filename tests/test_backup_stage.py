@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from delayed_sharing import _tables, instances, minimize
-from delayed_sharing._tables import stacked_support_sets, support_sets, tables
+from delayed_sharing._tables import stacked_support_sets, tables
 from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, PiBelief,
                                          _belief_graph, _last_stage_values,
                                          belief_successors, initial_belief,
@@ -25,7 +25,8 @@ from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, PiBelief,
 from delayed_sharing.generate import random_instance
 from delayed_sharing.model import normalize_problem
 from delayed_sharing.second_form import reachable_graph2
-from helpers import backup_node_reference, last_stage_values_reference
+from helpers import (backup_node_reference, last_stage_values_reference,
+                     support_sets)
 
 BUILD = {"belief": reachable_graph, "theta_r": reachable_graph2}
 # One row per block; an odd cap that leaves partial last blocks; the default.
@@ -300,8 +301,7 @@ def test_terminal_rows_equal_one_row_calls(shape):
 
 def test_stacked_supports_match_marginal_mass():
     """Stacked supports are, row by row, the realizations whose marginal
-    mass (a sum over the other coordinates) is positive; support_sets is
-    the one-row stack."""
+    mass (a sum over the other coordinates) is positive (support_sets)."""
     spec = normalize_problem(random_instance(3, 2, 1, 3, (2, 3, 1), (2, 2, 2),
                                              seed=3))
     t = spec.T
@@ -315,14 +315,7 @@ def test_stacked_supports_match_marginal_mass():
     got = stacked_support_sets(spec, t, P)
     assert len(got) == len(P)
     for row, sets in zip(P, got):
-        cube = row.reshape(stt.shape)
-        want = []
-        for k in range(spec.K):
-            axes = tuple(i for i in range(spec.K + 1) if i != k + 1)
-            want.append(tuple(int(i) for i in
-                              np.nonzero(cube.sum(axis=axes) > 0.0)[0]))
-        assert sets == tuple(want)
-        assert support_sets(spec, t, row) == sets
+        assert sets == support_sets(spec, t, row)
 
 
 @settings(max_examples=60, deadline=None)

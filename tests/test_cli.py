@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from delayed_sharing import cli, instances, minimize, verify
+from delayed_sharing import cli, evaluate, instances, minimize, verify
 from delayed_sharing.errors import DomainError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import ExtensionalDesign
@@ -293,6 +294,18 @@ def test_invalid_row_is_an_input_error(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_cost_is_an_input_error(value, tmp_path, capsys):
+    """json writes and reads NaN and Infinity, so a non-finite cost gets
+    past parsing; validation names the entry and solve exits 2."""
+    data = json.loads((INSTANCES / "io.json").read_text())
+    data["cost"][0][0][0] = value
+    bad = tmp_path / "bad_cost.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["solve", "--problem", str(bad)]) == cli.EXIT_INPUT
+    assert "cost[0][0][0]: cost must be finite" in capsys.readouterr().err
+
+
 def test_unknown_command_exit_code():
     res = run_cli("frobnicate", "--problem", "x")
     assert res.returncode == 2
@@ -322,6 +335,35 @@ def test_verify_passes_and_is_byte_identical(tmp_path):
     assert r1.stdout == r2.stdout
     assert out1.read_bytes() == out2.read_bytes()
     assert r1.stdout.strip().endswith("verdict: PASS")
+
+
+def test_verify_reports_a_failed_check(monkeypatch, capsys):
+    """A simulate whose mean is off by 1.0 fails simulate.three_sigma and
+    nothing else: the report is the passing one with that line and the
+    verdict changed, and the verify command exits 1."""
+    spec = instances.load("io")
+    kwargs = dict(samples=2, episodes=2000, seed=7)
+    passing = verify.verify_instance(spec, **kwargs)
+    simulate = evaluate.simulate
+
+    def off_by_one(*args):
+        res = simulate(*args)
+        return dataclasses.replace(res, mean=res.mean + 1.0)
+
+    monkeypatch.setattr(evaluate, "simulate", off_by_one)
+    failing = verify.verify_instance(spec, **kwargs)
+    assert passing.passed and not failing.passed
+    want, got = passing.report().splitlines(), failing.report().splitlines()
+    diff = [i for i, (a, b) in enumerate(zip(want, got)) if a != b]
+    assert len(got) == len(want) and len(diff) == 2
+    assert want[diff[0]].startswith("[ok] simulate.three_sigma: ")
+    assert got[diff[0]].startswith("[FAIL] simulate.three_sigma: ")
+    assert (want[diff[1]], got[diff[1]]) == ("verdict: PASS", "verdict: FAIL")
+    assert diff[1] == len(got) - 1
+    assert cli.main(["verify", "--problem", str(INSTANCES / "io.json"),
+                     "--samples", "2", "--episodes", "2000", "--seed", "7"]
+                    ) == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == failing.report() + "\n"
 
 
 def test_outputs_byte_stable(tmp_path):

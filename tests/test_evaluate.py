@@ -172,7 +172,7 @@ def test_path_budget(solved, monkeypatch):
     readers = [  # (reader, t_max and final-step flag of the table it builds)
         (lambda: list(evaluate.iter_paths(spec, design.act)), T, True),
         (lambda: evaluate.conditional_state_dists(spec, design.act, T), T, False),
-        (lambda: evaluate.conditional_x_dists(spec, design.act, T, spec.n), T, False),
+        (lambda: evaluate.conditional_x_dists(spec, design.act, T), T, False),
         (lambda: evaluate.conditional_stage_costs(spec, design.act, T), T, True),
         (lambda: evaluate.conditional_phi(spec, design.act, T), T - 1, True)]
     for read, t_max, final in readers:
@@ -223,7 +223,7 @@ def test_block_costs_equal_exact_cost(io_spec, family):
         layout = evaluate._digit_layout(spec)
         count = evaluate.design_count(spec)
         costs = evaluate._block_costs(
-            spec, evaluate._outcome_table(spec, evaluate.DEFAULT_MAX_PATHS),
+            spec, evaluate._outcome_table(spec),
             layout, evaluate._design_digits(layout, 0, count)).tolist()
         assert len(costs) == count
         for cost, design in zip(costs, evaluate.enumerate_designs(spec)):
@@ -357,11 +357,10 @@ def test_path_table_matches_the_recursion(seed, K, n, T, kernels, kind):
         for delta, (prob, vec) in want.items():
             assert _bits(got[delta][0]) == _bits(prob)
             assert _bits(got[delta][1]) == _bits(vec)
-        for lag in sorted({1, n, t + 1}):
-            got = evaluate.conditional_x_dists(spec, design, t, lag)
-            want = conditional_x_dists_reference(spec, design.act, t, lag)
-            assert list(got) == list(want)
-            assert all(_bits(got[d]) == _bits(v) for d, v in want.items())
+        got = evaluate.conditional_x_dists(spec, design, t)
+        want = conditional_x_dists_reference(spec, design.act, t)
+        assert list(got) == list(want)
+        assert all(_bits(got[d]) == _bits(v) for d, v in want.items())
         got = evaluate.conditional_stage_costs(spec, design, t)
         want = conditional_stage_costs_reference(spec, design.act, t)
         assert list(got) == list(want)

@@ -14,14 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delayed_sharing import _tables, coordinator, instances, minimize
-from delayed_sharing._tables import stacked_support_sets, support_sets, tables
+from delayed_sharing._tables import stacked_support_sets, tables
 from delayed_sharing.coordinator import PiBelief, belief_update
 from delayed_sharing.errors import BudgetError, UnreachableObservationError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import (GammaProfile, PartialFunction,
                                        common_obs_rank, common_obs_space)
 from delayed_sharing.model import normalize_problem
-from helpers import embedded_profile, ordered_totals_reference, update_mass
+from helpers import (embedded_profile, ordered_totals_reference, support_sets,
+                     update_mass)
 
 
 def _consistent(spec, t, z):

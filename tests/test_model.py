@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delayed_sharing import instances
+from delayed_sharing import generate, instances
 from delayed_sharing.errors import DomainError, ParseError, SchemaError
 from delayed_sharing.generate import random_instance
 from delayed_sharing.histories import delta_length, private_sizes
@@ -98,6 +98,14 @@ def test_boolean_sizes_are_schema_errors(path):
         data[name] = True
     with pytest.raises(SchemaError, match=f"^{name} "):
         load_problem(json.dumps(data))
+
+
+@pytest.mark.parametrize("name", instances.NAMES)
+def test_shipped_instance_regenerates_byte_for_byte(name):
+    """scripts/make_instances.py rebuilds every shipped file from its fixed
+    seed: the generator's serialized instance is the file's text."""
+    shipped = (IO_FILE.parent / f"{name}.json").read_text("utf-8")
+    assert serialize_problem(generate.CANONICAL[name]()) == shipped
 
 
 def test_round_trip_is_field_identical():

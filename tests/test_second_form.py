@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from unittest import mock
 
 from delayed_sharing import _tables, evaluate
-from delayed_sharing._tables import support_sets
 from delayed_sharing.analysis import design_profile
 from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, build_graph,
                                          extract_design)
@@ -25,7 +24,7 @@ from delayed_sharing.second_form import (RSuffix, Theta, ThetaRState,
 from delayed_sharing.verify import replay_theta_r
 from helpers import (PrivateInfo, embedded_profile, h_map_reference,
                      make_i2_mini, part_domain_count, private_rank,
-                     suffix_from_prescriptions)
+                     suffix_from_prescriptions, support_sets)
 
 
 def uniform_identity_spec():
@@ -95,7 +94,7 @@ def test_theta_matches_conditional_oracle(i2_spec, solved):
     spec = i2_spec
     design = random_design(spec, 21)
     for t in (1, 2, 3):
-        oracle = evaluate.conditional_x_dists(spec, design.act, t, lag=spec.n)
+        oracle = evaluate.conditional_x_dists(spec, design.act, t)
         for delta, vec in oracle.items():
             state = replay_theta_r(spec, design, t, delta)
             assert np.abs(state.theta.p - vec).max() <= 1e-12
@@ -176,7 +175,7 @@ def test_suffix_recursion_matches_definition(i2_spec):
     spec = i2_spec
     design = random_design(spec, 33)
     for t in (2, 3):
-        oracle = evaluate.conditional_x_dists(spec, design.act, t, lag=spec.n)
+        oracle = evaluate.conditional_x_dists(spec, design.act, t)
         for delta in oracle:
             state = replay_theta_r(spec, design, t, delta)
             gammas = {
@@ -487,7 +486,7 @@ def test_deep_delay_recursion_matches_oracle():
     spec = normalize_problem(random_instance(1, 4, 3, 2, (2,), (2,), seed=71))
     design = random_design(spec, 72)
     for t in (2, 3, 4):
-        oracle_x = evaluate.conditional_x_dists(spec, design.act, t, lag=spec.n)
+        oracle_x = evaluate.conditional_x_dists(spec, design.act, t)
         oracle_s = evaluate.conditional_state_dists(spec, design.act, t)
         for delta in oracle_x:
             state = replay_theta_r(spec, design, t, delta)
@@ -516,8 +515,8 @@ def test_state_depends_only_on_recent_prescriptions(i2_spec):
     # flip one stage-1 entry: the designs differ before the suffix window
     # (stage 1 < t-n+1 = 2) yet share the histories avoiding that input
     d2.tables[0][0][0, 0] = (d2.tables[0][0][0, 0] + 1) % spec.u_size[0]
-    o1 = evaluate.conditional_x_dists(spec, d1.act, 3, lag=spec.n)
-    o2 = evaluate.conditional_x_dists(spec, d2.act, 3, lag=spec.n)
+    o1 = evaluate.conditional_x_dists(spec, d1.act, 3)
+    o2 = evaluate.conditional_x_dists(spec, d2.act, 3)
     shared = set(o1) & set(o2)
     assert shared and set(o1) != set(o2)
     for delta in shared:

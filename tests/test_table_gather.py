@@ -37,7 +37,7 @@ def _readers(spec, design):
         dists = evaluate.conditional_state_dists(spec, design, t)
         out.append([(d, _bits(p), _bits(v)) for d, (p, v) in dists.items()])
         out.append([(d, _bits(v)) for d, v in
-                    evaluate.conditional_x_dists(spec, design, t, spec.n).items()])
+                    evaluate.conditional_x_dists(spec, design, t).items()])
         out.append([(d, _bits(v)) for d, v in
                     evaluate.conditional_stage_costs(spec, design, t).items()])
         if t >= 2:
