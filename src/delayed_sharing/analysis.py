@@ -219,16 +219,17 @@ def check_aicardi_degenerate(spec: ProblemSpec) -> AicardiReport:
     nodes_checked = 0
     structural = True
     for t in range(spec.n + 1, spec.T + 1):
-        seen: dict[tuple, int] = {}
-        for node in graph2.stages[t]:
+        seen: set[tuple] = set()
+        states = (graph2.leaf_states if t == spec.T
+                  else [node.state for node in graph2.stages[t]])
+        for state in states:
             nodes_checked += 1
-            theta = node.state.theta.p
+            theta = state.theta.p
             worst = max(worst, float(1.0 - theta.max()))
-            key = (int(np.argmax(theta)),
-                   tuple(rs.parts for rs in node.state.r))
+            key = (int(np.argmax(theta)), tuple(rs.parts for rs in state.r))
             if key in seen:
                 structural = False
-            seen[key] = node.node_id
+            seen.add(key)
     vt1, _ = solve_dp(spec)
     vt2, _ = solve_on_graph(graph2)
     passed = (worst <= EXACT_TOL and structural

@@ -60,25 +60,26 @@ def _write(args, obj):
         Path(args.out).write_text(json.dumps(obj, indent=1), encoding="utf-8")
 
 
-def _node_json(node, vt) -> dict:
-    out = {"id": node.node_id}
-    if node.state is None:
-        out["belief"] = node.pi.p.tolist()
+def _node_json(vt, t: int, node_id: int, state, p: np.ndarray) -> dict:
+    out = {"id": node_id}
+    if state is None:
+        out["belief"] = p.tolist()
     else:
-        out["theta"] = node.state.theta.p.tolist()
-        out["r"] = [[list(part) for part in rs.parts] for rs in node.state.r]
-    out["J"] = vt.J[node.t][node.node_id]
-    out["argmin_profile"] = vt.argmin[node.t][node.node_id]
+        out["theta"] = state.theta.p.tolist()
+        out["r"] = [[list(part) for part in rs.parts] for rs in state.r]
+    out["J"] = vt.J[t][node_id]
+    out["argmin_profile"] = vt.argmin[t][node_id]
     return out
 
 
 def _solution(graph, vt) -> dict:
     stages = []
-    for t in sorted(graph.stages):
-        nodes = [_node_json(node, vt) for node in graph.stages[t]]
+    for t, members in sorted(graph.stages.items()):
+        nodes = [_node_json(vt, t, node.node_id, node.state, node.pi.p)
+                 for node in members]
         edges = []
-        for node in graph.stages[t]:
-            for z, ztab in graph.expansions.get(node.node_id, {}).items():
+        for node in members:
+            for z, ztab in graph.expansions[node.node_id].items():
                 for rank, pz, child in zip(ztab.rank, ztab.pz, ztab.child):
                     edges.append({
                         "from": node.node_id, "z": z,
@@ -87,6 +88,12 @@ def _solution(graph, vt) -> dict:
                         "pz": float(pz), "to": int(child),
                     })
         stages.append({"t": t, "nodes": nodes, "edges": edges})
+    T = graph.spec.T     # the leaves: no branches
+    states = graph.leaf_states or [None] * len(graph.leaves)
+    stages.append({"t": T, "nodes": [
+        _node_json(vt, T, node_id, state, p)
+        for node_id, state, p in zip(graph.stage_ids(T), states, graph.leaves)],
+        "edges": []})
     return {
         "kind": f"{graph.kind}_dp",
         "optimal_cost": vt.optimal_cost,

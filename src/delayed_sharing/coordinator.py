@@ -7,8 +7,9 @@ core both dynamic programs run on: one graph type, one forward closure
 assembly (add_continuations, batched per symbol and visible sets over a row
 block, which verify's branch-probability check also runs on); each form
 supplies only its information state, dedup key, belief-form image, base sets
-and block successor rule.  values_at runs on the same core: a solve on the
-belief graph rooted at the probed beliefs.
+and block successor rule.  Every graph keeps stage T as leaf rows, which the
+backup values on stacked rows.  values_at runs on the same core: a solve on
+the belief graph rooted at the probed beliefs.
 
 The joint state at time t is S_t = (X_{t-1}, private windows of all
 controllers); the coordinator's belief over it, conditioned on shared data
@@ -160,8 +161,8 @@ class ZTable:
 
 @dataclass
 class InfoNode:
-    """One node of an information-state graph, complete when build_graph
-    makes it.
+    """One node of an information-state graph before stage T, complete when
+    build_graph makes it.
 
     pi is the node's belief-form image: the belief itself, or the h_map
     reconstruction of a (Theta, r) state, which is then kept in state (None
@@ -169,9 +170,7 @@ class InfoNode:
     with positive marginal mass under pi.  relevant holds, per controller,
     the realizations whose assigned actions the backup must distinguish: it
     starts as the support, and expanding the node widens it by every
-    visible set of the node's branches.  value_at's graphs make no stage-T
-    nodes: their stage-T beliefs are leaf rows of the terminal batch
-    (build_graph's leaves).
+    visible set of the node's branches.
     """
 
     node_id: int
@@ -186,17 +185,35 @@ class InfoNode:
 class InfoGraph:
     """Forward closure of an information state under every profile choice and
     every positive-probability shared symbol, deduplicated per stage on the
-    form's key.  kind is "belief" or "theta_r"."""
+    form's key.  kind is "belief" or "theta_r".
+
+    Stages before T hold nodes (stages, by_id and expansions), numbered
+    stage after stage, so a stage's ids are consecutive.  Stage T holds
+    leaves: a leaf has no branches, so it keeps only its belief-form image,
+    the 1-D row leaves[i], with id len(by_id) + i, and in the (Theta, r)
+    form its state, leaf_states[i] (leaf_states is None in the belief
+    form).  node_count counts nodes and leaves.
+    """
 
     spec: ProblemSpec
     kind: str
     stages: dict[int, list[InfoNode]]
     expansions: dict[int, dict[int, ZTable]]
     by_id: list[InfoNode]
+    leaves: list[np.ndarray]
+    leaf_states: list | None
 
     @property
     def node_count(self) -> int:
-        return len(self.by_id)
+        return len(self.by_id) + len(self.leaves)
+
+    def stage_ids(self, t: int) -> range:
+        """The ids of stage t's nodes, or of the leaves at T."""
+        if t == self.spec.T:
+            return range(len(self.by_id), self.node_count)
+        nodes = self.stages[t]
+        start = nodes[0].node_id if nodes else 0
+        return range(start, start + len(nodes))
 
     @property
     def edge_count(self) -> int:
@@ -397,21 +414,35 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases, children
 _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
 
 
+def _row_blocks(rows, row_entries: int) -> list:
+    """rows (a list or an array) in consecutive blocks of at most
+    _tables._BLOCK_ENTRIES entries at row_entries per row, one row at
+    least."""
+    size = max(1, _tables._BLOCK_ENTRIES // row_entries)
+    return [rows[lo:lo + size] for lo in range(0, len(rows), size)]
+
+
+def _stack_rows(rows) -> np.ndarray:
+    """np.stack of equal-length 1-D rows, without its per-row reshape,
+    which costs several times the copy on short rows."""
+    return np.concatenate(rows).reshape(len(rows), -1)
+
+
 def build_graph(spec: ProblemSpec, kind: str, t: int, roots: list, pi_of,
-                base_of, successor_rule, *, max_nodes: int,
-                leaves: list | None = None) -> InfoGraph:
+                base_of, successor_rule, *, max_nodes: int) -> InfoGraph:
     """Breadth-first forward closure of a list of stage-t information
     states, the roots, which become nodes 0, 1, ... in list order (equal
     roots stay distinct nodes; their children merge).
 
-    pi_of(t, states) lists the belief-form images (PiBelief) of stage-t
+    pi_of(t, states) lists the belief-form images (1-D rows) of stage-t
     information states; base_of(node) is the node's base sets (see
     _expand_nodes).  successor_rule(t), called once per stage next to the
     stage's dedup index, returns children(block, z, visible, rows, ranks, M,
-    pz) -> (keys, state_of): given a block of nodes and a batch of its
+    pz) -> (keys, states_of): given a block of nodes and a batch of its
     branches as _expand_nodes passes it (rows index the block), each
-    branch's dedup key among stage t+1's states, and state_of(i), the
-    information state branch i leads to, called only for a key new to the
+    branch's dedup key among stage t+1's states, and states_of(branches),
+    the information states a list of the batch's branches lead to, called
+    at most once per batch, with the branches whose keys are new to the
     graph.  Branch tables are keyed by the action assignment on the visible
     realizations, which covers every profile choice exactly.
 
@@ -424,32 +455,29 @@ def build_graph(spec: ProblemSpec, kind: str, t: int, roots: list, pi_of,
     share a key), so node ids, stage lists, branch tables and the
     node-budget error ("edges so far" counts the branches of every node
     expanded before the one whose child exceeds the budget) are those of
-    one expansion per node.  New states, roots included, become nodes in
-    row blocks of at most _BLOCK_ENTRIES entries, with one pi_of call and
-    one stacked_support_sets call per block, so a node has its support and
-    relevant sets when it is made.
+    one expansion per node.  New states before stage T, roots included,
+    become nodes in row blocks of at most _BLOCK_ENTRIES entries, with one
+    pi_of call and one stacked_support_sets call per block, so a node has
+    its support and relevant sets when it is made.
 
-    With leaves (a list, values_at's belief graphs, whose states are bare
-    belief rows), stage T holds rows, not nodes: every new stage-T state,
-    roots at T included, is appended to leaves with no pi_of call, and
-    branch tables refer to it by id node_count + its index in leaves, so
-    equal roots stay distinct.  Leaves are deduplicated and count against
-    max_nodes as nodes do, and the budget error is the same.
+    Stage T is never expanded, so its states, roots at T included, become
+    leaves (InfoGraph): their ids are taken as they come, and once the
+    closure is done their images are made with one pi_of call per row
+    block.  Leaves count against max_nodes as nodes do.
     """
-    graph = InfoGraph(spec, kind, {t: [] for t in range(1, spec.T + 1)}, {}, [])
+    graph = InfoGraph(spec, kind, {s: [] for s in range(1, spec.T)}, {}, [], [], None)
+    leaf_states: list = []
 
     def add(t: int, states) -> range:
-        if leaves is not None and t == spec.T:
-            start = graph.node_count + len(leaves)
-            leaves.extend(states)
+        start = len(graph.by_id) + len(leaf_states)
+        if t == spec.T:
+            leaf_states.extend(states)
             return range(start, start + len(states))
-        start, rows = len(graph.by_id), max(1, _tables._BLOCK_ENTRIES // state_count(spec, t))
-        for lo in range(0, len(states), rows):
-            block = states[lo:lo + rows]
-            pis = pi_of(t, block)
-            sets = stacked_support_sets(spec, t, np.stack([pi.p for pi in pis]))
-            for state, pi, support in zip(block, pis, sets):
-                node = InfoNode(len(graph.by_id), t, pi,
+        for block in _row_blocks(states, state_count(spec, t)):
+            images = pi_of(t, block)
+            sets = stacked_support_sets(spec, t, _stack_rows(images))
+            for state, p, support in zip(block, images, sets):
+                node = InfoNode(len(graph.by_id), t, PiBelief(t, p),
                                 None if kind == "belief" else state, support, support)
                 graph.by_id.append(node)
                 graph.stages[t].append(node)
@@ -464,14 +492,15 @@ def build_graph(spec: ProblemSpec, kind: str, t: int, roots: list, pi_of,
         st = tables(spec).stage[stage]
         row_cost = max(state_count(spec, stage + 1),
                        st.state_count * int(st.step_arrays(spec)[1].max()), 1)
-        size = max(1, _tables._BLOCK_ENTRIES // row_cost)
-        nodes = graph.stages[stage]
-        for lo in range(0, len(nodes), size):
-            block = nodes[lo:lo + size]
+        for block in _row_blocks(graph.stages[stage], row_cost):
             _expand_block(graph, block, base_of, children, index, add, max_nodes,
-                          max_nodes - graph.node_count - len(leaves or ()))
-    for node in graph.stages[spec.T]:
-        graph.expansions.setdefault(node.node_id, {})
+                          max_nodes - len(graph.by_id) - len(leaf_states))
+        index.clear()
+    # rows, not one stacked matrix: a belief-form state is its own image,
+    # which a copy would hold twice
+    graph.leaves = [p for block in _row_blocks(leaf_states, state_count(spec, spec.T))
+                    for p in pi_of(spec.T, block)]
+    graph.leaf_states = None if kind == "belief" else leaf_states
     return graph
 
 
@@ -485,7 +514,7 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
     """Expand a block of same-stage nodes (build_graph): record each node's
     branch tables, widen its relevant sets by their visible sets, and add
     its new children to the graph through add(t + 1, states) -> node ids
-    and their keys to index.  room is how many more nodes (and leaves)
+    and their keys to index.  room is how many more nodes and leaves
     max_nodes allows.
 
     While the block's branches are computed, each batch of branches looks
@@ -494,20 +523,21 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
     rank, assignment rank).  A key already in index points at that node,
     and a new key gets a pending slot that keeps the state of its branch
     first in per-node order over the whole block (a later batch, of another
-    symbol or group, can hold a smaller order).  Every branch takes its
-    key's reference.  The new keys then become nodes in the order of the
-    first (node, symbol, rank) each slot recorded, which is the order a
-    per-node expansion inserts them in; the pending references are resolved
-    by one gather per (symbol, group) child array, and relevant sets are
-    widened once per distinct (support, visible sets per symbol).  The
-    per-node tables are read for the budget error only, when room runs
-    out."""
+    symbol or group, can hold a smaller order); the batch's states_of call
+    makes the states of the slots it opened or moved, all at once.  Every
+    branch takes its key's reference.  The new keys then become nodes in
+    the order of the first (node, symbol, rank) each slot recorded, which
+    is the order a per-node expansion inserts them in; the pending
+    references are resolved by one gather per (symbol, group) child array,
+    and relevant sets are widened once per distinct (support, visible sets
+    per symbol).  The per-node tables are read for the budget error only,
+    when room runs out."""
     spec, t = graph.spec, block[0].t
     pending: dict = {}          # key new to the graph -> slot
     slots: list[list] = []      # per slot: [first order, key, state]
 
     def children(z, visible, rows, ranks, M, pz):
-        keys, state_of = children_of(block, z, visible, rows, ranks, M, pz)
+        keys, states_of = children_of(block, z, visible, rows, ranks, M, pz)
         zr = common_obs_rank(spec, z)
         # one pass over the keys: each distinct key's first branch (the
         # batch is in per-node order) and each branch's first branch
@@ -515,6 +545,7 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
         first = np.fromiter(map(first_of.setdefault, keys, range(len(keys))),
                             dtype=np.int64, count=len(keys))
         refs = np.empty(len(keys), dtype=np.int64)
+        taken: list[tuple[int, int]] = []   # (slot, branch) whose state to make
         for key, i in first_of.items():
             hit = index.get(key)
             if hit is None:
@@ -522,11 +553,16 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
                 slot = pending.get(key)
                 if slot is None:
                     slot = pending[key] = len(slots)
-                    slots.append([order, key, state_of(i)])
+                    slots.append([order, key, None])
+                    taken.append((slot, i))
                 elif order < slots[slot][0]:
-                    slots[slot][0], slots[slot][2] = order, state_of(i)
+                    slots[slot][0] = order
+                    taken.append((slot, i))
                 hit = -1 - slot
             refs[i] = hit
+        if taken:
+            for (slot, _), state in zip(taken, states_of([i for _, i in taken])):
+                slots[slot][2] = state
         return refs[first]
 
     tabs, child_arrays = _expand_nodes(
@@ -561,34 +597,34 @@ def belief_successors(key_rows, *, belief_is_key: bool = False):
     """successor_rule of the belief form, keyed on the bytes of key_rows(p).
     A batch of branches is normalized in one broadcast division and keyed
     with one key_rows call and one tobytes per row.  A key new to the graph
-    gets the bare row of its child belief (build_graph's pi_of makes the
-    PiBelief): a copied row, or, with belief_is_key (key_rows keeps the
-    float64 rows, so a key is its row's bytes), the read-only view of the
-    key, which the stage index holds anyway."""
+    gets the bare row of its child belief (build_graph makes the PiBelief
+    or the leaf row): a row of one gathered copy of the batch's new rows, so
+    the batch's mass array M is not kept, or, with belief_is_key (key_rows
+    keeps the float64 rows, so a key is its row's bytes), the read-only view
+    of the key, which the stage index holds anyway."""
     def successor_rule(t):
         def children(block, z, visible, rows, ranks, M, pz):
             P = np.divide(M, pz[:, None], out=M)
             keys = [row.tobytes() for row in key_rows(P)]
             if belief_is_key:
-                return keys, lambda i: np.frombuffer(keys[i])
-            return keys, lambda i: P[i].copy()
+                return keys, lambda branches: [np.frombuffer(keys[i]) for i in branches]
+            return keys, lambda branches: P[branches]
         return children
     return successor_rule
 
 
 def _belief_graph(spec: ProblemSpec, roots: list[PiBelief], successor_rule, *,
-                  max_nodes: int, leaves: list | None = None) -> InfoGraph:
+                  max_nodes: int) -> InfoGraph:
     """Belief-form graph from same-stage roots: a state is a bare belief
     row (each root's p), deduplicated per stage by successor_rule's keys
-    (belief_successors); pi_of wraps a node's row as a PiBelief of its
-    stage, and a node's base sets are its support.  leaves as in
-    build_graph."""
+    (belief_successors); a state is its own image, and a node's base sets
+    are its support."""
     return build_graph(
         spec, "belief", roots[0].t, [pi.p for pi in roots],
-        pi_of=lambda t, rows: [PiBelief(t, p) for p in rows],
+        pi_of=lambda t, rows: rows,
         base_of=lambda node: node.support,
         successor_rule=successor_rule,
-        max_nodes=max_nodes, leaves=leaves)
+        max_nodes=max_nodes)
 
 
 def reachable_graph(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -> InfoGraph:
@@ -620,10 +656,9 @@ def add_continuations(spec: ProblemSpec, bs: minimize.BehaviorSpace,
                       totals: np.ndarray, expansions: list, values: np.ndarray,
                       subkeys: dict) -> None:
     """Add to each row i of totals (rows x bs.shape), in place, per shared
-    symbol of expansions[i] (a node's branch tables; None or {} adds
-    nothing), every behavior's branch probability times values[child] of
-    the branch it selects (0 off every branch); values is indexed by node
-    id.
+    symbol of expansions[i] (a node's branch tables), every behavior's
+    branch probability times values[child] of the branch it selects (0 off
+    every branch); values is indexed by node id.
 
     The rows' branch tables are batched per (symbol, visible sets), symbols
     in ascending rank.  A batch's tables are scattered into one stacked
@@ -641,7 +676,7 @@ def add_continuations(spec: ProblemSpec, bs: minimize.BehaviorSpace,
     """
     batches: dict = {}      # (symbol rank, visible sets) -> rows, tables
     for i, per in enumerate(expansions):
-        for zr, ztab in (per or {}).items():
+        for zr, ztab in per.items():
             batches.setdefault((zr, ztab.visible), []).append((i, ztab))
     for zr, visible in sorted(batches):
         items = batches[zr, visible]
@@ -674,69 +709,78 @@ def add_continuations(spec: ProblemSpec, bs: minimize.BehaviorSpace,
 
 
 def stage_blocks(graph: InfoGraph, t: int):
-    """Stage t's nodes grouped by relevant sets (first-seen order): per
-    group its behavior space and its nodes in row blocks of at most
-    _tables._BLOCK_ENTRIES entries, so memory stays flat in stage size."""
+    """Stage t's ids grouped by relevant sets (first-seen order): per group
+    its behavior space and its ids in row blocks (int64 arrays) of at most
+    _tables._BLOCK_ENTRIES entries, so memory stays flat in stage size.  A
+    leaf has no branches, so its relevant sets are its support, read from
+    the stacked leaf rows."""
     spec = graph.spec
-    groups: dict[tuple, list[InfoNode]] = {}
-    for node in graph.stages[t]:
-        groups.setdefault(node.relevant, []).append(node)
+    if t < spec.T:
+        relevant = [node.relevant for node in graph.stages[t]]
+    else:
+        relevant = [sets for block in _row_blocks(graph.leaves, state_count(spec, t))
+                    for sets in stacked_support_sets(spec, t, _stack_rows(block))]
+    groups: dict[tuple, list[int]] = {}
+    for node_id, sets in zip(graph.stage_ids(t), relevant):
+        groups.setdefault(sets, []).append(node_id)
     for relevant, members in groups.items():
         bs = minimize.behavior_space(spec, t, relevant)
         # a row holds a belief, its cost tensor over the relevant
         # realizations and actions, and its behaviors' totals
         row_entries = (state_count(spec, t) + math.prod(bs.shape)
                        + math.prod(map(len, relevant)) * spec.action_count)
-        rows = max(1, _tables._BLOCK_ENTRIES // row_entries)
-        yield bs, [members[lo:lo + rows] for lo in range(0, len(members), rows)]
+        yield bs, [np.array(block) for block in _row_blocks(members, row_entries)]
 
 
 def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
                   ) -> tuple[dict[int, float], dict[int, int]]:
-    """Values and minimizing profile ranks of every stage-t node, each backed
-    up on its belief-form image over its relevant realizations.  values is
-    indexed by node id: the next stage's values are read from it (stage-T
-    nodes have no branches) and each stage-t value is written into it.
+    """Values and minimizing profile ranks of stage t's ids (the leaves at
+    T), each backed up on its belief-form image over its relevant
+    realizations.  values is indexed by id: the next stage's values are
+    read from it and each stage-t value is written into it.
 
-    Nodes run in the row blocks of stage_blocks; each group shares one
-    behavior space.  Per block: one stage-total contraction over the stacked
-    beliefs, one add_continuations call for the block's branch tables, one
-    argmin over the rows; each distinct minimizer's completion rank is
-    computed once per group.  Every row is the bytes of its one-row stage
-    totals (minimize.stage_totals) plus its own continuation, summed as one
-    node's, so values and ranks are those of one backup per node.  J and
-    ranks list the nodes in stage order.
+    Ids run in the row blocks of stage_blocks; each group shares one
+    behavior space.  Per block: one stage-total contraction over the
+    stacked images, before T one add_continuations call for the block's
+    branch tables (a leaf has none), one argmin over the rows; each
+    distinct minimizer's completion rank is computed once per group.  Every
+    row is the bytes of its one-row stage totals (minimize.stage_totals)
+    plus its own continuation, summed as one node's, so values and ranks
+    are those of one backup per node.  J and ranks list the stage's ids in
+    order.
     """
     spec = graph.spec
-    J: dict[int, float] = dict.fromkeys(node.node_id for node in graph.stages[t])
-    ranks: dict[int, int] = dict.fromkeys(J)
+    ids = graph.stage_ids(t)
+    images = graph.leaves if t == spec.T else [node.pi.p for node in graph.stages[t]]
+    ranks = np.empty(len(ids), dtype=np.int64)
     for bs, blocks in stage_blocks(graph, t):
         subkeys: dict = {}
         completions: dict[int, int] = {}
         for block in blocks:
-            ids = [node.node_id for node in block]
+            rows = block - ids.start
             # C-ordered: stage_totals keeps the rows innermost in memory
             totals = np.ascontiguousarray(minimize.stage_totals(
-                spec, t, np.stack([node.pi.p for node in block]), bs))
-            add_continuations(spec, bs, totals,
-                              [graph.expansions.get(i) for i in ids], values, subkeys)
+                spec, t, _stack_rows([images[i] for i in rows.tolist()]), bs))
+            if t < spec.T:
+                add_continuations(spec, bs, totals,
+                                  [graph.expansions[i] for i in block.tolist()],
+                                  values, subkeys)
             flat = totals.reshape(len(block), -1)
             best = np.argmin(flat, axis=1)
-            low = flat[np.arange(len(block)), best]
-            values[ids] = low
-            for node_id, idx, value in zip(ids, best.tolist(), low.tolist()):
-                rank = completions.get(idx)
-                if rank is None:
-                    rank = completions[idx] = minimize.completion_rank(spec, bs, idx)
-                J[node_id], ranks[node_id] = value, rank
-    return J, ranks
+            values[block] = flat[np.arange(len(block)), best]
+            picked = best.tolist()
+            for idx in set(picked).difference(completions):
+                completions[idx] = minimize.completion_rank(spec, bs, idx)
+            ranks[rows] = [completions[idx] for idx in picked]
+    return (dict(zip(ids, values[ids.start:ids.stop].tolist())),
+            dict(zip(ids, ranks.tolist())))
 
 
 def solve_on_graph(graph: InfoGraph) -> tuple[ValueTable, CoordinatorPolicy]:
-    """Backward sweep over a built graph of either form, stage T first.
-    Backups within one stage read only the next stage's values and write
-    each their own slot, so each stage is backed up as one batch
-    (_backup_stage: groups of nodes with equal relevant sets, in row blocks
+    """Backward sweep over a built graph of either form, the leaves at T
+    first.  Backups within one stage read only the next stage's values and
+    write each their own slot, so each stage is backed up as one batch
+    (_backup_stage: groups of rows with equal relevant sets, in row blocks
     of bounded size)."""
     values = np.zeros(graph.node_count)
     J: dict[int, dict[int, float]] = {}
@@ -793,7 +837,7 @@ class ExtractedDesign:
             gammas = [g.table for g in profile.gammas]
             symbols = histories.common_obs_count(spec, t + 1) if t < spec.T else 0
             succ = np.full(symbols, -1, dtype=np.int64)
-            for z, ztab in self.policy.graph.expansions[node].items():
+            for z, ztab in self.policy.graph.expansions.get(node, {}).items():
                 r = 0
                 for k, visible in enumerate(ztab.visible):
                     for lam in visible:
@@ -942,17 +986,16 @@ def values_at(spec: ProblemSpec, t: int, pis: list[PiBelief]) -> list[float]:
     Consecutive beliefs are valued DEFAULT_MAX_VALUE_ROOTS at a time, as the
     root values of a solve on the belief-form graph rooted at them
     (_root_values), deduplicated on exact belief bytes so no two distinct
-    beliefs merge.  Every stage-T belief of the graph is a row of one
-    batched terminal minimization, then stages T-1..t are backed up as in
-    solve_on_graph.  Node values depend only on their own beliefs and every
-    stacked row has the bytes of its one-row call, so each value is the
-    bytes of its one-root call (value_at).  The graph has the default node
-    budget; a stacked graph that exceeds a budget (BudgetError) is valued
-    again one root per graph, so each root gets its one-root value or
-    error.  A belief of another stage or length, with a negative or
-    non-finite entry, or with no positive mass is a DomainError, raised
-    before any graph is built.  Meant for desk-scale probing, not
-    solving."""
+    beliefs merge.  The graph's leaves are the rows of one batched terminal
+    minimization, then stages T-1..t are backed up as in solve_on_graph.
+    Node values depend only on their own beliefs and every stacked row has
+    the bytes of its one-row call, so each value is the bytes of its
+    one-root call (value_at).  The graph has the default node budget; a
+    stacked graph that exceeds a budget (BudgetError) is valued again one
+    root per graph, so each root gets its one-root value or error.  A
+    belief of another stage or length, with a negative or non-finite entry,
+    or with no positive mass is a DomainError, raised before any graph is
+    built.  Meant for desk-scale probing, not solving."""
     spec = normalize_problem(spec)
     if not 1 <= t <= spec.T:
         raise DomainError(f"t={t} outside horizon [1, {spec.T}]")
@@ -981,17 +1024,14 @@ def values_at(spec: ProblemSpec, t: int, pis: list[PiBelief]) -> list[float]:
 
 
 def _root_values(spec: ProblemSpec, t: int, roots: list[PiBelief]) -> list[float]:
-    """The root values of one exact-key belief graph rooted at roots.  Its
-    stage-T beliefs are leaf rows, not nodes (build_graph's leaves): each
-    is its bare belief row (the read-only view of its key, or a root's p),
-    with id node_count + its row, and one _last_stage_values call on them
-    fills the leaf slots of values before stages T-1..t are backed up."""
-    leaves: list[np.ndarray] = []
+    """The root values of one exact-key belief graph rooted at roots: one
+    _last_stage_values call on the leaf rows fills the leaf slots of values
+    before stages T-1..t are backed up."""
     graph = _belief_graph(
         spec, roots, belief_successors(np.ascontiguousarray, belief_is_key=True),
-        max_nodes=DEFAULT_MAX_NODES, leaves=leaves)
-    values = np.zeros(graph.node_count + len(leaves))
-    values[graph.node_count:] = _last_stage_values(spec, leaves)
+        max_nodes=DEFAULT_MAX_NODES)
+    values = np.zeros(graph.node_count)
+    values[len(graph.by_id):] = _last_stage_values(spec, graph.leaves)
     for stage in range(spec.T - 1, t - 1, -1):
         _backup_stage(graph, stage, values)
     return values[:len(roots)].tolist()

@@ -248,13 +248,14 @@ def _hmap_tables(spec: ProblemSpec) -> _HMapTables:
 
 def h_map(spec: ProblemSpec, state: ThetaRState) -> PiBelief:
     """The belief-form information state of (Theta, r): h_map_block of one."""
-    return h_map_block(spec, [state])[0]
+    return PiBelief(state.t, h_map_block(spec, [state])[0])
 
 
-def h_map_block(spec: ProblemSpec, states: list[ThetaRState]) -> list[PiBelief]:
-    """h_map of same-stage states by exhaustive forward summation: roll each
-    delayed state through its substituted prescriptions, then attach the
-    current observations and marginalize onto (previous state, private windows).
+def h_map_block(spec: ProblemSpec, states: list[ThetaRState]) -> np.ndarray:
+    """The h_map images of same-stage states, one row each, by exhaustive
+    forward summation: roll each delayed state through its substituted
+    prescriptions, then attach the current observations and marginalize
+    onto (previous state, private windows).
 
     The rolled mass is a list of (node, x, per-controller window) cells in
     the order their first contribution arrives: node-major, each source
@@ -298,7 +299,7 @@ def h_map_block(spec: ProblemSpec, states: list[ThetaRState]) -> list[PiBelief]:
     lam = [ht.extend_index(spec, k, t - lo)[wins[k][src], c] for k in range(spec.K)]
     P = np.zeros((len(states), st.state_count))
     P[node[src], np.ravel_multi_index((xs, *lam), st.shape)] = w2
-    return [PiBelief(t, p) for p in P]
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,7 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
                                  for part, a, b in zip(aged, cuts, cuts[1:]))
                 return ThetaRState(theta, tuple(RSuffix(k, t + 1, part)
                                                 for k, part in enumerate(aged)))
-            return keys.tolist(), state_of
+            return keys.tolist(), lambda branches: [state_of(i) for i in branches]
         return children
 
     return build_graph(spec, "theta_r", 1, [initial_state(spec)],

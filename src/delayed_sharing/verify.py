@@ -56,7 +56,7 @@ def _pz_gap(spec: ProblemSpec, graph) -> float:
             for block in blocks:
                 acc = np.zeros((len(block), *bs.shape))
                 add_continuations(spec, bs, acc,
-                                  [graph.expansions[node.node_id] for node in block],
+                                  [graph.expansions[i] for i in block.tolist()],
                                   ones, subkeys)
                 worst = max(worst, float(np.abs(acc - 1.0).max()))
     return worst
@@ -93,7 +93,7 @@ def recursion_errors(spec: ProblemSpec, design) -> tuple[float, float, float, fl
             pi = analysis.replay_beliefs(spec, design, t, delta)
             max_pi = max(max_pi, float(np.abs(pi.p - vec).max()))
             max_th = max(max_th, float(np.abs(state.theta.p - xdists[delta]).max()))
-            max_h = max(max_h, float(np.abs(image.p - vec).max()))
+            max_h = max(max_h, float(np.abs(image - vec).max()))
             profile = analysis.design_profile(spec, design, t, delta)
             max_cost = max(max_cost, abs(
                 expected_stage_cost(spec, pi, profile) - costs[delta]))
@@ -138,9 +138,8 @@ def verify_instance(spec: ProblemSpec, *, samples: int, episodes: int,
     lines.append(f"graph: nodes={graph.node_count} edges={graph.edge_count}; "
                  f"graph2: nodes={graph2.node_count} edges={graph2.edge_count}")
 
-    norm_gap = max(
-        float(np.abs(node.pi.p.sum() - 1.0).max())
-        for nodes in graph.stages.values() for node in nodes)
+    rows = [node.pi.p for node in graph.by_id] + graph.leaves
+    norm_gap = max(float(abs(p.sum() - 1.0)) for p in rows)
     check("belief.normalization", norm_gap <= PI_TOL, f"max|sum-1|={_fmt(norm_gap)}")
 
     gap1 = _pz_gap(spec, graph)

@@ -150,22 +150,33 @@ def last_stage_values_reference(spec, p):
     return best
 
 
+def leaf_backup_reference(graph):
+    """(value, minimizing profile rank) of every leaf of a graph, in id
+    order, each backed up on its own as a stage-T node: its relevant sets
+    are its support (support_sets), and it has no branches."""
+    spec, values = graph.spec, np.zeros(graph.node_count)
+    return [backup_node_reference(spec, spec.T, p, support_sets(spec, spec.T, p),
+                                  None, values)
+            for p in graph.leaves]
+
+
 def root_values_reference(spec, t, roots):
-    """The root values of one exact-key belief graph rooted at roots, with
-    every stage-T belief a node of the graph (build_graph without leaves):
-    one _last_stage_values call on the stage-T nodes' beliefs fills their
-    slots, then stages T-1..t are backed up.  values_at's graphs hold
-    stage T as leaf rows instead, so this is the reference of that path."""
+    """The root values of one exact-key belief graph rooted at roots, node
+    by node: each leaf valued by its own one-row _last_stage_values call,
+    then each node of stages T-1..t backed up on its own
+    (backup_node_reference)."""
     graph = coordinator._belief_graph(
         spec, roots,
         coordinator.belief_successors(np.ascontiguousarray, belief_is_key=True),
         max_nodes=coordinator.DEFAULT_MAX_NODES)
-    leaves = graph.stages[spec.T]
     values = np.zeros(graph.node_count)
-    values[[node.node_id for node in leaves]] = coordinator._last_stage_values(
-        spec, [node.pi.p for node in leaves])
+    for node_id, p in zip(graph.stage_ids(spec.T), graph.leaves):
+        values[node_id] = coordinator._last_stage_values(spec, p[None])[0]
     for stage in range(spec.T - 1, t - 1, -1):
-        coordinator._backup_stage(graph, stage, values)
+        for node in graph.stages[stage]:
+            values[node.node_id] = backup_node_reference(
+                spec, stage, node.pi.p, node.relevant,
+                graph.expansions[node.node_id], values)[0]
     return values[:len(roots)].tolist()
 
 

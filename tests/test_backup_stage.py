@@ -26,7 +26,7 @@ from delayed_sharing.generate import random_instance
 from delayed_sharing.model import normalize_problem
 from delayed_sharing.second_form import reachable_graph2
 from helpers import (backup_node_reference, last_stage_values_reference,
-                     support_sets)
+                     leaf_backup_reference, support_sets)
 
 BUILD = {"belief": reachable_graph, "theta_r": reachable_graph2}
 # One row per block; an odd cap that leaves partial last blocks; the default.
@@ -38,16 +38,19 @@ THIN = {"k1": ((2,), (2,)), "y1": ((1, 2), (2, 2)), "u1": ((2, 2), (2, 1))}
 
 
 def _reference_sweep(graph):
-    """Per stage, node id -> (value, rank) from one backup per node."""
+    """Per stage, node id -> (value, rank) from one backup per leaf and per
+    node."""
     spec = graph.spec
     values = np.zeros(graph.node_count)
-    out = {}
-    for t in range(spec.T, 0, -1):
+    out = {spec.T: dict(zip(graph.stage_ids(spec.T), leaf_backup_reference(graph)))}
+    for node_id, (value, _) in out[spec.T].items():
+        values[node_id] = value
+    for t in range(spec.T - 1, 0, -1):
         out[t] = {}
         for node in graph.stages[t]:
             out[t][node.node_id] = backup_node_reference(
                 spec, t, node.pi.p, node.relevant,
-                graph.expansions.get(node.node_id), values)
+                graph.expansions[node.node_id], values)
             values[node.node_id] = out[t][node.node_id][0]
     return out
 
@@ -124,16 +127,11 @@ def _check_stage_backup(spec, form, widen=False):
 def _check_sweeps(graph):
     """Every block size's sweep against one backup per node; return per
     block size _mixed_blocks of its row blocks."""
-    spec = graph.spec
-    leaves = graph.stages[spec.T]
     sweeps, mixed = [], {}
     for entries in (BLOCK_ENTRIES[-1], *BLOCK_ENTRIES[:-1]):
         with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
             sweeps.append(solve_on_graph(graph)[0])
             mixed[entries] = _mixed_blocks(graph)
-    # build_graph read every leaf's support from stacked rows
-    for node in leaves:
-        assert node.support == support_sets(spec, spec.T, node.pi.p)
     want = _reference_sweep(graph)
     for vt in sweeps:
         assert list(vt.J) == list(vt.argmin) == list(want)
@@ -191,7 +189,7 @@ def _mixed_blocks(graph):
     for t in range(1, graph.spec.T):
         for _, blocks in stage_blocks(graph, t):
             for block in blocks:
-                pers = [graph.expansions[node.node_id] for node in block]
+                pers = [graph.expansions[i] for i in block.tolist()]
                 symbols |= len({tuple(per) for per in pers}) > 1
                 seen = {}
                 for per in pers:
@@ -199,6 +197,54 @@ def _mixed_blocks(graph):
                         seen.setdefault(zr, set()).add(ztab.visible)
                 patterns |= any(len(v) > 1 for v in seen.values())
     return symbols, patterns
+
+
+# Seeded random instances for the leaf terminal, (K, T, n, X, y sizes, u
+# sizes, seed, deterministic kernels, costs): K = 3 with a three-action
+# controller, signed costs, deterministic kernels at delay 2, and T = 1,
+# where the root is the only leaf.
+LEAF_CASES = {
+    "k3_u3": (3, 3, 1, 2, (1, 2, 1), (3, 2, 2), 4, False, "signed"),
+    "k3_n2": (3, 3, 2, 2, (2, 1, 1), (2, 1, 3), 11, False, "drawn"),
+    "det_n2": (2, 4, 2, 2, (2, 2), (2, 2), 5, True, "signed"),
+    "t1": (2, 1, 1, 2, (2, 2), (3, 2), 3, False, "signed"),
+    "t1_n2": (3, 1, 2, 2, (2, 1, 2), (2, 2, 3), 6, False, "drawn"),
+}
+
+
+@pytest.mark.parametrize("form", list(BUILD))
+@pytest.mark.parametrize("case", [*instances.NAMES, *LEAF_CASES])
+def test_leaf_terminal_matches_per_node_reference(case, form):
+    """The leaves' values and minimizing ranks, backed up on stacked leaf
+    rows grouped by support, against one stage-T backup per leaf
+    (helpers.leaf_backup_reference): values byte for byte, ranks exactly,
+    in id order, at every row block size.  The groups' relevant sets are
+    each leaf's support."""
+    if case in LEAF_CASES:
+        *shape, seed, det, costs = LEAF_CASES[case]
+        spec = _with_costs(normalize_problem(random_instance(
+            *shape, seed, deterministic=det)), np.random.default_rng(seed), costs)
+    else:
+        spec = normalize_problem(instances.load(case))
+    graph = BUILD[form](spec)
+    ids = graph.stage_ids(spec.T)
+    assert list(ids) == list(range(len(graph.by_id), graph.node_count))
+    want = leaf_backup_reference(graph)
+    values = np.array([v for v, _ in want])
+    for entries in BLOCK_ENTRIES:
+        with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
+            for bs, blocks in stage_blocks(graph, spec.T):
+                for block in blocks:
+                    for i in block.tolist():
+                        p = graph.leaves[i - ids.start]
+                        assert bs.restricted == support_sets(spec, spec.T, p)
+            vt, policy = solve_on_graph(graph)
+        assert list(vt.J[spec.T]) == list(vt.argmin[spec.T]) == list(ids)
+        assert np.array(list(vt.J[spec.T].values())).tobytes() == values.tobytes()
+        assert list(vt.argmin[spec.T].values()) == [r for _, r in want]
+    if spec.T == 1:
+        assert graph.by_id == [] and graph.node_count == 1
+        assert vt.optimal_cost.hex() == want[0][0].hex()
 
 
 def _with_costs(spec, rng, costs):

@@ -244,7 +244,7 @@ def test_graph_single_state_still_branches():
     spec = random_instance(2, 2, 1, 1, (2, 2), (2, 2), seed=3)
     graph = reachable_graph(spec)
     for t in (1, 2):
-        assert len(graph.stages[t]) >= 1
+        assert len(graph.stage_ids(t)) >= 1
 
 
 def test_graph_golden_counts(solved):
@@ -371,6 +371,9 @@ def test_value_at_reachable_nodes_matches_table(solved):
             for node in nodes[:5]:
                 got = value_at(spec, t, node.pi)
                 assert got == pytest.approx(vt.J[t][node.node_id], abs=1e-9)
+        for node_id, p in list(zip(graph.stage_ids(spec.T), graph.leaves))[:5]:
+            got = value_at(spec, spec.T, PiBelief(spec.T, p))
+            assert got == pytest.approx(vt.J[spec.T][node_id], abs=1e-9)
 
 
 def test_value_at_terminal_is_stage_min(i1_spec):

@@ -228,7 +228,7 @@ def _stage_batched_graph(spec, root, key_rows, rule,
                          successor_rule=None):
     return coordinator.build_graph(
         spec, "belief", root.t, [root.p],
-        pi_of=lambda t, rows: [PiBelief(t, p) for p in rows],
+        pi_of=lambda t, rows: rows,
         base_of=lambda node: _base_sets(spec, node.t, node.pi.p, rule),
         successor_rule=successor_rule or coordinator.belief_successors(key_rows),
         max_nodes=max_nodes)
@@ -236,18 +236,19 @@ def _stage_batched_graph(spec, root, key_rows, rule,
 
 def _assert_same_graph(graph, beliefs, tabs):
     """The per-node graph's node ids, beliefs and branch tables; every node
-    has its support when made, and a node never expanded (stage T) keeps
-    it as its relevant sets."""
+    has its support when made, and the stage-T beliefs are the leaf rows,
+    in id order after every node."""
     spec = graph.spec
     assert graph.node_count == len(beliefs)
-    for node, pi in zip(graph.by_id, beliefs):
-        assert node.t == pi.t
+    nodes, leaves = beliefs[:len(graph.by_id)], beliefs[len(graph.by_id):]
+    for node, pi in zip(graph.by_id, nodes):
+        assert node.t == pi.t < spec.T
         assert node.pi.p.tobytes() == pi.p.tobytes()
         assert node.support == support_sets(spec, node.t, node.pi.p)
-        if node.t == spec.T:
-            assert node.relevant == node.support
+    assert all(pi.t == spec.T for pi in leaves)
+    assert [p.tobytes() for p in graph.leaves] == [pi.p.tobytes() for pi in leaves]
     assert [n.node_id for t in sorted(graph.stages) for n in graph.stages[t]] == \
-        list(range(len(beliefs)))
+        list(range(len(nodes)))
     for node_id, want in tabs.items():
         got = graph.expansions[node_id]
         assert list(got) == list(want)

@@ -273,18 +273,19 @@ def test_h_map_block_rows_equal_the_reference(K, n, X, t_back, seed, zero_share,
     alone, so stacking states on the node axis never regroups a sum."""
     t = max(1, n + 1 - t_back)
     spec, states = _random_theta_r(K, n, X, t, seed, zero_share, count)
-    pis = h_map_block(spec, states)
-    assert len(pis) == count
-    for pi, state in zip(pis, states):
-        assert pi.t == t
-        assert pi.p.tobytes() == h_map_reference(spec, state).p.tobytes()
+    P = h_map_block(spec, states)
+    assert len(P) == count
+    for p, state in zip(P, states):
+        assert p.tobytes() == h_map_reference(spec, state).p.tobytes()
 
 
 def test_h_map_equals_dict_loop_reference_on_graph_nodes(solved):
     for name, entry in solved.items():
-        spec = entry["spec"]
-        for node in entry["graph2"].by_id:
+        spec, graph2 = entry["spec"], entry["graph2"]
+        for node in graph2.by_id:
             assert np.array_equal(node.pi.p, h_map_reference(spec, node.state).p), name
+        for p, state in zip(graph2.leaves, graph2.leaf_states):
+            assert np.array_equal(p, h_map_reference(spec, state).p), name
 
 
 def test_h_map_equals_recursive_belief_everywhere(i2_spec, solved):
@@ -303,9 +304,8 @@ def test_h_map_equals_recursive_belief_everywhere(i2_spec, solved):
 
 def test_graph2_delay_one_nodes_are_theta_only(i1_spec):
     graph2 = reachable_graph2(i1_spec)
-    for nodes in graph2.stages.values():
-        for node in nodes:
-            assert all(rs.parts == () for rs in node.state.r)
+    for state in [node.state for node in graph2.by_id] + graph2.leaf_states:
+        assert all(rs.parts == () for rs in state.r)
 
 
 def test_graph2_horizon_one_single_node():
@@ -342,10 +342,11 @@ def _per_edge_graph2(spec):
                 theta_update(spec, node.state.theta, z),
                 tuple(r_update(spec, node.state.r[k], rep.gammas[k], z)
                       for k in range(spec.K))))
-        return [state_key(state) for state in states], states.__getitem__
+        return ([state_key(state) for state in states],
+                lambda branches: [states[i] for i in branches])
 
     return build_graph(spec, "theta_r", 1, [initial_state(spec)],
-                       lambda t, states: [h_map(spec, state) for state in states],
+                       lambda t, states: [h_map(spec, state).p for state in states],
                        base_of, lambda t: children,
                        max_nodes=DEFAULT_MAX_NODES)
 
@@ -378,9 +379,9 @@ def _case_spec(name, solved):
 def test_per_node_successor_gives_the_per_edge_graph(name, solved):
     """reachable_graph2's successor rule against one from-scratch successor
     per edge, for one node per block, an odd block cap and the default: node
-    ids, state keys, belief bytes and branch tables.  Every node has its
-    support when made, and a node never expanded (stage T) keeps it as its
-    relevant sets."""
+    ids, state keys, belief bytes and branch tables, and the leaves' states
+    and image rows.  Every node has its support when made, and each leaf's
+    image row is the bytes of h_map on its state."""
     spec = _case_spec(name, solved)
     want = _per_edge_graph2(spec)
     for entries in (1, 999, _tables._BLOCK_ENTRIES):
@@ -388,9 +389,13 @@ def test_per_node_successor_gives_the_per_edge_graph(name, solved):
             got = reachable_graph2(spec)
         for node in got.by_id:
             assert node.support == support_sets(spec, node.t, node.pi.p)
-            if node.t == spec.T:
-                assert node.relevant == node.support
         assert got.node_count == want.node_count
+        assert len(got.leaf_states) == len(got.leaves) == len(want.leaves) > 0
+        assert [p.tobytes() for p in got.leaves] == [p.tobytes() for p in want.leaves]
+        for p, a, b in zip(got.leaves, got.leaf_states, want.leaf_states):
+            assert a.t == spec.T and state_key(a) == state_key(b)
+            assert a.theta.p.tobytes() == b.theta.p.tobytes()
+            assert p.tobytes() == h_map(spec, a).p.tobytes()
         for a, b in zip(got.by_id, want.by_id):
             assert (a.node_id, a.t) == (b.node_id, b.t)
             assert state_key(a.state) == state_key(b.state)

@@ -1,13 +1,12 @@
-"""values_at against one value_at per root and against the graph whose
-stage-T beliefs are nodes.  A graph of several roots shares its nodes
-across their subtrees and stacks their rows; node values depend only on
-their own beliefs and every stacked row keeps the bytes of its one-row
+"""values_at against one value_at per root and against the same graph
+valued leaf by leaf and node by node.  A graph of several roots shares its
+nodes across their subtrees and stacks their rows; node values depend only
+on their own beliefs and every stacked row keeps the bytes of its one-row
 call, so each root's value must be the bytes of its one-root call, for
-every bound on the roots per graph.  values_at holds stage T as leaf rows,
-not nodes; its values must be the bytes of the leaf-node graph's
-(root_values_reference), and its node-budget errors those of that graph.
-A stacked graph that passes a budget is valued again one root per graph,
-so each root gets its one-root value or error."""
+every bound on the roots per graph, and the bytes of the per-leaf,
+per-node valuation (root_values_reference).  Leaves count against the node
+budget as nodes.  A stacked graph that passes a budget is valued again one
+root per graph, so each root gets its one-root value or error."""
 
 from unittest import mock
 
@@ -98,9 +97,9 @@ def test_values_at_is_one_value_at_per_root(case, seed, stage, count, sparsity, 
 @example(case="ia", seed=1, stage="middle", count=3, sparsity=0.5, bound=2, entries=512)
 def test_values_at_matches_the_leaf_node_reference(case, seed, stage, count,
                                                    sparsity, bound, entries):
-    """Each graph of values_at, whose stage-T beliefs are leaf rows, gives
-    its roots the bytes of the same graph with stage-T nodes, also when
-    512 entries expand stage T-1 in several blocks."""
+    """Each graph of values_at gives its roots the bytes of the same graph
+    valued one leaf and one node at a time, also when 512 entries expand
+    stage T-1 in several blocks."""
     spec = _spec(case, seed)
     rng = np.random.default_rng(seed)
     t = {"first": 1, "middle": (1 + spec.T) // 2, "last": spec.T}[stage]
@@ -120,9 +119,9 @@ def _stage_one_draws(spec, count, seed):
 @pytest.mark.parametrize("entries", [_tables._BLOCK_ENTRIES, 2048])
 def test_the_node_budget_counts_the_leaves(monkeypatch, i2_spec, entries):
     """A stage-1 i2 root whose graph has 497 nodes: its stage-T leaves
-    count against the node budget as nodes, and the budget error is the one
-    of the graph whose leaves are nodes, with every block size (2048 entries
-    expand stage T-1 in several blocks)."""
+    count against the node budget as nodes, and the budget error is the
+    same with every block size (2048 entries expand stage T-1 in several
+    blocks)."""
     a = _stage_one_draws(i2_spec, 1, 1)[0]
     monkeypatch.setattr(_tables, "_BLOCK_ENTRIES", entries)
     monkeypatch.setattr(coordinator, "DEFAULT_MAX_NODES", 497)
