@@ -60,10 +60,11 @@ class PiBelief:
 
 
 def quantize_rows(P: np.ndarray) -> np.ndarray:
-    """Beliefs (rows of P, or one belief) on the dedup grid; a belief's key
-    is the bytes of its row."""
+    """Beliefs (rows of P, or one belief, or any array of their entries) on
+    the dedup grid: a probability is at most 1, so its grid value fits
+    int32."""
     Q = P * _DEDUP_SCALE
-    return np.round(Q, out=Q).astype(np.int64)
+    return np.round(Q, out=Q).astype(np.int32)
 
 
 def quantize_key(p: np.ndarray) -> bytes:
@@ -103,7 +104,8 @@ def _joint_actions(spec: ProblemSpec, st, profile: GammaProfile) -> np.ndarray:
 def belief_update(spec: ProblemSpec, pi: PiBelief, profile: GammaProfile,
                   z: CommonObs) -> tuple[PiBelief, float]:
     """Bayes update of the belief given the profile in force and the newly
-    shared symbol: one row of _branch_masses from the positive-mass states,
+    shared symbol: _branch_masses from the positive-mass states, its one
+    mass row made dense by one assignment of the sparse masses and
     normalized by its branch probability.  Raises
     UnreachableObservationError when the symbol has probability zero; a
     belief is never fabricated."""
@@ -115,13 +117,16 @@ def belief_update(spec: ProblemSpec, pi: PiBelief, profile: GammaProfile,
     st = tables(spec).stage[t]
     cand = np.nonzero(pi.p > 0.0)[0]
     actions = _joint_actions(spec, st, profile)[cand][None, :]
-    m, pz = _branch_masses(st.step_arrays(spec), cand, pi.p[cand][None], actions,
-                           zr, state_count(spec, t + 1))
+    pz, masses = _branch_masses(st.step_arrays(spec), cand, pi.p[cand][None], actions,
+                                zr, state_count(spec, t + 1))
     pz = float(pz[0, 0])
     if pz <= 0.0:
         raise UnreachableObservationError(
             f"shared symbol rank {zr} has probability zero at t={t}")
-    return PiBelief(t + 1, m[0, 0] / pz), pz
+    cells, vals = masses()
+    m = np.zeros(state_count(spec, t + 1))
+    m[cells] = vals[0]
+    return PiBelief(t + 1, m / pz), pz
 
 
 def expected_stage_cost(spec: ProblemSpec, pi: PiBelief,
@@ -224,59 +229,69 @@ class InfoGraph:
 def _block_triples(s_start: np.ndarray, s_len: np.ndarray) -> np.ndarray:
     """Flat positions in the step arrays of every triple of the given
     (state, action) blocks, block after block."""
-    total = int(s_len.sum())
-    return np.repeat(s_start, s_len) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(s_len) - s_len, s_len))
+    ends = s_len.cumsum()
+    return (s_start + (s_len - ends)).repeat(s_len) + np.arange(ends[-1] if ends.size else 0)
 
 
 def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
-                   actions: np.ndarray, z_rank: int, next_count: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized next-belief mass m (nodes x assignments x next states)
-    and branch probability pz (nodes x assignments) of a block of nodes
-    under a batch of assignments: row j of `mass` is node j's mass on the
-    candidate states, row i of `actions` the joint action each candidate
-    takes under assignment i.  The triples are gathered and filtered on the
-    symbol once for the block.  Assignments are then grouped by segment
-    length, the number of their kept triples (ascending length, then
-    assignment order); per group, one C-contiguous (nodes x assignments x
-    length) weights block gives every pz by one last-axis sum and is
-    scattered into m by one np.add.at.
+                   actions: np.ndarray, z_rank: int, next_count: int):
+    """Branch probability pz (nodes x assignments) of a block of nodes under
+    a batch of assignments, and masses(), which returns their unnormalized
+    next-belief masses on the cells the kept triples reach: row j of `mass`
+    is node j's mass on the candidate states, row i of `actions` the joint
+    action each candidate takes under assignment i.  A cell is assignment x
+    next_count + next state; masses() gives the sorted distinct cells and a
+    (nodes x cells) block of masses (every node shares the cells, since the
+    nodes share their candidates), and each dense mass row (assignment i of
+    node j, next states) is zero off the cells.  Cells are found by marking
+    them in an (assignments x next states) mask, and each kept triple takes
+    its cell's slot through a cell-to-slot map, so no sort is made.  A
+    caller that never calls masses() pays for no cell.
+
+    The triples are gathered and filtered on the symbol once for the block.
+    Assignments are then grouped by segment length, the number of their
+    kept triples (ascending length, then assignment order); per group, one
+    C-contiguous (nodes x assignments x length) weights block gives every pz
+    by one last-axis sum.  masses() adds the blocks into their slots with
+    one np.bincount, which adds in input order, node by node, each node's
+    groups in turn.
 
     Per (node, assignment) this is the single-profile update (update_mass in
     tests/helpers.py, its reference): the same triples, multiplied and
-    scattered in the same element order (each mass entry only ever receives
-    its own assignment's triples), and pz sums that pair's weights as its
-    1-D .sum() does.  A last-axis sum over C-contiguous rows of equal length
-    replays the 1-D pairwise order row by row; over strided or F-ordered
-    rows numpy may run the inner loop across rows and add in another order,
-    changing last bits, which is why the weights block is built C-ordered
-    (np.take) whatever the layout of mass.  Results are therefore
-    bit-identical to one single-profile update per node and assignment.
+    summed into each cell in the same element order (a cell only ever
+    receives its own assignment's triples, in triple order, starting from
+    0.0), and pz sums that pair's weights as its 1-D .sum() does.  A
+    last-axis sum over C-contiguous rows of equal length replays the 1-D
+    pairwise order row by row; over strided or F-ordered rows numpy may run
+    the inner loop across rows and add in another order, changing last
+    bits, which is why the weights block is built C-ordered (np.take)
+    whatever the layout of mass.  Results are therefore bit-identical to
+    one single-profile update per node and assignment.
     """
     starts, lens, dst, zr, w = steps
     nodes, rows = mass.shape[0], actions.shape[0]
-    m = np.zeros((nodes, rows, next_count))
     pz = np.zeros((nodes, rows))
     s_len = lens[cand, actions].reshape(-1)
     flat = _block_triples(starts[cand, actions].reshape(-1), s_len)
     keep = zr[flat] == z_rank
     if not keep.any():
-        return m, pz
+        return pz, lambda: (np.zeros(0, dtype=np.int64), np.zeros((nodes, 0)))
     flat = flat[keep]
-    src = np.repeat(np.tile(np.arange(cand.size), rows), s_len)[keep]
+    src = np.repeat(np.arange(rows * cand.size) % cand.size, s_len)[keep]
     seg = np.bincount(np.repeat(np.arange(rows), s_len.reshape(rows, -1).sum(axis=1))[keep],
                       minlength=rows)
     order = np.argsort(seg, kind="stable")
     lengths = seg[order]
-    # kept positions of the assignments in that order, each in triple order
-    at = _block_triples((np.cumsum(seg) - seg)[order], lengths)
-    src, flat = src[at], flat[at]
-    weight, cell = w[flat], np.repeat(order, lengths) * next_count + dst[flat]
-    plane = np.arange(nodes)[:, None] * (rows * next_count)
+    present = seg[seg > 0]
+    if (present[1:] < present[:-1]).any():
+        # kept positions of the assignments in that order, each in triple
+        # order (already so when the kept lengths never fall)
+        at = _block_triples((np.cumsum(seg) - seg)[order], lengths)
+        src, flat = src[at], flat[at]
+    weight = w[flat]
     ends = np.cumsum(lengths).tolist()
-    bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), rows]
+    bounds = [0, *(np.nonzero(lengths[1:] != lengths[:-1])[0] + 1).tolist(), rows]
+    parts = []
     for i, j in zip(bounds, bounds[1:]):
         length = int(lengths[i])
         if length == 0:
@@ -285,8 +300,20 @@ def _branch_masses(steps, cand: np.ndarray, mass: np.ndarray,
         part = np.take(mass, src[a:b], axis=1)      # C-ordered, nodes x (b - a)
         part *= weight[a:b]
         pz[:, order[i:j]] = part.reshape(nodes, j - i, length).sum(axis=-1)
-        np.add.at(m.reshape(-1), (plane + cell[a:b]).reshape(-1), part.reshape(-1))
-    return m, pz
+        parts.append(part)
+
+    def masses():
+        cell = order.repeat(lengths) * next_count + dst[flat]
+        hit = np.zeros(rows * next_count, dtype=bool)
+        hit[cell] = True
+        cells = np.nonzero(hit)[0]
+        slot = np.empty(hit.size, dtype=np.int64)
+        slot[cells] = np.arange(cells.size)
+        index = np.arange(0, nodes * cells.size, cells.size)[:, None] + slot[cell]
+        block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        vals = np.bincount(index.reshape(-1), block.reshape(-1), nodes * cells.size)
+        return cells, vals.reshape(nodes, cells.size)
+    return pz, masses
 
 
 def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases, children
@@ -298,12 +325,17 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases, children
     can distinguish row j's branches.  Under the null symbol they are the
     visible sets; under any other symbol the visible sets are the base
     realizations consistent with the symbol (made once per base and symbol).
-    children(z, visible, rows, ranks, M, pz) -> one child reference (an int)
-    per branch of a batch of positive-probability branches under one symbol:
-    rows holds each branch's block row, ranks its flat assignment rank
-    (ZTable's ranking), M its unnormalized next-belief mass (an array of
-    rows children may overwrite) and pz its probability.  A batch lists its
-    branches row by row, each row's in ascending rank.
+    children(z, visible, rows, ranks, runs, pz) -> one child reference (an
+    int) per branch of a batch of positive-probability branches under one
+    symbol: rows holds each branch's block row, ranks its flat assignment
+    rank (ZTable's ranking) and pz its probability.  runs() returns the
+    branches' unnormalized next-belief masses as runs, (state, mass, length,
+    size): branch i's run is the length[i] (next state, mass) pairs after
+    those of the branches before it, in ascending state, one per cell its
+    kept triples reach; its dense mass row (size next states) is zero off
+    the run.  The arrays are fresh, for children to overwrite, and a rule
+    that never calls runs() pays for no mass (_kept_runs).  A batch lists
+    its branches row by row, each row's in ascending rank.
 
     Per shared symbol, a row's live candidates are its positive-mass states
     consistent with the symbol (a per-symbol mask cached on the stage
@@ -381,16 +413,14 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases, children
                 for k in range(spec.K):
                     u = spec.u_size[k]
                     actions = actions * u + keys[k][:, None] // places[k] % u
-                m, pz = _branch_masses(steps, cand, mass, actions, zr, next_count)
-                node_i, row_i = np.nonzero(pz > 0.0)
+                pz, masses = _branch_masses(steps, cand, mass, actions, zr, next_count)
+                kept = pz > 0.0
+                node_i, row_i = np.nonzero(kept)
                 if node_i.size == 0:
                     continue
                 kept_pz, kept_rank = pz[node_i, row_i], ranks[row_i]
-                # M is the callee's to overwrite; a view when every row is kept
-                M = (m.reshape(-1, next_count) if node_i.size == pz.size
-                     else m[node_i, row_i])
-                refs = children(z, visible, np.take(members, node_i).tolist(),
-                                kept_rank, M, kept_pz)
+                refs = children(z, visible, np.take(members, node_i).tolist(), kept_rank,
+                                _kept_runs(masses, kept, row_i, next_count), kept_pz)
                 found.append((node_i, kept_rank, kept_pz,
                               np.asarray(refs, dtype=np.int64)))
             if not found:
@@ -409,6 +439,22 @@ def _expand_nodes(spec: ProblemSpec, t: int, P: np.ndarray, bases, children
                     out[j][zr] = ZTable(visible, shape, rank[a:b], prob[a:b],
                                         child[a:b])
     return out, child_arrays
+
+
+def _kept_runs(masses, kept: np.ndarray, row_i: np.ndarray, next_count: int):
+    """runs() of the kept branches of a _branch_masses call (kept: its pz >
+    0, nodes x assignments; row_i: the kept branches' assignments in
+    node-major order), for _expand_nodes.  One assignment's cells are
+    consecutive, so a node's kept runs are its kept cells in order, and the
+    batch's runs are the kept cells of the masses block read row after
+    row."""
+    def runs():
+        cells, vals = masses()
+        row, state = np.divmod(cells, next_count)
+        live = kept[:, row]
+        return (state[None].repeat(len(vals), axis=0)[live], vals[live],
+                np.bincount(row, minlength=kept.shape[1])[row_i], next_count)
+    return runs
 
 
 _GRAPH_NAMES = {"belief": "reachable-belief", "theta_r": "reachable (Theta, r)"}
@@ -437,8 +483,8 @@ def build_graph(spec: ProblemSpec, kind: str, t: int, roots: list, pi_of,
     pi_of(t, states) lists the belief-form images (1-D rows) of stage-t
     information states; base_of(node) is the node's base sets (see
     _expand_nodes).  successor_rule(t), called once per stage next to the
-    stage's dedup index, returns children(block, z, visible, rows, ranks, M,
-    pz) -> (keys, states_of): given a block of nodes and a batch of its
+    stage's dedup index, returns children(block, z, visible, rows, ranks,
+    runs, pz) -> (keys, states_of): given a block of nodes and a batch of its
     branches as _expand_nodes passes it (rows index the block), each
     branch's dedup key among stage t+1's states, and states_of(branches),
     the information states a list of the batch's branches lead to, called
@@ -593,22 +639,45 @@ def _expand_block(graph: InfoGraph, block: list[InfoNode], base_of,
         node.relevant = relevant
 
 
-def belief_successors(key_rows, *, belief_is_key: bool = False):
-    """successor_rule of the belief form, keyed on the bytes of key_rows(p).
-    A batch of branches is normalized in one broadcast division and keyed
-    with one key_rows call and one tobytes per row.  A key new to the graph
-    gets the bare row of its child belief (build_graph makes the PiBelief
-    or the leaf row): a row of one gathered copy of the batch's new rows, so
-    the batch's mass array M is not kept, or, with belief_is_key (key_rows
-    keeps the float64 rows, so a key is its row's bytes), the read-only view
-    of the key, which the stage index holds anyway."""
+def belief_successors(key_values):
+    """successor_rule of the belief form.  A batch's runs are normalized in
+    one division by their branch probabilities, and key_values maps the
+    normalized masses, elementwise, to key values (the dedup grid, or the
+    floats themselves for exact keys).  A branch's key is the bytes of its
+    packed (next state, key value) pairs whose key value is nonzero, in
+    ascending state, the state in the smallest integer type that holds the
+    stage's ranks, cut from one buffer per batch.  An entry off the run is
+    0 in the dense row, so two branches share a key exactly when their
+    dense rows of key values are equal, and entries that quantize to 0 never
+    split a merge.  Only a key new to the graph gets its dense child belief
+    (build_graph makes the PiBelief or the leaf row): a row of one
+    zero-filled matrix per states_of call, into which the run is
+    scattered."""
     def successor_rule(t):
-        def children(block, z, visible, rows, ranks, M, pz):
-            P = np.divide(M, pz[:, None], out=M)
-            keys = [row.tobytes() for row in key_rows(P)]
-            if belief_is_key:
-                return keys, lambda branches: [np.frombuffer(keys[i]) for i in branches]
-            return keys, lambda branches: P[branches]
+        def children(block, z, visible, rows, ranks, runs, pz):
+            state, mass, length, size = runs()
+            P = np.divide(mass, pz.repeat(length), out=mass)
+            q = key_values(P)
+            ends = length.cumsum()
+            state_nz = state
+            if np.count_nonzero(q) < q.size:
+                nz = q != 0
+                state_nz, q, ends = state[nz], q[nz], nz.cumsum()[ends - 1]
+            pairs = np.empty(q.size, dtype=[("state", np.min_scalar_type(size - 1)),
+                                            ("value", q.dtype)])
+            pairs["state"], pairs["value"] = state_nz, q
+            data, cuts = pairs.tobytes(), (ends * pairs.itemsize).tolist()
+            keys = [data[a:b] for a, b in zip([0, *cuts], cuts)]
+
+            def states_of(branches):
+                at = np.full(len(pz), -1)
+                at[branches] = np.arange(len(branches))
+                at = at.repeat(length)      # each entry's row of out, -1 if none
+                new = at >= 0
+                out = np.zeros((len(branches), size))
+                out.reshape(-1)[at[new] * size + state[new]] = P[new]
+                return out
+            return keys, states_of
         return children
     return successor_rule
 
@@ -752,7 +821,7 @@ def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
     spec = graph.spec
     ids = graph.stage_ids(t)
     images = graph.leaves if t == spec.T else [node.pi.p for node in graph.stages[t]]
-    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks: list[int] = [0] * len(ids)     # Python ints: a rank can pass 2**63
     for bs, blocks in stage_blocks(graph, t):
         subkeys: dict = {}
         completions: dict[int, int] = {}
@@ -771,9 +840,9 @@ def _backup_stage(graph: InfoGraph, t: int, values: np.ndarray
             picked = best.tolist()
             for idx in set(picked).difference(completions):
                 completions[idx] = minimize.completion_rank(spec, bs, idx)
-            ranks[rows] = [completions[idx] for idx in picked]
-    return (dict(zip(ids, values[ids.start:ids.stop].tolist())),
-            dict(zip(ids, ranks.tolist())))
+            for i, idx in zip(rows.tolist(), picked):
+                ranks[i] = completions[idx]
+    return (dict(zip(ids, values[ids.start:ids.stop].tolist())), dict(zip(ids, ranks)))
 
 
 def solve_on_graph(graph: InfoGraph) -> tuple[ValueTable, CoordinatorPolicy]:
@@ -1028,7 +1097,7 @@ def _root_values(spec: ProblemSpec, t: int, roots: list[PiBelief]) -> list[float
     _last_stage_values call on the leaf rows fills the leaf slots of values
     before stages T-1..t are backed up."""
     graph = _belief_graph(
-        spec, roots, belief_successors(np.ascontiguousarray, belief_is_key=True),
+        spec, roots, belief_successors(np.ascontiguousarray),
         max_nodes=DEFAULT_MAX_NODES)
     values = np.zeros(graph.node_count)
     values[len(graph.by_id):] = _last_stage_values(spec, graph.leaves)
@@ -1088,9 +1157,9 @@ def _symbol_maps(spec: ProblemSpec, t: int,
     """Dense one-step map per shared symbol under a profile: entry (s, s2)
     is the probability of stepping from joint state s to s2 while emitting
     the symbol.  Row s is _branch_masses' update of a point mass on s over
-    every joint state: 1.0 * w is exact and the other states add +0.0, so
-    the row holds the bytes of the single-profile update from that point
-    mass."""
+    every joint state, made dense by one assignment of the sparse masses:
+    1.0 * w is exact and the other states add +0.0, so the row holds the
+    bytes of the single-profile update from that point mass."""
     st = tables(spec).stage[t]
     states = np.arange(st.state_count)
     actions = _joint_actions(spec, st, profile)[None, :]
@@ -1098,9 +1167,10 @@ def _symbol_maps(spec: ProblemSpec, t: int,
     out: dict[int, np.ndarray] = {}
     for z in common_obs_space(spec, t + 1):
         r = common_obs_rank(spec, z)
-        m, _ = _branch_masses(steps, states, np.eye(st.state_count), actions,
-                              r, next_count)
-        out[r] = m[:, 0]
+        cells, vals = _branch_masses(steps, states, np.eye(st.state_count), actions,
+                                     r, next_count)[1]()
+        out[r] = np.zeros((st.state_count, next_count))
+        out[r][:, cells] = vals
     return out
 
 

@@ -336,7 +336,7 @@ def reachable_graph2(spec: ProblemSpec, *, max_nodes: int = DEFAULT_MAX_NODES) -
         heads: dict = {}    # (child Theta key, aged parts) -> head id
         memo: dict = {}     # (node id, symbol rank) -> child Theta, aged parts, head id
 
-        def children(block, z, visible, rows, ranks, M, pz):
+        def children(block, z, visible, rows, ranks, runs, pz):
             zr = common_obs_rank(spec, z)
             uniq, inv = np.unique(rows, return_inverse=True)
             at = []

@@ -167,7 +167,7 @@ def root_values_reference(spec, t, roots):
     (backup_node_reference)."""
     graph = coordinator._belief_graph(
         spec, roots,
-        coordinator.belief_successors(np.ascontiguousarray, belief_is_key=True),
+        coordinator.belief_successors(np.ascontiguousarray),
         max_nodes=coordinator.DEFAULT_MAX_NODES)
     values = np.zeros(graph.node_count)
     for node_id, p in zip(graph.stage_ids(spec.T), graph.leaves):

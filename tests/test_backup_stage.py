@@ -19,12 +19,15 @@ from delayed_sharing import _tables, instances, minimize
 from delayed_sharing._tables import stacked_support_sets, tables
 from delayed_sharing.coordinator import (DEFAULT_MAX_NODES, PiBelief,
                                          _belief_graph, _last_stage_values,
-                                         belief_successors, initial_belief,
-                                         quantize_rows, reachable_graph,
+                                         belief_successors, extract_design,
+                                         initial_belief, quantize_rows,
+                                         reachable_graph, solve_dp,
                                          solve_on_graph, stage_blocks)
+from delayed_sharing.evaluate import exact_cost
 from delayed_sharing.generate import random_instance
 from delayed_sharing.model import normalize_problem
 from delayed_sharing.second_form import reachable_graph2
+from delayed_sharing.verify import DP_TOL
 from helpers import (backup_node_reference, last_stage_values_reference,
                      leaf_backup_reference, support_sets)
 
@@ -416,3 +419,16 @@ def test_last_axis_sum_is_numpy_sum(layout):
              "permuted": np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2),
              }[layout]
         assert minimize.last_axis_sum(a).tobytes() == a.sum(axis=-1).tobytes(), n
+
+
+def test_profile_ranks_past_int64_solve():
+    """At delay 3 a stage-3 profile of this instance ranks past 2**63: the
+    backup keeps ranks as Python ints, so the solve ends with the recorded
+    optimum and ranks, and the extracted design costs it under exact_cost."""
+    spec = normalize_problem(random_instance(2, 3, 3, 1, (2, 2), (2, 2), 1))
+    table, policy = solve_dp(spec)
+    assert policy.graph.node_count == 4113
+    assert table.optimal_cost.hex() == (-2.3677790041798006).hex()
+    assert sum(rank >= 1 << 63 for rank in table.argmin[3].values()) == 1024
+    cost = exact_cost(spec, extract_design(spec, policy)).expected_cost
+    assert abs(cost - table.optimal_cost) <= DP_TOL

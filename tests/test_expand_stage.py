@@ -23,6 +23,7 @@ from delayed_sharing.histories import (GammaProfile, PartialFunction,
 from delayed_sharing.model import normalize_problem
 from helpers import (embedded_profile, ordered_totals_reference, support_sets,
                      update_mass)
+from test_tables import _tiny_entries
 
 
 def _consistent(spec, t, z):
@@ -92,10 +93,14 @@ def expand_one(spec, t, p, base, child_fn):
     """The branch tables of one information state: a one-row block of
     _expand_nodes, with child_fn(z, visible, key, m, pz) -> child id called
     per branch, key holding the per-controller assignment ranks (ZTable's
-    ranking), m the unnormalized next-belief mass and pz the probability."""
-    def children(z, visible, rows, ranks, M, pz):
+    ranking), m the unnormalized next-belief mass (the dense row of the
+    branch's run) and pz the probability."""
+    def children(z, visible, rows, ranks, runs, pz):
         shape = tuple(spec.u_size[k] ** len(visible[k]) for k in range(spec.K))
         keys = zip(*(a.tolist() for a in np.unravel_index(ranks, shape)))
+        state, mass, length, size = runs()
+        M = np.zeros((len(pz), size))
+        M[np.repeat(np.arange(len(pz)), length), state] = mass
         return [child_fn(z, visible, key, m, q)
                 for key, m, q in zip(keys, M, pz.tolist())]
     return coordinator._expand_nodes(spec, t, p[None], [base], children)[0][0]
@@ -282,21 +287,16 @@ def test_stage_blocks_match_per_node_expansion(seed, K, n, deterministic, rule,
                                                keys, sparsity):
     """build_graph on a sparse random root (so a stage mixes supports, and
     groups split) against one expand_one per node, for every block size:
-    the same node ids, belief bytes and branch tables.  Exact keys, as in
-    values_at, make each new node's belief a read-only view of its key."""
+    the same node ids, belief bytes and branch tables.  Exact keys are those
+    of values_at; every node's belief is read-only."""
     spec = _tree_spec(K, n, seed, deterministic)
     root = PiBelief(1, _belief(spec, 1, np.random.default_rng(seed), sparsity))
     beliefs, tabs = _per_node_graph(spec, root, KEY_ROWS[keys], rule)
-    exact = keys == "exact"
     for entries in BLOCK_ENTRIES:
         with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
-            graph = _stage_batched_graph(
-                spec, root, KEY_ROWS[keys], rule,
-                successor_rule=coordinator.belief_successors(
-                    KEY_ROWS[keys], belief_is_key=exact))
+            graph = _stage_batched_graph(spec, root, KEY_ROWS[keys], rule)
         _assert_same_graph(graph, beliefs, tabs)
         for node in graph.by_id[1:]:
-            assert isinstance(node.pi.p.base, bytes) == exact
             assert not node.pi.p.flags.writeable
 
 
@@ -307,8 +307,8 @@ def _logged(spec, successor_rule, log):
     def rule_at(t):
         children = successor_rule(t)
 
-        def spy(block, z, visible, rows, ranks, M, pz):
-            keys, state_of = children(block, z, visible, rows, ranks, M, pz)
+        def spy(block, z, visible, rows, ranks, runs, pz):
+            keys, state_of = children(block, z, visible, rows, ranks, runs, pz)
             zr = common_obs_rank(spec, z)
             log.append((t, block[0].node_id, keys,
                         [(j, zr, r) for j, r in zip(rows, ranks.tolist())]))
@@ -421,6 +421,42 @@ def test_groups_spanning_chunks_match_per_node_expansion(monkeypatch):
         assert str(got.value) == str(want.value)
 
 
+# Instances whose graphs from the initial belief merge branches: generic
+# (delay 1), deterministic (delay 2), delay 3, and that deterministic kernel
+# with every zero raised to 1e-170 (tests/test_tables._tiny_entries).
+SPARSE_KEY_CASES = {
+    "generic": (2, 3, 1, 2, (2, 2), (2, 2), 17, False),
+    "deterministic": (2, 4, 2, 2, (2, 2), (2, 2), 5, True),
+    "delay3": (2, 4, 3, 2, (1, 2), (2, 1), 73, False),
+    "tiny": (2, 4, 2, 2, (2, 2), (2, 2), 5, True),
+}
+
+
+@pytest.mark.parametrize("keys", sorted(KEY_ROWS))
+@pytest.mark.parametrize("name", sorted(SPARSE_KEY_CASES))
+def test_sparse_keys_match_dense_keys(name, keys):
+    """belief_successors keys a branch on the entries of its run whose key
+    value is nonzero; the per-node reference keys a child on the bytes of
+    its whole dense row of key values.  Both must give the same node ids,
+    belief bytes and branch tables at every block size.  In the tiny case
+    runs carry entries near 1e-170 (0 on the grid) and weights that
+    underflow to 0.0, on other cells from branch to branch: the grid merges
+    branches that differ only there, so it has fewer nodes than exact keys,
+    and a key that kept those entries would split them."""
+    K, T, n, x, y, u, seed, det = SPARSE_KEY_CASES[name]
+    spec = random_instance(K, T, n, x, y, u, seed, deterministic=det)
+    spec = normalize_problem(_tiny_entries(spec) if name == "tiny" else spec)
+    root = coordinator.initial_belief(spec)
+    beliefs, tabs = _per_node_graph(spec, root, KEY_ROWS[keys], "support")
+    for entries in BLOCK_ENTRIES:
+        with mock.patch.object(_tables, "_BLOCK_ENTRIES", entries):
+            graph = _stage_batched_graph(spec, root, KEY_ROWS[keys], "support")
+        _assert_same_graph(graph, beliefs, tabs)
+    if name == "tiny" and keys == "grid":
+        exact = _per_node_graph(spec, root, KEY_ROWS["exact"], "support")[0]
+        assert len(beliefs) < len(exact)
+
+
 def _kept_per_row(spec, t, cand, actions, z_rank):
     """Kept triples of each assignment row of one _branch_masses call."""
     starts, lens, _, zr, _ = tables(spec).stage[t].step_arrays(spec)
@@ -478,13 +514,27 @@ def _kernel_spec(K, n, x_size, kernel, seed):
     return normalize_problem(dataclasses.replace(gen, trans=trans))
 
 
+def _reached_cells(spec, t, cand, actions, z_rank, next_count):
+    """Sorted distinct cells (assignment x next_count + next state) that
+    the kept triples of one _branch_masses call reach, triple by triple."""
+    starts, lens, dst, zr, _ = tables(spec).stage[t].step_arrays(spec)
+    cells = set()
+    for i, row in enumerate(actions.tolist()):
+        for s, a in zip(cand.tolist(), row):
+            for f in range(starts[s, a], starts[s, a] + lens[s, a]):
+                if zr[f] == z_rank:
+                    cells.add(i * next_count + int(dst[f]))
+    return sorted(cells)
+
+
 def _check_branch_masses(spec, t, rng, nodes, layout, share, assignments):
     """One _branch_masses call per shared symbol on a block of `nodes`
     beliefs, positive on a random share of the stage's states, passed as a
-    C- or F-ordered mass block, under random profiles.  Every (node,
-    assignment) pair's pz and mass must be the bytes of its update_mass
-    call.  Returns, per call, each assignment's kept triples (its segment
-    length)."""
+    C- or F-ordered mass block, under random profiles.  The sparse masses
+    sit on the sorted distinct cells the kept triples reach, and every
+    (node, assignment) pair's pz and dense mass row (zero off the cells)
+    must be the bytes of its update_mass call.  Returns, per call, each
+    assignment's kept triples (its segment length)."""
     stt = tables(spec).stage[t]
     cand = np.flatnonzero(rng.uniform(size=stt.state_count) < share)
     if cand.size == 0:
@@ -500,7 +550,14 @@ def _check_branch_masses(spec, t, rng, nodes, layout, share, assignments):
     steps, next_count = stt.step_arrays(spec), tables(spec).stage[t + 1].state_count
     lengths = []
     for zr in (common_obs_rank(spec, z) for z in common_obs_space(spec, t + 1)):
-        m, pz = coordinator._branch_masses(steps, cand, mass, actions, zr, next_count)
+        pz, masses = coordinator._branch_masses(steps, cand, mass, actions, zr,
+                                                next_count)
+        cells, vals = masses()
+        assert cells.dtype == np.int64 and vals.shape == (nodes, cells.size)
+        assert cells.tolist() == _reached_cells(spec, t, cand, actions, zr, next_count)
+        m = np.zeros((nodes, assignments * next_count))
+        m[:, cells] = vals
+        m = m.reshape(nodes, assignments, next_count)
         for j, p in enumerate(P):
             for i, profile in enumerate(profiles):
                 want_m, want_pz = update_mass(spec, t, p, profile, zr, cand)
@@ -530,23 +587,27 @@ def test_branch_masses_match_update_mass_bytes(seed, K, n, x_size, kernel, nodes
 def test_branch_masses_cases_cover_segment_lengths():
     """Fixed cases of the test above that reach segment lengths 1 to 9 (below
     and past the 8-term unrolling of numpy's pairwise sum) and past its
-    128-term blocks, and calls that mix several nonzero lengths."""
+    128-term blocks, calls that mix several nonzero lengths, and calls whose
+    nonzero lengths fall in assignment order (so the kernel reorders the
+    kept triples)."""
     cases = [  # (K, n, x_size, kernel, seed, t, nodes, layout, share, assignments)
         (2, 2, 2, "deterministic", 5, 2, 7, "F", 0.6, 3),
         (1, 2, 4, "deterministic", 4, 2, 4, "C", 0.6, 2),
         (1, 2, 4, "deterministic", 3, 2, 1, "F", 0.6, 2),
         (1, 2, 4, "mixed", 3, 2, 5, "C", 1.0, 4),
     ]
-    seen, mixed = set(), 0
+    seen, mixed, falling = set(), 0, 0
     for K, n, x_size, kernel, seed, t, nodes, layout, share, rows in cases:
         spec = _kernel_spec(K, n, x_size, kernel, seed)
         for lengths in _check_branch_masses(spec, t, np.random.default_rng(seed),
                                             nodes, layout, share, rows):
             seen.update(lengths)
             mixed += len(set(lengths) - {0}) >= 2
+            present = [length for length in lengths if length]
+            falling += any(b < a for a, b in zip(present, present[1:]))
     assert set(range(1, 10)) <= seen
     assert max(seen) > 128
-    assert mixed
+    assert mixed and falling
 
 
 @settings(max_examples=60, deadline=None)

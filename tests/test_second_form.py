@@ -328,7 +328,7 @@ def _per_edge_graph2(spec):
         return tuple(tuple(range(private_count(spec, k, node.t)))
                      for k in range(spec.K))
 
-    def children(block, z, visible, rows, ranks, M, pz):
+    def children(block, z, visible, rows, ranks, runs, pz):
         shapes = [(spec.u_size[k],) * len(visible[k]) for k in range(spec.K)]
         flat = np.unravel_index(ranks, [spec.u_size[k] ** len(visible[k])
                                         for k in range(spec.K)])

@@ -145,7 +145,7 @@ def test_concavity_probe_values_a_stage_in_graphs_of_the_root_bound(monkeypatch,
 
 def _graph_size(spec, pi):
     return coordinator._belief_graph(
-        spec, [pi], coordinator.belief_successors(np.ascontiguousarray, belief_is_key=True),
+        spec, [pi], coordinator.belief_successors(np.ascontiguousarray),
         max_nodes=coordinator.DEFAULT_MAX_NODES).node_count
 
 
